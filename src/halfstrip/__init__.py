@@ -53,8 +53,7 @@ from .branching import (
     expected_boundary_visits,
     expected_visits_ascent,
     expected_visits_descent,
-    offspring_pmf_ascent,
-    offspring_pmf_descent,
+    offspring_pmf,
     series_down_weighted,
     tail_down_iterates,
 )
@@ -111,7 +110,7 @@ __all__ = [
     "BranchingData", "SeriesValue", "BoundaryVisits", "branching_data",
     "boundary_exit_up", "exit_up_seq", "exit_up_tail", "exit_down_tail",
     "exit_down_seq", "tail_down_iterates", "series_down_weighted",
-    "expected_boundary_visits", "offspring_pmf_ascent", "offspring_pmf_descent",
+    "expected_boundary_visits", "offspring_pmf",
     "expected_visits_ascent", "expected_visits_descent",
     # classification
     "Classification", "classify", "return_time_bound", "expected_return_time",

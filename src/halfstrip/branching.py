@@ -14,9 +14,16 @@ two exit recursions:
 with U/D/S the up/down/stay blocks. Upward exits are stochastic (the
 reflected walk eventually rises); downward exits are substochastic and
 stochastic exactly when the walk is recurrent.
+
+Both are one level step (``_step``) with the up and down blocks swapped.
+``branching_data`` keeps each level's passage factor F as it forms it: F @
+back and F @ 1 are the offspring matrix and sojourn vector, and the
+downward F is the fundamental matrix. Past the stored depth every level is
+a tail level, and the ``*_at`` accessors serve the tail values.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -31,6 +38,8 @@ FIXED_POINT_BUDGET = 10**5
 # convergent fallback. Plain iteration stalls with error ~ C/k near the
 # recurrence boundary, so a small budget here is deliberate.
 FUNCTIONAL_WARMUP = 2000
+# Anchor doublings a backward recursion from a caller's seed may take.
+ANCHOR_DOUBLINGS = 16
 RADIUS_MARGIN = 1e-10
 SERIES_HORIZON = 10_000
 DIVERGENCE_FLOOR = 1e-12
@@ -54,6 +63,19 @@ def _stochastic_projection(mat, slack=1e-6):
     return out
 
 
+def _step(t, z, up=False):
+    """(F, F @ toward) with passage factor F = (I - back @ z - stay)^{-1}.
+
+    Going down, back/toward are the up/down blocks and z is the exit one
+    level above; going up they swap, z is the exit one level below, and the
+    exit is projected onto the stochastic matrices.
+    """
+    back, toward = (t.down, t.up) if up else (t.up, t.down)
+    factor = invert(np.eye(t.d) - back @ z - t.stay)
+    exit_mat = factor @ toward
+    return factor, _stochastic_projection(exit_mat) if up else exit_mat
+
+
 def boundary_exit_up(model):
     """First-passage matrix from layer 0 to layer 1: (I - R0)^{-1} P0.
 
@@ -61,6 +83,15 @@ def boundary_exit_up(model):
     """
     d = model.d
     return _stochastic_projection(invert(np.eye(d) - model.r0) @ model.p0)
+
+
+def _levels(model, z, levels, up=False):
+    """The level step over ``levels`` in order, z being the exit matrix of
+    the level before the first: yields (level, blocks, passage factor, exit)."""
+    for n in levels:
+        t = model.block_at(n)
+        factor, z = _step(t, z, up)
+        yield n, t, factor, z
 
 
 def exit_up_seq(model, n_max):
@@ -71,13 +102,8 @@ def exit_up_seq(model, n_max):
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    eye = np.eye(model.d)
     out = [boundary_exit_up(model)]
-    for n in range(1, n_max + 1):
-        t = model.block_at(n)
-        factor = invert(eye - t.down @ out[n - 1] - t.stay)
-        out.append(_stochastic_projection(factor @ t.up))
-    return out
+    return out + [z for *_, z in _levels(model, out[0], range(1, n_max + 1), up=True)]
 
 
 def _lr_minimal_root(down, stay, up, tol=DEFAULT_TOL, max_sweeps=64):
@@ -112,25 +138,54 @@ def _lr_minimal_root(down, stay, up, tol=DEFAULT_TOL, max_sweeps=64):
                              iterations=max_sweeps)
 
 
-def _down_residual(tail, z):
-    lhs = (np.eye(tail.d) - tail.up @ z - tail.stay) @ z
-    return float(np.max(np.abs(lhs - tail.down)))
-
-
 def tail_down_iterates(tail, count):
     """First ``count`` functional iterates of the downward tail fixed point,
     starting from zero. They increase entrywise toward the minimal root."""
-    d = tail.d
-    eye = np.eye(d)
-    z = np.zeros((d, d))
+    z = np.zeros((tail.d, tail.d))
     out = []
     for _ in range(count):
-        z = invert(eye - tail.up @ z - tail.stay) @ tail.down
+        _, z = _step(tail, z)
         out.append(z)
     return out
 
 
-def exit_down_tail(tail, tol=DEFAULT_TOL, max_iter=FIXED_POINT_BUDGET):
+def _tail_exit(tail, tol, up, start, accept):
+    """Fixed point of one direction's step on a constant tail: functional
+    iteration from ``start``; after the warm-up, the reduction root goes to
+    ``accept(root, last iterate, residual)``, which returns the matrix to
+    report or None to keep iterating. Returns (matrix, info dict)."""
+    back, toward = (tail.down, tail.up) if up else (tail.up, tail.down)
+    eye = np.eye(tail.d)
+
+    def residual(z):
+        return float(np.max(np.abs((eye - back @ z - tail.stay) @ z - toward)))
+
+    def solved(z, method, iterations, **extra):
+        return z, {"method": method, "iterations": iterations, **extra,
+                   "residual": residual(z)}
+
+    z = start
+    diff = math.inf
+    for it in range(1, FIXED_POINT_BUDGET + 1):
+        _, nxt = _step(tail, z, up)
+        diff = float(np.max(np.abs(nxt - z)))
+        z = nxt
+        if diff <= tol:
+            return solved(z, "functional", it)
+        if it == FUNCTIONAL_WARMUP:
+            try:
+                root, sweeps = _lr_minimal_root(toward, tail.stay, back, tol=tol)
+                root = accept(root, z, residual)
+            except NoConvergenceError:
+                root = None
+            if root is not None:
+                return solved(root, "reduction", it, sweeps=sweeps)
+    raise NoConvergenceError(
+        f"{'upward' if up else 'downward'} exit fixed point stalled (last step {diff:.3e})",
+        estimate=z, iterations=FIXED_POINT_BUDGET, residual=residual(z))
+
+
+def exit_down_tail(tail, tol=DEFAULT_TOL):
     """Minimal nonnegative downward exit matrix of a constant tail.
 
     Runs the monotone functional iteration from zero; if it stalls (it
@@ -139,47 +194,18 @@ def exit_down_tail(tail, tol=DEFAULT_TOL, max_iter=FIXED_POINT_BUDGET):
     monotone iterate (which is a lower bound), substochasticity, and the
     fixed-point residual. Returns (matrix, info dict).
     """
-    d = tail.d
-    eye = np.eye(d)
-    z = np.zeros((d, d))
-    warmup = min(FUNCTIONAL_WARMUP, max_iter)
-    it = 0
-    diff = math.inf
-    for it in range(1, warmup + 1):
-        nxt = invert(eye - tail.up @ z - tail.stay) @ tail.down
-        diff = float(np.max(np.abs(nxt - z)))
-        z = nxt
-        if diff <= tol:
-            return z, {"method": "functional", "iterations": it,
-                       "residual": _down_residual(tail, z)}
-    lower = z
-    try:
-        root, sweeps = _lr_minimal_root(tail.down, tail.stay, tail.up, tol=tol)
+    def accept(root, lower, residual):
         ok = (
             float(np.min(root - lower)) >= -1e-9
             and float(np.max(root.sum(axis=1))) <= 1.0 + 1e-9
-            and _down_residual(tail, root) <= max(10 * tol, 1e-10)
+            and residual(root) <= max(10 * tol, 1e-10)
         )
-        if ok:
-            return np.clip(root, 0.0, None), {
-                "method": "reduction", "iterations": it, "sweeps": sweeps,
-                "residual": _down_residual(tail, root),
-            }
-    except NoConvergenceError:
-        pass
-    for more in range(it + 1, max_iter + 1):
-        nxt = invert(eye - tail.up @ z - tail.stay) @ tail.down
-        diff = float(np.max(np.abs(nxt - z)))
-        z = nxt
-        if diff <= tol:
-            return z, {"method": "functional", "iterations": more,
-                       "residual": _down_residual(tail, z)}
-    raise NoConvergenceError(
-        f"downward exit fixed point stalled (last step {diff:.3e})",
-        estimate=z, iterations=max_iter, residual=_down_residual(tail, z))
+        return np.clip(root, 0.0, None) if ok else None
+
+    return _tail_exit(tail, tol, False, np.zeros((tail.d, tail.d)), accept)
 
 
-def exit_up_tail(tail, tol=DEFAULT_TOL, max_iter=FIXED_POINT_BUDGET, start=None):
+def exit_up_tail(tail, tol=DEFAULT_TOL):
     """Stochastic upward exit matrix of a constant tail.
 
     Projected functional iteration from a stochastic seed. If it stalls,
@@ -188,79 +214,61 @@ def exit_up_tail(tail, tol=DEFAULT_TOL, max_iter=FIXED_POINT_BUDGET, start=None)
     exactly the regime (non-positive-recurrent) where the minimal and
     stochastic roots coincide. Returns (matrix, info dict).
     """
-    d = tail.d
-    eye = np.eye(d)
-    z = np.full((d, d), 1.0 / d) if start is None else np.asarray(start, dtype=float)
-
-    def step(cur):
-        return _stochastic_projection(invert(eye - tail.down @ cur - tail.stay) @ tail.up)
-
-    warmup = min(FUNCTIONAL_WARMUP, max_iter)
-    diff = math.inf
-    for it in range(1, warmup + 1):
-        nxt = step(z)
-        diff = float(np.max(np.abs(nxt - z)))
-        z = nxt
-        if diff <= tol:
-            return z, {"method": "functional", "iterations": it}
-    try:
-        root, sweeps = _lr_minimal_root(tail.up, tail.stay, tail.down, tol=tol)
+    def accept(root, lower, residual):
         sums = root.sum(axis=1)
-        if float(np.min(sums)) >= 1.0 - 1e-6:
-            root = root / sums[:, None]
-            # a couple of polish steps to pull the projected root tight
-            for _ in range(3):
-                root = step(root)
-            return root, {"method": "reduction", "sweeps": sweeps}
-    except NoConvergenceError:
-        pass
-    for it in range(warmup + 1, max_iter + 1):
-        nxt = step(z)
-        diff = float(np.max(np.abs(nxt - z)))
-        z = nxt
-        if diff <= tol:
-            return z, {"method": "functional", "iterations": it}
-    raise NoConvergenceError(
-        f"upward exit fixed point stalled (last step {diff:.3e})",
-        estimate=z, iterations=max_iter)
+        if float(np.min(sums)) < 1.0 - 1e-6:
+            return None
+        root = root / sums[:, None]
+        # a couple of polish steps to pull the projected root tight
+        for _ in range(3):
+            _, root = _step(tail, root, up=True)
+        return root
+
+    return _tail_exit(tail, tol, True, np.full((tail.d, tail.d), 1.0 / tail.d), accept)
 
 
-def exit_down_seq(model, n_max=None, tol=DEFAULT_TOL, seed=None, max_doublings=16):
+def exit_down_seq(model, n_max=None, tol=DEFAULT_TOL, seed=None):
     """Downward exit matrices for levels 1..max(n_max, prefix+1).
 
-    Backward recursion anchored at a level ``a`` inside the constant tail,
-    seeded there with ``seed`` (default: the tail's minimal downward exit
-    matrix). ``a`` starts at prefix+16 and doubles until the level-1 answer
-    moves by less than ``tol``. Returns (list indexed by level with [0]
-    unused, info dict).
+    Backward recursion anchored at a level ``a`` inside the constant tail.
+    The default seed, the tail's minimal downward exit matrix, is exact at
+    every tail level, so one pass from a = depth+1 suffices. A caller's
+    ``seed`` is anchored at prefix+16 and the anchor doubles until the
+    level-1 answer moves by less than ``tol``. Returns (list indexed by
+    level with [0] unused, info dict).
     """
-    n_pref = model.n_prefix
-    depth = max(n_max if n_max is not None else n_pref + 1, n_pref + 1)
-    eye = np.eye(model.d)
-    if seed is None:
-        seed_mat, tail_info = exit_down_tail(model.tail, tol=tol)
+    depth = max(n_max or 0, model.n_prefix + 1)
+    exact = seed is None
+    if exact:
+        seed, tail_info = exit_down_tail(model.tail, tol=tol)
+        anchor = depth + 1
     else:
-        seed_mat = np.asarray(seed, dtype=float)
-        tail_info = {"method": "caller-seed"}
-    anchor = max(n_pref + 16, depth + 1)
+        seed, tail_info = np.asarray(seed, dtype=float), {"method": "caller-seed"}
+        anchor = max(model.n_prefix + 16, depth + 1)
     prev_first = None
-    for attempt in range(max_doublings):
-        store = [None] * (depth + 1)
-        z = seed_mat
-        for lev in range(anchor - 1, 0, -1):
-            t = model.block_at(lev)
-            z = invert(eye - t.up @ z - t.stay) @ t.down
-            if lev <= depth:
-                store[lev] = z
-        delta = math.inf if prev_first is None else float(np.max(np.abs(store[1] - prev_first)))
-        if delta < tol:
-            return store, {"anchor": anchor, "passes": attempt + 1,
+    for passes in range(1, ANCHOR_DOUBLINGS + 1):
+        exits = [None] * (depth + 1)
+        for n, _, _, z in _levels(model, seed, range(anchor - 1, 0, -1)):
+            if n <= depth:
+                exits[n] = z
+        delta = None if prev_first is None else float(np.max(np.abs(exits[1] - prev_first)))
+        if exact or (delta is not None and delta < tol):
+            return exits, {"anchor": anchor, "passes": passes,
                            "delta": delta, "tail": tail_info}
-        prev_first = store[1]
+        prev_first = exits[1]
         anchor *= 2
     raise NoConvergenceError(
         f"backward recursion did not settle by anchor {anchor // 2}",
-        estimate=prev_first, iterations=max_doublings)
+        estimate=prev_first, iterations=ANCHOR_DOUBLINGS)
+
+
+def _tail_up(tail, tol):
+    """(exit matrix, offspring matrix, spectral radius, solver info) of the
+    upward tail."""
+    z, info = exit_up_tail(tail, tol=tol)
+    factor, _ = _step(tail, z, up=True)
+    a = factor @ tail.down
+    return z, a, spectral_radius(a), info
 
 
 @dataclass
@@ -311,53 +319,43 @@ class BranchingData:
         return self.tail_fundamental_down
 
     def tail_up(self, tol=DEFAULT_TOL):
-        """(exit matrix, offspring matrix, spectral radius) of the upward tail."""
+        """``_tail_up`` of the model's tail, computed once."""
         if self._tail_up is None:
-            tail = self.model.tail
-            z, info = exit_up_tail(tail, tol=tol)
-            factor = invert(np.eye(tail.d) - tail.down @ z - tail.stay)
-            a = factor @ tail.down
-            self._tail_up = (z, a, spectral_radius(a), info)
+            self._tail_up = _tail_up(self.model.tail, tol)
         return self._tail_up
 
 
 def branching_data(model, n_max=None, tol=DEFAULT_TOL):
-    """Build BranchingData for levels up to max(n_max, prefix+1)."""
+    """Build BranchingData for levels up to max(n_max, prefix+1).
+
+    One pass per direction, each forming one passage factor per level, and
+    one downward tail solve that seeds the backward pass.
+    """
     if isinstance(model, CallbackModel):
         raise ValueError("level-map models have no limiting tail; "
                          "branching data requires a prefix+tail model")
-    n_pref = model.n_prefix
-    depth = max(n_max if n_max is not None else n_pref + 1, n_pref + 1)
-    d = model.d
-    eye = np.eye(d)
-    ones = np.ones(d)
+    depth = max(n_max or 0, model.n_prefix + 1)
+    ones = np.ones(model.d)
 
-    exit_down, down_info = exit_down_seq(model, n_max=depth, tol=tol)
     tail_exit, tail_info = exit_down_tail(model.tail, tol=tol)
-    tail_fund = invert(eye - model.tail.up @ tail_exit - model.tail.stay)
-    tail_A = tail_fund @ model.tail.up
-    tail_u = tail_fund @ ones
+    exit_down = [None] * (depth + 1)
+    fundamental_down = [None] * (depth + 1)
+    offspring_down = [None] * (depth + 1)
+    sojourn_down = [None] * (depth + 1)
+    for n, t, factor, z in _levels(model, tail_exit, range(depth, 0, -1)):
+        exit_down[n], fundamental_down[n] = z, factor
+        offspring_down[n], sojourn_down[n] = factor @ t.up, factor @ ones
 
-    exit_up = exit_up_seq(model, depth)
+    exit_up = [boundary_exit_up(model)]
     offspring_up = [None]
     sojourn_up = [ones.copy()]
-    for n in range(1, depth + 1):
-        t = model.block_at(n)
-        factor = invert(eye - t.down @ exit_up[n - 1] - t.stay)
+    for _, t, factor, z in _levels(model, exit_up[0], range(1, depth + 1), up=True):
+        exit_up.append(z)
         offspring_up.append(factor @ t.down)
         sojourn_up.append(factor @ ones)
 
-    offspring_down = [None]
-    sojourn_down = [None]
-    fundamental_down = [None]
-    for n in range(1, depth + 1):
-        t = model.block_at(n)
-        z_next = exit_down[n + 1] if n + 1 <= depth else tail_exit
-        factor = invert(eye - t.up @ z_next - t.stay)
-        fundamental_down.append(factor)
-        offspring_down.append(factor @ t.up)
-        sojourn_down.append(factor @ ones)
-
+    # level depth is a tail level stepped from the tail root, so its factor
+    # is the tail's
     return BranchingData(
         model=model,
         depth=depth,
@@ -369,11 +367,12 @@ def branching_data(model, n_max=None, tol=DEFAULT_TOL):
         sojourn_down=sojourn_down,
         fundamental_down=fundamental_down,
         tail_exit_down=tail_exit,
-        tail_fundamental_down=tail_fund,
-        tail_offspring_down=tail_A,
-        tail_sojourn_down=tail_u,
-        radius_down=spectral_radius(tail_A),
-        meta={"tail": tail_info, "backward": down_info, "tol": tol},
+        tail_fundamental_down=fundamental_down[depth],
+        tail_offspring_down=offspring_down[depth],
+        tail_sojourn_down=sojourn_down[depth],
+        radius_down=spectral_radius(offspring_down[depth]),
+        meta={"tail": tail_info, "backward": {"anchor": depth + 1, "passes": 1},
+              "tol": tol},
     )
 
 
@@ -461,6 +460,18 @@ class BoundaryVisits:
     note: str = ""
 
 
+def _upward_levels(model, data=None):
+    """(exit matrix of level k-1, upward offspring matrix of level k) for
+    k = 1, 2, ...: read from ``data`` through its depth, then stepped on."""
+    known = 0 if data is None else data.depth
+    for k in range(1, known + 1):
+        yield data.exit_up[k - 1], data.offspring_up[k]
+    z = boundary_exit_up(model) if data is None else data.exit_up[known]
+    for _, t, factor, nxt in _levels(model, z, itertools.count(known + 1), up=True):
+        yield z, factor @ t.down
+        z = nxt
+
+
 def expected_boundary_visits(model, mu=None, horizon=SERIES_HORIZON, data=None,
                              tol=DEFAULT_TOL):
     """Expected number of layer-0 visits for a walk started on layer 0 at mu.
@@ -478,8 +489,6 @@ def expected_boundary_visits(model, mu=None, horizon=SERIES_HORIZON, data=None,
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (d,) or np.any(mu < -1e-12) or abs(float(mu.sum()) - 1.0) > 1e-9:
         raise NotStochasticError("mu must be a probability vector over phases")
-    eye = np.eye(d)
-    z_prev = data.exit_up[0] if data is not None else boundary_exit_up(model)
     has_tail = getattr(model, "tail", None) is not None
     w = np.ones(d)
     m = mu.astype(float).copy()
@@ -491,11 +500,7 @@ def expected_boundary_visits(model, mu=None, horizon=SERIES_HORIZON, data=None,
     small_streak = 0
     big_streak = 0
     n_pref = model.n_prefix
-    for k in range(1, horizon + 1):
-        t = model.block_at(k)
-        factor = invert(eye - t.down @ z_prev - t.stay)
-        a_k = factor @ t.down
-        z_k = _stochastic_projection(factor @ t.up)
+    for k, (z_prev, a_k) in zip(range(1, horizon + 1), _upward_levels(model, data)):
         m = m @ z_prev
         w = a_k @ w
         term = float(m @ w)
@@ -504,12 +509,8 @@ def expected_boundary_visits(model, mu=None, horizon=SERIES_HORIZON, data=None,
         partial_sums.append(total)
         if has_tail and k > n_pref and radius_up is None and not radius_failed:
             try:
-                if data is not None:
-                    radius_up = data.tail_up(tol)[2]
-                else:
-                    z_fix, _ = exit_up_tail(model.tail, tol=tol)
-                    a_fix = invert(eye - model.tail.down @ z_fix - model.tail.stay) @ model.tail.down
-                    radius_up = spectral_radius(a_fix)
+                radius_up = (data.tail_up(tol) if data is not None
+                             else _tail_up(model.tail, tol))[2]
             except NoConvergenceError:
                 radius_failed = True
         if radius_up is not None:
@@ -529,49 +530,45 @@ def expected_boundary_visits(model, mu=None, horizon=SERIES_HORIZON, data=None,
                                       k, radius_up, note="partial sums overflowed")
             return BoundaryVisits("inconclusive", total, terms, partial_sums, k,
                                   radius_up, note="partial sums overflowed without a certificate")
-        z_prev = z_k
     return BoundaryVisits("inconclusive", total, terms, partial_sums, horizon,
                           radius_up, note="horizon exhausted without certificate")
 
 
-def offspring_pmf_ascent(model, data, n, phase, count):
-    """P(a step into (n, phase) during an upward passage begets ``count``
-    down-steps). Matrix-geometric in the count."""
-    if not 1 <= n <= data.depth:
-        raise ValueError("offspring levels run from 1 to the stored depth")
+def offspring_pmf(model, data, n, phase, count, direction):
+    """Offspring pmf of a step into (n, phase), for counts 0..count-1.
+
+    Entry c is the probability that the step begets c back-steps during a
+    passage in ``direction``: down-steps for "up" (1 <= n <= depth),
+    up-steps for "down" (n >= 1). Matrix-geometric in c: e_phase K^c
+    (I - S)^{-1} toward 1 with K = (I - S)^{-1} back E, where E is the exit
+    matrix that returns a back-step to level n.
+    """
+    if direction == "up":
+        if not 1 <= n <= data.depth:
+            raise ValueError("offspring levels run from 1 to the stored depth")
+        exit_back = data.exit_up[n - 1]
+    elif direction == "down":
+        if n < 1:
+            raise ValueError("offspring levels start at 1")
+        exit_back = data.exit_down_at(n + 1)
+    else:
+        raise ValueError("direction must be 'up' or 'down'")
     if count < 0:
         raise ValueError("count must be >= 0")
     if not 0 <= phase < model.d:
         raise ValueError(f"phase must be in [0, {model.d})")
     t = model.block_at(n)
-    d = model.d
-    base = invert(np.eye(d) - t.stay)
-    kernel = base @ t.down @ data.exit_up[n - 1]
-    row = np.zeros(d)
+    back, toward = (t.down, t.up) if direction == "up" else (t.up, t.down)
+    base = invert(np.eye(model.d) - t.stay)
+    kernel = base @ back @ exit_back
+    leave = base @ toward @ np.ones(model.d)
+    row = np.zeros(model.d)
     row[phase] = 1.0
-    for _ in range(count):
+    pmf = np.empty(count)
+    for c in range(count):
+        pmf[c] = row @ leave
         row = row @ kernel
-    return float(row @ (base @ t.up) @ np.ones(d))
-
-
-def offspring_pmf_descent(model, data, n, phase, count):
-    """P(a step into (n, phase) during a downward passage begets ``count``
-    up-steps). Mirror of the ascent pmf."""
-    if n < 1:
-        raise ValueError("offspring levels start at 1")
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    if not 0 <= phase < model.d:
-        raise ValueError(f"phase must be in [0, {model.d})")
-    t = model.block_at(n)
-    d = model.d
-    base = invert(np.eye(d) - t.stay)
-    kernel = base @ t.up @ data.exit_down_at(n + 1)
-    row = np.zeros(d)
-    row[phase] = 1.0
-    for _ in range(count):
-        row = row @ kernel
-    return float(row @ (base @ t.down) @ np.ones(d))
+    return pmf
 
 
 def expected_visits_ascent(model, data, k, mu, n):
@@ -589,8 +586,7 @@ def expected_visits_ascent(model, data, k, mu, n):
         w = w @ data.offspring_up[j]
     if n == 0:
         return w @ invert(np.eye(model.d) - model.r0)
-    t = model.block_at(n)
-    factor = invert(np.eye(model.d) - t.down @ data.exit_up[n - 1] - t.stay)
+    factor, _ = _step(model.block_at(n), data.exit_up[n - 1], up=True)
     return w @ factor
 
 

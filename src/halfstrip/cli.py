@@ -341,7 +341,9 @@ def _cmd_verify(args):
     model, _ = _load_model(args.model)
     tol = args.tol
     checks = []
-    res = classify(model, horizon=args.horizon, tol=tol)
+    depth = max(model.n_prefix + 1, 2)
+    data = branching_data(model, n_max=depth, tol=tol)
+    res = classify(model, horizon=args.horizon, tol=tol, data=data)
     results = {"verdict": res.verdict, "certificate": res.certificate}
     if res.verdict != "positive-recurrent":
         report = _report("verify",
@@ -356,9 +358,8 @@ def _cmd_verify(args):
             return EXIT_INCONCLUSIVE
         return EXIT_OK
 
-    depth = max(model.n_prefix + 1, 2)
-    data = branching_data(model, n_max=depth, tol=tol)
     result = stationary_dist(model, data=data, levels=args.levels, tol=tol)
+    # rebuilt to the full depth: the checks below cover every reported level
     full_depth = max(result.levels + 1, depth)
     data = branching_data(model, n_max=full_depth, tol=tol)
 

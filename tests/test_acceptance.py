@@ -206,10 +206,8 @@ def test_08_invariant_suite(retrial_c1, retrial_c2, d1_pos):
 
         horizon = 600
         for n, phase in [(1, 0), (2, d - 1)]:
-            up = [hs.offspring_pmf_descent(model, data, n, phase, c)
-                  for c in range(horizon)]
-            dn = [hs.offspring_pmf_ascent(model, data, n, phase, c)
-                  for c in range(horizon)]
+            up = hs.offspring_pmf(model, data, n, phase, horizon, "down")
+            dn = hs.offspring_pmf(model, data, n, phase, horizon, "up")
             worst["pmf_norm"] = max(worst["pmf_norm"],
                                     abs(sum(up) - 1.0), abs(sum(dn) - 1.0))
             mean_up = sum(c * p for c, p in enumerate(up))

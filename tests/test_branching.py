@@ -127,17 +127,33 @@ def test_exit_down_tail_critical_uses_reduction():
     assert info["method"] == "reduction"
 
 
+def test_exit_up_tail_reduction_reports_warmup_iterations():
+    """On the reduction path the upward tail solver reports the functional
+    warm-up it ran before switching, like the downward one."""
+    swap = 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    null = hs.BlockTriple(up=swap, down=swap, stay=np.zeros((2, 2)))
+    mat, info = hs.exit_up_tail(null)
+    assert np.max(np.abs(mat.sum(axis=1) - 1.0)) <= 1e-9
+    assert info["method"] == "reduction"
+    assert info["iterations"] == hs.branching.FUNCTIONAL_WARMUP
+    assert info["sweeps"] >= 1
+
+
 def test_exit_down_seq_anchor_independent(retrial_c2):
     """The backward recursion forgets its anchor seed: two very different
-    seeds must agree at every retained level."""
+    seeds, and the default exact tail root, must agree at every retained
+    level."""
     tol = 1e-12
     d = retrial_c2.d
     seq_a, _ = hs.exit_down_seq(retrial_c2, n_max=6, tol=tol, seed=np.zeros((d, d)))
     seq_b, _ = hs.exit_down_seq(
         retrial_c2, n_max=6, tol=tol, seed=np.full((d, d), 1.0 / d)
     )
-    for a, b in zip(seq_a[1:], seq_b[1:]):
+    seq_c, info = hs.exit_down_seq(retrial_c2, n_max=6, tol=tol)
+    assert info["passes"] == 1
+    for a, b, c in zip(seq_a[1:], seq_b[1:], seq_c[1:]):
         assert np.max(np.abs(a - b)) <= 10 * tol
+        assert np.max(np.abs(a - c)) <= 10 * tol
 
 
 def test_exit_down_seq_anchor_independent_random():
@@ -146,8 +162,24 @@ def test_exit_down_seq_anchor_independent_random():
     tol = 1e-12
     seq_a, _ = hs.exit_down_seq(model, n_max=5, tol=tol, seed=np.zeros((3, 3)))
     seq_b, _ = hs.exit_down_seq(model, n_max=5, tol=tol, seed=np.eye(3))
-    for a, b in zip(seq_a[1:], seq_b[1:]):
+    seq_c, info = hs.exit_down_seq(model, n_max=5, tol=tol)
+    assert info["passes"] == 1
+    for a, b, c in zip(seq_a[1:], seq_b[1:], seq_c[1:]):
         assert np.max(np.abs(a - b)) <= 10 * tol
+        assert np.max(np.abs(a - c)) <= 10 * tol
+
+
+def test_branching_data_forms_one_factor_per_level_and_direction(retrial_c1, monkeypatch):
+    """One downward tail solve and the boundary exit, then exactly one
+    passage factor per stored level in each direction."""
+    calls = []
+    invert = hs.branching.invert
+    monkeypatch.setattr(hs.branching, "invert", lambda a: calls.append(a) or invert(a))
+    hs.exit_down_tail(retrial_c1.tail)
+    tail_solve = len(calls)
+    calls.clear()
+    hs.branching_data(retrial_c1, n_max=40)
+    assert len(calls) == tail_solve + 1 + 2 * 40
 
 
 def test_branching_accessors_past_depth(d1_pos):
@@ -178,19 +210,13 @@ def test_offspring_pmf_normalization_and_mean(retrial_c1):
     data = hs.branching_data(retrial_c1, n_max=4)
     horizon = 2000
     for n, phase in [(1, 0), (1, 1), (3, 1)]:
-        up_probs = [
-            hs.offspring_pmf_descent(retrial_c1, data, n, phase, c)
-            for c in range(horizon)
-        ]
+        up_probs = hs.offspring_pmf(retrial_c1, data, n, phase, horizon, "down")
         assert abs(sum(up_probs) - 1.0) <= 1e-8
         mean = sum(c * p for c, p in enumerate(up_probs))
         want = float(data.offspring_down_at(n).sum(axis=1)[phase])
         assert abs(mean - want) <= 1e-6
     for n, phase in [(1, 0), (2, 1), (4, 0)]:
-        down_probs = [
-            hs.offspring_pmf_ascent(retrial_c1, data, n, phase, c)
-            for c in range(horizon)
-        ]
+        down_probs = hs.offspring_pmf(retrial_c1, data, n, phase, horizon, "up")
         assert abs(sum(down_probs) - 1.0) <= 1e-8
         mean = sum(c * p for c, p in enumerate(down_probs))
         want = float(data.offspring_up[n].sum(axis=1)[phase])
@@ -200,11 +226,13 @@ def test_offspring_pmf_normalization_and_mean(retrial_c1):
 def test_offspring_pmf_bounds_checked(d1_pos):
     data = hs.branching_data(d1_pos, n_max=2)
     with pytest.raises(ValueError):
-        hs.offspring_pmf_ascent(d1_pos, data, 0, 0, 1)
+        hs.offspring_pmf(d1_pos, data, 0, 0, 1, "up")
     with pytest.raises(ValueError):
-        hs.offspring_pmf_ascent(d1_pos, data, 99, 0, 1)
+        hs.offspring_pmf(d1_pos, data, 99, 0, 1, "up")
     with pytest.raises(ValueError):
-        hs.offspring_pmf_descent(d1_pos, data, 1, 5, 1)
+        hs.offspring_pmf(d1_pos, data, 1, 5, 1, "down")
+    with pytest.raises(ValueError):
+        hs.offspring_pmf(d1_pos, data, 1, 0, 1, "sideways")
 
 
 def test_expected_visits_ascent_scalar_closed_form(d1_pos):
@@ -289,6 +317,16 @@ def test_boundary_visits_divergent_on_recurrent(d1_pos, d1_null):
         bv = hs.expected_boundary_visits(model)
         assert bv.status == "divergent"
         assert bv.value == np.inf
+
+
+def test_boundary_visits_same_with_and_without_data(d1_transient, d1_pos, retrial_c2):
+    """Stored branching data only saves work: the series is the same."""
+    for model in (d1_transient, d1_pos, retrial_c2):
+        plain = hs.expected_boundary_visits(model)
+        given = hs.expected_boundary_visits(model, data=hs.branching_data(model))
+        assert given.terms == plain.terms
+        assert given.status == plain.status
+        assert given.radius_up == plain.radius_up
 
 
 def test_tail_up_radius(d1_transient, d1_pos):
