@@ -20,6 +20,14 @@ Both are one level step (``_step``) with the up and down blocks swapped.
 back and F @ 1 are the offspring matrix and sojourn vector, and the
 downward F is the fundamental matrix. Past the stored depth every level is
 a tail level, and the ``*_at`` accessors serve the tail values.
+
+Tail quantities cost O(prefix) levels. The tail roots come from
+logarithmic reduction and are stepped until one step returns them bit for
+bit; from such a floating-point fixed point every tail level repeats the
+same factor and exit, so ``branching_data`` forms them once, and the
+boundary-visit series sums its remainder in closed form once the upward
+step repeats. Certificates that a series is finite also need the tail's
+mean drift (``tail_drift``) to have the right sign beyond its rounding.
 """
 from __future__ import annotations
 
@@ -29,15 +37,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import NoConvergenceError, SingularMatrixError, NotStochasticError, invert, spectral_radius
+from .linalg import (NoConvergenceError, ReducibleChainError, SingularMatrixError,
+                     NotStochasticError, invert, spectral_radius, stationary_left_vector)
 from .model import CallbackModel
 
 DEFAULT_TOL = 1e-12
 FIXED_POINT_BUDGET = 10**5
-# Iterations of plain functional iteration before trying the quadratically
-# convergent fallback. Plain iteration stalls with error ~ C/k near the
-# recurrence boundary, so a small budget here is deliberate.
-FUNCTIONAL_WARMUP = 2000
+# Plain functional iterations before the tail solvers try logarithmic
+# reduction. Reduction converges quadratically off the recurrence boundary,
+# where plain iteration stalls with error ~ C/k, so it goes first; the one
+# iterate also gives the downward root its lower bound.
+FUNCTIONAL_WARMUP = 1
+# Most level steps an accepted tail root takes toward a floating-point fixed
+# point, a root that one step maps onto itself bit for bit. Every tail level
+# then repeats it exactly, which lets branching data and the series stop
+# stepping through tail levels.
+POLISH_STEPS = 8
 # Anchor doublings a backward recursion from a caller's seed may take.
 ANCHOR_DOUBLINGS = 16
 RADIUS_MARGIN = 1e-10
@@ -45,6 +60,8 @@ SERIES_HORIZON = 10_000
 DIVERGENCE_FLOOR = 1e-12
 DIVERGENCE_WINDOW = 100
 OVERFLOW_CAP = 1e15
+# Most doublings of the closed-form boundary-visit remainder: 2^64 tail terms.
+SUM_DOUBLINGS = 64
 
 
 def _stochastic_projection(mat, slack=1e-6):
@@ -153,7 +170,10 @@ def _tail_exit(tail, tol, up, start, accept):
     """Fixed point of one direction's step on a constant tail: functional
     iteration from ``start``; after the warm-up, the reduction root goes to
     ``accept(root, last iterate, residual)``, which returns the matrix to
-    report or None to keep iterating. Returns (matrix, info dict)."""
+    report or None to keep iterating. The solution is then stepped, at most
+    POLISH_STEPS times, until a step returns it bit for bit. Returns
+    (matrix, info dict); the info's ``polish`` counts those steps and
+    ``fixed`` says whether the last one returned its input."""
     back, toward = (tail.down, tail.up) if up else (tail.up, tail.down)
     eye = np.eye(tail.d)
 
@@ -161,8 +181,14 @@ def _tail_exit(tail, tol, up, start, accept):
         return float(np.max(np.abs((eye - back @ z - tail.stay) @ z - toward)))
 
     def solved(z, method, iterations, **extra):
+        polish, fixed = 0, False
+        while polish < POLISH_STEPS and not fixed:
+            _, nxt = _step(tail, z, up)
+            polish += 1
+            fixed = np.array_equal(nxt, z)
+            z = nxt
         return z, {"method": method, "iterations": iterations, **extra,
-                   "residual": residual(z)}
+                   "polish": polish, "fixed": fixed, "residual": residual(z)}
 
     z = start
     diff = math.inf
@@ -218,11 +244,7 @@ def exit_up_tail(tail, tol=DEFAULT_TOL):
         sums = root.sum(axis=1)
         if float(np.min(sums)) < 1.0 - 1e-6:
             return None
-        root = root / sums[:, None]
-        # a couple of polish steps to pull the projected root tight
-        for _ in range(3):
-            _, root = _step(tail, root, up=True)
-        return root
+        return root / sums[:, None]
 
     return _tail_exit(tail, tol, True, np.full((tail.d, tail.d), 1.0 / tail.d), accept)
 
@@ -271,14 +293,48 @@ def _tail_up(tail, tol):
     return z, a, spectral_radius(a), info
 
 
+def tail_drift(tail):
+    """(mean drift pi (U - D) 1 of a constant tail, its rounding bound).
+
+    pi is the stationary vector of the phase chain U + S + D. By Neuts'
+    mean-drift condition the tail is positive recurrent exactly when the
+    drift is negative and transient exactly when it is positive. The bound
+    covers the rounding of the drift, dominated by the error of pi, which
+    the 1-norm condition number of its bordered system scales. A phase
+    chain without a unique stationary vector gives (None, inf): no sign.
+    """
+    d = tail.d
+    chain = tail.up + tail.stay + tail.down
+    try:
+        pi = stationary_left_vector(chain)
+    except (ReducibleChainError, NotStochasticError):
+        return None, math.inf
+    bordered = chain.T - np.eye(d)
+    bordered[-1, :] = 1.0
+    rise, fall = tail.up.sum(axis=1), tail.down.sum(axis=1)
+    bound = (16 * d * float(np.finfo(float).eps) * float(np.linalg.cond(bordered, 1))
+             * float(np.max(rise + fall)))
+    return float(pi @ (rise - fall)), bound
+
+
+def drift_sign(drift):
+    """-1 or +1 when a ``tail_drift`` pair's drift clears its bound, else 0."""
+    value, bound = drift
+    if value is None or abs(value) <= bound:
+        return 0
+    return 1 if value > 0 else -1
+
+
 @dataclass
 class BranchingData:
     """Per-level exit, offspring, sojourn, and fundamental matrices.
 
     Lists are indexed by level; index 0 of the downward lists is unused.
     Levels beyond the stored depth are served by the tail fields (the
-    recursion is constant there). Upward-tail data is computed lazily via
-    tail_up() because only the boundary-visit certificates need it.
+    recursion is constant there). Entries past the level where a direction
+    repeats bit for bit are references to that level's arrays. Upward-tail
+    data is computed lazily via tail_up() because only the boundary-visit
+    certificates need it. ``tail_drift`` is the tail's ``tail_drift`` pair.
     """
 
     model: object
@@ -295,6 +351,7 @@ class BranchingData:
     tail_offspring_down: np.ndarray
     tail_sojourn_down: np.ndarray
     radius_down: float
+    tail_drift: tuple = (None, math.inf)
     meta: dict = field(default_factory=dict)
     _tail_up: tuple = None
 
@@ -328,8 +385,14 @@ class BranchingData:
 def branching_data(model, n_max=None, tol=DEFAULT_TOL):
     """Build BranchingData for levels up to max(n_max, prefix+1).
 
-    One pass per direction, each forming one passage factor per level, and
-    one downward tail solve that seeds the backward pass.
+    One downward tail solve seeds the backward pass. When its root is a
+    floating-point fixed point, every tail level repeats it, so one tail
+    factor serves them all and only the prefix is stepped, and the upward
+    pass stops at the first tail level whose exit repeats the previous one
+    bit for bit, since every deeper level repeats it too. Without a fixed
+    point (as with POLISH_STEPS = 0) both passes step every level.
+    ``meta["repeat"]`` holds the level from which each direction repeats
+    (None if it never does within the depth).
     """
     if isinstance(model, CallbackModel):
         raise ValueError("level-map models have no limiting tail; "
@@ -337,22 +400,39 @@ def branching_data(model, n_max=None, tol=DEFAULT_TOL):
     depth = max(n_max or 0, model.n_prefix + 1)
     ones = np.ones(model.d)
 
-    tail_exit, tail_info = exit_down_tail(model.tail, tol=tol)
+    tail = model.tail
+    tail_exit, tail_info = exit_down_tail(tail, tol=tol)
     exit_down = [None] * (depth + 1)
     fundamental_down = [None] * (depth + 1)
     offspring_down = [None] * (depth + 1)
     sojourn_down = [None] * (depth + 1)
-    for n, t, factor, z in _levels(model, tail_exit, range(depth, 0, -1)):
+    fixed = tail_info["fixed"]
+    top = depth
+    if fixed:
+        top = model.n_prefix
+        factor, _ = _step(tail, tail_exit)
+        tail_level = (tail_exit, factor, factor @ tail.up, factor @ ones)
+        for n in range(top + 1, depth + 1):
+            exit_down[n], fundamental_down[n], offspring_down[n], sojourn_down[n] = tail_level
+    for n, t, factor, z in _levels(model, tail_exit, range(top, 0, -1)):
         exit_down[n], fundamental_down[n] = z, factor
         offspring_down[n], sojourn_down[n] = factor @ t.up, factor @ ones
 
     exit_up = [boundary_exit_up(model)]
     offspring_up = [None]
     sojourn_up = [ones.copy()]
-    for _, t, factor, z in _levels(model, exit_up[0], range(1, depth + 1), up=True):
+    repeat_up = None
+    for n, t, factor, z in _levels(model, exit_up[0], range(1, depth + 1), up=True):
         exit_up.append(z)
         offspring_up.append(factor @ t.down)
         sojourn_up.append(factor @ ones)
+        if fixed and n > model.n_prefix and np.array_equal(z, exit_up[n - 1]):
+            repeat_up = n
+            break
+    while len(exit_up) <= depth:
+        exit_up.append(exit_up[-1])
+        offspring_up.append(offspring_up[-1])
+        sojourn_up.append(sojourn_up[-1])
 
     # level depth is a tail level stepped from the tail root, so its factor
     # is the tail's
@@ -371,7 +451,9 @@ def branching_data(model, n_max=None, tol=DEFAULT_TOL):
         tail_offspring_down=offspring_down[depth],
         tail_sojourn_down=sojourn_down[depth],
         radius_down=spectral_radius(offspring_down[depth]),
-        meta={"tail": tail_info, "backward": {"anchor": depth + 1, "passes": 1},
+        tail_drift=tail_drift(tail),
+        meta={"tail": tail_info, "backward": {"anchor": top + 1, "passes": 1},
+              "repeat": {"down": top + 1 if top < depth else None, "up": repeat_up},
               "tol": tol},
     )
 
@@ -400,8 +482,9 @@ def series_down_weighted(model, data, weight, start=1, horizon=SERIES_HORIZON):
     Computes sum_{k >= start} w A^-_{start} ... A^-_{k-1} u^-_k for a
     nonnegative row vector w. Terms through the prefix are accumulated
     directly; in the constant tail the remainder has the closed form
-    w A (I-A)^{-1} u whenever the tail radius is below 1 - 1e-10, which
-    certifies it exactly. Otherwise divergence is certified by terms
+    w (I-A)^{-1} u whenever the tail radius is below 1 - 1e-10 and the
+    tail's mean drift is negative beyond its rounding bound, which certifies
+    it exactly. Otherwise divergence is certified by terms
     staying above 1e-12 for 100 consecutive levels (or partial sums
     overflowing 1e15) while the radius is >= 1 - 1e-10; anything else is
     inconclusive at the horizon.
@@ -418,7 +501,7 @@ def series_down_weighted(model, data, weight, start=1, horizon=SERIES_HORIZON):
         k += 1
     a_t = data.tail_offspring_down
     u_t = data.tail_sojourn_down
-    if data.radius_down < 1.0 - RADIUS_MARGIN:
+    if data.radius_down < 1.0 - RADIUS_MARGIN and drift_sign(data.tail_drift) < 0:
         remainder = float(w @ invert(np.eye(model.d) - a_t) @ u_t)
         return SeriesValue("finite", total + remainder, k,
                            note="tail summed in closed form")
@@ -472,6 +555,25 @@ def _upward_levels(model, data=None):
         z = nxt
 
 
+def _power_pair_sum(m, z, a, w):
+    """sum_{j >= 1} m z^j a^j w for a stochastic z and sp(a) < 1.
+
+    Term j is the trace of a^j (w m) z^j, so the sum is the trace of the
+    solution S of the Stein equation S = a (w m + S) z. Smith doubling
+    (S <- S + P S Q, P <- P^2, Q <- Q^2) adds 2^i terms in step i and stops
+    once a step adds nothing at working precision.
+    """
+    s = a @ np.outer(w, m) @ z
+    p, q = a, z
+    for _ in range(SUM_DOUBLINGS):
+        inc = p @ s @ q
+        s = s + inc
+        if float(np.trace(inc)) <= np.finfo(float).eps * float(np.trace(s)):
+            break
+        p, q = p @ p, q @ q
+    return float(np.trace(s))
+
+
 def expected_boundary_visits(model, mu=None, horizon=SERIES_HORIZON, data=None,
                              tol=DEFAULT_TOL):
     """Expected number of layer-0 visits for a walk started on layer 0 at mu.
@@ -482,6 +584,13 @@ def expected_boundary_visits(model, mu=None, horizon=SERIES_HORIZON, data=None,
     convergence needs radius < 1 - 1e-10 and three consecutive terms below
     1e-14; divergence needs radius >= 1 - 1e-10 and 100 consecutive terms
     above 1e-12 (or overflow past 1e15).
+
+    Once the upward step repeats bit for bit on tail levels, every later
+    term is m Z^j A^j w for the repeated exit Z and offspring A, and when
+    also the radius is below 1 - 1e-10 and the tail's mean drift is
+    positive beyond its rounding bound, that remainder is summed in closed
+    form (``_power_pair_sum``) and added as the last term, with the level
+    where it took over in the note.
     """
     d = model.d
     if mu is None:
@@ -497,22 +606,36 @@ def expected_boundary_visits(model, mu=None, horizon=SERIES_HORIZON, data=None,
     total = terms[0]
     radius_up = None
     radius_failed = False
+    closed_form = False
     small_streak = 0
     big_streak = 0
     n_pref = model.n_prefix
+    z_before = None
     for k, (z_prev, a_k) in zip(range(1, horizon + 1), _upward_levels(model, data)):
-        m = m @ z_prev
-        w = a_k @ w
-        term = float(m @ w)
-        terms.append(term)
-        total += term
-        partial_sums.append(total)
         if has_tail and k > n_pref and radius_up is None and not radius_failed:
             try:
                 radius_up = (data.tail_up(tol) if data is not None
                              else _tail_up(model.tail, tol))[2]
             except NoConvergenceError:
                 radius_failed = True
+            else:
+                drift = tail_drift(model.tail) if data is None else data.tail_drift
+                closed_form = radius_up < 1.0 - RADIUS_MARGIN and drift_sign(drift) > 0
+        # levels k-1 and k are tail levels with equal exits below them, so
+        # every level from k on repeats level k-1's exit and offspring
+        if closed_form and k - 1 > n_pref and np.array_equal(z_prev, z_before):
+            rest = _power_pair_sum(m, z_prev, a_k, w)
+            terms.append(rest)
+            partial_sums.append(total + rest)
+            return BoundaryVisits("convergent", total + rest, terms, partial_sums, k,
+                                  radius_up, note=f"levels from {k} summed in closed form")
+        z_before = z_prev
+        m = m @ z_prev
+        w = a_k @ w
+        term = float(m @ w)
+        terms.append(term)
+        total += term
+        partial_sums.append(total)
         if radius_up is not None:
             if radius_up < 1.0 - RADIUS_MARGIN:
                 small_streak = small_streak + 1 if term <= 1e-14 else 0

@@ -18,8 +18,10 @@ import numpy as np
 
 from .branching import (
     DEFAULT_TOL,
+    RADIUS_MARGIN,
     SERIES_HORIZON,
     branching_data,
+    drift_sign,
     series_down_weighted,
 )
 from .classify import return_time_bound
@@ -257,18 +259,19 @@ def decay_rate(model, data=None, result=None, levels=None, tol=DEFAULT_TOL):
     """Decay rate of the stationary distribution plus finite-level estimates.
 
     Requires the constant tail itself to be positive recurrent (downward
-    offspring radius below 1, certified with the usual margin); otherwise
-    raises TailNotPositiveRecurrentError. When ``result`` is omitted the
+    offspring radius below 1, certified with the usual margin, and mean
+    drift negative beyond its rounding bound); otherwise raises
+    TailNotPositiveRecurrentError. When ``result`` is omitted the
     stationary distribution is computed here.
     """
     _require_tail_model(model, "the decay rate")
     if data is None:
         data = branching_data(model, tol=tol)
-    if data.radius_down >= 1.0 - 1e-10:
+    if data.radius_down >= 1.0 - RADIUS_MARGIN or drift_sign(data.tail_drift) >= 0:
         raise TailNotPositiveRecurrentError(
-            f"tail offspring radius {data.radius_down:.12g} is not certified "
-            "below 1; the tail return-time series diverges and no geometric "
-            "decay rate exists")
+            f"tail offspring radius {data.radius_down:.12g} and mean drift "
+            f"{data.tail_drift[0]} do not certify a radius below 1; the tail "
+            "return-time series diverges and no geometric decay rate exists")
     if result is None:
         result = stationary_dist(model, data=data, levels=levels, tol=tol)
     rates, rate_levels = _empirical_rates(result.nu)

@@ -68,22 +68,27 @@ def test_03_ascent_ratio_matrices_concentrate_on_last_row(retrial_c1, retrial_c2
 
 
 def test_04_verdict_flips_at_the_critical_arrival_rate():
-    # r_c = lam (lam + theta) / (mu theta) crosses 1 at lam* below; the
-    # positive side certifies via the closed-form tail sum, the transient
-    # side needs the visit series to decay below its floor, which costs
-    # about 1/|r_c - 1| terms, so the tightest transient point sits wider
+    # r_c = lam (lam + theta) / (mu theta) crosses 1 at lam* below; both
+    # sides certify via closed-form tail sums, the transient one once the
+    # upward level step repeats, a few levels in, so the last two points
+    # sit at r_c - 1 = -/+5.5e-7 with the default horizon
     mu, theta = 0.5, 0.3
     lam_star = (-theta + math.sqrt(theta * theta + 4 * mu * theta)) / 2.0
+
+    def lam_at(excess):
+        return (-theta + math.sqrt(theta * theta + 4 * (1.0 + excess) * mu * theta)) / 2.0
+
     sweep = [
         (0.20, 10_000), (0.24, 10_000), (0.26, 10_000), (0.265, 10_000),
         (lam_star - 1e-6, 10_000),
         (lam_star + 1.81e-5, 900_000),
         (0.266, 120_000), (0.27, 30_000), (0.30, 10_000),
+        (lam_at(-5.5e-7), 10_000), (lam_at(5.5e-7), 10_000),
     ]
     tight_pr = tight_tr = None
     for lam, horizon in sweep:
         r_c = lam * (lam + theta) / (mu * theta)
-        assert abs(r_c - 1.0) > 1e-6
+        assert abs(r_c - 1.0) > 5e-7
         res = hs.classify(retrial_model(lam, mu, 1), horizon=horizon)
         assert (res.verdict == "positive-recurrent") == (r_c < 1.0), \
             f"lam={lam}: verdict {res.verdict} vs r_c={r_c}"

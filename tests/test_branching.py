@@ -3,7 +3,7 @@ import pytest
 
 import halfstrip as hs
 
-from conftest import random_pos_recurrent_model, scalar_chain
+from conftest import random_pos_recurrent_model, retrial_model, scalar_chain
 
 
 # dense absorbing-chain oracle for expected visit counts
@@ -170,16 +170,123 @@ def test_exit_down_seq_anchor_independent_random():
 
 
 def test_branching_data_forms_one_factor_per_level_and_direction(retrial_c1, monkeypatch):
-    """One downward tail solve and the boundary exit, then exactly one
-    passage factor per stored level in each direction."""
+    """Past a fixed-point tail root the factor count does not grow with the
+    depth. Without polishing there is no fixed point, and it is one
+    downward tail solve and the boundary exit, then exactly one passage
+    factor per stored level in each direction."""
     calls = []
     invert = hs.branching.invert
     monkeypatch.setattr(hs.branching, "invert", lambda a: calls.append(a) or invert(a))
+
+    def factors(n_max):
+        calls.clear()
+        hs.branching_data(retrial_c1, n_max=n_max)
+        return len(calls)
+
+    assert factors(40) == factors(4000)
+    monkeypatch.setattr(hs.branching, "POLISH_STEPS", 0)
+    calls.clear()
     hs.exit_down_tail(retrial_c1.tail)
     tail_solve = len(calls)
-    calls.clear()
-    hs.branching_data(retrial_c1, n_max=40)
-    assert len(calls) == tail_solve + 1 + 2 * 40
+    assert factors(40) == tail_solve + 1 + 2 * 40
+
+
+def test_stored_downward_exits_are_stochastic_to_rounding(retrial_c1):
+    """The tail root is polished to a floating-point fixed point, so the
+    stored downward exits of positive-recurrent models are stochastic to
+    within a few ulps at every level, not to the solver's stopping error."""
+    for model in (retrial_c1, retrial_model(1.5, 0.3, 8)):
+        data = hs.branching_data(model, n_max=30)
+        assert data.meta["tail"]["fixed"]
+        assert 1 <= data.meta["tail"]["polish"] <= hs.branching.POLISH_STEPS
+        for n in range(1, data.depth + 1):
+            sums = data.exit_down_at(n).sum(axis=1)
+            assert np.max(np.abs(sums - 1.0)) <= 1e-13, n
+
+
+def _random_transient_model(rng, d, n_prefix=2):
+    """Random prefix+tail model whose blocks drift up (all entries positive)."""
+    alphas = np.concatenate([np.full(d, 0.7), np.full(d, 1.0), np.full(d, 3.0)])
+
+    def triple():
+        rows = rng.dirichlet(alphas, size=d)
+        return hs.BlockTriple(down=rows[:, :d], stay=rows[:, d:2 * d], up=rows[:, 2 * d:])
+
+    boundary = rng.dirichlet(np.full(2 * d, 1.0), size=d)
+    return hs.QbdModel(d=d, r0=boundary[:, :d], p0=boundary[:, d:],
+                       prefix=tuple(triple() for _ in range(n_prefix)), tail=triple())
+
+
+def test_branching_data_past_fixed_point_equals_per_level_stepping(retrial_c2):
+    """Entries served from the repeated tail arrays are bit for bit the ones
+    stepping every level from the same tail root gives."""
+    rng = np.random.default_rng(31)
+    models = [retrial_c2, random_pos_recurrent_model(rng, 3)[0],
+              _random_transient_model(rng, 3)]
+    for model in models:
+        depth = 60
+        data = hs.branching_data(model, n_max=depth)
+        assert data.meta["repeat"]["down"] == model.n_prefix + 1
+        ones = np.ones(model.d)
+        steps = hs.branching._levels(model, data.tail_exit_down, range(depth, 0, -1))
+        for n, t, factor, z in steps:
+            assert np.array_equal(data.exit_down[n], z)
+            assert np.array_equal(data.fundamental_down[n], factor)
+            assert np.array_equal(data.offspring_down[n], factor @ t.up)
+            assert np.array_equal(data.sojourn_down[n], factor @ ones)
+        z0 = hs.boundary_exit_up(model)
+        steps = hs.branching._levels(model, z0, range(1, depth + 1), up=True)
+        for n, t, factor, z in steps:
+            assert np.array_equal(data.exit_up[n], z)
+            assert np.array_equal(data.offspring_up[n], factor @ t.down)
+            assert np.array_equal(data.sojourn_up[n], factor @ ones)
+    # the transient model's upward exits repeat within the depth
+    repeat = data.meta["repeat"]["up"]
+    assert repeat is not None and model.n_prefix < repeat < depth
+    assert data.exit_up[depth] is data.exit_up[repeat]
+
+
+def test_boundary_visits_closed_form_matches_term_by_term():
+    """The closed-form remainder equals the term-by-term sum, which a level
+    callable over the same blocks forces."""
+    rng = np.random.default_rng(17)
+    for d in (2, 3, 4, 2, 3, 4):
+        model = _random_transient_model(rng, d)
+        bv = hs.expected_boundary_visits(model)
+        assert bv.status == "convergent"
+        assert bv.note == f"levels from {bv.horizon} summed in closed form"
+        assert model.n_prefix + 1 < bv.horizon < 100
+        assert len(bv.terms) == len(bv.partial_sums) == bv.horizon + 1
+        assert bv.partial_sums[-1] == bv.value
+        loop = hs.expected_boundary_visits(
+            hs.CallbackModel(d=d, r0=model.r0, p0=model.p0, level_fn=model.block_at),
+            horizon=3000)
+        assert bv.terms[:-1] == loop.terms[:bv.horizon]
+        assert loop.terms[-1] < 1e-17
+        assert abs(bv.value - loop.partial_sums[-1]) <= 1e-12 * bv.value
+
+
+def test_boundary_visits_closed_form_matches_retrial_value():
+    """Single-server retrial: the visit count is 1 + 1/(r_c - 1)."""
+    mu, theta = 0.5, 0.3
+    for excess in (0.2, 1e-2, 1e-3):
+        lam = (-theta + np.sqrt(theta * theta + 4 * (1 + excess) * mu * theta)) / 2
+        r_c = lam * (lam + theta) / (mu * theta)
+        bv = hs.expected_boundary_visits(retrial_model(lam, mu, 1))
+        assert bv.status == "convergent"
+        assert "closed form" in bv.note
+        want = 1.0 + 1.0 / (r_c - 1.0)
+        assert abs(bv.value - want) <= 1e-10 * want
+
+
+def test_tail_drift_sign(d1_pos, d1_null, d1_transient):
+    """Mean level drift of the tail: up minus down probability for d=1."""
+    for model, value, sign in ((d1_pos, -0.4, -1), (d1_null, 0.0, 0),
+                               (d1_transient, 0.4, 1)):
+        drift = hs.branching.tail_drift(model.tail)
+        assert drift[0] == pytest.approx(value, abs=1e-15)
+        assert 0.0 < drift[1] < 1e-13
+        assert hs.branching.drift_sign(drift) == sign
 
 
 def test_branching_accessors_past_depth(d1_pos):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -203,3 +205,41 @@ def test_classify_records_horizon_and_details(d1_null):
     assert isinstance(c.details, dict)
     assert c.visit_terms is not None
     assert len(c.visit_partial_sums) == len(c.visit_terms)
+
+
+def _retrial_at(lam):
+    return hs.uniformize(hs.build_retrial(lam, 0.5, 1, hs.RetrySchedule.parse("0.3")))
+
+
+def test_transient_just_above_critical_is_not_certified_positive_recurrent():
+    """At r_c - 1 = +5.5e-7 the downward tail radius reads 1 - 1.4e-9, inside
+    the root's error of the exact 1; the positive mean drift keeps the
+    return-time series from being certified finite, and the visit series
+    certifies transience with the closed form 1 + 1/(r_c - 1)."""
+    mu, theta = 0.5, 0.3
+    lam = (-theta + math.sqrt(theta * theta + 4 * (1 + 5.5e-7) * mu * theta)) / 2
+    r_c = lam * (lam + theta) / (mu * theta)
+    c = hs.classify(_retrial_at(lam))
+    assert c.verdict == hs.TRANSIENT
+    assert c.tail_radius_down < 1.0 - hs.branching.RADIUS_MARGIN
+    want = 1.0 + 1.0 / (r_c - 1.0)
+    assert abs(c.boundary_visits - want) <= 1e-6 * want
+
+
+def test_rounding_critical_point_is_not_certified_positive_recurrent():
+    """The middle point of a 7-point retrial sweep lands at r_c - 1 = -2.2e-16,
+    where the drift is below its rounding bound: no positive-recurrence
+    certificate, no stationary distribution and no decay rate."""
+    mu, theta = 0.5, 0.3
+    lam_crit = (-theta + math.sqrt(theta * theta + 4 * mu * theta)) / 2.0
+    lo, hi = 0.5 * lam_crit, 1.5 * lam_crit
+    lam = lo + (hi - lo) * 3 / 6
+    assert abs(lam * (lam + theta) / (mu * theta) - 1.0) < 1e-15
+    model = _retrial_at(lam)
+    c = hs.classify(model)
+    assert c.verdict != hs.POSITIVE_RECURRENT
+    assert hs.return_time_bound(model).status != "finite"
+    with pytest.raises(hs.NotPositiveRecurrentError):
+        hs.stationary_dist(model)
+    with pytest.raises(hs.TailNotPositiveRecurrentError):
+        hs.decay_rate(model)
