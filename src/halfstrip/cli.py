@@ -29,11 +29,13 @@ from .linalg import (
     NotStochasticError,
     ReducibleChainError,
     SingularMatrixError,
+    invert,
 )
 from .model import (
     GammaTooSmallError,
     ModelFormatError,
     RetrySchedule,
+    as_chain,
     build_retrial,
     model_from_dict,
     model_to_dict,
@@ -125,7 +127,7 @@ def _load_model(path):
     except OSError as exc:
         raise _CliError(EXIT_USAGE, f"cannot read model file: {exc}")
     try:
-        model = model_from_dict(data)
+        model = as_chain(model_from_dict(data))
     except (ModelFormatError, GammaTooSmallError) as exc:
         raise _CliError(EXIT_USAGE, f"model file malformed: {exc}")
     report = validate(model)
@@ -211,32 +213,26 @@ def _cmd_classify(args):
 # --------------------------------------------------------------- stationary
 
 
-def _stationary_with_checks(model, levels, tol):
-    depth = max(model.n_prefix + 1, (levels or 0) + 1)
-    data = branching_data(model, n_max=depth, tol=tol)
+def _stationary_with_checks(model, data, levels, tol):
+    """Stationary result from ``data`` and its two analytic checks.
+
+    The checks cover every reported level, so ``data`` is rebuilt deeper
+    when the result outruns it; returns (checked data, result, checks).
+    """
     result = stationary_dist(model, data=data, levels=levels, tol=tol)
-    deeper = branching_data(model, n_max=max(result.levels + 1, depth), tol=tol) \
-        if result.levels + 1 > depth else data
+    if result.levels + 1 > data.depth:
+        data = branching_data(model, n_max=result.levels + 1, tol=tol)
     checks = [
-        {
-            "name": "matrix-product-form",
-            "measured": matrix_product_check(model, deeper, result),
-            "tolerance": 1e-10,
-        },
-        {
-            "name": "global-balance-residual",
-            "measured": balance_residual(model, result),
-            "tolerance": 1e-8,
-        },
+        _check("matrix-product-form", matrix_product_check(model, data, result), 1e-10),
+        _check("global-balance-residual", balance_residual(model, result), 1e-8),
     ]
-    for c in checks:
-        c["status"] = "pass" if c["measured"] <= c["tolerance"] else "fail"
     return data, result, checks
 
 
 def _cmd_stationary(args):
     model, _ = _load_model(args.model)
-    _, result, checks = _stationary_with_checks(model, args.levels, args.tol)
+    data = branching_data(model, n_max=(args.levels or 0) + 1, tol=args.tol)
+    _, result, checks = _stationary_with_checks(model, data, args.levels, args.tol)
     results = result_to_dict(result)
     report = _report("stationary", _inputs(args, ["model", "tol", "levels"]),
                      results, checks)
@@ -315,8 +311,6 @@ def _visit_bursts(model, data, top_level):
     the per-cycle count is overdispersed relative to binomial by roughly
     the expected burst length. Bounded here by the level's downward sojourn
     (boundary: the stay-block dwell)."""
-    from .linalg import invert
-
     rows = []
     dwell0 = invert(np.eye(model.d) - model.r0) @ np.ones(model.d)
     rows.append(1.0 + 2.0 * float(dwell0.max()))
@@ -341,8 +335,7 @@ def _cmd_verify(args):
     model, _ = _load_model(args.model)
     tol = args.tol
     checks = []
-    depth = max(model.n_prefix + 1, 2)
-    data = branching_data(model, n_max=depth, tol=tol)
+    data = branching_data(model, n_max=2, tol=tol)
     res = classify(model, horizon=args.horizon, tol=tol, data=data)
     results = {"verdict": res.verdict, "certificate": res.certificate}
     if res.verdict != "positive-recurrent":
@@ -358,18 +351,13 @@ def _cmd_verify(args):
             return EXIT_INCONCLUSIVE
         return EXIT_OK
 
-    result = stationary_dist(model, data=data, levels=args.levels, tol=tol)
-    # rebuilt to the full depth: the checks below cover every reported level
-    full_depth = max(result.levels + 1, depth)
-    data = branching_data(model, n_max=full_depth, tol=tol)
+    data, result, stationary_checks = _stationary_with_checks(
+        model, data, args.levels, tol)
 
     # analytic self-consistency
     sums = np.abs(np.stack([z.sum(axis=1) for z in data.exit_up]) - 1.0)
     checks.append(_check("ascent-exit-stochastic", float(sums.max()), 1e-9))
-    checks.append(_check("matrix-product-form",
-                         matrix_product_check(model, data, result), 1e-10))
-    checks.append(_check("global-balance-residual",
-                         balance_residual(model, result), 1e-8))
+    checks.extend(stationary_checks)
     kac = abs(1.0 / result.normalizer - float(result.nu[0].sum()))
     checks.append(_check("return-time-reciprocal-is-boundary-mass", kac, 1e-8))
 

@@ -1,20 +1,23 @@
 """Dense numeric kernels shared across the package.
 
 Matrices are float64 numpy arrays, small (d x d with d rarely above a few
-dozen, a few hundred for truncated global solves). Probability row vectors
-act on the left (``vec @ mat``); expected-step columns act on the right.
+dozen, a few thousand states for truncated global solves). Probability row
+vectors act on the left (``vec @ mat``); expected-step columns act on the
+right. Inverses and solves run on LAPACK; ``invert`` refuses a matrix whose
+1-norm condition number exceeds ``COND_LIMIT``, a singularity guard that
+scales with the matrix.
 """
 from __future__ import annotations
 
 import numpy as np
 
-PIVOT_EPS = 1e-12
+COND_LIMIT = 1e12
 RADIUS_TOL = 1e-12
 RADIUS_BUDGET = 10**6
 
 
 class SingularMatrixError(ValueError):
-    """Elimination met a pivot below the singularity threshold."""
+    """The matrix is singular or too ill-conditioned to invert."""
 
 
 class NotStochasticError(ValueError):
@@ -36,28 +39,25 @@ class NoConvergenceError(RuntimeError):
 
 
 def invert(mat):
-    """Inverse of a square matrix by Gauss-Jordan elimination with partial pivoting.
+    """Inverse of a square matrix, from LAPACK's LU factorization.
 
-    Raises SingularMatrixError when the best available pivot falls below
-    1e-12 in magnitude. Robustness over speed: blocks here are small.
+    Raises SingularMatrixError when LAPACK finds the matrix singular, or
+    when the 1-norm condition number ||A||_1 ||A^-1||_1, formed from the
+    inverse just computed, is non-finite or above ``COND_LIMIT``. The guard
+    is relative, so it does not depend on the matrix's scale.
     """
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    aug = np.hstack([a.astype(float, copy=True), np.eye(n)])
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(aug[col:, col])))
-        if abs(aug[piv, col]) < PIVOT_EPS:
-            raise SingularMatrixError(
-                f"pivot {aug[piv, col]:.3e} below {PIVOT_EPS:g} at column {col}"
-            )
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        aug[col] /= aug[col, col]
-        others = np.arange(n) != col
-        aug[others] -= np.outer(aug[others, col], aug[col])
-    return aug[:, n:]
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"LAPACK: {exc}") from exc
+    cond = float(np.linalg.norm(a, 1) * np.linalg.norm(inv, 1))
+    if not cond <= COND_LIMIT:
+        raise SingularMatrixError(
+            f"1-norm condition number {cond:.3e} above {COND_LIMIT:g}")
+    return inv
 
 
 def spectral_radius(mat, tol=RADIUS_TOL, max_iter=RADIUS_BUDGET):

@@ -258,7 +258,6 @@ def validate(model, atol=VALIDATE_ATOL):
     """
     report = ValidationReport()
     d = model.d
-    levels = [("r0+p0", None)]
     _check_prob_block(report, model.r0, "r0", atol)
     _check_prob_block(report, model.p0, "p0", atol)
     rs = (model.r0 + model.p0).sum(axis=1)

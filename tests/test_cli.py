@@ -186,6 +186,19 @@ def test_classify_json_report(model_files):
     assert res["return_time_bound"] > 1.0
 
 
+def test_classify_reads_rate_model_file(tmp_path):
+    # a saved rate model runs as its uniformized chain at the default gamma
+    gen = hs.build_retrial(0.2, 0.5, 1, hs.RetrySchedule.parse("0.3"))
+    results = []
+    for name, model in [("generator", gen), ("chain", hs.as_chain(gen))]:
+        path = tmp_path / f"{name}.json"
+        hs.save_model(model, path)
+        code, out, _ = run_cli(["classify", str(path), "--format", "json"])
+        assert code == 0
+        results.append(json.loads(out)["results"])
+    assert results[0] == results[1]
+
+
 def test_classify_mu_reports_return_time(model_files):
     # phase 1 is the only boundary phase with an upward transition
     code, out, _ = run_cli(["classify", model_files["retrial"],

@@ -12,9 +12,22 @@ def test_invert_known_2x2():
     assert np.allclose(hs.invert(mat), expected, atol=1e-14)
 
 
-def test_invert_singular_raises():
-    with pytest.raises(SingularMatrixError):
-        hs.invert(np.array([[1.0, 1.0], [1.0, 1.0]]))
+@pytest.mark.parametrize("mat, expected", [
+    pytest.param([[1.0, 1.0], [1.0, 1.0]], None, id="rank-one"),
+    # the guard is relative: a tiny but perfectly conditioned matrix inverts
+    pytest.param(1e-13 * np.eye(3), 1e13 * np.eye(3), id="tiny-scale"),
+    # its LU pivot of 1e-10 passes an absolute 1e-12 test, but the 1-norm
+    # condition number is 4.0e13
+    pytest.param(1e3 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]), None,
+                 id="ill-conditioned"),
+    pytest.param([[np.nan]], None, id="nan"),
+])
+def test_invert_singular_raises(mat, expected):
+    if expected is None:
+        with pytest.raises(SingularMatrixError):
+            hs.invert(mat)
+    else:
+        assert np.allclose(hs.invert(mat), expected, rtol=1e-14, atol=0)
 
 
 def test_invert_1x1():
