@@ -55,7 +55,6 @@ from .branching import (
     expected_visits_descent,
     offspring_pmf,
     series_down_weighted,
-    tail_down_iterates,
 )
 from .classify import (
     INCONCLUSIVE,
@@ -109,7 +108,7 @@ __all__ = [
     # branching structure
     "BranchingData", "SeriesValue", "BoundaryVisits", "branching_data",
     "boundary_exit_up", "exit_up_seq", "exit_up_tail", "exit_down_tail",
-    "exit_down_seq", "tail_down_iterates", "series_down_weighted",
+    "exit_down_seq", "series_down_weighted",
     "expected_boundary_visits", "offspring_pmf",
     "expected_visits_ascent", "expected_visits_descent",
     # classification

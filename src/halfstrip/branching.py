@@ -21,13 +21,15 @@ back and F @ 1 are the offspring matrix and sojourn vector, and the
 downward F is the fundamental matrix. Past the stored depth every level is
 a tail level, and the ``*_at`` accessors serve the tail values.
 
-Tail quantities cost O(prefix) levels. The tail roots come from
-logarithmic reduction and are stepped until one step returns them bit for
-bit; from such a floating-point fixed point every tail level repeats the
-same factor and exit, so ``branching_data`` forms them once, and the
-boundary-visit series sums its remainder in closed form once the upward
-step repeats. Certificates that a series is finite also need the tail's
-mean drift (``tail_drift``) to have the right sign beyond its rounding.
+Tail quantities cost O(prefix) levels. Each tail root comes from
+logarithmic reduction (the upward one shifted to the stochastic root) and
+is stepped until one step returns it bit for bit, or at most
+``POLISH_STEPS`` times. ``branching_data`` serves every downward tail
+level from that root and its one factor, and stops the upward pass once
+a tail level's exit repeats the level before bit for bit; the
+boundary-visit series sums its remainder in closed form from there.
+Certificates that a series is finite also need the tail's mean drift
+(``tail_drift``) to have the right sign beyond its rounding.
 """
 from __future__ import annotations
 
@@ -42,16 +44,10 @@ from .linalg import (NoConvergenceError, ReducibleChainError, SingularMatrixErro
 from .model import CallbackModel
 
 DEFAULT_TOL = 1e-12
-FIXED_POINT_BUDGET = 10**5
-# Plain functional iterations before the tail solvers try logarithmic
-# reduction. Reduction converges quadratically off the recurrence boundary,
-# where plain iteration stalls with error ~ C/k, so it goes first; the one
-# iterate also gives the downward root its lower bound.
-FUNCTIONAL_WARMUP = 1
-# Most level steps an accepted tail root takes toward a floating-point fixed
-# point, a root that one step maps onto itself bit for bit. Every tail level
-# then repeats it exactly, which lets branching data and the series stop
-# stepping through tail levels.
+# Most level steps a tail root takes toward a floating-point fixed point, a
+# root that one step maps onto itself bit for bit, so that every tail level
+# repeats it exactly. A root whose steps end in a short cycle of bit-level
+# different matrices stops after this many, within rounding of the cycle.
 POLISH_STEPS = 8
 # Anchor doublings a backward recursion from a caller's seed may take.
 ANCHOR_DOUBLINGS = 16
@@ -70,7 +66,11 @@ def _stochastic_projection(mat, slack=1e-6):
     The upward recursion is stochastic in exact arithmetic but amplifies
     rounding geometrically on positive-recurrent models; projecting back to
     the stochastic manifold removes that unstable error mode. Rows far from
-    1 are left alone so genuine substochasticity stays visible.
+    1 are left alone so genuine substochasticity stays visible. Without it
+    the upward exits of the retrial c=1 model at r_c - 1 = +5.5e-7 never
+    repeat bit for bit within 10,000 levels, so the boundary-visit series
+    never reaches its closed-form remainder and the verdict is
+    inconclusive.
     """
     sums = mat.sum(axis=1)
     close = np.abs(sums - 1.0) <= slack
@@ -155,98 +155,54 @@ def _lr_minimal_root(down, stay, up, tol=DEFAULT_TOL, max_sweeps=64):
                              iterations=max_sweeps)
 
 
-def tail_down_iterates(tail, count):
-    """First ``count`` functional iterates of the downward tail fixed point,
-    starting from zero. They increase entrywise toward the minimal root."""
-    z = np.zeros((tail.d, tail.d))
-    out = []
-    for _ in range(count):
-        _, z = _step(tail, z)
-        out.append(z)
-    return out
+def _tail_exit(tail, tol, up):
+    """Exit matrix of one direction's step on a constant tail, and its info.
 
-
-def _tail_exit(tail, tol, up, start, accept):
-    """Fixed point of one direction's step on a constant tail: functional
-    iteration from ``start``; after the warm-up, the reduction root goes to
-    ``accept(root, last iterate, residual)``, which returns the matrix to
-    report or None to keep iterating. The solution is then stepped, at most
-    POLISH_STEPS times, until a step returns it bit for bit. Returns
-    (matrix, info dict); the info's ``polish`` counts those steps and
-    ``fixed`` says whether the last one returned its input."""
+    Logarithmic reduction gives the minimal root G. Going down G is the
+    exit matrix. Going up the exit is stochastic (the reflected walk always
+    rises), so Brauer's rank-one shift G + (1 - G 1) u^T / (u^T 1), with u
+    the left Perron vector of G, moves G's Perron eigenvalue to 1 and keeps
+    its other eigenpairs; the shift vanishes when G is already stochastic.
+    The root is then stepped, at most POLISH_STEPS times, until a step
+    returns it bit for bit. The info's ``polish`` counts those steps,
+    ``fixed`` says whether the last one returned its input, and
+    ``residual`` is the fixed-point residual, which must not exceed
+    max(10 tol, 1e-10).
+    """
     back, toward = (tail.down, tail.up) if up else (tail.up, tail.down)
-    eye = np.eye(tail.d)
-
-    def residual(z):
-        return float(np.max(np.abs((eye - back @ z - tail.stay) @ z - toward)))
-
-    def solved(z, method, iterations, **extra):
-        polish, fixed = 0, False
-        while polish < POLISH_STEPS and not fixed:
-            _, nxt = _step(tail, z, up)
-            polish += 1
-            fixed = np.array_equal(nxt, z)
-            z = nxt
-        return z, {"method": method, "iterations": iterations, **extra,
-                   "polish": polish, "fixed": fixed, "residual": residual(z)}
-
-    z = start
-    diff = math.inf
-    for it in range(1, FIXED_POINT_BUDGET + 1):
+    z, sweeps = _lr_minimal_root(toward, tail.stay, back, tol=tol)
+    if up:
+        vals, vecs = np.linalg.eig(z.T)
+        u = np.real(vecs[:, np.argmax(np.real(vals))])
+        z = z + np.outer(1.0 - z.sum(axis=1), u / u.sum())
+    polish, fixed = 0, False
+    while polish < POLISH_STEPS and not fixed:
         _, nxt = _step(tail, z, up)
-        diff = float(np.max(np.abs(nxt - z)))
+        polish += 1
+        fixed = np.array_equal(nxt, z)
         z = nxt
-        if diff <= tol:
-            return solved(z, "functional", it)
-        if it == FUNCTIONAL_WARMUP:
-            try:
-                root, sweeps = _lr_minimal_root(toward, tail.stay, back, tol=tol)
-                root = accept(root, z, residual)
-            except NoConvergenceError:
-                root = None
-            if root is not None:
-                return solved(root, "reduction", it, sweeps=sweeps)
-    raise NoConvergenceError(
-        f"{'upward' if up else 'downward'} exit fixed point stalled (last step {diff:.3e})",
-        estimate=z, iterations=FIXED_POINT_BUDGET, residual=residual(z))
+    residual = float(np.max(np.abs((np.eye(tail.d) - back @ z - tail.stay) @ z - toward)))
+    if not residual <= max(10 * tol, 1e-10):
+        raise NoConvergenceError(
+            f"{'upward' if up else 'downward'} tail root has residual {residual:.3e}",
+            estimate=z, iterations=sweeps, residual=residual)
+    return z, {"method": "reduction", "sweeps": sweeps, "polish": polish,
+               "fixed": fixed, "residual": residual}
 
 
 def exit_down_tail(tail, tol=DEFAULT_TOL):
-    """Minimal nonnegative downward exit matrix of a constant tail.
-
-    Runs the monotone functional iteration from zero; if it stalls (it
-    converges like C/k near the recurrence boundary), switches to the
-    quadratic reduction solver and validates that result against the last
-    monotone iterate (which is a lower bound), substochasticity, and the
-    fixed-point residual. Returns (matrix, info dict).
+    """Minimal nonnegative downward exit matrix of a constant tail: the
+    reduction root, polished (``_tail_exit``). Returns (matrix, info dict).
     """
-    def accept(root, lower, residual):
-        ok = (
-            float(np.min(root - lower)) >= -1e-9
-            and float(np.max(root.sum(axis=1))) <= 1.0 + 1e-9
-            and residual(root) <= max(10 * tol, 1e-10)
-        )
-        return np.clip(root, 0.0, None) if ok else None
-
-    return _tail_exit(tail, tol, False, np.zeros((tail.d, tail.d)), accept)
+    return _tail_exit(tail, tol, up=False)
 
 
 def exit_up_tail(tail, tol=DEFAULT_TOL):
-    """Stochastic upward exit matrix of a constant tail.
-
-    Projected functional iteration from a stochastic seed. If it stalls,
-    the reduction solver for the mirrored equation is tried; its minimal
-    root is accepted only when it is itself (near-)stochastic, which is
-    exactly the regime (non-positive-recurrent) where the minimal and
-    stochastic roots coincide. Returns (matrix, info dict).
+    """Stochastic upward exit matrix of a constant tail: the reduction root
+    of the mirrored equation, shifted to stochastic and polished
+    (``_tail_exit``). Returns (matrix, info dict).
     """
-    def accept(root, lower, residual):
-        sums = root.sum(axis=1)
-        if float(np.min(sums)) < 1.0 - 1e-6:
-            return None
-        return root / sums[:, None]
-
-    return _tail_exit(tail, tol, True, np.full((tail.d, tail.d), 1.0 / tail.d), accept)
+    return _tail_exit(tail, tol, up=True)
 
 
 def exit_down_seq(model, n_max=None, tol=DEFAULT_TOL, seed=None):
@@ -385,14 +341,13 @@ class BranchingData:
 def branching_data(model, n_max=None, tol=DEFAULT_TOL):
     """Build BranchingData for levels up to max(n_max, prefix+1).
 
-    One downward tail solve seeds the backward pass. When its root is a
-    floating-point fixed point, every tail level repeats it, so one tail
-    factor serves them all and only the prefix is stepped, and the upward
-    pass stops at the first tail level whose exit repeats the previous one
-    bit for bit, since every deeper level repeats it too. Without a fixed
-    point (as with POLISH_STEPS = 0) both passes step every level.
-    ``meta["repeat"]`` holds the level from which each direction repeats
-    (None if it never does within the depth).
+    One downward tail solve seeds the backward pass. Every tail level is
+    served from its root and the root's one passage factor, so only the
+    prefix is stepped. The upward pass stops at the first tail level whose
+    exit repeats the previous one bit for bit, since every deeper level
+    then repeats it too. ``meta["tail"]`` is the downward tail solver's
+    info and ``meta["repeat"]`` holds the level from which each direction
+    repeats (None if the upward one does not within the depth).
     """
     if isinstance(model, CallbackModel):
         raise ValueError("level-map models have no limiting tail; "
@@ -406,14 +361,11 @@ def branching_data(model, n_max=None, tol=DEFAULT_TOL):
     fundamental_down = [None] * (depth + 1)
     offspring_down = [None] * (depth + 1)
     sojourn_down = [None] * (depth + 1)
-    fixed = tail_info["fixed"]
-    top = depth
-    if fixed:
-        top = model.n_prefix
-        factor, _ = _step(tail, tail_exit)
-        tail_level = (tail_exit, factor, factor @ tail.up, factor @ ones)
-        for n in range(top + 1, depth + 1):
-            exit_down[n], fundamental_down[n], offspring_down[n], sojourn_down[n] = tail_level
+    top = model.n_prefix
+    factor, _ = _step(tail, tail_exit)
+    tail_level = (tail_exit, factor, factor @ tail.up, factor @ ones)
+    for n in range(top + 1, depth + 1):
+        exit_down[n], fundamental_down[n], offspring_down[n], sojourn_down[n] = tail_level
     for n, t, factor, z in _levels(model, tail_exit, range(top, 0, -1)):
         exit_down[n], fundamental_down[n] = z, factor
         offspring_down[n], sojourn_down[n] = factor @ t.up, factor @ ones
@@ -426,7 +378,7 @@ def branching_data(model, n_max=None, tol=DEFAULT_TOL):
         exit_up.append(z)
         offspring_up.append(factor @ t.down)
         sojourn_up.append(factor @ ones)
-        if fixed and n > model.n_prefix and np.array_equal(z, exit_up[n - 1]):
+        if n > model.n_prefix and np.array_equal(z, exit_up[n - 1]):
             repeat_up = n
             break
     while len(exit_up) <= depth:
@@ -434,8 +386,6 @@ def branching_data(model, n_max=None, tol=DEFAULT_TOL):
         offspring_up.append(offspring_up[-1])
         sojourn_up.append(sojourn_up[-1])
 
-    # level depth is a tail level stepped from the tail root, so its factor
-    # is the tail's
     return BranchingData(
         model=model,
         depth=depth,
@@ -453,7 +403,7 @@ def branching_data(model, n_max=None, tol=DEFAULT_TOL):
         radius_down=spectral_radius(offspring_down[depth]),
         tail_drift=tail_drift(tail),
         meta={"tail": tail_info, "backward": {"anchor": top + 1, "passes": 1},
-              "repeat": {"down": top + 1 if top < depth else None, "up": repeat_up},
+              "repeat": {"down": top + 1, "up": repeat_up},
               "tol": tol},
     )
 

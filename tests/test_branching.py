@@ -109,13 +109,17 @@ def test_exit_up_rows_stochastic_random_models():
             assert np.max(np.abs(mat.sum(axis=1) - 1.0)) <= 1e-9
 
 
-def test_tail_down_iterates_monotone(d1_pos, retrial_c1):
+def test_exit_down_seq_from_zero_rises_toward_tail_root(d1_pos, retrial_c1):
+    """On prefix-free models the backward recursion from a zero seed runs the
+    monotone functional iteration of the tail: the exits rise entrywise as
+    the level falls and stay below the minimal root."""
     for model in (d1_pos, retrial_c1):
-        its = hs.tail_down_iterates(model.tail, 40)
-        fixed, _ = hs.exit_down_tail(model.tail)
-        for a, b in zip(its, its[1:]):
-            assert np.all(b >= a - 1e-15)
-        assert np.all(its[-1] <= fixed + 1e-9)
+        d = model.d
+        exits, _ = hs.exit_down_seq(model, n_max=40, seed=np.zeros((d, d)))
+        root, _ = hs.exit_down_tail(model.tail)
+        for n in range(2, 41):
+            assert np.all(exits[n - 1] >= exits[n] - 1e-15), n
+        assert np.all(exits[1] <= root + 1e-9)
 
 
 def test_exit_down_tail_critical_uses_reduction():
@@ -127,16 +131,31 @@ def test_exit_down_tail_critical_uses_reduction():
     assert info["method"] == "reduction"
 
 
-def test_exit_up_tail_reduction_reports_warmup_iterations():
-    """On the reduction path the upward tail solver reports the functional
-    warm-up it ran before switching, like the downward one."""
+@pytest.mark.parametrize("solver", [hs.exit_down_tail, hs.exit_up_tail])
+def test_tail_solvers_report_reduction_info(solver):
+    """Both tail solvers report the reduction sweeps, the polish steps, whether
+    the polish reached a fixed point, and the root's residual."""
     swap = 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]])
     null = hs.BlockTriple(up=swap, down=swap, stay=np.zeros((2, 2)))
-    mat, info = hs.exit_up_tail(null)
+    mat, info = solver(null)
     assert np.max(np.abs(mat.sum(axis=1) - 1.0)) <= 1e-9
     assert info["method"] == "reduction"
-    assert info["iterations"] == hs.branching.FUNCTIONAL_WARMUP
     assert info["sweeps"] >= 1
+    assert "polish" in info and "fixed" in info
+    assert info["residual"] <= 1e-15
+
+
+def test_exit_up_tail_is_stochastic_root_on_positive_recurrent_tails():
+    """On a tail drifting down the minimal upward root is substochastic; the
+    solver's shifted root is stochastic and is the root the upward recursion
+    settles on."""
+    rng = np.random.default_rng(2024)
+    for d in (2, 3, 4):
+        model, _ = random_pos_recurrent_model(rng, d)
+        root, _ = hs.exit_up_tail(model.tail)
+        assert np.max(np.abs(root.sum(axis=1) - 1.0)) <= 1e-15
+        deep = hs.branching_data(model, n_max=400).exit_up[400]
+        assert np.max(np.abs(root - deep)) <= 1e-14
 
 
 def test_exit_down_seq_anchor_independent(retrial_c2):
@@ -170,10 +189,8 @@ def test_exit_down_seq_anchor_independent_random():
 
 
 def test_branching_data_forms_one_factor_per_level_and_direction(retrial_c1, monkeypatch):
-    """Past a fixed-point tail root the factor count does not grow with the
-    depth. Without polishing there is no fixed point, and it is one
-    downward tail solve and the boundary exit, then exactly one passage
-    factor per stored level in each direction."""
+    """The factor count does not grow with the depth, whether or not the
+    tail root is polished to a fixed point."""
     calls = []
     invert = hs.branching.invert
     monkeypatch.setattr(hs.branching, "invert", lambda a: calls.append(a) or invert(a))
@@ -185,10 +202,21 @@ def test_branching_data_forms_one_factor_per_level_and_direction(retrial_c1, mon
 
     assert factors(40) == factors(4000)
     monkeypatch.setattr(hs.branching, "POLISH_STEPS", 0)
-    calls.clear()
-    hs.exit_down_tail(retrial_c1.tail)
-    tail_solve = len(calls)
-    assert factors(40) == tail_solve + 1 + 2 * 40
+    assert factors(40) == factors(4000)
+
+
+def test_cycling_tail_root_keeps_the_shortcut():
+    """The c=32 retrial tail root ends in a cycle of bit-level different
+    roots, not a fixed point. Tail levels are still served from the root,
+    within rounding of stepping every level from it."""
+    model = retrial_model(6.0, 0.3, 32)
+    depth = 200
+    data = hs.branching_data(model, n_max=depth)
+    assert not data.meta["tail"]["fixed"]
+    assert data.meta["repeat"]["down"] == model.n_prefix + 1
+    steps = hs.branching._levels(model, data.tail_exit_down, range(depth, 0, -1))
+    for n, _, _, z in steps:
+        assert np.max(np.abs(data.exit_down[n] - z)) <= 1e-15, n
 
 
 def test_stored_downward_exits_are_stochastic_to_rounding(retrial_c1):
