@@ -11,7 +11,6 @@ Usage:
         | python3 scripts/decay_profile.py --levels 120
 """
 import argparse
-import json
 import math
 import sys
 
@@ -25,10 +24,8 @@ def main():
     ap.add_argument("--levels", type=int, default=120)
     args = ap.parse_args()
 
-    if args.model == "-":
-        model = hs.model_from_dict(json.load(sys.stdin))
-    else:
-        model = hs.load_model(args.model)
+    # a rate model runs as its uniformized chain, as in the CLI
+    model = hs.as_chain(hs.load_model(sys.stdin if args.model == "-" else args.model))
 
     res = hs.stationary_dist(model, levels=args.levels)
     limit = math.log(res.decay_rate)

@@ -16,18 +16,19 @@ reflected walk eventually rises); downward exits are substochastic and
 stochastic exactly when the walk is recurrent.
 
 Both are one level step (``_step``) with the up and down blocks swapped.
-``branching_data`` keeps each level's passage factor F as it forms it: F @
-back and F @ 1 are the offspring matrix and sojourn vector, and the
-downward F is the fundamental matrix. Past the stored depth every level is
-a tail level, and the ``*_at`` accessors serve the tail values.
+``branching_data`` keeps each downward level's passage factor F as it forms
+it: F @ up and F @ 1 are the offspring matrix and sojourn vector, and F is
+the fundamental matrix. It stores the prefix and the first tail level,
+which every deeper level repeats; the ``*_at`` accessors serve any level.
+The upward side is stepped on demand from the boundary
+(``_upward_levels``).
 
 Tail quantities cost O(prefix) levels. Each tail root comes from
 logarithmic reduction (the upward one shifted to the stochastic root) and
 is stepped until one step returns it bit for bit, or at most
-``POLISH_STEPS`` times. ``branching_data`` serves every downward tail
-level from that root and its one factor, and stops the upward pass once
-a tail level's exit repeats the level before bit for bit; the
-boundary-visit series sums its remainder in closed form from there.
+``POLISH_STEPS`` times. The downward root and its one factor serve every
+tail level. Once a tail level's upward exit repeats the level before bit
+for bit, the boundary-visit series sums its remainder in closed form.
 Certificates that a series is finite also need the tail's mean drift
 (``tail_drift``) to have the right sign beyond its rounding.
 """
@@ -119,8 +120,16 @@ def exit_up_seq(model, n_max):
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    out = [boundary_exit_up(model)]
-    return out + [z for *_, z in _levels(model, out[0], range(1, n_max + 1), up=True)]
+    return [z for z, _ in itertools.islice(_upward_levels(model), n_max + 1)]
+
+
+def _upward_levels(model):
+    """(exit matrix of level k-1, upward offspring matrix of level k) for
+    k = 1, 2, ..., stepped from the boundary."""
+    z = boundary_exit_up(model)
+    for _, t, factor, nxt in _levels(model, z, itertools.count(1), up=True):
+        yield z, factor @ t.down
+        z = nxt
 
 
 def _lr_minimal_root(down, stay, up, tol=DEFAULT_TOL, max_sweeps=64):
@@ -283,53 +292,37 @@ def drift_sign(drift):
 
 @dataclass
 class BranchingData:
-    """Per-level exit, offspring, sojourn, and fundamental matrices.
+    """Per-level downward exit, offspring, sojourn, and fundamental matrices.
 
-    Lists are indexed by level; index 0 of the downward lists is unused.
-    Levels beyond the stored depth are served by the tail fields (the
-    recursion is constant there). Entries past the level where a direction
-    repeats bit for bit are references to that level's arrays. Upward-tail
-    data is computed lazily via tail_up() because only the boundary-visit
-    certificates need it. ``tail_drift`` is the tail's ``tail_drift`` pair.
+    Lists are indexed by level 1..depth (index 0 unused), depth being
+    n_prefix + 1, the first tail level; every deeper level repeats it, and
+    the ``*_at`` accessors serve any level. Upward-tail data is computed
+    lazily via tail_up() because only the boundary-visit certificates need
+    it. ``tail_drift`` is the tail's ``tail_drift`` pair.
     """
 
     model: object
     depth: int
-    exit_up: list
     exit_down: list
-    offspring_up: list
-    sojourn_up: list
     offspring_down: list
     sojourn_down: list
     fundamental_down: list
-    tail_exit_down: np.ndarray
-    tail_fundamental_down: np.ndarray
-    tail_offspring_down: np.ndarray
-    tail_sojourn_down: np.ndarray
     radius_down: float
     tail_drift: tuple = (None, math.inf)
     meta: dict = field(default_factory=dict)
     _tail_up: tuple = None
 
     def exit_down_at(self, n):
-        if n <= self.depth:
-            return self.exit_down[n]
-        return self.tail_exit_down
+        return self.exit_down[min(n, self.depth)]
 
     def offspring_down_at(self, n):
-        if n <= self.depth:
-            return self.offspring_down[n]
-        return self.tail_offspring_down
+        return self.offspring_down[min(n, self.depth)]
 
     def sojourn_down_at(self, n):
-        if n <= self.depth:
-            return self.sojourn_down[n]
-        return self.tail_sojourn_down
+        return self.sojourn_down[min(n, self.depth)]
 
     def fundamental_down_at(self, n):
-        if n <= self.depth:
-            return self.fundamental_down[n]
-        return self.tail_fundamental_down
+        return self.fundamental_down[min(n, self.depth)]
 
     def tail_up(self, tol=DEFAULT_TOL):
         """``_tail_up`` of the model's tail, computed once."""
@@ -338,73 +331,37 @@ class BranchingData:
         return self._tail_up
 
 
-def branching_data(model, n_max=None, tol=DEFAULT_TOL):
-    """Build BranchingData for levels up to max(n_max, prefix+1).
+def branching_data(model, tol=DEFAULT_TOL):
+    """Build BranchingData for levels 1..n_prefix+1.
 
-    One downward tail solve seeds the backward pass. Every tail level is
-    served from its root and the root's one passage factor, so only the
-    prefix is stepped. The upward pass stops at the first tail level whose
-    exit repeats the previous one bit for bit, since every deeper level
-    then repeats it too. ``meta["tail"]`` is the downward tail solver's
-    info and ``meta["repeat"]`` holds the level from which each direction
-    repeats (None if the upward one does not within the depth).
+    One downward tail solve gives the first tail level's exit and its
+    passage factor; the backward pass from it steps the prefix.
+    ``meta["tail"]`` is the downward tail solver's info.
     """
     if isinstance(model, CallbackModel):
         raise ValueError("level-map models have no limiting tail; "
                          "branching data requires a prefix+tail model")
-    depth = max(n_max or 0, model.n_prefix + 1)
+    depth = model.n_prefix + 1
     ones = np.ones(model.d)
-
-    tail = model.tail
-    tail_exit, tail_info = exit_down_tail(tail, tol=tol)
-    exit_down = [None] * (depth + 1)
-    fundamental_down = [None] * (depth + 1)
-    offspring_down = [None] * (depth + 1)
-    sojourn_down = [None] * (depth + 1)
-    top = model.n_prefix
-    factor, _ = _step(tail, tail_exit)
-    tail_level = (tail_exit, factor, factor @ tail.up, factor @ ones)
-    for n in range(top + 1, depth + 1):
-        exit_down[n], fundamental_down[n], offspring_down[n], sojourn_down[n] = tail_level
-    for n, t, factor, z in _levels(model, tail_exit, range(top, 0, -1)):
+    tail_exit, tail_info = exit_down_tail(model.tail, tol=tol)
+    factor, _ = _step(model.tail, tail_exit)
+    exit_down, fundamental_down, offspring_down, sojourn_down = (
+        [None] * (depth + 1) for _ in range(4))
+    levels = itertools.chain([(depth, model.tail, factor, tail_exit)],
+                             _levels(model, tail_exit, range(depth - 1, 0, -1)))
+    for n, t, factor, z in levels:
         exit_down[n], fundamental_down[n] = z, factor
         offspring_down[n], sojourn_down[n] = factor @ t.up, factor @ ones
-
-    exit_up = [boundary_exit_up(model)]
-    offspring_up = [None]
-    sojourn_up = [ones.copy()]
-    repeat_up = None
-    for n, t, factor, z in _levels(model, exit_up[0], range(1, depth + 1), up=True):
-        exit_up.append(z)
-        offspring_up.append(factor @ t.down)
-        sojourn_up.append(factor @ ones)
-        if n > model.n_prefix and np.array_equal(z, exit_up[n - 1]):
-            repeat_up = n
-            break
-    while len(exit_up) <= depth:
-        exit_up.append(exit_up[-1])
-        offspring_up.append(offspring_up[-1])
-        sojourn_up.append(sojourn_up[-1])
-
     return BranchingData(
         model=model,
         depth=depth,
-        exit_up=exit_up,
         exit_down=exit_down,
-        offspring_up=offspring_up,
-        sojourn_up=sojourn_up,
         offspring_down=offspring_down,
         sojourn_down=sojourn_down,
         fundamental_down=fundamental_down,
-        tail_exit_down=tail_exit,
-        tail_fundamental_down=fundamental_down[depth],
-        tail_offspring_down=offspring_down[depth],
-        tail_sojourn_down=sojourn_down[depth],
         radius_down=spectral_radius(offspring_down[depth]),
-        tail_drift=tail_drift(tail),
-        meta={"tail": tail_info, "backward": {"anchor": top + 1, "passes": 1},
-              "repeat": {"down": top + 1, "up": repeat_up},
-              "tol": tol},
+        tail_drift=tail_drift(model.tail),
+        meta={"tail": tail_info, "tol": tol},
     )
 
 
@@ -449,8 +406,7 @@ def series_down_weighted(model, data, weight, start=1, horizon=SERIES_HORIZON):
         total += float(w @ data.sojourn_down_at(k))
         w = w @ data.offspring_down_at(k)
         k += 1
-    a_t = data.tail_offspring_down
-    u_t = data.tail_sojourn_down
+    a_t, u_t = data.offspring_down_at(k), data.sojourn_down_at(k)
     if data.radius_down < 1.0 - RADIUS_MARGIN and drift_sign(data.tail_drift) < 0:
         remainder = float(w @ invert(np.eye(model.d) - a_t) @ u_t)
         return SeriesValue("finite", total + remainder, k,
@@ -491,18 +447,6 @@ class BoundaryVisits:
     horizon: int
     radius_up: float = None
     note: str = ""
-
-
-def _upward_levels(model, data=None):
-    """(exit matrix of level k-1, upward offspring matrix of level k) for
-    k = 1, 2, ...: read from ``data`` through its depth, then stepped on."""
-    known = 0 if data is None else data.depth
-    for k in range(1, known + 1):
-        yield data.exit_up[k - 1], data.offspring_up[k]
-    z = boundary_exit_up(model) if data is None else data.exit_up[known]
-    for _, t, factor, nxt in _levels(model, z, itertools.count(known + 1), up=True):
-        yield z, factor @ t.down
-        z = nxt
 
 
 def _power_pair_sum(m, z, a, w):
@@ -561,7 +505,7 @@ def expected_boundary_visits(model, mu=None, horizon=SERIES_HORIZON, data=None,
     big_streak = 0
     n_pref = model.n_prefix
     z_before = None
-    for k, (z_prev, a_k) in zip(range(1, horizon + 1), _upward_levels(model, data)):
+    for k, (z_prev, a_k) in zip(range(1, horizon + 1), _upward_levels(model)):
         if has_tail and k > n_pref and radius_up is None and not radius_failed:
             try:
                 radius_up = (data.tail_up(tol) if data is not None
@@ -608,28 +552,26 @@ def expected_boundary_visits(model, mu=None, horizon=SERIES_HORIZON, data=None,
 
 
 def offspring_pmf(model, data, n, phase, count, direction):
-    """Offspring pmf of a step into (n, phase), for counts 0..count-1.
+    """Offspring pmf of a step into (n >= 1, phase), for counts 0..count-1.
 
     Entry c is the probability that the step begets c back-steps during a
-    passage in ``direction``: down-steps for "up" (1 <= n <= depth),
-    up-steps for "down" (n >= 1). Matrix-geometric in c: e_phase K^c
-    (I - S)^{-1} toward 1 with K = (I - S)^{-1} back E, where E is the exit
-    matrix that returns a back-step to level n.
+    passage in ``direction``: down-steps for "up", up-steps for "down".
+    Matrix-geometric in c: e_phase K^c (I - S)^{-1} toward 1 with
+    K = (I - S)^{-1} back E, where E is the exit matrix that returns a
+    back-step to level n.
     """
-    if direction == "up":
-        if not 1 <= n <= data.depth:
-            raise ValueError("offspring levels run from 1 to the stored depth")
-        exit_back = data.exit_up[n - 1]
-    elif direction == "down":
-        if n < 1:
-            raise ValueError("offspring levels start at 1")
-        exit_back = data.exit_down_at(n + 1)
-    else:
+    if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
+    if n < 1:
+        raise ValueError("offspring levels start at 1")
     if count < 0:
         raise ValueError("count must be >= 0")
     if not 0 <= phase < model.d:
         raise ValueError(f"phase must be in [0, {model.d})")
+    if direction == "up":
+        exit_back = exit_up_seq(model, n - 1)[-1]
+    else:
+        exit_back = data.exit_down_at(n + 1)
     t = model.block_at(n)
     back, toward = (t.down, t.up) if direction == "up" else (t.up, t.down)
     base = invert(np.eye(model.d) - t.stay)
@@ -644,7 +586,20 @@ def offspring_pmf(model, data, n, phase, count, direction):
     return pmf
 
 
-def expected_visits_ascent(model, data, k, mu, n):
+def _ascent_visits(model, k, mu):
+    """Expected visits per phase to layers k, k-1, ..., 0, in that order,
+    before the walk, started on layer k at mu, first reaches layer k+1."""
+    below = list(itertools.islice(_upward_levels(model), k))
+    w = np.asarray(mu, dtype=float).copy()
+    for n in range(k, 0, -1):
+        z_prev, offspring = below[n - 1]
+        factor, _ = _step(model.block_at(n), z_prev, up=True)
+        yield w @ factor
+        w = w @ offspring
+    yield w @ invert(np.eye(model.d) - model.r0)
+
+
+def expected_visits_ascent(model, k, mu, n):
     """Expected visits per phase to layer n (0 <= n <= k) before the walk,
     started on layer k at mu, first reaches layer k+1.
 
@@ -652,15 +607,7 @@ def expected_visits_ascent(model, data, k, mu, n):
     """
     if not 0 <= n <= k:
         raise ValueError("need 0 <= n <= k")
-    if k > data.depth:
-        raise ValueError("branching data too shallow for this start layer")
-    w = np.asarray(mu, dtype=float).copy()
-    for j in range(k, max(n, 0), -1):
-        w = w @ data.offspring_up[j]
-    if n == 0:
-        return w @ invert(np.eye(model.d) - model.r0)
-    factor, _ = _step(model.block_at(n), data.exit_up[n - 1], up=True)
-    return w @ factor
+    return next(itertools.islice(_ascent_visits(model, k, mu), k - n, None))
 
 
 def expected_visits_descent(model, data, k, mu, n):

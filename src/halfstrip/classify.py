@@ -19,9 +19,9 @@ from .branching import (
     DEFAULT_TOL,
     SERIES_HORIZON,
     SeriesValue,
+    _ascent_visits,
     branching_data,
     expected_boundary_visits,
-    expected_visits_ascent,
     series_down_weighted,
 )
 from .linalg import NotStochasticError
@@ -48,14 +48,11 @@ def return_time_bound(model, data=None, horizon=SERIES_HORIZON, tol=DEFAULT_TOL)
     return SeriesValue(sv.status, value, sv.last_level, sv.note)
 
 
-def _ascent_time(model, data, weight, k):
+def _ascent_time(model, weight, k):
     """Expected steps for a walk at layer k (phase row ``weight``) to first
     reach layer k+1: sum of expected visits over layers 0..k."""
-    total = 0.0
     ones = np.ones(model.d)
-    for j in range(k, -1, -1):
-        total += float(expected_visits_ascent(model, data, k, weight, j) @ ones)
-    return total
+    return sum(float(visits @ ones) for visits in _ascent_visits(model, k, weight))
 
 
 def expected_return_time(model, mu, n=0, data=None, horizon=SERIES_HORIZON,
@@ -73,7 +70,7 @@ def expected_return_time(model, mu, n=0, data=None, horizon=SERIES_HORIZON,
     if mu.shape != (d,) or np.any(mu < -1e-12) or abs(float(mu.sum()) - 1.0) > 1e-9:
         raise NotStochasticError("mu must be a probability vector over phases")
     if data is None:
-        data = branching_data(model, n_max=max(n + 1, model.n_prefix + 1), tol=tol)
+        data = branching_data(model, tol=tol)
     if n == 0:
         sv = series_down_weighted(model, data, mu @ model.p0, start=1, horizon=horizon)
         if sv.status == "infinite":
@@ -83,7 +80,7 @@ def expected_return_time(model, mu, n=0, data=None, horizon=SERIES_HORIZON,
     down = series_down_weighted(model, data, mu @ t.up, start=n + 1, horizon=horizon)
     if down.status == "infinite":
         return math.inf
-    up_time = _ascent_time(model, data, mu @ t.down, n - 1)
+    up_time = _ascent_time(model, mu @ t.down, n - 1)
     return 1.0 + down.value + up_time
 
 

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .branching import branching_data, boundary_exit_up
+from .branching import boundary_exit_up, branching_data, exit_up_seq
 from .classify import INCONCLUSIVE, classify
 from .linalg import (
     NoConvergenceError,
@@ -214,25 +214,20 @@ def _cmd_classify(args):
 
 
 def _stationary_with_checks(model, data, levels, tol):
-    """Stationary result from ``data`` and its two analytic checks.
-
-    The checks cover every reported level, so ``data`` is rebuilt deeper
-    when the result outruns it; returns (checked data, result, checks).
-    """
+    """Stationary result from ``data`` and its two analytic checks over
+    every reported level: (result, checks)."""
     result = stationary_dist(model, data=data, levels=levels, tol=tol)
-    if result.levels + 1 > data.depth:
-        data = branching_data(model, n_max=result.levels + 1, tol=tol)
     checks = [
         _check("matrix-product-form", matrix_product_check(model, data, result), 1e-10),
         _check("global-balance-residual", balance_residual(model, result), 1e-8),
     ]
-    return data, result, checks
+    return result, checks
 
 
 def _cmd_stationary(args):
     model, _ = _load_model(args.model)
-    data = branching_data(model, n_max=(args.levels or 0) + 1, tol=args.tol)
-    _, result, checks = _stationary_with_checks(model, data, args.levels, args.tol)
+    data = branching_data(model, tol=args.tol)
+    result, checks = _stationary_with_checks(model, data, args.levels, args.tol)
     results = result_to_dict(result)
     report = _report("stationary", _inputs(args, ["model", "tol", "levels"]),
                      results, checks)
@@ -335,7 +330,7 @@ def _cmd_verify(args):
     model, _ = _load_model(args.model)
     tol = args.tol
     checks = []
-    data = branching_data(model, n_max=2, tol=tol)
+    data = branching_data(model, tol=tol)
     res = classify(model, horizon=args.horizon, tol=tol, data=data)
     results = {"verdict": res.verdict, "certificate": res.certificate}
     if res.verdict != "positive-recurrent":
@@ -351,11 +346,11 @@ def _cmd_verify(args):
             return EXIT_INCONCLUSIVE
         return EXIT_OK
 
-    data, result, stationary_checks = _stationary_with_checks(
-        model, data, args.levels, tol)
+    result, stationary_checks = _stationary_with_checks(model, data, args.levels, tol)
 
     # analytic self-consistency
-    sums = np.abs(np.stack([z.sum(axis=1) for z in data.exit_up]) - 1.0)
+    top = max(2, model.n_prefix + 1, result.levels + 1)
+    sums = np.abs(np.stack([z.sum(axis=1) for z in exit_up_seq(model, top)]) - 1.0)
     checks.append(_check("ascent-exit-stochastic", float(sums.max()), 1e-9))
     checks.extend(stationary_checks)
     kac = abs(1.0 / result.normalizer - float(result.nu[0].sum()))
@@ -475,11 +470,22 @@ def _inputs(args, names):
     return out
 
 
+def _bounded(cast, low):
+    """argparse type: a finite ``cast`` value no smaller than ``low``."""
+    def parse(text):
+        value = cast(text)
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and at least {low}, got {text}")
+        return value
+    parse.__name__ = cast.__name__  # argparse names the type in its messages
+    return parse
+
+
 def _add_common(p, with_model=True):
     if with_model:
         p.add_argument("model", nargs="?", default="-",
                        help="model JSON file ('-' or omitted reads stdin)")
-    p.add_argument("--tol", type=float, default=1e-12,
+    p.add_argument("--tol", type=_bounded(float, 0.0), default=1e-12,
                    help="fixed-point tolerance (default 1e-12)")
     p.add_argument("-o", "--output", default=None,
                    help="write output to this path instead of stdout")
@@ -496,7 +502,7 @@ def build_parser():
     p = sub.add_parser("classify", help="certified recurrence classification",
                        parents=[], add_help=True)
     _add_common(p)
-    p.add_argument("--horizon", type=int, default=10_000,
+    p.add_argument("--horizon", type=_bounded(int, 1), default=10_000,
                    help="series horizon (default 10000)")
     p.add_argument("--mu", default=None,
                    help="layer-0 phase distribution, comma separated")
@@ -505,14 +511,14 @@ def build_parser():
 
     p = sub.add_parser("stationary", help="explicit stationary distribution")
     _add_common(p)
-    p.add_argument("--levels", type=int, default=None,
+    p.add_argument("--levels", type=_bounded(int, 0), default=None,
                    help="highest level to report (default: mass-driven)")
     p.add_argument("--format", choices=["pretty", "json", "csv"], default="pretty")
     p.set_defaults(func=_cmd_stationary)
 
     p = sub.add_parser("decay", help="geometric decay rate of the tail")
     _add_common(p)
-    p.add_argument("--levels", type=int, default=None,
+    p.add_argument("--levels", type=_bounded(int, 0), default=None,
                    help="levels for the empirical estimates (default: mass-driven)")
     p.add_argument("--format", choices=["pretty", "json"], default="pretty")
     p.set_defaults(func=_cmd_decay)
@@ -520,11 +526,11 @@ def build_parser():
     p = sub.add_parser("simulate", help="seeded Monte Carlo cycle statistics")
     _add_common(p)
     p.add_argument("--seed", type=int, required=True, help="stream seed (required)")
-    p.add_argument("--cycles", type=int, default=100_000,
+    p.add_argument("--cycles", type=_bounded(int, 1), default=100_000,
                    help="total regeneration cycles (default 100000)")
-    p.add_argument("--max-steps", type=int, default=10**8, dest="max_steps",
+    p.add_argument("--max-steps", type=_bounded(int, 1), default=10**8, dest="max_steps",
                    help="per-cycle and per-replication step cap")
-    p.add_argument("--replications", type=int, default=64,
+    p.add_argument("--replications", type=_bounded(int, 1), default=64,
                    help="independent streams (default 64)")
     p.add_argument("--format", choices=["pretty", "json"], default="pretty")
     p.set_defaults(func=_cmd_simulate)
@@ -533,12 +539,12 @@ def build_parser():
                        help="cross-check analytics against both oracles")
     _add_common(p)
     p.add_argument("--seed", type=int, required=True, help="stream seed (required)")
-    p.add_argument("--cycles", type=int, default=100_000,
+    p.add_argument("--cycles", type=_bounded(int, 1), default=100_000,
                    help="simulation cycles (default 100000)")
-    p.add_argument("--levels", type=int, default=None,
+    p.add_argument("--levels", type=_bounded(int, 0), default=None,
                    help="stationary truncation (default: mass-driven)")
-    p.add_argument("--horizon", type=int, default=10_000)
-    p.add_argument("--samples", type=int, default=10_000,
+    p.add_argument("--horizon", type=_bounded(int, 1), default=10_000)
+    p.add_argument("--samples", type=_bounded(int, 1), default=10_000,
                    help="exit-probability sample size per phase")
     p.add_argument("--format", choices=["json", "pretty"], default="json")
     p.set_defaults(func=_cmd_verify)

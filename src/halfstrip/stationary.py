@@ -142,8 +142,7 @@ def stationary_dist(model, data=None, levels=None, tol=DEFAULT_TOL,
     """
     _require_tail_model(model, "the stationary distribution")
     if data is None:
-        depth = max(levels if levels is not None else 0, model.n_prefix + 1)
-        data = branching_data(model, n_max=depth, tol=tol)
+        data = branching_data(model, tol=tol)
     rb = return_time_bound(model, data=data, horizon=horizon, tol=tol)
     if rb.status != "finite":
         raise NotPositiveRecurrentError(

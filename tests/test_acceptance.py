@@ -7,6 +7,7 @@ the dense truncation oracle, and the seeded regenerative simulator.
 """
 import io
 import contextlib
+import itertools
 import math
 import time
 
@@ -53,11 +54,11 @@ def test_03_ascent_ratio_matrices_concentrate_on_last_row(retrial_c1, retrial_c2
     worst_off = 0.0
     smallest_live = math.inf
     for model in (retrial_c1, retrial_c2):
-        data = hs.branching_data(model, n_max=6)
+        data = hs.branching_data(model)
         ratios = [model.p0 @ data.fundamental_down_at(1)]
         for n in range(1, 6):
             ratios.append(model.block_at(n).up @ data.fundamental_down_at(n + 1))
-        ratios.append(model.tail.up @ data.tail_fundamental_down)
+        ratios.append(model.tail.up @ data.fundamental_down_at(data.depth))
         for mat in ratios:
             worst_off = max(worst_off, float(np.abs(mat[:-1, :]).max()))
             smallest_live = min(smallest_live, float(np.abs(mat[-1, :]).max()))
@@ -151,8 +152,6 @@ def test_07_oracle_triangle_on_random_models():
         rng = np.random.default_rng(1000 + i)
         model, data = random_pos_recurrent_model(rng, 1 + i % 4)
         res = hs.stationary_dist(model, data=data)
-        deep = data if res.levels + 1 <= data.depth else \
-            hs.branching_data(model, n_max=res.levels + 1)
 
         rows = hs.truncated_solve(model, 260).level_rows()
         span = min(30, res.levels)
@@ -170,7 +169,7 @@ def test_07_oracle_triangle_on_random_models():
         ref = np.stack([res.nu[n] * z for n in range(span2 + 1)])
         viol, _, _ = hs.cell_deviations(
             ref, stats.visit_counts[:span2 + 1], stats.visit_se[:span2 + 1],
-            stats.cycles, bursts=_visit_bursts(model, deep, span2))
+            stats.cycles, bursts=_visit_bursts(model, data, span2))
         worst_visits = max(worst_visits, viol)
         assert viol <= 1.0, f"model {i}: visit deviation {viol:.2f} x 3 s.e."
 
@@ -198,8 +197,8 @@ def test_08_invariant_suite(retrial_c1, retrial_c2, d1_pos):
                  product=0.0, balance=0.0, kac=0.0)
     for model in (retrial_c1, retrial_c2, d1_pos):
         d = model.d
-        data = hs.branching_data(model, n_max=8, tol=tol)
-        stoch = np.stack([z.sum(axis=1) for z in data.exit_up])
+        data = hs.branching_data(model, tol=tol)
+        stoch = np.stack([z.sum(axis=1) for z in hs.exit_up_seq(model, 8)])
         worst["zeta_up"] = max(worst["zeta_up"],
                                float(np.abs(stoch - 1.0).max()))
 
@@ -210,6 +209,7 @@ def test_08_invariant_suite(retrial_c1, retrial_c2, d1_pos):
             worst["anchor"] = max(worst["anchor"], float(np.max(np.abs(a - b))))
 
         horizon = 600
+        upward = list(itertools.islice(hs.branching._upward_levels(model), 2))
         for n, phase in [(1, 0), (2, d - 1)]:
             up = hs.offspring_pmf(model, data, n, phase, horizon, "down")
             dn = hs.offspring_pmf(model, data, n, phase, horizon, "up")
@@ -220,12 +220,11 @@ def test_08_invariant_suite(retrial_c1, retrial_c2, d1_pos):
             worst["pmf_mean"] = max(
                 worst["pmf_mean"],
                 abs(mean_up - float(data.offspring_down_at(n).sum(axis=1)[phase])),
-                abs(mean_dn - float(data.offspring_up[n].sum(axis=1)[phase])))
+                abs(mean_dn - float(upward[n - 1][1].sum(axis=1)[phase])))
 
         res = hs.stationary_dist(model, tol=tol)
-        deep = hs.branching_data(model, n_max=res.levels + 1, tol=tol)
         worst["product"] = max(worst["product"],
-                               hs.matrix_product_check(model, deep, res))
+                               hs.matrix_product_check(model, data, res))
         worst["balance"] = max(worst["balance"],
                                hs.balance_residual(model, res))
         worst["kac"] = max(worst["kac"],

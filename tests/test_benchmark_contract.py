@@ -1,0 +1,40 @@
+"""What the benchmark in ``perfbench/`` reads of the package.
+
+The benchmark wraps public functions by the names ``BENCHMARK.json`` lists
+and reads counts off their results, so a change that renames or removes
+one breaks it. These checks make such a break fail in the main suite, not
+only in ``python3 -m pytest perfbench``.
+"""
+import importlib
+import inspect
+import json
+from pathlib import Path
+
+import halfstrip as hs
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _public_functions(layer):
+    mod = importlib.import_module(f"halfstrip.{layer}")
+    return {name for name, obj in vars(mod).items()
+            if not name.startswith("_") and inspect.isfunction(obj)
+            and obj.__module__ == mod.__name__}
+
+
+def test_per_layer_metrics_name_public_functions():
+    """Every ``<layer>.<function>.<count>`` metric names a public function
+    that ``halfstrip.<layer>`` defines."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    named = [m["name"].split(".") for m in spec["per_layer"]]
+    functions = [(layer, name) for layer, name, _ in (p for p in named if len(p) == 3)]
+    assert functions
+    missing = [f"{layer}.{name}" for layer, name in functions
+               if name not in _public_functions(layer)]
+    assert missing == []
+
+
+def test_branching_data_reports_its_depth(retrial_c1):
+    """The benchmark counts ``branching_data(...).depth``."""
+    data = hs.branching_data(retrial_c1)
+    assert data.depth == retrial_c1.n_prefix + 1

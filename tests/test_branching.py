@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -41,19 +43,25 @@ def _dense_visits(model, lo, hi, start_level, mu, count_level):
     return visits[i : i + d]
 
 
+def _offspring_up(model, n):
+    """Upward offspring matrix of level n, stepped from the boundary."""
+    return next(itertools.islice(hs.branching._upward_levels(model), n - 1, None))[1]
+
+
 def test_scalar_chain_frozen_quantities(d1_pos):
     data = hs.branching_data(d1_pos)
-    assert np.allclose(data.tail_exit_down, [[1.0]], atol=1e-9)
-    assert np.allclose(data.tail_fundamental_down, [[10.0 / 7.0]], atol=1e-10)
-    assert np.allclose(data.tail_offspring_down, [[3.0 / 7.0]], atol=1e-10)
-    assert np.allclose(data.tail_sojourn_down, [10.0 / 7.0], atol=1e-10)
+    tail = data.depth
+    assert np.allclose(data.exit_down_at(tail), [[1.0]], atol=1e-9)
+    assert np.allclose(data.fundamental_down_at(tail), [[10.0 / 7.0]], atol=1e-10)
+    assert np.allclose(data.offspring_down_at(tail), [[3.0 / 7.0]], atol=1e-10)
+    assert np.allclose(data.sojourn_down_at(tail), [10.0 / 7.0], atol=1e-10)
     assert abs(data.radius_down - 3.0 / 7.0) < 1e-9
 
 
 def test_scalar_transient_exit_down(d1_transient):
     data = hs.branching_data(d1_transient)
     # minimal root of 0.7 z^2 - z + 0.3
-    assert np.allclose(data.tail_exit_down, [[3.0 / 7.0]], atol=1e-10)
+    assert np.allclose(data.exit_down_at(data.depth), [[3.0 / 7.0]], atol=1e-10)
 
 
 def test_permutation_chain_frozen_quantities(perm_chain):
@@ -61,22 +69,24 @@ def test_permutation_chain_frozen_quantities(perm_chain):
     the fundamental matrix is diagonal and the offspring matrix swaps."""
     m = np.array([[0.0, 1.0], [1.0, 0.0]])
     data = hs.branching_data(perm_chain)
-    assert np.allclose(data.tail_exit_down, m, atol=1e-9)
-    assert np.allclose(data.tail_fundamental_down, (10.0 / 7.0) * np.eye(2), atol=1e-9)
-    assert np.allclose(data.tail_offspring_down, (3.0 / 7.0) * m, atol=1e-9)
+    tail = data.depth
+    assert np.allclose(data.exit_down_at(tail), m, atol=1e-9)
+    assert np.allclose(data.fundamental_down_at(tail), (10.0 / 7.0) * np.eye(2), atol=1e-9)
+    assert np.allclose(data.offspring_down_at(tail), (3.0 / 7.0) * m, atol=1e-9)
     assert abs(data.radius_down - 3.0 / 7.0) < 1e-9
 
 
 def test_retrial_c1_frozen_quantities(retrial_c1):
     data = hs.branching_data(retrial_c1)
-    assert np.allclose(data.tail_exit_down, [[0.0, 1.0], [0.0, 1.0]], atol=1e-9)
+    tail = data.depth
+    assert np.allclose(data.exit_down_at(tail), [[0.0, 1.0], [0.0, 1.0]], atol=1e-9)
     assert np.allclose(
-        data.tail_fundamental_down,
+        data.fundamental_down_at(tail),
         np.array([[10.0, 4.0], [10.0, 10.0]]) / 3.0,
         atol=1e-9,
     )
     assert np.allclose(
-        data.tail_offspring_down,
+        data.offspring_down_at(tail),
         np.array([[0.0, 4.0], [0.0, 10.0]]) / 15.0,
         atol=1e-9,
     )
@@ -154,7 +164,7 @@ def test_exit_up_tail_is_stochastic_root_on_positive_recurrent_tails():
         model, _ = random_pos_recurrent_model(rng, d)
         root, _ = hs.exit_up_tail(model.tail)
         assert np.max(np.abs(root.sum(axis=1) - 1.0)) <= 1e-15
-        deep = hs.branching_data(model, n_max=400).exit_up[400]
+        deep = hs.exit_up_seq(model, 400)[400]
         assert np.max(np.abs(root - deep)) <= 1e-14
 
 
@@ -189,20 +199,22 @@ def test_exit_down_seq_anchor_independent_random():
 
 
 def test_branching_data_forms_one_factor_per_level_and_direction(retrial_c1, monkeypatch):
-    """The factor count does not grow with the depth, whether or not the
-    tail root is polished to a fixed point."""
+    """branching_data inverts one passage factor per prefix level and one for
+    the tail, besides the tail solve's own inverses (one per reduction sweep
+    plus its start, one per polish step), whether or not the tail root is
+    polished to a fixed point."""
     calls = []
     invert = hs.branching.invert
     monkeypatch.setattr(hs.branching, "invert", lambda a: calls.append(a) or invert(a))
-
-    def factors(n_max):
-        calls.clear()
-        hs.branching_data(retrial_c1, n_max=n_max)
-        return len(calls)
-
-    assert factors(40) == factors(4000)
-    monkeypatch.setattr(hs.branching, "POLISH_STEPS", 0)
-    assert factors(40) == factors(4000)
+    models = (retrial_c1, retrial_model(0.2, 0.5, 1, theta="0.3+0.3/n"))
+    for polish_steps in (8, 0):
+        monkeypatch.setattr(hs.branching, "POLISH_STEPS", polish_steps)
+        for model in models:
+            calls.clear()
+            tail = hs.branching_data(model).meta["tail"]
+            assert tail["polish"] <= polish_steps
+            solve = 1 + tail["sweeps"] + tail["polish"]
+            assert len(calls) == model.n_prefix + 1 + solve
 
 
 def test_cycling_tail_root_keeps_the_shortcut():
@@ -211,12 +223,12 @@ def test_cycling_tail_root_keeps_the_shortcut():
     within rounding of stepping every level from it."""
     model = retrial_model(6.0, 0.3, 32)
     depth = 200
-    data = hs.branching_data(model, n_max=depth)
+    data = hs.branching_data(model)
     assert not data.meta["tail"]["fixed"]
-    assert data.meta["repeat"]["down"] == model.n_prefix + 1
-    steps = hs.branching._levels(model, data.tail_exit_down, range(depth, 0, -1))
+    assert data.depth == model.n_prefix + 1
+    steps = hs.branching._levels(model, data.exit_down_at(data.depth), range(depth, 0, -1))
     for n, _, _, z in steps:
-        assert np.max(np.abs(data.exit_down[n] - z)) <= 1e-15, n
+        assert np.max(np.abs(data.exit_down_at(n) - z)) <= 1e-15, n
 
 
 def test_stored_downward_exits_are_stochastic_to_rounding(retrial_c1):
@@ -224,10 +236,10 @@ def test_stored_downward_exits_are_stochastic_to_rounding(retrial_c1):
     stored downward exits of positive-recurrent models are stochastic to
     within a few ulps at every level, not to the solver's stopping error."""
     for model in (retrial_c1, retrial_model(1.5, 0.3, 8)):
-        data = hs.branching_data(model, n_max=30)
+        data = hs.branching_data(model)
         assert data.meta["tail"]["fixed"]
         assert 1 <= data.meta["tail"]["polish"] <= hs.branching.POLISH_STEPS
-        for n in range(1, data.depth + 1):
+        for n in range(1, 31):
             sums = data.exit_down_at(n).sum(axis=1)
             assert np.max(np.abs(sums - 1.0)) <= 1e-13, n
 
@@ -246,32 +258,23 @@ def _random_transient_model(rng, d, n_prefix=2):
 
 
 def test_branching_data_past_fixed_point_equals_per_level_stepping(retrial_c2):
-    """Entries served from the repeated tail arrays are bit for bit the ones
+    """Entries served from the first tail level are bit for bit the ones
     stepping every level from the same tail root gives."""
     rng = np.random.default_rng(31)
     models = [retrial_c2, random_pos_recurrent_model(rng, 3)[0],
               _random_transient_model(rng, 3)]
     for model in models:
         depth = 60
-        data = hs.branching_data(model, n_max=depth)
-        assert data.meta["repeat"]["down"] == model.n_prefix + 1
+        data = hs.branching_data(model)
+        assert data.depth == model.n_prefix + 1
         ones = np.ones(model.d)
-        steps = hs.branching._levels(model, data.tail_exit_down, range(depth, 0, -1))
+        steps = hs.branching._levels(model, data.exit_down_at(data.depth),
+                                     range(depth, 0, -1))
         for n, t, factor, z in steps:
-            assert np.array_equal(data.exit_down[n], z)
-            assert np.array_equal(data.fundamental_down[n], factor)
-            assert np.array_equal(data.offspring_down[n], factor @ t.up)
-            assert np.array_equal(data.sojourn_down[n], factor @ ones)
-        z0 = hs.boundary_exit_up(model)
-        steps = hs.branching._levels(model, z0, range(1, depth + 1), up=True)
-        for n, t, factor, z in steps:
-            assert np.array_equal(data.exit_up[n], z)
-            assert np.array_equal(data.offspring_up[n], factor @ t.down)
-            assert np.array_equal(data.sojourn_up[n], factor @ ones)
-    # the transient model's upward exits repeat within the depth
-    repeat = data.meta["repeat"]["up"]
-    assert repeat is not None and model.n_prefix < repeat < depth
-    assert data.exit_up[depth] is data.exit_up[repeat]
+            assert np.array_equal(data.exit_down_at(n), z)
+            assert np.array_equal(data.fundamental_down_at(n), factor)
+            assert np.array_equal(data.offspring_down_at(n), factor @ t.up)
+            assert np.array_equal(data.sojourn_down_at(n), factor @ ones)
 
 
 def test_boundary_visits_closed_form_matches_term_by_term():
@@ -318,11 +321,13 @@ def test_tail_drift_sign(d1_pos, d1_null, d1_transient):
 
 
 def test_branching_accessors_past_depth(d1_pos):
-    data = hs.branching_data(d1_pos, n_max=3)
-    assert np.allclose(data.exit_down_at(200), data.tail_exit_down)
-    assert np.allclose(data.offspring_down_at(200), data.tail_offspring_down)
-    assert np.allclose(data.fundamental_down_at(200), data.tail_fundamental_down)
-    assert np.allclose(data.sojourn_down_at(200), data.tail_sojourn_down)
+    """Only the prefix and the first tail level are stored; every deeper
+    level is served from the first tail level."""
+    data = hs.branching_data(d1_pos)
+    assert data.depth == d1_pos.n_prefix + 1 == len(data.exit_down) - 1
+    for name in ("exit_down", "offspring_down", "fundamental_down", "sojourn_down"):
+        at = getattr(data, f"{name}_at")
+        assert at(200) is at(data.depth) is getattr(data, name)[data.depth]
 
 
 def test_branching_rejects_callback_models():
@@ -342,7 +347,7 @@ def test_branching_rejects_callback_models():
 
 def test_offspring_pmf_normalization_and_mean(retrial_c1):
     """pmf sums to 1 and its mean reproduces the offspring matrix row sum."""
-    data = hs.branching_data(retrial_c1, n_max=4)
+    data = hs.branching_data(retrial_c1)
     horizon = 2000
     for n, phase in [(1, 0), (1, 1), (3, 1)]:
         up_probs = hs.offspring_pmf(retrial_c1, data, n, phase, horizon, "down")
@@ -354,16 +359,24 @@ def test_offspring_pmf_normalization_and_mean(retrial_c1):
         down_probs = hs.offspring_pmf(retrial_c1, data, n, phase, horizon, "up")
         assert abs(sum(down_probs) - 1.0) <= 1e-8
         mean = sum(c * p for c, p in enumerate(down_probs))
-        want = float(data.offspring_up[n].sum(axis=1)[phase])
+        want = float(_offspring_up(retrial_c1, n).sum(axis=1)[phase])
         assert abs(mean - want) <= 1e-6
 
 
 def test_offspring_pmf_bounds_checked(d1_pos):
-    data = hs.branching_data(d1_pos, n_max=2)
+    data = hs.branching_data(d1_pos)
     with pytest.raises(ValueError):
         hs.offspring_pmf(d1_pos, data, 0, 0, 1, "up")
     with pytest.raises(ValueError):
-        hs.offspring_pmf(d1_pos, data, 99, 0, 1, "up")
+        hs.offspring_pmf(d1_pos, data, 0, 0, 1, "down")
+    # any level serves "up": level 99 returns a down-step through exit_up_seq
+    t = d1_pos.block_at(99)
+    base = np.linalg.inv(np.eye(1) - t.stay)
+    kernel = base @ t.down @ hs.exit_up_seq(d1_pos, 98)[98]
+    leave = base @ t.up @ np.ones(1)
+    want = [(np.linalg.matrix_power(kernel, c) @ leave)[0] for c in range(6)]
+    got = hs.offspring_pmf(d1_pos, data, 99, 0, 6, "up")
+    assert np.allclose(got, want, rtol=1e-14, atol=0.0)
     with pytest.raises(ValueError):
         hs.offspring_pmf(d1_pos, data, 1, 5, 1, "down")
     with pytest.raises(ValueError):
@@ -372,15 +385,14 @@ def test_offspring_pmf_bounds_checked(d1_pos):
 
 def test_expected_visits_ascent_scalar_closed_form(d1_pos):
     # from layer 2 before reaching 3: sojourn 10/3 per layer, factor 7/3 down
-    data = hs.branching_data(d1_pos, n_max=4)
     mu = np.array([1.0])
-    assert np.allclose(hs.expected_visits_ascent(d1_pos, data, 2, mu, 2), [10.0 / 3.0])
-    assert np.allclose(hs.expected_visits_ascent(d1_pos, data, 2, mu, 1), [70.0 / 9.0])
-    assert np.allclose(hs.expected_visits_ascent(d1_pos, data, 2, mu, 0), [49.0 / 9.0])
+    assert np.allclose(hs.expected_visits_ascent(d1_pos, 2, mu, 2), [10.0 / 3.0])
+    assert np.allclose(hs.expected_visits_ascent(d1_pos, 2, mu, 1), [70.0 / 9.0])
+    assert np.allclose(hs.expected_visits_ascent(d1_pos, 2, mu, 0), [49.0 / 9.0])
 
 
 def test_expected_visits_descent_scalar_closed_form(d1_pos):
-    data = hs.branching_data(d1_pos, n_max=4)
+    data = hs.branching_data(d1_pos)
     mu = np.array([1.0])
     for n in (2, 3, 4):
         want = (3.0 / 7.0) ** (n - 1) * (10.0 / 7.0)
@@ -390,10 +402,10 @@ def test_expected_visits_descent_scalar_closed_form(d1_pos):
 
 
 def test_expected_visits_against_dense_solve(retrial_c1):
-    data = hs.branching_data(retrial_c1, n_max=6)
+    data = hs.branching_data(retrial_c1)
     mu = np.array([0.25, 0.75])
     for n in (0, 1, 2, 3):
-        got = hs.expected_visits_ascent(retrial_c1, data, 3, mu, n)
+        got = hs.expected_visits_ascent(retrial_c1, 3, mu, n)
         want = _dense_visits(retrial_c1, 0, 3, 3, mu, n)
         assert np.max(np.abs(got - want)) < 1e-10
     # descending: absorb below at layer 1, truncate far above
@@ -406,10 +418,9 @@ def test_expected_visits_against_dense_solve(retrial_c1):
 def test_expected_visits_against_dense_solve_random():
     rng = np.random.default_rng(13)
     model, data = random_pos_recurrent_model(rng, 3)
-    data = hs.branching_data(model, n_max=6)
     mu = np.array([0.2, 0.3, 0.5])
     for n in (0, 2, 4):
-        got = hs.expected_visits_ascent(model, data, 4, mu, n)
+        got = hs.expected_visits_ascent(model, 4, mu, n)
         want = _dense_visits(model, 0, 4, 4, mu, n)
         assert np.max(np.abs(got - want)) < 1e-9
     got = hs.expected_visits_descent(model, data, 1, mu, 2)
@@ -477,8 +488,8 @@ def test_term_ratio_approaches_radius():
     """Successive descending-series terms contract at the offspring radius."""
     rng = np.random.default_rng(99)
     model, data = random_pos_recurrent_model(rng, 2)
-    a = data.tail_offspring_down
-    u = data.tail_sojourn_down
+    a = data.offspring_down_at(data.depth)
+    u = data.sojourn_down_at(data.depth)
     w = np.full(2, 0.5)
     t200 = w @ np.linalg.matrix_power(a, 200) @ u
     t201 = w @ np.linalg.matrix_power(a, 201) @ u

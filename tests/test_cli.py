@@ -137,6 +137,30 @@ def test_bad_mu_exit_1(model_files):
     assert "phase distribution" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--seed", "1", "--samples", "0"],
+    ["verify", "--seed", "1", "--cycles", "0"],
+    ["verify", "--seed", "1", "--levels", "-1"],
+    ["stationary", "--levels", "-3"],
+    ["decay", "--levels", "-1"],
+    ["classify", "--horizon", "0"],
+    ["classify", "--tol", "-1"],
+    ["classify", "--tol", "nan"],
+    ["classify", "--tol", "inf"],
+    ["simulate", "--seed", "1", "--replications", "0"],
+    ["simulate", "--seed", "1", "--cycles", "0"],
+    ["simulate", "--seed", "1", "--max-steps", "0"],
+], ids=" ".join)
+def test_out_of_range_option_exit_1(model_files, argv):
+    """Counts below their minimum and non-finite or negative tolerances are
+    usage errors, rejected while parsing, before any work starts."""
+    code, out, err = run_cli([argv[0], model_files["pos"]] + argv[1:])
+    assert code == 1
+    assert out == ""
+    assert "error: argument" in err
+    assert "Traceback" not in err
+
+
 def test_version_flag():
     out = io.StringIO()
     with pytest.raises(SystemExit) as exc:

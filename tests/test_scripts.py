@@ -2,10 +2,15 @@
 package in ``src`` (not an installed copy)."""
 import csv
 import io
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import halfstrip as hs
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,3 +33,24 @@ def test_retrial_sweep_verdicts_follow_the_load():
             assert row["decay_rate"], row
         if float(row["r_c"]) >= 1.0:
             assert row["verdict"] != "positive-recurrent", row
+
+
+def test_decay_profile_reads_chain_and_rate_model_files(tmp_path):
+    """A saved rate model profiles as its uniformized chain, as the CLI
+    reads it, and the c=1 retrial profile carries the closed-form limit
+    log(2/3)."""
+    env = dict(os.environ, PYTHONPATH="src")
+    gen = hs.build_retrial(0.2, 0.5, 1, hs.RetrySchedule.parse("0.3"))
+    outputs = []
+    for name, model in [("generator", gen), ("chain", hs.as_chain(gen))]:
+        path = tmp_path / f"{name}.json"
+        hs.save_model(model, path)
+        proc = subprocess.run(
+            [sys.executable, "scripts/decay_profile.py", str(path), "--levels", "40"],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    rows = list(csv.DictReader(io.StringIO(outputs[0])))
+    assert [int(row["level"]) for row in rows] == list(range(1, 41))
+    assert float(rows[-1]["limit"]) == pytest.approx(math.log(2.0 / 3.0), abs=1e-9)
