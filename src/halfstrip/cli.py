@@ -359,9 +359,9 @@ def _cmd_verify(args):
     # oracle 1: truncated dense solve
     cutoff = max(args.levels or 0, min(result.levels + 20, 400), 10)
     trunc = truncated_solve(model, cutoff)
-    rows = trunc.level_rows()
     span = min(result.levels, cutoff // 2)
-    l1 = sum(float(np.sum(np.abs(rows[n] - result.nu[n]))) for n in range(span + 1))
+    rows = trunc.pi.reshape(-1, model.d)[:span + 1]
+    l1 = float(np.sum(np.abs(rows - result.nu[:span + 1])))
     checks.append(_check("stationary-vs-truncated-solve", l1, 1e-7,
                          context={"levels_compared": span, "cutoff": cutoff}))
 
@@ -371,8 +371,7 @@ def _cmd_verify(args):
     results["simulated_cycles"] = stats.cycles
 
     span2 = min(stats.max_level, result.levels, 20)
-    ref_visits = np.stack([result.nu[n] * result.normalizer
-                           for n in range(span2 + 1)])
+    ref_visits = result.nu[:span2 + 1] * result.normalizer
     bursts = _visit_bursts(model, data, span2)
     viol, compared, skipped = cell_deviations(
         ref_visits, stats.visit_counts[:span2 + 1], stats.visit_se[:span2 + 1],
@@ -552,17 +551,17 @@ def build_parser():
     p = sub.add_parser("example", help="emit a generated model file")
     p.add_argument("kind", choices=["retrial"],
                    help="model family (retrial: M/M/c queue with retries)")
-    p.add_argument("--lambda", dest="arrival", type=float, required=True,
+    p.add_argument("--lambda", dest="arrival", type=_bounded(float, 0.0), required=True,
                    help="arrival rate")
-    p.add_argument("--mu", dest="service", type=float, required=True,
+    p.add_argument("--mu", dest="service", type=_bounded(float, 0.0), required=True,
                    help="per-server service rate")
-    p.add_argument("--c", dest="servers", type=int, required=True,
+    p.add_argument("--c", dest="servers", type=_bounded(int, 1), required=True,
                    help="number of servers")
     p.add_argument("--theta", required=True,
                    help="retry rate: constant, 'a+b/n', or a JSON table path")
-    p.add_argument("--gamma", type=float, default=None,
+    p.add_argument("--gamma", type=_bounded(float, 0.0), default=None,
                    help="uniformization rate (default: model maximum)")
-    p.add_argument("--prefix-levels", dest="prefix_levels", type=int, default=None,
+    p.add_argument("--prefix-levels", type=_bounded(int, 0), default=None,
                    help="explicit level-dependent prefix length")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_example)

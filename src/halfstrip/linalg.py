@@ -3,17 +3,15 @@
 Matrices are float64 numpy arrays, small (d x d with d rarely above a few
 dozen, a few thousand states for truncated global solves). Probability row
 vectors act on the left (``vec @ mat``); expected-step columns act on the
-right. Inverses and solves run on LAPACK; ``invert`` refuses a matrix whose
-1-norm condition number exceeds ``COND_LIMIT``, a singularity guard that
-scales with the matrix.
+right. Inverses, solves and eigenvalues run on LAPACK; ``invert`` refuses
+a matrix whose 1-norm condition number exceeds ``COND_LIMIT``, a
+singularity guard that scales with the matrix.
 """
 from __future__ import annotations
 
 import numpy as np
 
 COND_LIMIT = 1e12
-RADIUS_TOL = 1e-12
-RADIUS_BUDGET = 10**6
 
 
 class SingularMatrixError(ValueError):
@@ -60,48 +58,15 @@ def invert(mat):
     return inv
 
 
-def spectral_radius(mat, tol=RADIUS_TOL, max_iter=RADIUS_BUDGET):
-    """Perron root of an entrywise nonnegative square matrix.
-
-    Power iteration runs on ``mat + I`` so periodic support cannot make the
-    iteration oscillate (the shift adds 1 to every eigenvalue and keeps the
-    Perron vector), then 1 is subtracted from the converged Rayleigh
-    quotient. Convergence is three successive Rayleigh quotients within
-    ``tol`` of each other.
-
-    Raises NoConvergenceError with the best estimate attached if the budget
-    is exhausted.
-    """
+def spectral_radius(mat):
+    """Perron root of an entrywise nonnegative square matrix: the largest
+    eigenvalue modulus, from LAPACK's eigenvalues."""
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if np.any(a < 0) or not np.all(np.isfinite(a)):
         raise ValueError("entries must be nonnegative and finite")
-    n = a.shape[0]
-    if n == 1:
-        return float(a[0, 0])
-    b = a + np.eye(n)
-    x = np.full(n, 1.0 / n)
-    lam_prev = np.inf
-    lam = 0.0
-    streak = 0
-    for _ in range(max_iter):
-        y = b @ x
-        lam = float(x @ y) / float(x @ x)
-        x = y / y.sum()  # y.sum() >= x.sum() > 0 since diag(b) >= 1
-        if abs(lam - lam_prev) <= tol:
-            streak += 1
-            if streak >= 3:
-                return max(lam - 1.0, 0.0)
-        else:
-            streak = 0
-        lam_prev = lam
-    raise NoConvergenceError(
-        "power iteration did not settle",
-        estimate=max(lam - 1.0, 0.0),
-        iterations=max_iter,
-        residual=abs(lam - lam_prev),
-    )
+    return float(np.max(np.abs(np.linalg.eigvals(a))))
 
 
 def stationary_left_vector(mat, row_tol=1e-9):

@@ -87,16 +87,17 @@ def censored_measure(model, data=None, tol=DEFAULT_TOL):
 class StationaryResult:
     """Stationary distribution truncated at level ``levels``.
 
-    nu[n] is the stationary mass row of level n (normalized over the whole
-    strip, so sum of all masses approaches 1 from below as levels grows).
-    boundary_measure is the censored layer-0 vector; normalizer is the
-    expected return time to layer 0 from that vector (mass of layer 0 is
-    its reciprocal). decay_rate and empirical_rates describe the geometric
-    tail. underflow_levels lists levels where entries below 1e-300 were
-    reported as exact zeros.
+    nu is a (levels + 1, d) array whose row n is the stationary mass of
+    level n (normalized over the whole strip, so the sum of all masses
+    approaches 1 from below as levels grows). boundary_measure is the
+    censored layer-0 vector; normalizer is the expected return time to
+    layer 0 from that vector (mass of layer 0 is its reciprocal).
+    decay_rate and empirical_rates describe the geometric tail.
+    underflow_levels lists levels where entries below 1e-300 were reported
+    as exact zeros.
     """
 
-    nu: list
+    nu: np.ndarray
     normalizer: float
     boundary_measure: np.ndarray
     censored: np.ndarray
@@ -109,34 +110,27 @@ class StationaryResult:
 
 
 def _empirical_rates(nu):
-    """Per-phase log nu_n(j) / n at the deepest level where the entry is
-    above the underflow floor."""
-    d = nu[0].shape[0]
-    rates = []
-    levels = []
-    for j in range(d):
-        best = None
-        for n in range(len(nu) - 1, 0, -1):
-            if nu[n][j] > UNDERFLOW_FLOOR:
-                best = n
-                break
-        if best is None:
-            rates.append(math.nan)
-            levels.append(0)
-        else:
-            rates.append(math.log(nu[best][j]) / best)
-            levels.append(best)
+    """Per-phase log nu_n(j) / n at the deepest level n >= 1 where the entry
+    is above the underflow floor."""
+    rates, levels = [], []
+    for j, column in enumerate(nu[1:].T):
+        hits = np.flatnonzero(column > UNDERFLOW_FLOOR)
+        n = int(hits[-1]) + 1 if hits.size else 0
+        rates.append(math.log(nu[n, j]) / n if n else math.nan)
+        levels.append(n)
     return rates, levels
 
 
 def stationary_dist(model, data=None, levels=None, tol=DEFAULT_TOL,
-                    horizon=SERIES_HORIZON, include_unnormalized=False):
+                    horizon=SERIES_HORIZON):
     """Stationary distribution of a positive-recurrent walk, in closed form.
 
     nu_0 = m / Z and nu_n = m P0 A_1 ... A_{n-1} F_n / Z, with m the
     censored boundary measure, A/F the downward offspring and fundamental
     matrices, and Z the normalizer (expected return time to layer 0 from
-    m). ``levels`` defaults to the first level whose mass drops below
+    m). Past the first tail level K = n_prefix + 1 this is the
+    matrix-geometric form nu_{K+j} = w_K A^j F / Z, formed by stacked
+    doubling. ``levels`` defaults to the first level whose mass drops below
     1e-12 (capped at 100000). Raises NotPositiveRecurrentError when the
     return-time series cannot be certified finite.
     """
@@ -154,68 +148,73 @@ def stationary_dist(model, data=None, levels=None, tol=DEFAULT_TOL,
     normalizer = zser.value + 1.0
     inv_z = 1.0 / normalizer
 
-    nu = [mu0 * inv_z]
-    nu_bar = [mu0.copy()] if include_unnormalized else None
-    underflow = []
-    w = mu0 @ model.p0
-    n = 1
     cap = levels if levels is not None else LEVEL_CAP
-    while n <= cap:
-        row_bar = w @ data.fundamental_down_at(n)
-        row = row_bar * inv_z
-        tiny = row <= UNDERFLOW_FLOOR
-        if np.any(tiny & (row > 0)):
-            underflow.append(n)
-        row = np.where(tiny, 0.0, row)
-        nu.append(row)
-        if nu_bar is not None:
-            nu_bar.append(row_bar)
-        if levels is None and float(row.sum()) < MASS_CUTOFF:
+    k = data.depth
+    rows = [mu0 * inv_z]
+    w = mu0 @ model.p0
+    for n in range(1, min(k, cap + 1)):
+        rows.append((w @ data.fundamental_down_at(n)) * inv_z)
+        if levels is None and rows[-1].sum() < MASS_CUTOFF:
+            cap = n  # the mass cutoff falls inside the prefix: no tail rows
             break
         w = w @ data.offspring_down_at(n)
-        n += 1
-    mass = float(sum(float(r.sum()) for r in nu))
+    if cap >= k:
+        # rows w_K A^j by stacked doubling, X <- [X; X P], P <- P^2, up to the
+        # cap or until the last row's mass falls below the cutoff
+        x, p, f = w[None, :], data.offspring_down_at(k), data.fundamental_down_at(k)
+        while len(x) <= cap - k and (levels is not None
+                                     or ((x[-1] @ f) * inv_z).sum() >= MASS_CUTOFF):
+            x = np.concatenate([x, x[:cap - k + 1 - len(x)] @ p])
+            p = p @ p
+        rows.append((x @ f) * inv_z)
+    nu = np.vstack(rows)
+    body = nu[1:]
+    tiny = body <= UNDERFLOW_FLOOR
+    flagged = np.any(tiny & (body > 0), axis=1)
+    body[tiny] = 0.0
+    low = np.flatnonzero(body.sum(axis=1) < MASS_CUTOFF) if levels is None else []
+    if len(low):
+        nu = nu[:low[0] + 2]
     rates, rate_levels = _empirical_rates(nu)
-    meta = {
-        "return_bound": rb.value,
-        "z_series_note": zser.note,
-        "tol": tol,
-        "empirical_rate_levels": rate_levels,
-        "truncated_at_cap": levels is None and len(nu) - 1 >= LEVEL_CAP,
-    }
-    if nu_bar is not None:
-        meta["nu_unnormalized"] = nu_bar
     return StationaryResult(
         nu=nu,
         normalizer=normalizer,
         boundary_measure=mu0,
         censored=cm,
         levels=len(nu) - 1,
-        mass=mass,
+        mass=float(nu.sum()),
         decay_rate=data.radius_down,
         empirical_rates=rates,
-        underflow_levels=underflow,
-        meta=meta,
+        underflow_levels=(np.flatnonzero(flagged[:len(nu) - 1]) + 1).tolist(),
+        meta={
+            "return_bound": rb.value,
+            "z_series_note": zser.note,
+            "tol": tol,
+            "empirical_rate_levels": rate_levels,
+            "truncated_at_cap": levels is None and len(nu) - 1 >= LEVEL_CAP,
+        },
     )
 
 
 def matrix_product_check(model, data, result, levels=None):
-    """Max deviation between nu_n and the matrix-product form nu_0 R_1...R_n
+    """Max deviation between nu_n and one matrix-product step nu_{n-1} R_n,
     with R_n = (up block of level n-1) @ (fundamental matrix of level n).
 
-    An algebraic identity makes the two representations equal; deviations
-    beyond rounding indicate an implementation fault.
+    An algebraic identity makes the two equal at every level; deviations
+    beyond rounding indicate an implementation fault. R_n is constant past
+    the first tail level, so those levels are checked in one product.
     """
-    top = len(result.nu) - 1
-    if levels is not None:
-        top = min(top, levels)
-    prod = result.nu[0].copy()
+    nu = result.nu
+    top = len(nu) - 1 if levels is None else min(len(nu) - 1, levels)
+    k = data.depth
     dev = 0.0
-    for n in range(1, top + 1):
+    for n in range(1, min(k, top) + 1):
         up_prev = model.p0 if n == 1 else model.block_at(n - 1).up
-        r_plus = up_prev @ data.fundamental_down_at(n)
-        prod = prod @ r_plus
-        dev = max(dev, float(np.max(np.abs(result.nu[n] - prod))))
+        r_n = up_prev @ data.fundamental_down_at(n)
+        dev = max(dev, float(np.max(np.abs(nu[n] - nu[n - 1] @ r_n))))
+    if top > k:
+        r_tail = model.tail.up @ data.fundamental_down_at(k)
+        dev = max(dev, float(np.max(np.abs(nu[k + 1:top + 1] - nu[k:top] @ r_tail))))
     return dev
 
 
@@ -223,19 +222,22 @@ def balance_residual(model, result):
     """l1 norm of the stationary balance residual on interior levels.
 
     Levels 0 and the truncation level are excluded: mass flowing beyond
-    the computed window has nowhere to balance.
+    the computed window has nowhere to balance. Levels from n_prefix + 2 on
+    see only tail blocks and are summed in one expression.
     """
     nu = result.nu
     top = len(nu) - 1
-    if top < 2:
-        return 0.0
+    k = model.n_prefix + 1
     total = 0.0
-    for n in range(1, top):
+    for n in range(1, min(k + 1, top)):
         up_prev = model.p0 if n == 1 else model.block_at(n - 1).up
-        t_n = model.block_at(n)
-        t_next = model.block_at(n + 1)
-        inflow = nu[n - 1] @ up_prev + nu[n] @ t_n.stay + nu[n + 1] @ t_next.down
+        inflow = (nu[n - 1] @ up_prev + nu[n] @ model.block_at(n).stay
+                  + nu[n + 1] @ model.block_at(n + 1).down)
         total += float(np.sum(np.abs(inflow - nu[n])))
+    if top > k + 1:
+        t = model.tail
+        inflow = nu[k:top - 1] @ t.up + nu[k + 1:top] @ t.stay + nu[k + 2:] @ t.down
+        total += float(np.sum(np.abs(inflow - nu[k + 1:top])))
     return total
 
 
@@ -273,11 +275,10 @@ def decay_rate(model, data=None, result=None, levels=None, tol=DEFAULT_TOL):
             "return-time series diverges and no geometric decay rate exists")
     if result is None:
         result = stationary_dist(model, data=data, levels=levels, tol=tol)
-    rates, rate_levels = _empirical_rates(result.nu)
     return DecayReport(
         rate=data.radius_down,
-        empirical=rates,
-        levels=rate_levels,
+        empirical=result.empirical_rates,
+        levels=result.meta["empirical_rate_levels"],
         meta={"stationary_levels": result.levels, "normalizer": result.normalizer},
     )
 
@@ -286,9 +287,9 @@ def result_to_dict(result):
     """JSON-ready dict form of a StationaryResult."""
     return {
         "levels": result.levels,
-        "boundary_measure": [float(x) for x in result.boundary_measure],
-        "censored": [[float(x) for x in row] for row in result.censored],
-        "nu": [[float(x) for x in row] for row in result.nu],
+        "boundary_measure": result.boundary_measure.tolist(),
+        "censored": result.censored.tolist(),
+        "nu": result.nu.tolist(),
         "normalizer": float(result.normalizer),
         "mass": float(result.mass),
         "decay_rate": float(result.decay_rate),

@@ -137,6 +137,10 @@ def test_bad_mu_exit_1(model_files):
     assert "phase distribution" in err
 
 
+# a valid `example` command line, extended by the cases below
+EXAMPLE_ARGS = ["retrial", "--lambda", "0.2", "--mu", "0.5", "--c", "1", "--theta", "0.3"]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--seed", "1", "--samples", "0"],
     ["verify", "--seed", "1", "--cycles", "0"],
@@ -150,15 +154,33 @@ def test_bad_mu_exit_1(model_files):
     ["simulate", "--seed", "1", "--replications", "0"],
     ["simulate", "--seed", "1", "--cycles", "0"],
     ["simulate", "--seed", "1", "--max-steps", "0"],
+    ["example", "--gamma", "nan"],
+    ["example", "--gamma", "-1"],
+    ["example", "--prefix-levels", "-1"],
+    ["example", "--lambda", "inf"],
+    ["example", "--mu", "-0.5"],
+    ["example", "--c", "0"],
 ], ids=" ".join)
 def test_out_of_range_option_exit_1(model_files, argv):
-    """Counts below their minimum and non-finite or negative tolerances are
-    usage errors, rejected while parsing, before any work starts."""
-    code, out, err = run_cli([argv[0], model_files["pos"]] + argv[1:])
+    """Counts below their minimum, non-finite or negative tolerances, and
+    the example generator's out-of-range rates, server count and prefix
+    length are usage errors, rejected while parsing, before any work
+    starts. The last occurrence of an option wins."""
+    lead = EXAMPLE_ARGS if argv[0] == "example" else [model_files["pos"]]
+    code, out, err = run_cli([argv[0]] + lead + argv[1:])
     assert code == 1
     assert out == ""
     assert "error: argument" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("option, want", [
+    (["--gamma", "0"], 3),
+    (["--lambda", "0"], 1),
+])
+def test_example_zero_rate_keeps_its_exit_code(option, want):
+    code, out, _ = run_cli(["example"] + EXAMPLE_ARGS + option)
+    assert (code, out) == (want, "")
 
 
 def test_version_flag():
@@ -330,6 +352,28 @@ def test_verify_inconclusive_exit_4(model_files):
     assert code == 4
     report = json.loads(out)
     assert report["checks"][0]["status"] == "fail"
+
+
+def test_nilpotent_tail_offspring_model(tmp_path):
+    """A valid model whose downward tail offspring matrix is nilpotent has
+    Perron root 0: classify, stationary and decay all finish, and the
+    stationary rows match the dense truncated solve."""
+    spec = {"d": 2, "r0": [[0.5, 0], [0.5, 0]], "p0": [[0.5, 0], [0, 0.5]],
+            "prefix": [], "tail": {"p": [[0, 0.3], [0, 0]], "q": [[0.7, 0], [0, 0.5]],
+                                   "r": [[0, 0], [0, 0.5]]}}
+    path = tmp_path / "nilpotent.json"
+    path.write_text(json.dumps(spec))
+    reports = {}
+    for command in ("classify", "stationary", "decay"):
+        code, out, err = run_cli([command, str(path), "--format", "json"])
+        assert code == 0, err
+        reports[command] = json.loads(out)["results"]
+    assert reports["classify"]["verdict"] == "positive-recurrent"
+    assert reports["classify"]["tail_radius_down"] == 0.0
+    assert reports["decay"]["rate"] == 0.0
+    nu = np.array(reports["stationary"]["nu"])
+    rows = hs.truncated_solve(hs.model_from_dict(spec), 40).level_rows()
+    assert sum(np.abs(rows[n] - nu[n]).sum() for n in range(len(nu))) < 1e-13
 
 
 # ------------------------------------------------------------ example

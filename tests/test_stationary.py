@@ -7,7 +7,7 @@ import pytest
 import halfstrip as hs
 from halfstrip import NotPositiveRecurrentError, TailNotPositiveRecurrentError
 
-from conftest import random_pos_recurrent_model, scalar_chain
+from conftest import random_pos_recurrent_model, retrial_model, scalar_chain
 
 
 def test_retrial_c1_frozen_stationary(retrial_c1):
@@ -169,11 +169,57 @@ def test_dict_export_is_json_ready(retrial_c1):
     assert abs(parsed["decay_rate"] - 2.0 / 3.0) < 1e-9
 
 
-def test_unnormalized_measure_available(d1_pos):
-    res = hs.stationary_dist(d1_pos, include_unnormalized=True)
-    raw = res.meta["nu_unnormalized"]
-    assert abs(raw[0][0] - 1.0) < 1e-12  # censored boundary measure scale
-    assert abs(res.nu[0][0] * res.normalizer - raw[0][0]) < 1e-9
+def test_boundary_row_scales_to_censored_measure(d1_pos):
+    res = hs.stationary_dist(d1_pos)
+    assert abs(res.boundary_measure.sum() - 1.0) < 1e-12
+    assert np.max(np.abs(res.nu[0] * res.normalizer - res.boundary_measure)) < 1e-12
+
+
+def _critical_c1(excess=-1e-3, mu=0.5, theta=0.3):
+    """One-server retrial model at load r_c = 1 + excess."""
+    lam = (-theta + math.sqrt(theta * theta + 4.0 * (1.0 + excess) * mu * theta)) / 2.0
+    return retrial_model(lam, mu, 1)
+
+
+def test_tail_rows_match_per_level_recursion():
+    """The doubled tail rows agree with stepping nu_n = w_n F_n / Z level by
+    level, and the per-level stopping and underflow rules give the same
+    level count (20,713 at r_c - 1 = -1e-3) and underflow levels."""
+    model = _critical_c1()
+    data = hs.branching_data(model)
+    res = hs.stationary_dist(model, data=data)
+    assert isinstance(res.nu, np.ndarray) and res.nu.shape == (res.levels + 1, model.d)
+    inv_z = 1.0 / res.normalizer
+    w = res.boundary_measure @ model.p0
+    rows, underflow = [res.boundary_measure * inv_z], []
+    n = 1
+    while True:
+        row = (w @ data.fundamental_down_at(n)) * inv_z
+        tiny = row <= hs.stationary.UNDERFLOW_FLOOR
+        if np.any(tiny & (row > 0)):
+            underflow.append(n)
+        rows.append(np.where(tiny, 0.0, row))
+        if rows[-1].sum() < hs.stationary.MASS_CUTOFF:
+            break
+        w = w @ data.offspring_down_at(n)
+        n += 1
+    ref = np.array(rows)
+    assert res.levels == len(ref) - 1 == 20_713
+    assert res.underflow_levels == underflow
+    assert np.all(np.abs(res.nu - ref) <= 1e-12 * np.abs(ref))
+
+
+def test_checks_flag_a_perturbed_tail_row():
+    """Both analytic checks cover the tail levels: one row past K + 1000
+    scaled by 1 + 1e-3 fails each at the CLI tolerances."""
+    model = _critical_c1()
+    data = hs.branching_data(model)
+    res = hs.stationary_dist(model, data=data)
+    assert hs.matrix_product_check(model, data, res) <= 1e-10
+    assert hs.balance_residual(model, res) <= 1e-8
+    res.nu[data.depth + 1000] *= 1.0 + 1e-3
+    assert hs.matrix_product_check(model, data, res) > 1e-10
+    assert hs.balance_residual(model, res) > 1e-8
 
 
 def test_stationary_matches_censored_chain(retrial_c2):
