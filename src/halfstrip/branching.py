@@ -296,9 +296,8 @@ class BranchingData:
 
     Lists are indexed by level 1..depth (index 0 unused), depth being
     n_prefix + 1, the first tail level; every deeper level repeats it, and
-    the ``*_at`` accessors serve any level. Upward-tail data is computed
-    lazily via tail_up() because only the boundary-visit certificates need
-    it. ``tail_drift`` is the tail's ``tail_drift`` pair.
+    the ``*_at`` accessors serve any level. ``tail_drift`` is the tail's
+    ``tail_drift`` pair.
     """
 
     model: object
@@ -310,7 +309,6 @@ class BranchingData:
     radius_down: float
     tail_drift: tuple = (None, math.inf)
     meta: dict = field(default_factory=dict)
-    _tail_up: tuple = None
 
     def exit_down_at(self, n):
         return self.exit_down[min(n, self.depth)]
@@ -323,12 +321,6 @@ class BranchingData:
 
     def fundamental_down_at(self, n):
         return self.fundamental_down[min(n, self.depth)]
-
-    def tail_up(self, tol=DEFAULT_TOL):
-        """``_tail_up`` of the model's tail, computed once."""
-        if self._tail_up is None:
-            self._tail_up = _tail_up(self.model.tail, tol)
-        return self._tail_up
 
 
 def branching_data(model, tol=DEFAULT_TOL):
@@ -468,8 +460,7 @@ def _power_pair_sum(m, z, a, w):
     return float(np.trace(s))
 
 
-def expected_boundary_visits(model, mu=None, horizon=SERIES_HORIZON, data=None,
-                             tol=DEFAULT_TOL):
+def expected_boundary_visits(model, mu=None, horizon=SERIES_HORIZON, tol=DEFAULT_TOL):
     """Expected number of layer-0 visits for a walk started on layer 0 at mu.
 
     Term k is mu_k A^+_k ... A^+_1 1 with mu_k the phase distribution upon
@@ -508,13 +499,12 @@ def expected_boundary_visits(model, mu=None, horizon=SERIES_HORIZON, data=None,
     for k, (z_prev, a_k) in zip(range(1, horizon + 1), _upward_levels(model)):
         if has_tail and k > n_pref and radius_up is None and not radius_failed:
             try:
-                radius_up = (data.tail_up(tol) if data is not None
-                             else _tail_up(model.tail, tol))[2]
+                radius_up = _tail_up(model.tail, tol)[2]
             except NoConvergenceError:
                 radius_failed = True
             else:
-                drift = tail_drift(model.tail) if data is None else data.tail_drift
-                closed_form = radius_up < 1.0 - RADIUS_MARGIN and drift_sign(drift) > 0
+                closed_form = (radius_up < 1.0 - RADIUS_MARGIN
+                               and drift_sign(tail_drift(model.tail)) > 0)
         # levels k-1 and k are tail levels with equal exits below them, so
         # every level from k on repeats level k-1's exit and offspring
         if closed_form and k - 1 > n_pref and np.array_equal(z_prev, z_before):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import stationary_left_vector
+from .model import CallbackModel
 
 MAX_DENSE_STATES = 6000
 UNIFORM_BLOCK = 8192
@@ -50,7 +51,7 @@ class TruncatedSolution:
             "d": self.d,
             "augmentation": self.augmentation,
             "residual": self.residual,
-            "pi": [[float(x) for x in row] for row in self.level_rows()],
+            "pi": self.pi.reshape(-1, self.d).tolist(),
         }
 
 
@@ -136,12 +137,11 @@ class SimStats:
             "mean_return_time": self.mean_return_time,
             "return_time_se": self.return_time_se,
             "max_level": self.max_level,
-            "visit_counts": [[float(x) for x in row] for row in self.visit_counts],
-            "visit_se": [[float(x) for x in row] for row in self.visit_se],
-            "empirical_distribution": [[float(x) for x in row]
-                                       for row in self.empirical_distribution],
-            "exit_frequencies": [float(x) for x in self.exit_frequencies],
-            "exit_frequency_se": [float(x) for x in self.exit_frequency_se],
+            "visit_counts": self.visit_counts.tolist(),
+            "visit_se": self.visit_se.tolist(),
+            "empirical_distribution": self.empirical_distribution.tolist(),
+            "exit_frequencies": self.exit_frequencies.tolist(),
+            "exit_frequency_se": self.exit_frequency_se.tolist(),
         }
 
 
@@ -151,92 +151,74 @@ def _rep_streams(seed, count, prefix=()):
             for child in root.spawn(count)]
 
 
-class _StepTable:
-    """Growable per-level cumulative sampling table.
+def _step_table(model):
+    """Cumulative sampling table for levels 0..n_prefix+1.
 
     Row (level, phase) holds the cumulative probabilities of the 3d
     outcomes [down phases | stay phases | up phases]; level 0 has zero
     mass on the down block. The final entry is forced to 1 so a uniform
-    in [0,1) always lands."""
-
-    def __init__(self, model):
-        self.model = model
-        self.d = model.d
-        d = model.d
-        row0 = np.zeros((d, 3 * d))
-        row0[:, d:2 * d] = model.r0
-        row0[:, 2 * d:] = model.p0
-        self.cum = np.cumsum(row0, axis=1)[None, :, :]
-        self.cum[..., -1] = 1.0
-
-    def ensure(self, top_level):
-        have = self.cum.shape[0]
-        if top_level < have:
-            return
-        d = self.d
-        new = []
-        for lev in range(have, top_level + 1):
-            blk = self.model.block_at(lev)
-            row = np.concatenate([blk.down, blk.stay, blk.up], axis=1)
-            row = np.cumsum(row, axis=1)
-            row[:, -1] = 1.0
-            new.append(row)
-        self.cum = np.concatenate([self.cum, np.stack(new)], axis=0)
-
-    def sample(self, level, phase, u):
-        rows = self.cum[level, phase]
-        k = (rows < u[:, None]).sum(axis=1)
-        direction = k // self.d - 1
-        return direction, k % self.d
+    in [0,1) always lands. Every deeper level has the blocks of level
+    n_prefix+1, so its last row serves them all; a level-map model has no
+    such row and is refused."""
+    if isinstance(model, CallbackModel):
+        raise ValueError("level-map models have no limiting tail; "
+                         "the Monte Carlo oracles require a prefix+tail model")
+    d = model.d
+    rows = [np.concatenate([np.zeros((d, d)), model.r0, model.p0], axis=1)]
+    for lev in range(1, model.n_prefix + 2):
+        blk = model.block_at(lev)
+        rows.append(np.concatenate([blk.down, blk.stay, blk.up], axis=1))
+    cum = np.cumsum(np.stack(rows), axis=2)
+    cum[..., -1] = 1.0
+    return cum
 
 
-def simulate(model, start=None, config=None):
+def _advance(table, level, phase, u):
+    """One step of each walker at (level, phase) driven by its uniform u;
+    returns the new (level, phase)."""
+    d = table.shape[1]
+    rows = table[np.minimum(level, table.shape[0] - 1), phase]
+    k = (rows < u[:, None]).sum(axis=1)
+    return level + k // d - 1, k % d
+
+
+def simulate(model, config=None):
     """Run the walk and gather regenerative cycle statistics.
 
-    ``start`` is (level, phase distribution); default is layer 0 with the
-    uniform phase mix. The walk runs until each replication has completed
-    its share of config.cycles cycles (a cycle ends at each arrival on
-    layer 0). Starting above layer 0 prepends a warmup segment that is not
-    counted. Cycles longer than config.max_steps are discarded and
-    counted, with the walker restarted on layer 0 at its cycle-start
-    phase; each replication also retires after 2 * max_steps total steps
-    (room for one restart) so runs on non-recurrent models terminate. If
-    nothing completes, MaxStepsExceededError is raised. Deterministic
-    given (model, start, config).
+    Each replication's walker starts on layer 0 with the uniform phase mix
+    and runs until the replication has completed its share of
+    config.cycles cycles (a cycle ends at each arrival on layer 0). Cycles
+    longer than config.max_steps are discarded and counted, with the
+    walker restarted on layer 0 at its cycle-start phase; each replication
+    also retires after 2 * max_steps total steps (room for one restart) so
+    runs on non-recurrent models terminate. If nothing completes,
+    MaxStepsExceededError is raised. Needs a prefix+tail model, not a
+    CallbackModel. Deterministic given (model, config).
     """
     if config is None:
         raise ValueError("a SimConfig with an explicit seed is required")
     d = model.d
-    if start is None:
-        start = (0, np.full(d, 1.0 / d))
-    start_level, start_dist = start
-    start_dist = np.asarray(start_dist, dtype=float)
+    table = _step_table(model)
     reps = max(1, min(config.replications, config.cycles))
     per_rep = -(-config.cycles // reps)
     gens = _rep_streams(config.seed, reps)
 
-    table = _StepTable(model)
-    levels_cap = max(start_level + 2, 8)
-    table.ensure(levels_cap)
-
-    level = np.full(reps, start_level, dtype=np.int64)
-    cum_start = np.cumsum(start_dist)
+    level = np.zeros(reps, dtype=np.int64)
+    cum_start = np.cumsum(np.full(d, 1.0 / d))
     cum_start[-1] = 1.0
     first_u = np.array([g.random() for g in gens])
     phase = (cum_start[None, :] < first_u[:, None]).sum(axis=1).astype(np.int64)
 
-    pending = np.zeros((reps, levels_cap + 1, d))
-    committed = np.zeros((reps, levels_cap + 1, d))
+    pending = np.zeros((reps, 1, d))
+    committed = np.zeros((reps, 1, d))
     arrival_counts = np.zeros((reps, d))
-    in_cycle = np.full(reps, start_level == 0)
+    arrival_counts[np.arange(reps), phase] += 1
     cycle_start_phase = phase.copy()
     cyc_len = np.zeros(reps, dtype=np.int64)
     rep_steps = np.zeros(reps, dtype=np.int64)
     completed = np.zeros(reps, dtype=np.int64)
     discarded = np.zeros(reps, dtype=np.int64)
     sum_len = np.zeros(reps, dtype=np.int64)
-    if start_level == 0:
-        arrival_counts[np.arange(reps), phase] += 1
 
     buf = np.empty((reps, 0))
     ptr = 0
@@ -252,8 +234,7 @@ def simulate(model, start=None, config=None):
         lev_a = level[act]
         ph_a = phase[act]
         pending[act, lev_a, ph_a] += 1
-        direction, new_phase = table.sample(lev_a, ph_a, u[act])
-        new_level = lev_a + direction
+        new_level, new_phase = _advance(table, lev_a, ph_a, u[act])
 
         level[act] = new_level
         phase[act] = new_phase
@@ -261,25 +242,18 @@ def simulate(model, start=None, config=None):
         rep_steps[act] += 1
 
         top = int(new_level.max())
-        if top + 1 >= pending.shape[1]:
-            grow = top + 8
-            pad = grow - pending.shape[1] + 1
-            pending = np.pad(pending, ((0, 0), (0, pad), (0, 0)))
-            committed = np.pad(committed, ((0, 0), (0, pad), (0, 0)))
-            table.ensure(grow)
-        else:
-            table.ensure(top)
+        if top >= pending.shape[1]:
+            pad = ((0, 0), (0, top + 8 - pending.shape[1]), (0, 0))
+            pending = np.pad(pending, pad)
+            committed = np.pad(committed, pad)
 
         # a cycle that crosses the cap on its closing step is still overlong
         over_mask = cyc_len[act] > config.max_steps
         arrived = act[(new_level == 0) & ~over_mask]
         if arrived.size:
-            closing = arrived[in_cycle[arrived]]
-            if closing.size:
-                committed[closing] += pending[closing]
-                sum_len[closing] += cyc_len[closing]
-                completed[closing] += 1
-            in_cycle[arrived] = True
+            committed[arrived] += pending[arrived]
+            sum_len[arrived] += cyc_len[arrived]
+            completed[arrived] += 1
             pending[arrived] = 0.0
             cyc_len[arrived] = 0
             cycle_start_phase[arrived] = phase[arrived]
@@ -292,7 +266,6 @@ def simulate(model, start=None, config=None):
             cyc_len[overlong] = 0
             level[overlong] = 0
             phase[overlong] = cycle_start_phase[overlong]
-            in_cycle[overlong] = True
         active = (completed < per_rep) & (rep_steps < 2 * config.max_steps)
 
     total_cycles = int(completed.sum())
@@ -411,24 +384,16 @@ class ExitEstimate:
     samples: int
     censored: np.ndarray
 
-    def to_dict(self):
-        return {
-            "level": self.level,
-            "direction": self.direction,
-            "samples": self.samples,
-            "matrix": [[float(x) for x in row] for row in self.matrix],
-            "se": [[float(x) for x in row] for row in self.se],
-            "censored": [int(x) for x in self.censored],
-        }
-
 
 def estimate_exit_probability(model, level, direction, config):
     """Monte Carlo estimate of an exit-probability matrix.
 
     direction "up" records the phase of first entry into level+1 (the walk
     reflects at 0 as usual); "down" records first entry into level-1 and
-    needs level >= 1. Streams are keyed by (seed, start phase), so the
-    estimate is deterministic given the config.
+    needs level >= 1. Walks start at (level, phase) for each phase in
+    turn. Needs a prefix+tail model, not a CallbackModel. Streams are
+    keyed by (seed, level, direction, start phase), so the estimate is
+    deterministic given the config.
     """
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
@@ -436,8 +401,7 @@ def estimate_exit_probability(model, level, direction, config):
         raise ValueError("downward exit needs level >= 1")
     d = model.d
     target = level + 1 if direction == "up" else level - 1
-    table = _StepTable(model)
-    table.ensure(max(level + 2, 8))
+    table = _step_table(model)
     gens = _rep_streams(config.seed, d,
                         prefix=(int(level), 0 if direction == "up" else 1))
     counts = np.zeros((d, d), dtype=np.int64)
@@ -449,11 +413,7 @@ def estimate_exit_probability(model, level, direction, config):
         steps = 0
         while lev.size and steps < config.max_steps:
             u = gen.random(lev.size)
-            dirn, newp = table.sample(lev, ph, u)
-            lev = lev + dirn
-            ph = newp
-            top = int(lev.max())
-            table.ensure(top)
+            lev, ph = _advance(table, lev, ph, u)
             done = lev == target
             if np.any(done):
                 np.add.at(counts[start_phase], ph[done], 1)

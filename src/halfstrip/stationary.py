@@ -196,7 +196,7 @@ def stationary_dist(model, data=None, levels=None, tol=DEFAULT_TOL,
     )
 
 
-def matrix_product_check(model, data, result, levels=None):
+def matrix_product_check(model, data, result):
     """Max deviation between nu_n and one matrix-product step nu_{n-1} R_n,
     with R_n = (up block of level n-1) @ (fundamental matrix of level n).
 
@@ -205,7 +205,7 @@ def matrix_product_check(model, data, result, levels=None):
     the first tail level, so those levels are checked in one product.
     """
     nu = result.nu
-    top = len(nu) - 1 if levels is None else min(len(nu) - 1, levels)
+    top = len(nu) - 1
     k = data.depth
     dev = 0.0
     for n in range(1, min(k, top) + 1):

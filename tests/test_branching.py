@@ -465,22 +465,10 @@ def test_boundary_visits_divergent_on_recurrent(d1_pos, d1_null):
         assert bv.value == np.inf
 
 
-def test_boundary_visits_same_with_and_without_data(d1_transient, d1_pos, retrial_c2):
-    """Stored branching data only saves work: the series is the same."""
-    for model in (d1_transient, d1_pos, retrial_c2):
-        plain = hs.expected_boundary_visits(model)
-        given = hs.expected_boundary_visits(model, data=hs.branching_data(model))
-        assert given.terms == plain.terms
-        assert given.status == plain.status
-        assert given.radius_up == plain.radius_up
-
-
 def test_tail_up_radius(d1_transient, d1_pos):
-    data = hs.branching_data(d1_transient)
-    _, _, radius, _ = data.tail_up()
+    radius = hs.branching._tail_up(d1_transient.tail, 1e-12)[2]
     assert abs(radius - 3.0 / 7.0) < 1e-9
-    data = hs.branching_data(d1_pos)
-    _, _, radius, _ = data.tail_up()
+    radius = hs.branching._tail_up(d1_pos.tail, 1e-12)[2]
     assert abs(radius - 7.0 / 3.0) < 1e-9
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import halfstrip as hs
-from halfstrip import MaxStepsExceededError
+from halfstrip import MaxStepsExceededError, oracle
 
 from conftest import random_pos_recurrent_model, scalar_chain
 
@@ -165,14 +165,20 @@ def test_simulate_se_shrinks_with_more_cycles(retrial_c1):
     assert big.return_time_se < small.return_time_se
 
 
-def test_simulate_start_above_boundary_warms_up(retrial_c1):
-    stats = hs.simulate(
-        retrial_c1,
-        start=(3, np.array([0.5, 0.5])),
-        config=hs.SimConfig(seed=23, cycles=3000),
+def test_oracle_streams_frozen():
+    """Frozen integers of both Monte Carlo oracles on a model whose walkers
+    climb past the first tail level, so the table row serving every tail
+    level is exercised."""
+    model, _ = random_pos_recurrent_model(np.random.default_rng(8), 2)
+    stats = hs.simulate(model, config=hs.SimConfig(seed=402, cycles=5000))
+    assert stats.max_level > model.n_prefix + 1
+    assert (stats.total_steps, stats.max_level, stats.discarded) == (9367, 5, 0)
+    est = hs.estimate_exit_probability(
+        model, 3, "down", hs.ExitConfig(seed=17, samples=4000)
     )
-    assert stats.cycles >= 3000
-    assert np.isfinite(stats.mean_return_time)
+    hits = np.rint(est.matrix * est.samples).astype(int)
+    assert hits.tolist() == [[2270, 1730], [2405, 1595]]
+    assert est.censored.tolist() == [0, 0]
 
 
 def test_estimate_exit_probability_up_matches_analytic(retrial_c1):
@@ -209,8 +215,24 @@ def test_estimate_exit_probability_directions_use_distinct_streams(d1_pos):
     # descent from level 1 in this chain is certain, ascent is not
     assert down.matrix[0, 0] == 1.0
     assert up.matrix[0, 0] == 1.0
-    assert up.censored[0] != down.censored[0] or True  # both complete here
     assert up.level == down.level == 1
+    first = [oracle._rep_streams(29, 1, prefix=(1, key))[0].random() for key in (0, 1)]
+    assert first[0] != first[1]
+
+
+def test_monte_carlo_oracles_refuse_callback_model(retrial_c1):
+    """A level-map model has no limiting tail row for the step table, so
+    both Monte Carlo oracles refuse it; the dense solve still takes it."""
+    m = hs.CallbackModel(
+        d=retrial_c1.d, r0=retrial_c1.r0, p0=retrial_c1.p0,
+        level_fn=retrial_c1.block_at,
+    )
+    with pytest.raises(ValueError, match="prefix\\+tail"):
+        hs.simulate(m, config=hs.SimConfig(seed=1, cycles=100))
+    with pytest.raises(ValueError, match="prefix\\+tail"):
+        hs.estimate_exit_probability(m, 1, "down", hs.ExitConfig(seed=1, samples=100))
+    assert np.array_equal(hs.truncated_solve(m, 40).pi,
+                          hs.truncated_solve(retrial_c1, 40).pi)
 
 
 def test_cell_deviations_policy():
