@@ -120,15 +120,15 @@ def exit_up_seq(model, n_max):
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return [z for z, _ in itertools.islice(_upward_levels(model), n_max + 1)]
+    return [z for z, _, _ in itertools.islice(_upward_levels(model), n_max + 1)]
 
 
 def _upward_levels(model):
-    """(exit matrix of level k-1, upward offspring matrix of level k) for
-    k = 1, 2, ..., stepped from the boundary."""
+    """(exit matrix of level k-1, upward offspring matrix of level k, upward
+    passage factor of level k) for k = 1, 2, ..., stepped from the boundary."""
     z = boundary_exit_up(model)
     for _, t, factor, nxt in _levels(model, z, itertools.count(1), up=True):
-        yield z, factor @ t.down
+        yield z, factor @ t.down, factor
         z = nxt
 
 
@@ -496,7 +496,7 @@ def expected_boundary_visits(model, mu=None, horizon=SERIES_HORIZON, tol=DEFAULT
     big_streak = 0
     n_pref = model.n_prefix
     z_before = None
-    for k, (z_prev, a_k) in zip(range(1, horizon + 1), _upward_levels(model)):
+    for k, (z_prev, a_k, _) in zip(range(1, horizon + 1), _upward_levels(model)):
         if has_tail and k > n_pref and radius_up is None and not radius_failed:
             try:
                 radius_up = _tail_up(model.tail, tol)[2]
@@ -581,9 +581,7 @@ def _ascent_visits(model, k, mu):
     before the walk, started on layer k at mu, first reaches layer k+1."""
     below = list(itertools.islice(_upward_levels(model), k))
     w = np.asarray(mu, dtype=float).copy()
-    for n in range(k, 0, -1):
-        z_prev, offspring = below[n - 1]
-        factor, _ = _step(model.block_at(n), z_prev, up=True)
+    for _, offspring, factor in reversed(below):
         yield w @ factor
         w = w @ offspring
     yield w @ invert(np.eye(model.d) - model.r0)

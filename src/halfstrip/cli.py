@@ -37,7 +37,7 @@ from .model import (
     RetrySchedule,
     as_chain,
     build_retrial,
-    model_from_dict,
+    load_model,
     model_to_dict,
     uniformize,
     validate,
@@ -117,17 +117,7 @@ def _write_output(text, out_path):
 
 def _load_model(path):
     try:
-        if path == "-":
-            data = json.load(sys.stdin)
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise _CliError(EXIT_USAGE, f"model input is not valid JSON: {exc}")
-    except OSError as exc:
-        raise _CliError(EXIT_USAGE, f"cannot read model file: {exc}")
-    try:
-        model = as_chain(model_from_dict(data))
+        model = as_chain(load_model(sys.stdin if path == "-" else path))
     except (ModelFormatError, GammaTooSmallError) as exc:
         raise _CliError(EXIT_USAGE, f"model file malformed: {exc}")
     report = validate(model)
@@ -480,12 +470,9 @@ def _bounded(cast, low):
     return parse
 
 
-def _add_common(p, with_model=True):
-    if with_model:
-        p.add_argument("model", nargs="?", default="-",
-                       help="model JSON file ('-' or omitted reads stdin)")
-    p.add_argument("--tol", type=_bounded(float, 0.0), default=1e-12,
-                   help="fixed-point tolerance (default 1e-12)")
+def _add_common(p):
+    p.add_argument("model", nargs="?", default="-",
+                   help="model JSON file ('-' or omitted reads stdin)")
     p.add_argument("-o", "--output", default=None,
                    help="write output to this path instead of stdout")
 
@@ -497,9 +484,13 @@ def build_parser():
                                  "distribution, decay rate, and verification.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", metavar="command")
+    # every command but simulate and example runs the fixed-point solvers
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=_bounded(float, 0.0), default=1e-12,
+                     help="fixed-point tolerance (default 1e-12)")
 
     p = sub.add_parser("classify", help="certified recurrence classification",
-                       parents=[], add_help=True)
+                       parents=[tol])
     _add_common(p)
     p.add_argument("--horizon", type=_bounded(int, 1), default=10_000,
                    help="series horizon (default 10000)")
@@ -508,14 +499,15 @@ def build_parser():
     p.add_argument("--format", choices=["pretty", "json"], default="pretty")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("stationary", help="explicit stationary distribution")
+    p = sub.add_parser("stationary", help="explicit stationary distribution",
+                       parents=[tol])
     _add_common(p)
     p.add_argument("--levels", type=_bounded(int, 0), default=None,
                    help="highest level to report (default: mass-driven)")
     p.add_argument("--format", choices=["pretty", "json", "csv"], default="pretty")
     p.set_defaults(func=_cmd_stationary)
 
-    p = sub.add_parser("decay", help="geometric decay rate of the tail")
+    p = sub.add_parser("decay", help="geometric decay rate of the tail", parents=[tol])
     _add_common(p)
     p.add_argument("--levels", type=_bounded(int, 0), default=None,
                    help="levels for the empirical estimates (default: mass-driven)")
@@ -534,8 +526,8 @@ def build_parser():
     p.add_argument("--format", choices=["pretty", "json"], default="pretty")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("verify",
-                       help="cross-check analytics against both oracles")
+    p = sub.add_parser("verify", help="cross-check analytics against both oracles",
+                       parents=[tol])
     _add_common(p)
     p.add_argument("--seed", type=int, required=True, help="stream seed (required)")
     p.add_argument("--cycles", type=_bounded(int, 1), default=100_000,

@@ -70,6 +70,12 @@ class QbdModel:
         object.__setattr__(self, "r0", _as_block(self.r0, self.d, "r0"))
         object.__setattr__(self, "p0", _as_block(self.p0, self.d, "p0"))
         object.__setattr__(self, "prefix", tuple(self.prefix))
+        for n, trip in enumerate((*self.prefix, self.tail), 1):
+            shapes = None if trip is None else (trip.up.shape, trip.down.shape, trip.stay.shape)
+            if shapes != ((self.d, self.d),) * 3:
+                where = f"level {n}" if n <= self.n_prefix else "tail"
+                raise ModelFormatError(f"{where}: expected up, down and stay blocks of "
+                                       f"shape ({self.d}, {self.d}), got {shapes}")
 
     @property
     def n_prefix(self):
@@ -178,79 +184,57 @@ class ValidationReport:
         self.problems.append(Violation(severity, code, where, detail))
 
 
-def _check_prob_block(report, mat, where, atol):
-    if not np.all(np.isfinite(mat)):
-        report.add("error", "not-finite", where, "non-finite entry")
-        return
-    if float(mat.min()) < -atol:
-        report.add("error", "negative-entry", where, f"min entry {float(mat.min()):.3e}")
-    if float(mat.max()) > 1.0 + 1e-6:
-        report.add("error", "entry-above-one", where, f"max entry {float(mat.max()):.6f}")
+def _step_rows(model):
+    """Every stored level's transitions as one (n_prefix + 2, d, 3d) array.
 
-
-def _zero_columns(mat):
-    return [j for j in range(mat.shape[1]) if float(mat[:, j].sum()) <= 0.0]
-
-
-def _boundary_communicates(model, atol):
-    """Support-level reachability check: do all layer-0 phases communicate?
-
-    Builds the directed support graph of a strip truncated one level past
-    the stored prefix (up moves at the top folded into stays, which can only
-    overstate connectivity) and checks mutual reachability of the layer-0
-    states. A warning from this check is advisory.
+    Row block n holds level n's blocks [down | stay | up]; level 0 is
+    [0 | r0 | p0] and the last block is the tail, which every deeper level
+    repeats.
     """
     d = model.d
-    top = model.n_prefix + 1
-    n_states = (top + 1) * d
+    levels = [(np.zeros((d, d)), model.r0, model.p0)]
+    levels += [(t.down, t.stay, t.up) for t in (*model.prefix, model.tail)]
+    return np.array(levels).transpose(0, 2, 1, 3).reshape(len(levels), d, 3 * d)
 
-    def sid(level, phase):
-        return level * d + phase
 
-    adj = [[] for _ in range(n_states)]
+def _boundary_communicates(rows):
+    """Support-level reachability check: do all layer-0 phases communicate?
 
-    def link(block, lev_from, lev_to):
-        rows, cols = np.nonzero(block > atol)
-        for i, j in zip(rows, cols):
-            adj[sid(lev_from, int(i))].append(sid(lev_to, int(j)))
+    The support graph of ``rows`` (see ``_step_rows``) is the strip
+    truncated one level past the stored prefix, with the top level's up
+    moves folded into stays, which can only overstate connectivity. The
+    layer-0 phases communicate when state (0, 0) reaches each of them and
+    each reaches it back. A warning from this check is advisory.
+    """
+    n_levels, d = rows.shape[:2]
+    level, phase, k = np.nonzero(rows > 0)
+    src = level * d + phase
+    dst = np.minimum(level + k // d - 1, n_levels - 1) * d + k % d
 
-    link(model.r0, 0, 0)
-    link(model.p0, 0, 1)
-    for n in range(1, top + 1):
-        trip = model.block_at(n)
-        link(trip.down, n, n - 1)
-        link(trip.stay, n, n)
-        if n < top:
-            link(trip.up, n, n + 1)
-        else:
-            link(trip.up, n, n)  # fold the top level's up moves into stays
-
-    def reach(src):
-        seen = {src}
-        stack = [src]
+    def reaches_layer0(a, b):
+        # every layer-0 state is reached from state 0 along the edges a -> b
+        order = np.argsort(a)
+        bounds = np.searchsorted(a[order], np.arange(n_levels * d + 1)).tolist()
+        targets = b[order].tolist()
+        seen = {0}
+        stack = [0]
         while stack:
             u = stack.pop()
-            for v in adj[u]:
+            for v in targets[bounds[u]:bounds[u + 1]]:
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)
-        return seen
+        return seen.issuperset(range(d))
 
-    reach0 = reach(sid(0, 0))
-    if any(sid(0, j) not in reach0 for j in range(d)):
-        return False
-    # every layer-0 phase must reach phase 0 back
-    for j in range(1, d):
-        if sid(0, 0) not in reach(sid(0, j)):
-            return False
-    return True
+    return reaches_layer0(src, dst) and reaches_layer0(dst, src)
 
 
 def validate(model, atol=VALIDATE_ATOL):
     """Check a discrete model against its structural requirements.
 
-    Errors (invalid model): wrong shapes, non-finite or negative entries,
-    row sums off from 1 by more than ``atol``.
+    Errors (invalid model): non-finite or negative entries, entries above
+    one, row sums off from 1 by more than ``atol``. Block shapes are
+    checked when the model is built.
     Warnings (advisory): an up or down block with an all-zero column (the
     walk can never enter that phase from the neighboring level, which can
     starve the exit recursions), and a boundary layer whose phases do not
@@ -258,37 +242,38 @@ def validate(model, atol=VALIDATE_ATOL):
     """
     report = ValidationReport()
     d = model.d
-    _check_prob_block(report, model.r0, "r0", atol)
-    _check_prob_block(report, model.p0, "p0", atol)
-    rs = (model.r0 + model.p0).sum(axis=1)
-    if float(np.max(np.abs(rs - 1.0))) > atol:
-        report.add("error", "row-sum", "level 0",
-                   f"max |row sum - 1| = {float(np.max(np.abs(rs - 1.0))):.3e}")
+    rows = _step_rows(model)
+    parts = rows.reshape(len(rows), d, 3, d)  # (level, row, [down, stay, up], column)
+    finite = np.isfinite(parts).all(axis=(1, 3)).tolist()
+    low = parts.min(axis=(1, 3)).tolist()
+    high = parts.max(axis=(1, 3)).tolist()
+    down, stay, up = parts[:, :, 0], parts[:, :, 1], parts[:, :, 2]
+    dev = np.max(np.abs((up + down + stay).sum(axis=-1) - 1.0), axis=1).tolist()
+    # sum each column contiguously, in the order a one-column sum adds it
+    col_sums = np.ascontiguousarray(parts.transpose(0, 2, 3, 1)).sum(axis=-1)
+    zero_col = (col_sums <= 0.0).tolist()
 
-    named = [(f"level {i + 1}", t) for i, t in enumerate(model.prefix)]
-    named.append(("tail", model.tail))
-    for where, trip in named:
-        if trip is None:
-            report.add("error", "shape", where, "missing blocks")
-            continue
-        for part in ("up", "down", "stay"):
-            mat = getattr(trip, part)
-            if mat.shape != (d, d):
-                report.add("error", "shape", f"{where}.{part}",
-                           f"expected ({d}, {d}), got {mat.shape}")
+    names = ["level 0"] + [f"level {n}" for n in range(1, model.n_prefix + 1)] + ["tail"]
+    for n, name in enumerate(names):
+        blocks = (((2, f"{name}.up"), (0, f"{name}.down"), (1, f"{name}.stay")) if n
+                  else ((1, "r0"), (2, "p0")))
+        for k, where in blocks:
+            if not finite[n][k]:
+                report.add("error", "not-finite", where, "non-finite entry")
                 continue
-            _check_prob_block(report, mat, f"{where}.{part}", atol)
-        if any(getattr(trip, part).shape != (d, d) for part in ("up", "down", "stay")):
-            continue
-        rs = (trip.up + trip.down + trip.stay).sum(axis=1)
-        if float(np.max(np.abs(rs - 1.0))) > atol:
-            report.add("error", "row-sum", where,
-                       f"max |row sum - 1| = {float(np.max(np.abs(rs - 1.0))):.3e}")
-        for part, code in (("up", "column-zero-up"), ("down", "column-zero-down")):
-            for j in _zero_columns(getattr(trip, part)):
-                report.add("warning", code, where,
-                           f"{part} block column {j} is identically zero")
-    if not report.errors and not _boundary_communicates(model, atol=0.0):
+            if low[n][k] < -atol:
+                report.add("error", "negative-entry", where, f"min entry {low[n][k]:.3e}")
+            if high[n][k] > 1.0 + 1e-6:
+                report.add("error", "entry-above-one", where, f"max entry {high[n][k]:.6f}")
+        if dev[n] > atol:
+            report.add("error", "row-sum", name, f"max |row sum - 1| = {dev[n]:.3e}")
+        if n:
+            for k, part in ((2, "up"), (0, "down")):
+                for j, zero in enumerate(zero_col[n][k]):
+                    if zero:
+                        report.add("warning", f"column-zero-{part}", name,
+                                   f"{part} block column {j} is identically zero")
+    if not report.errors and not _boundary_communicates(rows):
         report.add("warning", "boundary-reducible", "level 0",
                    "layer-0 phases do not all communicate on the support graph")
     return report
@@ -341,17 +326,13 @@ def uniformize(gen, gamma=None):
     if gamma < need * (1.0 - 1e-12):
         raise GammaTooSmallError(
             f"gamma {gamma:g} below largest diagonal rate {need:g}")
-    d = gen.d
-    eye = np.eye(d)
-    r0 = eye + gen.b0 / gamma
-    p0 = gen.a0 / gamma
-    prefix = tuple(
-        BlockTriple(up=t.up / gamma, down=t.down / gamma, stay=eye + t.local / gamma)
-        for t in gen.prefix
-    )
-    tail = BlockTriple(up=gen.tail.up / gamma, down=gen.tail.down / gamma,
-                       stay=eye + gen.tail.local / gamma)
-    return QbdModel(d=d, r0=r0, p0=p0, prefix=prefix, tail=tail)
+    eye = np.eye(gen.d)
+
+    def embed(t):
+        return BlockTriple(up=t.up / gamma, down=t.down / gamma, stay=eye + t.local / gamma)
+
+    return QbdModel(d=gen.d, r0=eye + gen.b0 / gamma, p0=gen.a0 / gamma,
+                    prefix=tuple(embed(t) for t in gen.prefix), tail=embed(gen.tail))
 
 
 _AFFINE_RE = re.compile(
@@ -495,40 +476,26 @@ def build_retrial(arrival, service, servers, retry, prefix_levels=None):
                           prefix=prefix, tail=tail, gamma=None)
 
 
+# File layout of each model flavor: its boundary block keys, its level
+# triple type, and the (file key, field) pairs of a level triple.
+_CODEC = {
+    QbdModel: (("r0", "p0"), BlockTriple, (("p", "up"), ("q", "down"), ("r", "stay"))),
+    GeneratorModel: (("b0", "a0"), GeneratorTriple,
+                     (("a", "up"), ("b", "local"), ("c", "down"))),
+}
+
+
 def model_to_dict(model):
+    boundary, _, fields = _CODEC[type(model)]
+    levels = [{key: getattr(t, name).tolist() for key, name in fields}
+              for t in (*model.prefix, model.tail)]
+    doc = {key: getattr(model, key).tolist() for key in boundary}
+    doc.update(d=model.d, prefix=levels[:-1], tail=levels[-1])
     if isinstance(model, GeneratorModel):
-        doc = {
-            "type": "generator",
-            "d": model.d,
-            "b0": model.b0.tolist(),
-            "a0": model.a0.tolist(),
-            "prefix": [
-                {"a": t.up.tolist(), "b": t.local.tolist(), "c": t.down.tolist()}
-                for t in model.prefix
-            ],
-            "tail": {
-                "a": model.tail.up.tolist(),
-                "b": model.tail.local.tolist(),
-                "c": model.tail.down.tolist(),
-            },
-        }
+        doc["type"] = "generator"
         if model.gamma is not None:
             doc["gamma"] = model.gamma
-        return doc
-    return {
-        "d": model.d,
-        "r0": model.r0.tolist(),
-        "p0": model.p0.tolist(),
-        "prefix": [
-            {"p": t.up.tolist(), "q": t.down.tolist(), "r": t.stay.tolist()}
-            for t in model.prefix
-        ],
-        "tail": {
-            "p": model.tail.up.tolist(),
-            "q": model.tail.down.tolist(),
-            "r": model.tail.stay.tolist(),
-        },
-    }
+    return doc
 
 
 def _require(doc, key):
@@ -547,67 +514,36 @@ def model_from_dict(doc):
         raise ModelFormatError("field 'd' must be an integer") from exc
     if d < 1:
         raise ModelFormatError("field 'd' must be >= 1")
-    if doc.get("type") == "generator":
-        prefix = tuple(
-            GeneratorTriple(
-                up=_as_block(_require(t, "a"), d, "prefix.a"),
-                local=_as_block(_require(t, "b"), d, "prefix.b"),
-                down=_as_block(_require(t, "c"), d, "prefix.c"),
-            )
-            for t in doc.get("prefix", [])
-        )
-        tail_doc = _require(doc, "tail")
-        tail = GeneratorTriple(
-            up=_as_block(_require(tail_doc, "a"), d, "tail.a"),
-            local=_as_block(_require(tail_doc, "b"), d, "tail.b"),
-            down=_as_block(_require(tail_doc, "c"), d, "tail.c"),
-        )
+    flavor = GeneratorModel if doc.get("type") == "generator" else QbdModel
+    boundary, triple_type, fields = _CODEC[flavor]
+
+    def triple(t, where):
+        return triple_type(**{name: _as_block(_require(t, key), d, f"{where}.{key}")
+                              for key, name in fields})
+
+    prefix = tuple(triple(t, "prefix") for t in doc.get("prefix", []))
+    tail = triple(_require(doc, "tail"), "tail")
+    blocks = {key: _as_block(_require(doc, key), d, key) for key in boundary}
+    if flavor is GeneratorModel:
         gamma = doc.get("gamma")
-        return GeneratorModel(
-            d=d,
-            b0=_as_block(_require(doc, "b0"), d, "b0"),
-            a0=_as_block(_require(doc, "a0"), d, "a0"),
-            prefix=prefix,
-            tail=tail,
-            gamma=None if gamma is None else float(gamma),
-        )
-    prefix = tuple(
-        BlockTriple(
-            up=_as_block(_require(t, "p"), d, "prefix.p"),
-            down=_as_block(_require(t, "q"), d, "prefix.q"),
-            stay=_as_block(_require(t, "r"), d, "prefix.r"),
-        )
-        for t in doc.get("prefix", [])
-    )
-    tail_doc = _require(doc, "tail")
-    tail = BlockTriple(
-        up=_as_block(_require(tail_doc, "p"), d, "tail.p"),
-        down=_as_block(_require(tail_doc, "q"), d, "tail.q"),
-        stay=_as_block(_require(tail_doc, "r"), d, "tail.r"),
-    )
-    return QbdModel(
-        d=d,
-        r0=_as_block(_require(doc, "r0"), d, "r0"),
-        p0=_as_block(_require(doc, "p0"), d, "p0"),
-        prefix=prefix,
-        tail=tail,
-    )
+        blocks["gamma"] = None if gamma is None else float(gamma)
+    return flavor(d=d, prefix=prefix, tail=tail, **blocks)
 
 
 def load_model(source):
-    """Read a model from a path, an open stream, or a JSON string."""
+    """Read a model from a file path or from an open stream of JSON text."""
     if hasattr(source, "read"):
         text = source.read()
     else:
         try:
-            with open(source) as fh:
+            with open(source, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise ModelFormatError(f"cannot read model file {source!r}: {exc}") from exc
+            raise ModelFormatError(f"cannot read model file: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"invalid JSON: {exc}") from exc
+        raise ModelFormatError(f"model input is not valid JSON: {exc}") from exc
     return model_from_dict(doc)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import stationary_left_vector
-from .model import CallbackModel
+from .model import CallbackModel, _step_rows
 
 MAX_DENSE_STATES = 6000
 UNIFORM_BLOCK = 8192
@@ -163,12 +163,7 @@ def _step_table(model):
     if isinstance(model, CallbackModel):
         raise ValueError("level-map models have no limiting tail; "
                          "the Monte Carlo oracles require a prefix+tail model")
-    d = model.d
-    rows = [np.concatenate([np.zeros((d, d)), model.r0, model.p0], axis=1)]
-    for lev in range(1, model.n_prefix + 2):
-        blk = model.block_at(lev)
-        rows.append(np.concatenate([blk.down, blk.stay, blk.up], axis=1))
-    cum = np.cumsum(np.stack(rows), axis=2)
+    cum = np.cumsum(_step_rows(model), axis=2)
     cum[..., -1] = 1.0
     return cum
 

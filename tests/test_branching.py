@@ -217,6 +217,19 @@ def test_branching_data_forms_one_factor_per_level_and_direction(retrial_c1, mon
             assert len(calls) == model.n_prefix + 1 + solve
 
 
+def test_expected_visits_ascent_forms_each_upward_factor_once(retrial_c1, monkeypatch):
+    """Visits below layer k reuse the upward passage factors that stepping
+    the exits formed: one inverse for the boundary exit, one per level and
+    one for the boundary dwell."""
+    calls = []
+    invert = hs.branching.invert
+    monkeypatch.setattr(hs.branching, "invert", lambda a: calls.append(a) or invert(a))
+    for k in (3, 10):
+        calls.clear()
+        hs.expected_visits_ascent(retrial_c1, k, np.array([0.5, 0.5]), 0)
+        assert len(calls) == k + 2
+
+
 def test_cycling_tail_root_keeps_the_shortcut():
     """The c=32 retrial tail root ends in a cycle of bit-level different
     roots, not a fixed point. Tail levels are still served from the root,

@@ -174,6 +174,14 @@ def test_out_of_range_option_exit_1(model_files, argv):
     assert "Traceback" not in err
 
 
+def test_simulate_has_no_tol_option(model_files):
+    """simulate runs no fixed-point solver, so it takes no --tol."""
+    code, out, err = run_cli(["simulate", model_files["pos"], "--seed", "1",
+                              "--tol", "1e-6"])
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments" in err
+
+
 @pytest.mark.parametrize("option, want", [
     (["--gamma", "0"], 3),
     (["--lambda", "0"], 1),

@@ -74,14 +74,83 @@ def test_validate_flags_negative_entry():
     assert not hs.validate(bad).ok
 
 
-def test_shape_mismatch_rejected_at_construction():
-    tail = hs.BlockTriple(
-        up=np.zeros((2, 2)), down=np.zeros((2, 2)), stay=np.eye(2)
-    )
+def _triple(up, down, stay):
+    return hs.BlockTriple(up=np.array(up, dtype=float),
+                          down=np.array(down, dtype=float),
+                          stay=np.array(stay, dtype=float))
+
+
+_GOOD_TAIL = _triple(np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2))
+
+
+@pytest.mark.parametrize("r0, p0, prefix, tail", [
+    (np.zeros((1, 1)), np.ones((1, 1)), (), _GOOD_TAIL),
+    (np.zeros((2, 2)), np.eye(2),
+     (_triple(np.zeros((2, 3)), np.zeros((2, 2)), np.eye(2)),), _GOOD_TAIL),
+    (np.zeros((2, 2)), np.eye(2), (),
+     _triple(np.zeros((2, 2)), np.zeros((1, 1)), np.eye(2))),
+    (np.zeros((2, 2)), np.eye(2), (), None),
+], ids=["boundary", "prefix-triple", "tail-block", "missing-tail"])
+def test_shape_mismatch_rejected_at_construction(r0, p0, prefix, tail):
     with pytest.raises(ModelFormatError):
-        hs.QbdModel(
-            d=2, r0=np.zeros((1, 1)), p0=np.ones((1, 1)), prefix=(), tail=tail
-        )
+        hs.QbdModel(d=2, r0=r0, p0=p0, prefix=prefix, tail=tail)
+
+
+_NAN, _INF = float("nan"), float("inf")
+_REDUCIBLE = ("warning", "boundary-reducible", "level 0",
+              "layer-0 phases do not all communicate on the support graph")
+
+
+@pytest.mark.parametrize("model, expected", [
+    (hs.QbdModel(
+        d=2, r0=[[0.5, 0.2], [0.5, 0.5]], p0=[[-0.1, 0.3], [0.0, 0.0]],
+        prefix=(_triple([[1.5, 0.0], [0.0, 0.0]], np.zeros((2, 2)),
+                        [[0.0, 0.5], [0.5, 0.5]]),
+                _triple([[_INF, 0.0], [0.0, 0.2]], [[0.0, 0.5], [0.0, 0.5]],
+                        [[0.0, 0.0], [0.5, -0.2]])),
+        tail=_triple([[0.3, 0.0], [0.3, 0.0]], [[_NAN, 0.7], [0.0, 0.7]],
+                     np.zeros((2, 2)))), [
+        ("error", "negative-entry", "p0", "min entry -1.000e-01"),
+        ("error", "row-sum", "level 0", "max |row sum - 1| = 1.000e-01"),
+        ("error", "entry-above-one", "level 1.up", "max entry 1.500000"),
+        ("error", "row-sum", "level 1", "max |row sum - 1| = 1.000e+00"),
+        ("warning", "column-zero-up", "level 1", "up block column 1 is identically zero"),
+        ("warning", "column-zero-down", "level 1", "down block column 0 is identically zero"),
+        ("warning", "column-zero-down", "level 1", "down block column 1 is identically zero"),
+        ("error", "not-finite", "level 2.up", "non-finite entry"),
+        ("error", "negative-entry", "level 2.stay", "min entry -2.000e-01"),
+        ("error", "row-sum", "level 2", "max |row sum - 1| = inf"),
+        ("warning", "column-zero-down", "level 2", "down block column 0 is identically zero"),
+        ("error", "not-finite", "tail.down", "non-finite entry"),
+        ("warning", "column-zero-up", "tail", "up block column 1 is identically zero"),
+    ]),
+    (hs.QbdModel(d=1, r0=[[_NAN]], p0=[[1.0]], tail=_triple([[0.3]], [[0.7]], [[0.0]])),
+     [("error", "not-finite", "r0", "non-finite entry")]),
+    # layer-0 phase 0 never reaches phase 1
+    (hs.QbdModel(d=2, r0=np.eye(2), p0=np.zeros((2, 2)),
+                 tail=_triple(0.3 * np.eye(2), 0.7 * np.eye(2), np.zeros((2, 2)))),
+     [_REDUCIBLE]),
+    # phase 0 reaches phase 1, which never returns
+    (hs.QbdModel(
+        d=2, r0=[[0.0, 1.0], [0.0, 0.5]], p0=[[0.0, 0.0], [0.0, 0.5]],
+        prefix=(_triple([[0.0, 0.0], [0.0, 0.3]], [[0.0, 0.0], [0.0, 0.7]],
+                        [[1.0, 0.0], [0.0, 0.0]]),),
+        tail=_triple(0.3 * np.eye(2), 0.7 * np.eye(2), np.zeros((2, 2)))), [
+        ("warning", "column-zero-up", "level 1", "up block column 0 is identically zero"),
+        ("warning", "column-zero-down", "level 1", "down block column 0 is identically zero"),
+        _REDUCIBLE,
+    ]),
+    # the phases meet only through the top level's up moves, folded into stays
+    (hs.QbdModel(d=2, r0=np.zeros((2, 2)), p0=np.eye(2),
+                 tail=_triple([[0.0, 0.3], [0.3, 0.0]], 0.7 * np.eye(2), np.zeros((2, 2)))),
+     []),
+], ids=["every-block-check", "non-finite-boundary", "split-phases", "one-way",
+        "folded-top"])
+def test_validate_problem_list_pinned(model, expected):
+    """Problems, their order and their detail text, recorded on hand-built
+    defective models."""
+    got = [(p.severity, p.code, p.where, p.detail) for p in hs.validate(model).problems]
+    assert got == expected
 
 
 def test_block_at_prefix_then_tail():
