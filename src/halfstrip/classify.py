@@ -3,9 +3,9 @@
 Two scalar series decide everything. The boundary-visit series (expected
 number of returns to layer 0) is finite exactly when the walk is transient.
 The return-time series (expected steps to come back down to layer 0) is
-finite exactly when the walk is positive recurrent. Each series is summed
-with a certificate: a geometric tail bound from the limiting blocks'
-spectral radius, or a certified divergence pattern. No certificate, no
+finite exactly when the walk is positive recurrent. Each certificate keys
+off the sign of the tail's mean drift: a closed form for the series that
+drift makes finite, or a certified divergence pattern. No certificate, no
 verdict: the result is then inconclusive with diagnostics attached.
 """
 from __future__ import annotations

@@ -248,9 +248,11 @@ def validate(model, atol=VALIDATE_ATOL):
     low = parts.min(axis=(1, 3)).tolist()
     high = parts.max(axis=(1, 3)).tolist()
     down, stay, up = parts[:, :, 0], parts[:, :, 1], parts[:, :, 2]
-    dev = np.max(np.abs((up + down + stay).sum(axis=-1) - 1.0), axis=1).tolist()
-    # sum each column contiguously, in the order a one-column sum adds it
-    col_sums = np.ascontiguousarray(parts.transpose(0, 2, 3, 1)).sum(axis=-1)
+    # a row holding both +inf and -inf sums to nan; it is reported as not-finite
+    with np.errstate(invalid="ignore"):
+        dev = np.max(np.abs((up + down + stay).sum(axis=-1) - 1.0), axis=1).tolist()
+        # sum each column contiguously, in the order a one-column sum adds it
+        col_sums = np.ascontiguousarray(parts.transpose(0, 2, 3, 1)).sum(axis=-1)
     zero_col = (col_sums <= 0.0).tolist()
 
     names = ["level 0"] + [f"level {n}" for n in range(1, model.n_prefix + 1)] + ["tail"]

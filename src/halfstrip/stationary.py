@@ -18,19 +18,20 @@ import numpy as np
 
 from .branching import (
     DEFAULT_TOL,
-    RADIUS_MARGIN,
     SERIES_HORIZON,
     branching_data,
     drift_sign,
     series_down_weighted,
 )
 from .classify import return_time_bound
-from .linalg import stationary_left_vector
+from .linalg import ReducibleChainError, stationary_left_vector
 from .model import CallbackModel
 
 UNDERFLOW_FLOOR = 1e-300
 MASS_CUTOFF = 1e-12
 LEVEL_CAP = 100_000
+# how far below 1 the tail radius must read for a decay rate to be reported
+RADIUS_MARGIN = 1e-10
 
 
 class NotPositiveRecurrentError(Exception):
@@ -68,8 +69,11 @@ def censored_measure(model, data=None, tol=DEFAULT_TOL):
     """Stationary probability vector of the censored boundary matrix.
 
     Raises NotPositiveRecurrentError when the censored matrix is visibly
-    substochastic (escape mass above 1e-8) and ReducibleChainError when the
-    boundary chain does not communicate.
+    substochastic (escape mass above 1e-8). A boundary chain with more than
+    one closed class has no unique stationary vector; its measure is then
+    the long-run one from the uniform phase mix, the start ``simulate``
+    uses: uniform @ lim ((I + C) / 2)^(2^k), squared until a step returns
+    its input bit for bit, at most 64 times.
     """
     _require_tail_model(model, "the censored boundary measure")
     if data is None:
@@ -80,7 +84,15 @@ def censored_measure(model, data=None, tol=DEFAULT_TOL):
         raise NotPositiveRecurrentError(
             f"censored boundary matrix is substochastic (deficit {deficit:.3e}); "
             "the walk leaks upward and has no stationary distribution")
-    return stationary_left_vector(cm, row_tol=1e-8)
+    try:
+        return stationary_left_vector(cm, row_tol=1e-8)
+    except ReducibleChainError:
+        lazy = 0.5 * (np.eye(model.d) + cm)
+        for _ in range(64):
+            lazy, before = lazy @ lazy, lazy
+            if np.array_equal(lazy, before):
+                break
+        return np.full(model.d, 1.0 / model.d) @ lazy
 
 
 @dataclass

@@ -70,9 +70,9 @@ def test_03_ascent_ratio_matrices_concentrate_on_last_row(retrial_c1, retrial_c2
 
 def test_04_verdict_flips_at_the_critical_arrival_rate():
     # r_c = lam (lam + theta) / (mu theta) crosses 1 at lam* below; both
-    # sides certify via closed-form tail sums, the transient one once the
-    # upward level step repeats, a few levels in, so the last two points
-    # sit at r_c - 1 = -/+5.5e-7 with the default horizon
+    # sides certify via closed forms chosen by the sign of the tail's
+    # drift, so the last two points sit at r_c - 1 = -/+5.5e-7 with the
+    # default horizon
     mu, theta = 0.5, 0.3
     lam_star = (-theta + math.sqrt(theta * theta + 4 * mu * theta)) / 2.0
 

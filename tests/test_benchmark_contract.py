@@ -38,3 +38,23 @@ def test_branching_data_reports_its_depth(retrial_c1):
     """The benchmark counts ``branching_data(...).depth``."""
     data = hs.branching_data(retrial_c1)
     assert data.depth == retrial_c1.n_prefix + 1
+
+
+def test_tail_solvers_report_sweeps(retrial_c1):
+    """The benchmark counts ``info["sweeps"]`` of both tail solvers."""
+    for solver in (hs.exit_down_tail, hs.exit_up_tail):
+        _, info = solver(retrial_c1.tail)
+        assert isinstance(info["sweeps"], int) and info["sweeps"] >= 1
+
+
+def test_boundary_visits_keep_their_terms(d1_pos, d1_null, d1_transient):
+    """The benchmark counts ``len(expected_boundary_visits(...).terms) - 1``
+    levels, for every visit status."""
+    callback = hs.CallbackModel(d=1, r0=d1_pos.r0, p0=d1_pos.p0,
+                                level_fn=d1_pos.block_at)
+    seen = set()
+    for model in (d1_pos, d1_null, d1_transient, callback):
+        bv = hs.expected_boundary_visits(model, horizon=200)
+        assert len(bv.terms) >= 1
+        seen.add(bv.status)
+    assert seen == {"convergent", "divergent", "inconclusive"}

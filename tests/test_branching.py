@@ -152,7 +152,26 @@ def test_tail_solvers_report_reduction_info(solver):
     assert info["method"] == "reduction"
     assert info["sweeps"] >= 1
     assert "polish" in info and "fixed" in info
+    assert info["shift"] == "stochastic"
     assert info["residual"] <= 1e-15
+
+
+def test_tail_solvers_shift_by_drift_sign(d1_pos, d1_null, d1_transient):
+    """The upward root always takes the stochastic shift; the downward one
+    takes the drift-up shift exactly when the drift is certified positive.
+    The shift moves every unit zero off the unit circle, the null tail's
+    double one included, so each scalar root takes at most two sweeps and
+    is exact: the upward exit is certain, the downward one is too unless
+    the walk escapes upward (3/7 for up 0.7/down 0.3)."""
+    for model, down_shift, down in ((d1_pos, "stochastic", 1.0),
+                                    (d1_null, "stochastic", 1.0),
+                                    (d1_transient, "drift-up", 3.0 / 7.0)):
+        for solver, shift, root in ((hs.exit_down_tail, down_shift, down),
+                                    (hs.exit_up_tail, "stochastic", 1.0)):
+            mat, info = solver(model.tail)
+            assert info["shift"] == shift
+            assert info["sweeps"] <= 2
+            assert mat[0, 0] == pytest.approx(root, abs=1e-15)
 
 
 def test_exit_up_tail_is_stochastic_root_on_positive_recurrent_tails():
@@ -291,21 +310,23 @@ def test_branching_data_past_fixed_point_equals_per_level_stepping(retrial_c2):
 
 
 def test_boundary_visits_closed_form_matches_term_by_term():
-    """The closed-form remainder equals the term-by-term sum, which a level
-    callable over the same blocks forces."""
+    """On a tail drifting up the visit count is mu (I - B G_1)^{-1} 1 in
+    closed form; it equals the term-by-term sum that a level callable over
+    the same blocks forces."""
     rng = np.random.default_rng(17)
     for d in (2, 3, 4, 2, 3, 4):
         model = _random_transient_model(rng, d)
         bv = hs.expected_boundary_visits(model)
         assert bv.status == "convergent"
-        assert bv.note == f"levels from {bv.horizon} summed in closed form"
-        assert model.n_prefix + 1 < bv.horizon < 100
-        assert len(bv.terms) == len(bv.partial_sums) == bv.horizon + 1
+        assert bv.note == "levels from 1 summed in closed form"
+        assert bv.horizon == 1
+        assert len(bv.terms) == len(bv.partial_sums) == 2
         assert bv.partial_sums[-1] == bv.value
         loop = hs.expected_boundary_visits(
             hs.CallbackModel(d=d, r0=model.r0, p0=model.p0, level_fn=model.block_at),
             horizon=3000)
-        assert bv.terms[:-1] == loop.terms[:bv.horizon]
+        assert loop.status == "inconclusive"
+        assert bv.terms[0] == loop.terms[0]
         assert loop.terms[-1] < 1e-17
         assert abs(bv.value - loop.partial_sums[-1]) <= 1e-12 * bv.value
 
@@ -479,9 +500,9 @@ def test_boundary_visits_divergent_on_recurrent(d1_pos, d1_null):
 
 
 def test_tail_up_radius(d1_transient, d1_pos):
-    radius = hs.branching._tail_up(d1_transient.tail, 1e-12)[2]
+    radius = hs.branching._radius_up(d1_transient.tail, 1e-12)
     assert abs(radius - 3.0 / 7.0) < 1e-9
-    radius = hs.branching._tail_up(d1_pos.tail, 1e-12)[2]
+    radius = hs.branching._radius_up(d1_pos.tail, 1e-12)
     assert abs(radius - 7.0 / 3.0) < 1e-9
 
 

@@ -212,16 +212,16 @@ def _retrial_at(lam):
 
 
 def test_transient_just_above_critical_is_not_certified_positive_recurrent():
-    """At r_c - 1 = +5.5e-7 the downward tail radius reads 1 - 1.4e-9, inside
-    the root's error of the exact 1; the positive mean drift keeps the
-    return-time series from being certified finite, and the visit series
-    certifies transience with the closed form 1 + 1/(r_c - 1)."""
+    """At r_c - 1 = +5.5e-7 the downward tail radius is 1, its exact value
+    on a transient walk, to within rounding; the positive mean drift keeps
+    the return-time series from being certified finite, and the visit
+    series certifies transience with the closed form 1 + 1/(r_c - 1)."""
     mu, theta = 0.5, 0.3
     lam = (-theta + math.sqrt(theta * theta + 4 * (1 + 5.5e-7) * mu * theta)) / 2
     r_c = lam * (lam + theta) / (mu * theta)
     c = hs.classify(_retrial_at(lam))
     assert c.verdict == hs.TRANSIENT
-    assert c.tail_radius_down < 1.0 - hs.branching.RADIUS_MARGIN
+    assert abs(c.tail_radius_down - 1.0) <= 1e-12
     want = 1.0 + 1.0 / (r_c - 1.0)
     assert abs(c.boundary_visits - want) <= 1e-6 * want
 

@@ -240,6 +240,29 @@ def test_classify_json_report(model_files):
     assert res["return_time_bound"] > 1.0
 
 
+@pytest.mark.parametrize("excess", [-1e-8, 1e-8, -1e-10, 1e-10, -1e-12, 1e-12, -1e-14, 1e-14])
+def test_classify_near_critical_retrial_agrees_with_drift_sign(tmp_path, excess):
+    """Retrial c=1 (mu 0.5, theta 0.3) at r_c - 1 = excess: every verdict
+    agrees with the sign of the tail's certified drift, or is inconclusive
+    with exit 4; no point raises."""
+    mu, theta = 0.5, 0.3
+    lam = (-theta + math.sqrt(theta * theta + 4 * (1.0 + excess) * mu * theta)) / 2.0
+    model = hs.uniformize(hs.build_retrial(lam, mu, 1, hs.RetrySchedule.parse("0.3")))
+    path = tmp_path / "model.json"
+    hs.save_model(model, path)
+    code, out, err = run_cli(["classify", str(path), "--format", "json"])
+    assert "Traceback" not in err
+    verdict = json.loads(out)["results"]["verdict"]
+    assert code == (4 if verdict == "inconclusive" else 0)
+    sign = hs.branching.drift_sign(hs.branching.tail_drift(model.tail))
+    agree = {-1: "positive-recurrent", 0: "null-recurrent", 1: "transient"}[sign]
+    assert verdict in (agree, "inconclusive")
+    if excess == 1e-12:
+        # the drift is certified positive, but I - B G_1 is too ill
+        # conditioned for the closed form
+        assert sign == 1 and verdict == "inconclusive"
+
+
 def test_classify_reads_rate_model_file(tmp_path):
     # a saved rate model runs as its uniformized chain at the default gamma
     gen = hs.build_retrial(0.2, 0.5, 1, hs.RetrySchedule.parse("0.3"))

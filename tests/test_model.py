@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,19 @@ def test_validate_flags_bad_row_sum():
     rep = hs.validate(bad)
     assert not rep.ok
     assert any(p.severity == "error" for p in rep.problems)
+
+
+def test_validate_opposite_infinities_in_one_row_warn_nothing():
+    """A row holding +inf and -inf sums to nan; validate reports the blocks
+    as not finite without a numpy warning."""
+    tail = hs.BlockTriple(up=np.array([[np.inf]]), down=np.array([[-np.inf]]),
+                          stay=np.array([[0.0]]))
+    m = hs.QbdModel(d=1, r0=np.array([[0.0]]), p0=np.array([[1.0]]), prefix=(), tail=tail)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = hs.validate(m)
+    codes = [(p.code, p.where) for p in rep.problems if p.severity == "error"]
+    assert codes == [("not-finite", "tail.up"), ("not-finite", "tail.down")]
 
 
 def test_validate_flags_negative_entry():

@@ -103,6 +103,17 @@ def test_stationary_rejects_callback_models():
         hs.stationary_dist(m)
 
 
+def test_swap_chain_boundary_measure_from_the_uniform_start(perm_chain):
+    """The swap chain keeps the parity of level + phase, so its censored
+    boundary matrix is the identity: two closed classes and no unique
+    stationary vector. The boundary measure is the long-run one from the
+    uniform phase mix, which is where ``simulate`` starts."""
+    res = hs.stationary_dist(perm_chain)
+    assert np.array_equal(res.censored, np.eye(2))
+    assert np.array_equal(res.boundary_measure, [0.5, 0.5])
+    assert abs(hs.decay_rate(perm_chain, result=res).rate - 3.0 / 7.0) < 1e-15
+
+
 def test_decay_rate_report(retrial_c1):
     rep = hs.decay_rate(retrial_c1)
     assert abs(rep.rate - 2.0 / 3.0) < 1e-9
