@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,7 +19,8 @@ from .linalg import stationary_left_vector
 from .model import CallbackModel, _step_rows
 
 MAX_DENSE_STATES = 6000
-UNIFORM_BLOCK = 8192
+# uniforms one simulator refill draws, split evenly over the replications
+UNIFORM_BUFFER = 2**19
 
 
 class MaxStepsExceededError(Exception):
@@ -151,30 +153,60 @@ def _rep_streams(seed, count, prefix=()):
             for child in root.spawn(count)]
 
 
-def _step_table(model):
-    """Cumulative sampling table for levels 0..n_prefix+1.
+class _StepTable(NamedTuple):
+    """Compressed sampling table for levels 0..n_prefix+1.
 
-    Row (level, phase) holds the cumulative probabilities of the 3d
-    outcomes [down phases | stay phases | up phases]; level 0 has zero
-    mass on the down block. The final entry is forced to 1 so a uniform
-    in [0,1) always lands. Every deeper level has the blocks of level
-    n_prefix+1, so its last row serves them all; a level-map model has no
-    such row and is refused."""
+    State s = level * d + phase keeps, in order, those of its 3d outcomes
+    [down phases | stay phases | up phases] that have positive
+    probability, plus the last one, whose cumulative probability is forced
+    to 1 so a uniform in [0, 1) always lands; repeats of it pad the row.
+    For the j-th kept outcome, ``cum[j, s]`` is its cumulative probability
+    in the full row, and ``shift`` and ``phase`` at j * n_states + s are
+    its level change and new phase. Every deeper level has the blocks of
+    level n_prefix + 1, so its rows serve them all.
+
+    The first full-row outcome whose cumulative value reaches u > 0 is
+    positive or the last, so it is kept and a draw lands on the same
+    outcome as on the full row; u = 0.0 lands on the first positive
+    outcome, never on an impossible move.
+    """
+
+    cum: np.ndarray
+    shift: np.ndarray
+    phase: np.ndarray
+    top: int
+    d: int
+
+
+def _step_table(model):
+    """The compressed table of ``model``; a level-map model has no
+    limiting tail row and is refused."""
     if isinstance(model, CallbackModel):
         raise ValueError("level-map models have no limiting tail; "
                          "the Monte Carlo oracles require a prefix+tail model")
-    cum = np.cumsum(_step_rows(model), axis=2)
-    cum[..., -1] = 1.0
-    return cum
+    rows = _step_rows(model)
+    n_levels, d, outcomes = rows.shape
+    rows = rows.reshape(-1, outcomes)
+    cum = np.cumsum(rows, axis=1)
+    cum[:, -1] = 1.0
+    keep = rows > 0
+    keep[:, -1] = True
+    width = int(keep.sum(axis=1).max())
+    # kept columns in order, padded by repeats of the last one
+    cols = np.sort(np.where(keep, np.arange(outcomes), outcomes - 1), axis=1)[:, :width]
+    packed = np.take_along_axis(cum, cols, axis=1)
+    cols = cols.T.ravel()
+    return _StepTable(cum=np.ascontiguousarray(packed.T), shift=cols // d - 1,
+                      phase=cols % d, top=n_levels - 1, d=d)
 
 
 def _advance(table, level, phase, u):
     """One step of each walker at (level, phase) driven by its uniform u;
     returns the new (level, phase)."""
-    d = table.shape[1]
-    rows = table[np.minimum(level, table.shape[0] - 1), phase]
-    k = (rows < u[:, None]).sum(axis=1)
-    return level + k // d - 1, k % d
+    state = np.minimum(level, table.top) * table.d + phase
+    k = (table.cum.take(state, axis=1) < u).sum(axis=0)
+    slot = k * table.cum.shape[1] + state
+    return level + table.shift.take(slot), table.phase.take(slot)
 
 
 def simulate(model, config=None):
@@ -215,12 +247,13 @@ def simulate(model, config=None):
     discarded = np.zeros(reps, dtype=np.int64)
     sum_len = np.zeros(reps, dtype=np.int64)
 
+    block = max(1, UNIFORM_BUFFER // reps)
     buf = np.empty((reps, 0))
     ptr = 0
     active = (completed < per_rep) & (rep_steps < 2 * config.max_steps)
     while np.any(active):
         if ptr >= buf.shape[1]:
-            buf = np.stack([g.random(UNIFORM_BLOCK) for g in gens])
+            buf = np.stack([g.random(block) for g in gens])
             ptr = 0
         u = buf[:, ptr]
         ptr += 1
@@ -385,10 +418,11 @@ def estimate_exit_probability(model, level, direction, config):
 
     direction "up" records the phase of first entry into level+1 (the walk
     reflects at 0 as usual); "down" records first entry into level-1 and
-    needs level >= 1. Walks start at (level, phase) for each phase in
-    turn. Needs a prefix+tail model, not a CallbackModel. Streams are
-    keyed by (seed, level, direction, start phase), so the estimate is
-    deterministic given the config.
+    needs level >= 1. config.samples walks start at (level, phase) for
+    each phase, and all of them step together, each start phase drawing
+    from its own stream. Needs a prefix+tail model, not a CallbackModel.
+    Streams are keyed by (seed, level, direction, start phase), so the
+    estimate is deterministic given the config.
     """
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
@@ -399,24 +433,25 @@ def estimate_exit_probability(model, level, direction, config):
     table = _step_table(model)
     gens = _rep_streams(config.seed, d,
                         prefix=(int(level), 0 if direction == "up" else 1))
-    counts = np.zeros((d, d), dtype=np.int64)
-    censored = np.zeros(d, dtype=np.int64)
-    for start_phase in range(d):
-        gen = gens[start_phase]
-        lev = np.full(config.samples, level, dtype=np.int64)
-        ph = np.full(config.samples, start_phase, dtype=np.int64)
-        steps = 0
-        while lev.size and steps < config.max_steps:
-            u = gen.random(lev.size)
-            lev, ph = _advance(table, lev, ph, u)
-            done = lev == target
-            if np.any(done):
-                np.add.at(counts[start_phase], ph[done], 1)
-                keep = ~done
-                lev = lev[keep]
-                ph = ph[keep]
-            steps += 1
-        censored[start_phase] = lev.size
+    # walkers sorted by start phase: each step, phase p's stream gives one
+    # uniform to each of its walkers still out, in the order they stand
+    start = np.repeat(np.arange(d), config.samples)
+    lev = np.full(start.size, level, dtype=np.int64)
+    ph = start.copy()
+    arrivals = [start[:0]]
+    steps = 0
+    while start.size and steps < config.max_steps:
+        active = np.bincount(start, minlength=d).tolist()
+        u = np.concatenate([gens[p].random(n) for p, n in enumerate(active) if n])
+        lev, ph = _advance(table, lev, ph, u)
+        done = lev == target
+        if np.any(done):
+            arrivals.append(start[done] * d + ph[done])
+            keep = ~done
+            start, lev, ph = start[keep], lev[keep], ph[keep]
+        steps += 1
+    counts = np.bincount(np.concatenate(arrivals), minlength=d * d).reshape(d, d)
+    censored = np.bincount(start, minlength=d)
     p_hat = counts / config.samples
     se = np.sqrt(p_hat * (1.0 - p_hat) / config.samples)
     return ExitEstimate(level=level, direction=direction, matrix=p_hat,

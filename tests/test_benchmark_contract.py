@@ -58,3 +58,17 @@ def test_boundary_visits_keep_their_terms(d1_pos, d1_null, d1_transient):
         assert len(bv.terms) >= 1
         seen.add(bv.status)
     assert seen == {"convergent", "divergent", "inconclusive"}
+
+
+def test_oracle_results_keep_their_counts(retrial_c1):
+    """The benchmark counts ``samples * matrix.shape[0]`` walks and
+    ``censored.sum()`` censored walks of an exit estimate, ``total_steps``
+    of a simulation and ``pi.size`` states of a truncated solve."""
+    d = retrial_c1.d
+    est = hs.estimate_exit_probability(retrial_c1, 1, "down",
+                                       hs.ExitConfig(seed=1, samples=50, max_steps=1))
+    assert est.samples * est.matrix.shape[0] == 50 * d
+    assert est.censored.shape == (d,) and 0 < int(est.censored.sum()) <= 50 * d
+    stats = hs.simulate(retrial_c1, config=hs.SimConfig(seed=1, cycles=100))
+    assert isinstance(stats.total_steps, int) and stats.total_steps >= stats.cycles
+    assert hs.truncated_solve(retrial_c1, 10).pi.size == 11 * d

@@ -6,7 +6,7 @@ import pytest
 import halfstrip as hs
 from halfstrip import MaxStepsExceededError, oracle
 
-from conftest import random_pos_recurrent_model, scalar_chain
+from conftest import random_pos_recurrent_model, retrial_model, scalar_chain
 
 
 def test_truncated_solve_residual(retrial_c1, retrial_c2):
@@ -159,6 +159,15 @@ def test_simulate_null_recurrent_terminates(d1_null):
         pass
 
 
+def test_simulate_refill_size_keeps_streams(retrial_c1, monkeypatch):
+    """Each replication reads its own stream in order, so the refill size
+    moves no statistic."""
+    cfg = hs.SimConfig(seed=402, cycles=3000, replications=16)
+    want = hs.simulate(retrial_c1, config=cfg).to_dict()
+    monkeypatch.setattr(oracle, "UNIFORM_BUFFER", 3)
+    assert hs.simulate(retrial_c1, config=cfg).to_dict() == want
+
+
 def test_simulate_se_shrinks_with_more_cycles(retrial_c1):
     small = hs.simulate(retrial_c1, config=hs.SimConfig(seed=19, cycles=2000))
     big = hs.simulate(retrial_c1, config=hs.SimConfig(seed=19, cycles=32000))
@@ -179,6 +188,98 @@ def test_oracle_streams_frozen():
     hits = np.rint(est.matrix * est.samples).astype(int)
     assert hits.tolist() == [[2270, 1730], [2405, 1595]]
     assert est.censored.tolist() == [0, 0]
+
+
+def _full_row_step(model, level, phase, u):
+    """Reference step on the full 3d-outcome row: the first outcome whose
+    cumulative probability reaches u, the last one forced to 1."""
+    rows = oracle._step_rows(model)
+    cum = np.cumsum(rows[min(level, len(rows) - 1), phase])
+    cum[-1] = 1.0
+    k = int((cum < u).sum())
+    return level + k // model.d - 1, k % model.d, cum
+
+
+def _step_models():
+    rng = np.random.default_rng(5)
+    return [retrial_model(0.2, 0.5, 1, gamma=1.0), retrial_model(1.5, 0.3, 8),
+            random_pos_recurrent_model(rng, 2)[0], random_pos_recurrent_model(rng, 3)[0]]
+
+
+def test_advance_matches_full_rows():
+    """The compressed table steps exactly as the full row does for every
+    u > 0: random draws, ties with each cumulative value, and the largest
+    double below 1, from every stored level and one past the last."""
+    rng = np.random.default_rng(12)
+    for model in _step_models():
+        table = oracle._step_table(model)
+        levels, cases = [], []
+        for level in range(model.n_prefix + 3):
+            for phase in range(model.d):
+                cum = _full_row_step(model, level, phase, 0.5)[2]
+                draws = np.concatenate([rng.random(20), cum[cum > 0], [np.nextafter(1.0, 0.0)]])
+                levels += [level] * draws.size
+                cases += [(phase, u) for u in draws]
+        level = np.array(levels, dtype=np.int64)
+        phase = np.array([p for p, _ in cases], dtype=np.int64)
+        u = np.array([u for _, u in cases])
+        got_level, got_phase = oracle._advance(table, level, phase, u)
+        want = [_full_row_step(model, int(n), int(p), x)[:2]
+                for n, p, x in zip(level, phase, u)]
+        assert list(zip(got_level.tolist(), got_phase.tolist())) == want
+
+
+def test_advance_zero_uniform_takes_a_possible_move(retrial_c1):
+    """A uniform of exactly 0.0 lands on the first outcome of positive
+    probability, never on a zero-probability move such as level -1."""
+    rows = oracle._step_rows(retrial_c1)
+    d, top = retrial_c1.d, len(rows) - 1
+    level = np.repeat(np.arange(top + 2), d)
+    phase = np.tile(np.arange(d), top + 2)
+    new_level, new_phase = oracle._advance(oracle._step_table(retrial_c1), level, phase,
+                                           np.zeros(level.size))
+    assert new_level.min() >= 0
+    outcome = (new_level - level + 1) * d + new_phase
+    assert np.all(rows[np.minimum(level, top), phase, outcome] > 0)
+
+
+def _per_phase_exit_counts(model, level, direction, config):
+    """Reference estimator: each start phase walked on its own, drawing a
+    fresh block of its stream every step."""
+    d = model.d
+    target = level + 1 if direction == "up" else level - 1
+    table = oracle._step_table(model)
+    gens = oracle._rep_streams(config.seed, d, prefix=(level, 0 if direction == "up" else 1))
+    counts = np.zeros((d, d), dtype=np.int64)
+    censored = np.zeros(d, dtype=np.int64)
+    for start in range(d):
+        lev = np.full(config.samples, level, dtype=np.int64)
+        ph = np.full(config.samples, start, dtype=np.int64)
+        steps = 0
+        while lev.size and steps < config.max_steps:
+            lev, ph = oracle._advance(table, lev, ph, gens[start].random(lev.size))
+            done = lev == target
+            np.add.at(counts[start], ph[done], 1)
+            lev, ph = lev[~done], ph[~done]
+            steps += 1
+        censored[start] = lev.size
+    return counts, censored
+
+
+def test_exit_estimate_matches_per_phase_reference():
+    """The one-population estimator reproduces the per-phase walks count
+    for count, censored walks included."""
+    censored_seen = 0
+    for model in _step_models():
+        for level, direction in ((0, "up"), (model.n_prefix + 1, "down")):
+            for max_steps in (10**6, 3):
+                cfg = hs.ExitConfig(seed=23, samples=300, max_steps=max_steps)
+                est = hs.estimate_exit_probability(model, level, direction, cfg)
+                counts, censored = _per_phase_exit_counts(model, level, direction, cfg)
+                assert np.array_equal(est.matrix, counts / cfg.samples)
+                assert est.censored.tolist() == censored.tolist()
+                censored_seen += int(censored.sum())
+    assert censored_seen > 0
 
 
 def test_estimate_exit_probability_up_matches_analytic(retrial_c1):
