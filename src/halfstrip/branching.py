@@ -449,7 +449,8 @@ class BoundaryVisits:
     note: str = ""
 
 
-def expected_boundary_visits(model, mu=None, horizon=SERIES_HORIZON, tol=DEFAULT_TOL):
+def expected_boundary_visits(model, mu=None, horizon=SERIES_HORIZON, tol=DEFAULT_TOL,
+                             data=None):
     """Expected number of layer-0 visits for a walk started on layer 0 at mu.
 
     Term k is mu_k A^+_k ... A^+_1 1 with mu_k the phase distribution upon
@@ -467,7 +468,9 @@ def expected_boundary_visits(model, mu=None, horizon=SERIES_HORIZON, tol=DEFAULT
 
     A level-callable model has no tail: its terms are summed, and the sum
     is inconclusive at the horizon or on overflow. ``radius_up``, the
-    upward tail offspring radius, is reported and gates nothing.
+    upward tail offspring radius, is reported and gates nothing. A
+    caller's ``data`` (from ``branching_data``) supplies the drift and G_1
+    instead of solving the tail again.
     """
     d = model.d
     if mu is None:
@@ -484,9 +487,11 @@ def expected_boundary_visits(model, mu=None, horizon=SERIES_HORIZON, tol=DEFAULT
             radius_up = _radius_up(model.tail, tol)
         except NoConvergenceError:
             pass
-        sign = drift_sign(tail_drift(model.tail))
+        sign = drift_sign(tail_drift(model.tail) if data is None else data.tail_drift)
     if sign > 0:
-        g1 = branching_data(model, tol=tol).exit_down_at(1)
+        if data is None:
+            data = branching_data(model, tol=tol)
+        g1 = data.exit_down_at(1)
         try:
             value = float(mu @ invert(np.eye(d) - boundary_exit_up(model) @ g1) @ np.ones(d))
         except SingularMatrixError as exc:

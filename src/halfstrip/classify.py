@@ -154,7 +154,7 @@ def classify(model, mu=None, horizon=SERIES_HORIZON, tol=DEFAULT_TOL, data=None)
             details={"note": "boundary visits divergent by implication",
                      "return_series_note": rb.note},
         )
-    bv = expected_boundary_visits(model, mu=mu, horizon=horizon, tol=tol)
+    bv = expected_boundary_visits(model, mu=mu, horizon=horizon, tol=tol, data=data)
     common = dict(
         return_bound=rb.value,
         boundary_visits=bv.value,

@@ -371,7 +371,9 @@ def _cmd_verify(args):
                                   "cells_skipped_rare": skipped,
                                   "unit": "deviation / (3 s.e.)"}))
 
-    rt_se = max(stats.return_time_se, 1.0 / stats.cycles)
+    # fewer than two replications that complete a cycle give no s.e.
+    rt_se = stats.return_time_se if math.isfinite(stats.return_time_se) else 0.0
+    rt_se = max(rt_se, 1.0 / stats.cycles)
     rt_dev = abs(stats.mean_return_time - result.normalizer) / (3.0 * rt_se)
     checks.append(_check("return-time-vs-simulation", rt_dev, 1.0,
                          context={"unit": "deviation / (3 s.e.)"}))

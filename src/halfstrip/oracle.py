@@ -21,6 +21,8 @@ from .model import CallbackModel, _step_rows
 MAX_DENSE_STATES = 6000
 # uniforms one simulator refill draws, split evenly over the replications
 UNIFORM_BUFFER = 2**19
+# most steps a simulator segment takes before its cycle bookkeeping
+SEGMENT_STEPS = 256
 
 
 class MaxStepsExceededError(Exception):
@@ -221,6 +223,15 @@ def simulate(model, config=None):
     runs on non-recurrent models terminate. If nothing completes,
     MaxStepsExceededError is raised. Needs a prefix+tail model, not a
     CallbackModel. Deterministic given (model, config).
+
+    The active replications step together in segments of at most
+    SEGMENT_STEPS steps, which end before a cycle could grow overlong or
+    a replication exhaust its budget anywhere but on their last step. A
+    segment records every walker's (level, phase) and then derives its
+    arrivals, cycle lengths, visits and restarts in one pass; steps past
+    a replication's last needed arrival are dropped. Each replication's
+    k-th step reads the k-th uniform of its stream however steps are
+    grouped, so the statistics equal per-step bookkeeping's bit for bit.
     """
     if config is None:
         raise ValueError("a SimConfig with an explicit seed is required")
@@ -242,60 +253,94 @@ def simulate(model, config=None):
     arrival_counts[np.arange(reps), phase] += 1
     cycle_start_phase = phase.copy()
     cyc_len = np.zeros(reps, dtype=np.int64)
-    rep_steps = np.zeros(reps, dtype=np.int64)
     completed = np.zeros(reps, dtype=np.int64)
     discarded = np.zeros(reps, dtype=np.int64)
     sum_len = np.zeros(reps, dtype=np.int64)
 
-    block = max(1, UNIFORM_BUFFER // reps)
-    buf = np.empty((reps, 0))
-    ptr = 0
-    active = (completed < per_rep) & (rep_steps < 2 * config.max_steps)
-    while np.any(active):
-        if ptr >= buf.shape[1]:
-            buf = np.stack([g.random(block) for g in gens])
-            ptr = 0
-        u = buf[:, ptr]
-        ptr += 1
-
+    budget = 2 * config.max_steps
+    buf = np.empty((reps, max(1, UNIFORM_BUFFER // reps)))
+    ptr = buf.shape[1]
+    steps = 0  # taken by each replication still active
+    active = completed < per_rep
+    while steps < budget and np.any(active):
         act = np.flatnonzero(active)
-        lev_a = level[act]
-        ph_a = phase[act]
-        pending[act, lev_a, ph_a] += 1
-        new_level, new_phase = _advance(table, lev_a, ph_a, u[act])
+        if ptr == buf.shape[1]:
+            # finished replications never step again, so their rows stay stale
+            for r in act:
+                gens[r].random(out=buf[r])
+            ptr = 0
+        # short enough that neither the step budget runs out nor a cycle
+        # grows overlong before the segment's last step
+        seg = min(buf.shape[1] - ptr, SEGMENT_STEPS, budget - steps,
+                  config.max_steps + 1 - int(cyc_len[act].max()))
+        u = np.ascontiguousarray(buf[act, ptr:ptr + seg].T)
+        ptr += seg
+        steps += seg
 
-        level[act] = new_level
-        phase[act] = new_phase
-        cyc_len[act] += 1
-        rep_steps[act] += 1
+        # stepping: levels[j], phases[j] is each replication's state after
+        # j steps of the segment
+        levels, phases = np.empty((2, seg + 1, act.size), dtype=np.int64)
+        levels[0], phases[0] = level[act], phase[act]
+        lev, ph = levels[0], phases[0]
+        for j in range(seg):
+            lev, ph = _advance(table, lev, ph, u[j])
+            levels[j + 1], phases[j + 1] = lev, ph
 
-        top = int(new_level.max())
+        # bookkeeping; step j of the segment leaves the state in row j - 1
+        step = np.arange(1, seg + 1)[:, None]
+        lands = levels[1:] == 0
+        start_len = cyc_len[act]
+        # only a cycle open all segment long can cross the cap, on the last
+        # step; one that crosses it on its closing step is still overlong
+        over = (start_len + seg > config.max_steps) & ~lands[:-1].any(axis=0)
+        lands[-1] &= ~over
+        # a replication that completes its share mid-segment finishes there:
+        # later arrivals do not count, and its state is never read again
+        arrive = lands & (np.cumsum(lands, axis=0) - lands < per_rep - completed[act])
+        last = (arrive * step).max(axis=0)
+        closes = last > 0
+
+        top = int(levels.max())
         if top >= pending.shape[1]:
             pad = ((0, 0), (0, top + 8 - pending.shape[1]), (0, 0))
             pending = np.pad(pending, pad)
             committed = np.pad(committed, pad)
+        # visits up to a replication's last arrival close cycles, later ones
+        # stay pending
+        cells = np.arange(act.size) * pending[0].size + levels[:-1] * d + phases[:-1]
+        held = pending[act]
+        closing = closes[:, None, None]
+        committed[act] += np.where(closing, held, 0.0) + np.bincount(
+            cells[step <= last], minlength=held.size).reshape(held.shape)
+        pending[act] = np.where(closing, 0.0, held) + np.bincount(
+            cells[step > last], minlength=held.size).reshape(held.shape)
+        arrival_counts += np.bincount((act * d + phases[1:])[arrive],
+                                      minlength=arrival_counts.size).reshape(reps, d)
+        cycle_start_phase[act[closes]] = phases[last[closes], np.flatnonzero(closes)]
 
-        # a cycle that crosses the cap on its closing step is still overlong
-        over_mask = cyc_len[act] > config.max_steps
-        arrived = act[(new_level == 0) & ~over_mask]
-        if arrived.size:
-            committed[arrived] += pending[arrived]
-            sum_len[arrived] += cyc_len[arrived]
-            completed[arrived] += 1
-            pending[arrived] = 0.0
-            cyc_len[arrived] = 0
-            cycle_start_phase[arrived] = phase[arrived]
-            arrival_counts[arrived, phase[arrived]] += 1
-        overlong = act[over_mask]
-        if overlong.size:
-            # restart, but do not record a teleport as an arrival
-            discarded[overlong] += 1
-            pending[overlong] = 0.0
-            cyc_len[overlong] = 0
-            level[overlong] = 0
-            phase[overlong] = cycle_start_phase[overlong]
-        active = (completed < per_rep) & (rep_steps < 2 * config.max_steps)
+        closed = np.where(closes, start_len + last, 0)
+        sum_len[act] += closed
+        cyc_len[act] = np.where(over, 0, start_len + seg - closed)
+        completed[act] += arrive.sum(axis=0)
+        level[act], phase[act] = levels[-1], phases[-1]
+        # restart, but do not record a teleport as an arrival
+        overlong = act[over]
+        discarded[overlong] += 1
+        pending[overlong] = 0.0
+        level[overlong] = 0
+        phase[overlong] = cycle_start_phase[overlong]
+        active = completed < per_rep
+    return _cycle_stats(config, per_rep, committed, arrival_counts, completed,
+                        discarded, sum_len)
 
+
+def _cycle_stats(config, per_rep, committed, arrival_counts, completed, discarded,
+                 sum_len):
+    """SimStats from per-replication tallies: committed[r, l, p] counts the
+    visits to (l, p) in completed cycles, arrival_counts[r, p] the arrivals
+    on layer 0 in phase p (the start included); completed, discarded and
+    sum_len hold cycle counts and summed cycle lengths."""
+    reps, d = arrival_counts.shape
     total_cycles = int(completed.sum())
     if total_cycles == 0:
         raise MaxStepsExceededError(
@@ -304,9 +349,9 @@ def simulate(model, config=None):
     total_steps = int(sum_len.sum())
     mean_rt = total_steps / total_cycles
     rep_means = sum_len / np.maximum(completed, 1)
-    if reps > 1:
-        rt_se = float(np.std(rep_means[completed > 0], ddof=1)
-                      / math.sqrt(int((completed > 0).sum())))
+    done = completed > 0
+    if done.sum() > 1:
+        rt_se = float(np.std(rep_means[done], ddof=1) / math.sqrt(int(done.sum())))
     else:
         rt_se = math.nan
 

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -224,6 +225,23 @@ def test_transient_just_above_critical_is_not_certified_positive_recurrent():
     assert abs(c.tail_radius_down - 1.0) <= 1e-12
     want = 1.0 + 1.0 / (r_c - 1.0)
     assert abs(c.boundary_visits - want) <= 1e-6 * want
+
+
+def test_transient_classify_solves_the_tail_once(monkeypatch):
+    """A transient classify builds its branching data once; the visit
+    series reads the drift and G_1 from it, and the verdict is unchanged."""
+    model = _retrial_at(0.35)
+    want = hs.classify(model)
+    calls = []
+    build = hs.branching.branching_data
+    counting = lambda *args, **kw: calls.append(args) or build(*args, **kw)
+    monkeypatch.setattr(hs.branching, "branching_data", counting)
+    monkeypatch.setattr(importlib.import_module("halfstrip.classify"), "branching_data",
+                        counting)
+    got = hs.classify(model)
+    assert got.verdict == hs.TRANSIENT
+    assert len(calls) == 1
+    assert got == want
 
 
 def test_rounding_critical_point_is_not_certified_positive_recurrent():

@@ -366,6 +366,18 @@ def test_verify_deterministic_and_green(model_files, tmp_path):
     assert report["results"]["checks_passed"] == len(names)
 
 
+def test_verify_one_cycle_floors_the_return_time_se(model_files):
+    """One cycle means one replication and a NaN return-time s.e.; the
+    check falls back to its 1/cycles floor instead of failing on NaN."""
+    code, out, err = run_cli(["verify", model_files["pos"], "--seed", "1",
+                              "--cycles", "1", "--samples", "300"])
+    assert code == 0, err
+    check, = (c for c in json.loads(out)["checks"]
+              if c["name"] == "return-time-vs-simulation")
+    assert math.isfinite(check["measured"])
+    assert check["status"] == "pass"
+
+
 def test_verify_non_recurrent_short_circuits(model_files):
     code, out, _ = run_cli(["verify", model_files["transient"], "--seed", "1"])
     assert code == 0

@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +168,118 @@ def test_simulate_refill_size_keeps_streams(retrial_c1, monkeypatch):
     want = hs.simulate(retrial_c1, config=cfg).to_dict()
     monkeypatch.setattr(oracle, "UNIFORM_BUFFER", 3)
     assert hs.simulate(retrial_c1, config=cfg).to_dict() == want
+
+
+def _per_step_simulate(model, config):
+    """Reference simulator: all replications take one step at a time, with
+    the cycle bookkeeping after every step."""
+    d = model.d
+    table = oracle._step_table(model)
+    reps = max(1, min(config.replications, config.cycles))
+    per_rep = -(-config.cycles // reps)
+    gens = oracle._rep_streams(config.seed, reps)
+    level = np.zeros(reps, dtype=np.int64)
+    cum_start = np.cumsum(np.full(d, 1.0 / d))
+    cum_start[-1] = 1.0
+    first_u = np.array([g.random() for g in gens])
+    phase = (cum_start[None, :] < first_u[:, None]).sum(axis=1).astype(np.int64)
+    pending = np.zeros((reps, 1, d))
+    committed = np.zeros((reps, 1, d))
+    arrival_counts = np.zeros((reps, d))
+    arrival_counts[np.arange(reps), phase] += 1
+    cycle_start_phase = phase.copy()
+    cyc_len, rep_steps, completed, discarded, sum_len = np.zeros((5, reps), dtype=np.int64)
+    block = max(1, oracle.UNIFORM_BUFFER // reps)
+    buf = np.empty((reps, 0))
+    ptr = 0
+    active = (completed < per_rep) & (rep_steps < 2 * config.max_steps)
+    while np.any(active):
+        if ptr >= buf.shape[1]:
+            buf = np.stack([g.random(block) for g in gens])
+            ptr = 0
+        u = buf[:, ptr]
+        ptr += 1
+        act = np.flatnonzero(active)
+        lev_a, ph_a = level[act], phase[act]
+        pending[act, lev_a, ph_a] += 1
+        new_level, new_phase = oracle._advance(table, lev_a, ph_a, u[act])
+        level[act], phase[act] = new_level, new_phase
+        cyc_len[act] += 1
+        rep_steps[act] += 1
+        top = int(new_level.max())
+        if top >= pending.shape[1]:
+            pad = ((0, 0), (0, top + 8 - pending.shape[1]), (0, 0))
+            pending, committed = np.pad(pending, pad), np.pad(committed, pad)
+        over_mask = cyc_len[act] > config.max_steps
+        arrived = act[(new_level == 0) & ~over_mask]
+        committed[arrived] += pending[arrived]
+        sum_len[arrived] += cyc_len[arrived]
+        completed[arrived] += 1
+        pending[arrived] = 0.0
+        cyc_len[arrived] = 0
+        cycle_start_phase[arrived] = phase[arrived]
+        arrival_counts[arrived, phase[arrived]] += 1
+        overlong = act[over_mask]
+        discarded[overlong] += 1
+        pending[overlong] = 0.0
+        cyc_len[overlong] = 0
+        level[overlong] = 0
+        phase[overlong] = cycle_start_phase[overlong]
+        active = (completed < per_rep) & (rep_steps < 2 * config.max_steps)
+    return oracle._cycle_stats(config, per_rep, committed, arrival_counts, completed,
+                               discarded, sum_len)
+
+
+def test_simulate_matches_per_step_reference(d1_pos, d1_null, monkeypatch):
+    """Segment stepping reproduces the per-step simulator exactly: overlong
+    discards, retirement on the step budget, a step cap past int64, uneven
+    and oversized replication counts, refills inside a run, and walkers
+    above the first tail level."""
+    climber, _ = random_pos_recurrent_model(np.random.default_rng(8), 2)
+    c1, c8 = retrial_model(0.2, 0.5, 1, gamma=1.0), retrial_model(1.5, 0.3, 8)
+    cases = [
+        (d1_pos, hs.SimConfig(seed=5, cycles=400, max_steps=6, replications=8), None),
+        # a cycle landing on layer 0 on the step that makes it overlong
+        (c1, hs.SimConfig(seed=4, cycles=300, max_steps=2, replications=7), None),
+        (d1_null, hs.SimConfig(seed=3, cycles=200, max_steps=40, replications=4), None),
+        (c1, hs.SimConfig(seed=7, cycles=777, replications=5), None),
+        # a cap past the int64 range
+        (d1_pos, hs.SimConfig(seed=8, cycles=100, max_steps=10**20, replications=4), None),
+        (c8, hs.SimConfig(seed=1, cycles=3, replications=8), None),
+        (c1, hs.SimConfig(seed=4, cycles=60, replications=1), None),
+        (c1, hs.SimConfig(seed=9, cycles=200, replications=2), 3),
+        (c8, hs.SimConfig(seed=6, cycles=600, max_steps=30, replications=3), 1000),
+        (climber, hs.SimConfig(seed=402, cycles=2000, replications=16), None),
+    ]
+    seen = {"discarded": 0, "retired": 0, "climbed": 0}
+    for model, cfg, buffer in cases:
+        if buffer is not None:
+            monkeypatch.setattr(oracle, "UNIFORM_BUFFER", buffer)
+        got = hs.simulate(model, config=cfg)
+        want = _per_step_simulate(model, cfg)
+        monkeypatch.undo()
+        # json spells NaN alike on both sides, where == on floats would not
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+        seen["discarded"] += got.discarded
+        seen["retired"] += got.cycles < cfg.cycles
+        seen["climbed"] += got.max_level > model.n_prefix + 1
+    assert all(seen.values()), seen
+
+
+def test_segment_never_exceeds_the_uniform_buffer():
+    assert 1 <= oracle.SEGMENT_STEPS <= oracle.UNIFORM_BUFFER
+
+
+def test_simulate_without_two_completing_replications_warns_nothing():
+    """Fewer than two replications complete a cycle: the return-time s.e.
+    is NaN, as with one replication, and numpy prints no warning."""
+    model = retrial_model(1.5, 0.3, 8)
+    cfg = hs.SimConfig(seed=2, cycles=50, max_steps=2, replications=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = hs.simulate(model, config=cfg)
+    assert stats.cycles > 0
+    assert math.isnan(stats.return_time_se)
 
 
 def test_simulate_se_shrinks_with_more_cycles(retrial_c1):

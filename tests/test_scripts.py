@@ -54,3 +54,23 @@ def test_decay_profile_reads_chain_and_rate_model_files(tmp_path):
     rows = list(csv.DictReader(io.StringIO(outputs[0])))
     assert [int(row["level"]) for row in rows] == list(range(1, 41))
     assert float(rows[-1]["limit"]) == pytest.approx(math.log(2.0 / 3.0), abs=1e-9)
+
+
+def test_report_digests_lists_every_op_of_a_round(tmp_path):
+    """One line per op of the critical round, in round order: seed, label,
+    exit code 0 and the SHA-256 digest of the report."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run(
+        [sys.executable, "scripts/report_digests.py", "--workload", "critical",
+         "--seeds", "1", "--workdir", str(tmp_path)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split("\t") for line in proc.stdout.splitlines()]
+    ops, _ = workloads.build("critical", hs, 1, tmp_path)
+    assert [row[:3] for row in rows] == [["1", op.label, "0"] for op in ops]
+    assert all(len(row[3]) == 64 and set(row[3]) <= set("0123456789abcdef") for row in rows)
