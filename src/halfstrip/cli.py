@@ -15,9 +15,9 @@ but at least one check failed.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -83,28 +83,64 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(EXIT_USAGE, f"{self.prog}: error: {message}")
 
 
-def _plain(obj):
-    """Recursively convert to JSON-safe primitives; non-finite floats become
-    strings so the output stays strict JSON."""
-    if isinstance(obj, np.ndarray):
-        return _plain(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
-        return _plain(obj.item())
-    if isinstance(obj, float):
-        if math.isnan(obj):
-            return "NaN"
-        if math.isinf(obj):
-            return "Infinity" if obj > 0 else "-Infinity"
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    return obj
+_NUMERIC = b"0123456789.eE+-[], "  # all a repr of numbers and lists can hold
+
+
+def _numeric_block(items, nl):
+    """JSON of a list of numbers or of non-empty rows of them from one repr, else None."""
+    rows = type(items[0]) is list
+    if not (all(type(row) is list and row for row in items) if rows
+            else type(items[0]) in (float, int)):
+        return None
+    text = list.__repr__(items)
+    if (text.count("[") != (len(items) + 1 if rows else 1) or not text.isascii()
+            or text.encode().translate(None, _NUMERIC)):
+        return None
+    row, cell = nl + "  ", nl + ("    " if rows else "  ")
+    if not rows:
+        return "[" + cell + text[1:-1].replace(", ", "," + cell) + nl + "]"
+    body = text[2:-2].replace("], [", row + "]," + row + "[" + cell)
+    return "[" + row + "[" + cell + body.replace(", ", "," + cell) + row + "]" + nl + "]"
+
+
+def _encode(obj, nl, emit):
+    """Emit the JSON of ``obj``, its inner lines starting with ``nl``."""
+    if isinstance(obj, str):
+        emit(_quote(obj))
+    elif obj is None or obj is True or obj is False:
+        emit("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, (np.ndarray, np.floating, np.integer)):
+        _encode(obj.tolist(), nl, emit)
+    elif isinstance(obj, float):
+        emit(float.__repr__(obj) if math.isfinite(obj) else '"NaN"' if obj != obj
+             else '"Infinity"' if obj > 0 else '"-Infinity"')
+    elif isinstance(obj, int):
+        emit(int.__repr__(obj))
+    elif not isinstance(obj, (dict, list, tuple)):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    elif not obj:
+        emit("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, dict):
+        for i, (key, val) in enumerate(sorted({str(k): v for k, v in obj.items()}.items())):
+            emit(("," if i else "{") + nl + "  " + _quote(key) + ": ")
+            _encode(val, nl + "  ", emit)
+        emit(nl + "}")
+    elif (block := _numeric_block(list(obj), nl)) is not None:
+        emit(block)
+    else:
+        for i, item in enumerate(obj):
+            emit(("," if i else "[") + nl + "  ")
+            _encode(item, nl + "  ", emit)
+        emit(nl + "]")
 
 
 def _dump_json(payload):
-    return json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n"
+    """json.dumps(payload, sort_keys=True, indent=2) and a newline, with
+    numpy values as Python ones, tuples as lists, str(key) keys and
+    non-finite floats as the strings "NaN", "Infinity" and "-Infinity"."""
+    parts = []
+    _encode(payload, "\n", parts.append)
+    return "".join(parts) + "\n"
 
 
 def _write_output(text, out_path):
@@ -159,8 +195,7 @@ def _fmt(x, digits=6):
 
 
 def _emit(report, args, pretty_lines):
-    fmt = args.format
-    if fmt == "pretty":
+    if args.format == "pretty":
         _write_output("".join(line + "\n" for line in pretty_lines), args.output)
     else:
         _write_output(_dump_json(report), args.output)
@@ -218,12 +253,11 @@ def _cmd_stationary(args):
     model, _ = _load_model(args.model)
     data = branching_data(model, tol=args.tol)
     result, checks = _stationary_with_checks(model, data, args.levels, args.tol)
-    results = result_to_dict(result)
-    report = _report("stationary", _inputs(args, ["model", "tol", "levels"]),
-                     results, checks)
     if args.format == "csv":
         _write_output(result_to_csv(result), args.output)
         return EXIT_OK
+    report = _report("stationary", _inputs(args, ["model", "tol", "levels"]),
+                     result_to_dict(result), checks) if args.format == "json" else None
     lines = [
         f"levels computed: 0..{result.levels}",
         f"normalizer (expected return time): {_fmt(result.normalizer, 10)}",
@@ -454,11 +488,7 @@ def _cmd_example(args):
 
 
 def _inputs(args, names):
-    out = {}
-    for name in names:
-        val = getattr(args, name, None)
-        out[name] = val
-    return out
+    return {name: getattr(args, name, None) for name in names}
 
 
 def _bounded(cast, low):

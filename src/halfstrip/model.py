@@ -550,9 +550,9 @@ def load_model(source):
 
 
 def save_model(model, path):
+    from .cli import _dump_json  # the one JSON writer; cli imports this module
     with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_dump_json(model_to_dict(model)))
 
 
 def as_chain(model, gamma=None):

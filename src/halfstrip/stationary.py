@@ -10,7 +10,6 @@ spectral radius of the tail's downward offspring matrix.
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -314,14 +313,10 @@ def result_to_csv(result):
     """CSV form: one row per (level, phase) with the stationary mass and
     the finite-level decay estimate (blank on level 0 and underflowed
     entries)."""
-    buf = io.StringIO()
-    buf.write("level,phase,nu,log_nu_over_n\n")
-    for n, row in enumerate(result.nu):
-        for j, val in enumerate(row):
-            val = float(val)
-            if n >= 1 and val > 0.0:
-                rate = repr(math.log(val) / n)
-            else:
-                rate = ""
-            buf.write(f"{n},{j},{val!r},{rate}\n")
-    return buf.getvalue()
+    levels, d = result.nu.shape
+    flat = result.nu.ravel().tolist()
+    level = [n for n in range(levels) for _ in range(d)]
+    rates = [repr(math.log(val) / n) if n and val > 0.0 else "" for n, val in zip(level, flat)]
+    lines = map(",".join, zip(map(str, level), [str(j) for j in range(d)] * levels,
+                              list.__repr__(flat)[1:-1].split(", "), rates))
+    return "level,phase,nu,log_nu_over_n\n" + "\n".join(lines) + "\n"

@@ -5,6 +5,7 @@ one subprocess test that runs the [project.scripts] entry point through a
 generated launcher and a real shell pipe.
 """
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -13,11 +14,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import halfstrip as hs
-from halfstrip.cli import main
+from halfstrip.cli import _dump_json, main
 
 
 def run_cli(argv, stdin_text=None):
@@ -436,7 +439,6 @@ def test_example_round_trips_byte_identical():
             "--c", "1", "--theta", "0.3"]
     _, out, _ = run_cli(argv)
     reparsed = hs.model_to_dict(hs.model_from_dict(json.loads(out)))
-    from halfstrip.cli import _dump_json
     assert _dump_json(reparsed) == out
 
 
@@ -489,3 +491,98 @@ def test_console_script_pipe(tmp_path):
         shell=True, capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert "decay rate: 0.666667" in proc.stdout
+
+
+# ------------------------------------------------------------ report bytes
+
+# SHA-256 of each report as written before reports were encoded in one pass
+# (_plain_reference and json.dumps below). They pin the exact bytes: a change
+# here is a change of the report format, never a value to re-record.
+CRITICAL_LAMBDA = "0.2651505750929414"  # one-server retrial, mu 0.5, theta 0.3: r_c - 1 = -1e-3
+FROZEN_DIGESTS = {
+    "example": "096a722c10a5b59bcef77c9a31aedaba663c69301910c7738f28cb8a3ba55ead",
+    "stationary": "b4368ae51ff2e1d13760b1653c1e704b320cd55c7e5b08fd76ae22463b4d9a14",
+    "decay": "985db1ee605d779b77fafb6a220da0fceca6e8a68f31e51237d78d3dcf4596a3",
+    "simulate": "09d37f2068356270938d66fb47fe487a0a5c34b512ef98126875f3c7d078d9f5",
+}
+
+
+def test_report_bytes_match_frozen_digests():
+    """The models go through stdin so no report echoes a file path: the
+    1.6 MB critical stationary report (the numeric-array path), NaN inside
+    a list (decay at zero levels) and NaN scalars and rows (one simulated
+    cycle)."""
+    example = ["example", "retrial", "--mu", "0.5", "--c", "1", "--theta", "0.3"]
+    _, small, _ = run_cli(example + ["--lambda", "0.2"])
+    _, critical, _ = run_cli(example + ["--lambda", CRITICAL_LAMBDA])
+    reports = {"example": small}
+    for name, argv, model in [
+            ("stationary", ["stationary", "-", "--format", "json"], critical),
+            ("decay", ["decay", "-", "--levels", "0", "--format", "json"], small),
+            ("simulate", ["simulate", "-", "--seed", "1", "--cycles", "1",
+                          "--replications", "1", "--format", "json"], small)]:
+        code, reports[name], _ = run_cli(argv, stdin_text=model)
+        assert code == 0
+    assert len(reports["stationary"]) == 1_631_799
+    assert '"NaN"' in reports["decay"] and '"NaN"' in reports["simulate"]
+    digests = {name: hashlib.sha256(text.encode()).hexdigest()
+               for name, text in reports.items()}
+    assert digests == FROZEN_DIGESTS
+
+
+def _plain_reference(obj):
+    """The converter reports went through before the one-pass encoder."""
+    if isinstance(obj, np.ndarray):
+        return _plain_reference(obj.tolist())
+    if isinstance(obj, (np.floating, np.integer)):
+        return _plain_reference(obj.item())
+    if isinstance(obj, float):
+        if math.isnan(obj):
+            return "NaN"
+        if math.isinf(obj):
+            return "Infinity" if obj > 0 else "-Infinity"
+        return obj
+    if isinstance(obj, dict):
+        return {str(k): _plain_reference(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain_reference(v) for v in obj]
+    return obj
+
+
+def _dump_json_reference(payload):
+    return json.dumps(_plain_reference(payload), sort_keys=True, indent=2) + "\n"
+
+
+_floats = st.floats(allow_nan=True, allow_infinity=True)
+_numbers = st.one_of(_floats, st.integers(),
+                     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                                      2.2250738585072014e-308, 2**64]))
+_finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.integers(-2**70, 2**70))
+_payload_leaves = st.one_of(
+    _numbers, st.booleans(), st.none(), st.text(max_size=8),
+    _floats.map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0,
+                                            max_side=4), elements=_floats),
+    hnp.arrays(np.int64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0,
+                                          max_side=3)),
+    # the shapes the numeric-array path takes or must refuse: flat, rows,
+    # ragged and empty rows, mixed int/float
+    st.lists(_numbers, max_size=6),
+    st.lists(st.lists(_numbers, max_size=4), max_size=4),
+    st.lists(st.lists(_finite, min_size=1, max_size=4), min_size=1, max_size=4),
+)
+_payloads = st.recursive(
+    _payload_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=6), st.integers(-3, 3)),
+                        inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_payloads)
+def test_dump_json_matches_reference_encoder(payload):
+    assert _dump_json(payload) == _dump_json_reference(payload)

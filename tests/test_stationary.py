@@ -171,6 +171,27 @@ def test_csv_has_no_numpy_reprs(retrial_c1):
     assert "(" not in csv
 
 
+def _csv_per_entry(result):
+    """The CSV as written one entry at a time before it was rendered with
+    joins: the bytes result_to_csv must keep."""
+    out = ["level,phase,nu,log_nu_over_n\n"]
+    for n, row in enumerate(result.nu):
+        for j, val in enumerate(row):
+            val = float(val)
+            rate = repr(math.log(val) / n) if n >= 1 and val > 0.0 else ""
+            out.append(f"{n},{j},{val!r},{rate}\n")
+    return "".join(out)
+
+
+def test_csv_matches_per_entry_rendering(d1_pos):
+    """Byte for byte on the 20,714-level critical retrial result and on a
+    scalar result whose deep levels underflow to 0 (blank rates)."""
+    deep = hs.stationary_dist(d1_pos, levels=850)
+    assert deep.underflow_levels
+    for res in (hs.stationary_dist(_critical_c1()), deep):
+        assert hs.result_to_csv(res) == _csv_per_entry(res)
+
+
 def test_dict_export_is_json_ready(retrial_c1):
     res = hs.stationary_dist(retrial_c1, levels=8)
     payload = hs.result_to_dict(res)
