@@ -5,7 +5,7 @@ level-dependent prefix, and a constant tail. The package computes exit
 probabilities and the associated branching structure, certifies recurrence
 classifications, evaluates the stationary distribution in closed form with
 its geometric decay rate, and verifies everything against two independent
-oracles (a truncated dense solve and a seeded simulator).
+oracles (a truncated linear solve and a seeded simulator).
 """
 
 __version__ = "0.1.0"

@@ -380,7 +380,7 @@ def _cmd_verify(args):
     kac = abs(1.0 / result.normalizer - float(result.nu[0].sum()))
     checks.append(_check("return-time-reciprocal-is-boundary-mass", kac, 1e-8))
 
-    # oracle 1: truncated dense solve
+    # oracle 1: truncated linear solve
     cutoff = max(args.levels or 0, min(result.levels + 20, 400), 10)
     trunc = truncated_solve(model, cutoff)
     span = min(result.levels, cutoff // 2)
@@ -426,6 +426,8 @@ def _cmd_verify(args):
                                              ecfg.samples)
     checks.append(_check("boundary-exit-vs-simulation", up_viol, 1.0,
                          context={"cells_skipped_rare": up_skipped,
+                                  "samples": ecfg.samples,
+                                  "censored": int(est_up.censored.sum()),
                                   "unit": "deviation / (3 s.e.)"}))
 
     lev_dn = model.n_prefix + 1
@@ -436,6 +438,8 @@ def _cmd_verify(args):
     checks.append(_check("descent-exit-vs-simulation", dn_viol, 1.0,
                          context={"level": lev_dn,
                                   "cells_skipped_rare": dn_skipped,
+                                  "samples": ecfg.samples,
+                                  "censored": int(est_dn.censored.sum()),
                                   "unit": "deviation / (3 s.e.)"}))
 
     results.update({

@@ -1,7 +1,7 @@
 """Dense numeric kernels shared across the package.
 
 Matrices are float64 numpy arrays, small (d x d with d rarely above a few
-dozen, a few thousand states for truncated global solves). Probability row
+dozen). Probability row
 vectors act on the left (``vec @ mat``); expected-step columns act on the
 right. Inverses, solves and eigenvalues run on LAPACK; ``invert`` refuses
 a matrix whose 1-norm condition number exceeds ``COND_LIMIT``, a

@@ -1,11 +1,11 @@
 """Ground-truth oracles: a truncated linear solve and a seeded simulator.
 
 Both are independent of the branching-structure machinery on purpose.
-The truncated solve censors the strip at a cutoff level and solves the
-global balance equations dense; the simulator runs the walk itself with a
-counter-based generator, one stream per replication, so every estimate is
-reproducible bit for bit. Tests and the verify command compare analytic
-results against both.
+The truncated solve censors the strip at a cutoff level and solves its
+global balance equations by linear level reduction; the simulator runs
+the walk itself with a counter-based generator, one stream per
+replication, so every estimate is reproducible bit for bit. Tests and the
+verify command compare analytic results against both.
 """
 from __future__ import annotations
 
@@ -15,10 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import stationary_left_vector
+from .linalg import invert, stationary_left_vector
 from .model import CallbackModel, _step_rows
 
-MAX_DENSE_STATES = 6000
 # uniforms one simulator refill draws, split evenly over the replications
 UNIFORM_BUFFER = 2**19
 # most steps a simulator segment takes before its cycle bookkeeping
@@ -38,6 +37,7 @@ class TruncatedSolution:
     pi is flat over (cutoff+1)*d states, level-major. The top level's up
     block is folded into its stay block (censor-style repair), which keeps
     the matrix stochastic and converges fastest for geometric tails.
+    residual is the l1 norm of pi T - pi over the truncated matrix T.
     """
 
     cutoff: int
@@ -60,35 +60,45 @@ class TruncatedSolution:
 
 
 def truncated_solve(model, cutoff):
-    """Dense stationary solve of the strip truncated at ``cutoff`` >= 2.
+    """Stationary solve of the strip truncated at ``cutoff`` >= 2, by
+    linear level reduction.
 
-    Refuses state spaces too large to solve dense; use a smaller cutoff
-    (the tail is geometric, so moderate cutoffs already agree with the
-    closed form to full tolerance).
+    With U, S, D the up, stay and down blocks of each level (U_0 = p0,
+    S_0 = r0, and the top level's up block folded into its stay block),
+    the rate matrices R_n = U_{n-1} (I - S_n - R_{n+1} D_{n+1})^-1 come
+    from the cutoff down, R_{cutoff+1} D_{cutoff+1} read as 0, so that
+    pi_n = pi_{n-1} R_n; pi_0 is the stationary vector of the boundary
+    chain censored to level 0, r0 + R_1 D_1. The work is O(cutoff d^3)
+    and the memory O(cutoff d^2), so any cutoff is solved.
     """
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
     d = model.d
-    n_states = (cutoff + 1) * d
-    if n_states > MAX_DENSE_STATES:
-        raise ValueError(
-            f"{n_states} states is too large for a dense solve; lower the "
-            f"cutoff below {MAX_DENSE_STATES // d} levels")
-    t = np.zeros((n_states, n_states))
-    t[0:d, 0:d] = model.r0
-    t[0:d, d:2 * d] = model.p0
+    blocks = [model.block_at(n) for n in range(1, cutoff + 1)]
+    zero = np.zeros((d, d))
+    down = np.stack([zero] + [b.down for b in blocks])
+    stay = np.stack([model.r0] + [b.stay for b in blocks])
+    up = np.stack([model.p0] + [b.up for b in blocks[:-1]] + [zero])
+    stay[cutoff] += blocks[-1].up
+
+    eye = np.eye(d)
+    rates = np.empty((cutoff + 1, d, d))
+    back = zero  # R_{n+1} D_{n+1}
+    for n in range(cutoff, 0, -1):
+        rates[n] = up[n - 1] @ invert(eye - stay[n] - back)
+        back = rates[n] @ down[n]
+    pi = np.empty((cutoff + 1, d))
+    pi[0] = stationary_left_vector(stay[0] + back, row_tol=1e-8)
     for n in range(1, cutoff + 1):
-        blk = model.block_at(n)
-        lo = n * d
-        t[lo:lo + d, lo - d:lo] = blk.down
-        if n < cutoff:
-            t[lo:lo + d, lo:lo + d] = blk.stay
-            t[lo:lo + d, lo + d:lo + 2 * d] = blk.up
-        else:
-            t[lo:lo + d, lo:lo + d] = blk.stay + blk.up
-    pi = stationary_left_vector(t, row_tol=1e-8)
-    residual = float(np.sum(np.abs(pi @ t - pi)))
-    return TruncatedSolution(cutoff=cutoff, d=d, pi=pi,
+        pi[n] = pi[n - 1] @ rates[n]
+    pi /= pi.sum()
+
+    # (pi T)_n = pi_{n-1} U_{n-1} + pi_n S_n + pi_{n+1} D_{n+1}
+    flow = np.einsum("ni,nij->nj", pi, stay)
+    flow[1:] += np.einsum("ni,nij->nj", pi[:-1], up[:-1])
+    flow[:-1] += np.einsum("ni,nij->nj", pi[1:], down[1:])
+    residual = float(np.sum(np.abs(flow - pi)))
+    return TruncatedSolution(cutoff=cutoff, d=d, pi=pi.ravel(),
                              augmentation="fold-top-up-into-stay",
                              residual=residual)
 
@@ -180,13 +190,28 @@ class _StepTable(NamedTuple):
     d: int
 
 
-def _step_table(model):
-    """The compressed table of ``model``; a level-map model has no
-    limiting tail row and is refused."""
+def _jump_rows(rows):
+    """The jump chain of ``rows`` (see ``_step_rows``): in each state's row
+    the self-loop, the stay outcome into its own phase, is set to 0 and the
+    row divided by its new sum. A state with no other move keeps its row."""
+    d = rows.shape[1]
+    own = np.arange(d)
+    jump = rows.copy()
+    jump[:, own, d + own] = 0.0
+    rest = jump.sum(axis=2, keepdims=True)
+    return np.divide(jump, rest, out=rows.copy(), where=rest > 0)
+
+
+def _step_table(model, jump=False):
+    """The compressed table of ``model``, or with ``jump`` of its jump
+    chain (``_jump_rows``); a level-map model has no limiting tail row and
+    is refused."""
     if isinstance(model, CallbackModel):
         raise ValueError("level-map models have no limiting tail; "
                          "the Monte Carlo oracles require a prefix+tail model")
     rows = _step_rows(model)
+    if jump:
+        rows = _jump_rows(rows)
     n_levels, d, outcomes = rows.shape
     rows = rows.reshape(-1, outcomes)
     cum = np.cumsum(rows, axis=1)
@@ -468,6 +493,12 @@ def estimate_exit_probability(model, level, direction, config):
     from its own stream. Needs a prefix+tail model, not a CallbackModel.
     Streams are keyed by (seed, level, direction, start phase), so the
     estimate is deterministic given the config.
+
+    The walks step on the jump chain (``_jump_rows``): the first-passage
+    phase depends only on the sequence of states visited, so dropping
+    self-loops leaves its law unchanged. config.max_steps counts moves
+    that change state; a walker in a state it can never leave stays there
+    until the cap censors it.
     """
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
@@ -475,28 +506,32 @@ def estimate_exit_probability(model, level, direction, config):
         raise ValueError("downward exit needs level >= 1")
     d = model.d
     target = level + 1 if direction == "up" else level - 1
-    table = _step_table(model)
+    table = _step_table(model, jump=True)
     gens = _rep_streams(config.seed, d,
                         prefix=(int(level), 0 if direction == "up" else 1))
     # walkers sorted by start phase: each step, phase p's stream gives one
-    # uniform to each of its walkers still out, in the order they stand
+    # uniform to each of its active[p] walkers still out, in the order
+    # they stand
     start = np.repeat(np.arange(d), config.samples)
+    active = [config.samples] * d
     lev = np.full(start.size, level, dtype=np.int64)
     ph = start.copy()
     arrivals = [start[:0]]
     steps = 0
     while start.size and steps < config.max_steps:
-        active = np.bincount(start, minlength=d).tolist()
         u = np.concatenate([gens[p].random(n) for p, n in enumerate(active) if n])
         lev, ph = _advance(table, lev, ph, u)
         done = lev == target
         if np.any(done):
-            arrivals.append(start[done] * d + ph[done])
+            finished = start[done]
+            arrivals.append(finished * d + ph[done])
+            active = [n - f for n, f in
+                      zip(active, np.bincount(finished, minlength=d).tolist())]
             keep = ~done
             start, lev, ph = start[keep], lev[keep], ph[keep]
         steps += 1
     counts = np.bincount(np.concatenate(arrivals), minlength=d * d).reshape(d, d)
-    censored = np.bincount(start, minlength=d)
+    censored = np.array(active)
     p_hat = counts / config.samples
     se = np.sqrt(p_hat * (1.0 - p_hat) / config.samples)
     return ExitEstimate(level=level, direction=direction, matrix=p_hat,

@@ -367,6 +367,10 @@ def test_verify_deterministic_and_green(model_files, tmp_path):
         assert c["status"] == "pass"
         assert c["measured"] <= c["tolerance"]
     assert report["results"]["checks_passed"] == len(names)
+    # the exit estimates report their walks per start phase and the walks
+    # cut off by the step cap
+    for c in report["checks"][-2:]:
+        assert (c["context"]["samples"], c["context"]["censored"]) == (2000, 0)
 
 
 def test_verify_one_cycle_floors_the_return_time_se(model_files):

@@ -35,10 +35,37 @@ def test_truncated_solve_matches_stationary(retrial_c1):
 
 
 def test_truncated_solve_guards(retrial_c1):
+    """A cutoff below 2 is refused; the level reduction has no state cap,
+    so a 5000-level cutoff (10,002 states) solves."""
     with pytest.raises(ValueError):
         hs.truncated_solve(retrial_c1, 1)
-    with pytest.raises(ValueError):
-        hs.truncated_solve(retrial_c1, 5000)
+    sol = hs.truncated_solve(retrial_c1, 5000)
+    assert sol.pi.size == 5001 * retrial_c1.d
+    assert sol.residual <= 1e-10
+
+
+def test_truncated_solve_matches_dense_reference():
+    """The level reduction gives the stationary vector of the dense
+    truncated matrix, prefix and folded top level included."""
+    rng = np.random.default_rng(31)
+    models = [retrial_model(0.4, 0.3, 3), random_pos_recurrent_model(rng, 3)[0]]
+    for model in models:
+        cutoff = model.n_prefix + 6
+        d = model.d
+        t = np.zeros(((cutoff + 1) * d,) * 2)
+        t[:d, :d], t[:d, d:2 * d] = model.r0, model.p0
+        for n in range(1, cutoff + 1):
+            blk, lo = model.block_at(n), n * d
+            t[lo:lo + d, lo - d:lo] = blk.down
+            t[lo:lo + d, lo:lo + d] = blk.stay
+            if n < cutoff:
+                t[lo:lo + d, lo + d:lo + 2 * d] = blk.up
+            else:
+                t[lo:lo + d, lo:lo + d] += blk.up
+        sol = hs.truncated_solve(model, cutoff)
+        want = hs.stationary_left_vector(t, row_tol=1e-8)
+        assert np.abs(sol.pi - want).sum() <= 1e-12
+        assert sol.residual == pytest.approx(np.abs(sol.pi @ t - sol.pi).sum(), abs=1e-15)
 
 
 def test_truncated_solution_to_dict(retrial_c1):
@@ -300,18 +327,19 @@ def test_oracle_streams_frozen():
         model, 3, "down", hs.ExitConfig(seed=17, samples=4000)
     )
     hits = np.rint(est.matrix * est.samples).astype(int)
-    assert hits.tolist() == [[2270, 1730], [2405, 1595]]
+    assert hits.tolist() == [[2282, 1718], [2413, 1587]]
     assert est.censored.tolist() == [0, 0]
 
 
-def _full_row_step(model, level, phase, u):
-    """Reference step on the full 3d-outcome row: the first outcome whose
-    cumulative probability reaches u, the last one forced to 1."""
-    rows = oracle._step_rows(model)
+def _full_row_step(rows, level, phase, u):
+    """Reference step on the full 3d-outcome row of ``rows``: the first
+    outcome whose cumulative probability reaches u, the last one forced
+    to 1."""
+    d = rows.shape[1]
     cum = np.cumsum(rows[min(level, len(rows) - 1), phase])
     cum[-1] = 1.0
     k = int((cum < u).sum())
-    return level + k // model.d - 1, k % model.d, cum
+    return level + k // d - 1, k % d, cum
 
 
 def _step_models():
@@ -320,17 +348,50 @@ def _step_models():
             random_pos_recurrent_model(rng, 2)[0], random_pos_recurrent_model(rng, 3)[0]]
 
 
+def _self_loop_model():
+    """d = 2 model whose state (0, 0) never leaves: its self-loop is 1."""
+    tail = hs.BlockTriple(up=np.array([[0.2, 0.1], [0.0, 0.3]]),
+                          down=np.array([[0.4, 0.0], [0.3, 0.2]]),
+                          stay=np.array([[0.3, 0.0], [0.1, 0.1]]))
+    return hs.QbdModel(d=2, r0=np.array([[1.0, 0.0], [0.5, 0.2]]),
+                       p0=np.array([[0.0, 0.0], [0.1, 0.2]]), prefix=(), tail=tail)
+
+
+def test_jump_rows_drop_self_loops():
+    """Each jump-chain row is the full row with its self-loop set to 0 and
+    divided by the rest's sum; a state whose self-loop is 1 keeps it."""
+    for model in _step_models() + [_self_loop_model()]:
+        rows = oracle._step_rows(model)
+        jump = oracle._jump_rows(rows)
+        d = model.d
+        for level, phase in np.ndindex(rows.shape[:2]):
+            row = rows[level, phase].copy()
+            if row[d + phase] == 1.0:
+                want = row
+            else:
+                row[d + phase] = 0.0
+                want = row / row.sum()
+            assert np.array_equal(jump[level, phase], want)
+            assert jump[level, phase].sum() == pytest.approx(1.0, abs=1e-12)
+    jump = oracle._jump_rows(oracle._step_rows(_self_loop_model()))
+    assert jump[0, 0].tolist() == [0, 0, 1, 0, 0, 0]
+
+
 def test_advance_matches_full_rows():
     """The compressed table steps exactly as the full row does for every
     u > 0: random draws, ties with each cumulative value, and the largest
-    double below 1, from every stored level and one past the last."""
+    double below 1, from every stored level and one past the last, on the
+    walk's rows and on its jump chain's."""
     rng = np.random.default_rng(12)
-    for model in _step_models():
-        table = oracle._step_table(model)
+    for model, jump in [(m, j) for m in _step_models() for j in (False, True)]:
+        table = oracle._step_table(model, jump=jump)
+        rows = oracle._step_rows(model)
+        if jump:
+            rows = oracle._jump_rows(rows)
         levels, cases = [], []
         for level in range(model.n_prefix + 3):
             for phase in range(model.d):
-                cum = _full_row_step(model, level, phase, 0.5)[2]
+                cum = _full_row_step(rows, level, phase, 0.5)[2]
                 draws = np.concatenate([rng.random(20), cum[cum > 0], [np.nextafter(1.0, 0.0)]])
                 levels += [level] * draws.size
                 cases += [(phase, u) for u in draws]
@@ -338,7 +399,7 @@ def test_advance_matches_full_rows():
         phase = np.array([p for p, _ in cases], dtype=np.int64)
         u = np.array([u for _, u in cases])
         got_level, got_phase = oracle._advance(table, level, phase, u)
-        want = [_full_row_step(model, int(n), int(p), x)[:2]
+        want = [_full_row_step(rows, int(n), int(p), x)[:2]
                 for n, p, x in zip(level, phase, u)]
         assert list(zip(got_level.tolist(), got_phase.tolist())) == want
 
@@ -358,11 +419,11 @@ def test_advance_zero_uniform_takes_a_possible_move(retrial_c1):
 
 
 def _per_phase_exit_counts(model, level, direction, config):
-    """Reference estimator: each start phase walked on its own, drawing a
-    fresh block of its stream every step."""
+    """Reference estimator: each start phase walked on its own on the jump
+    chain, drawing a fresh block of its stream every step."""
     d = model.d
     target = level + 1 if direction == "up" else level - 1
-    table = oracle._step_table(model)
+    table = oracle._step_table(model, jump=True)
     gens = oracle._rep_streams(config.seed, d, prefix=(level, 0 if direction == "up" else 1))
     counts = np.zeros((d, d), dtype=np.int64)
     censored = np.zeros(d, dtype=np.int64)
@@ -384,16 +445,21 @@ def test_exit_estimate_matches_per_phase_reference():
     """The one-population estimator reproduces the per-phase walks count
     for count, censored walks included."""
     censored_seen = 0
-    for model in _step_models():
+    cases = [(m, steps) for m in _step_models() for steps in (10**6, 3)]
+    # walkers from (0, 0) of the self-loop model run until the cap
+    cases += [(_self_loop_model(), steps) for steps in (40, 3)]
+    for model, max_steps in cases:
         for level, direction in ((0, "up"), (model.n_prefix + 1, "down")):
-            for max_steps in (10**6, 3):
-                cfg = hs.ExitConfig(seed=23, samples=300, max_steps=max_steps)
-                est = hs.estimate_exit_probability(model, level, direction, cfg)
-                counts, censored = _per_phase_exit_counts(model, level, direction, cfg)
-                assert np.array_equal(est.matrix, counts / cfg.samples)
-                assert est.censored.tolist() == censored.tolist()
-                censored_seen += int(censored.sum())
+            cfg = hs.ExitConfig(seed=23, samples=300, max_steps=max_steps)
+            est = hs.estimate_exit_probability(model, level, direction, cfg)
+            counts, censored = _per_phase_exit_counts(model, level, direction, cfg)
+            assert np.array_equal(est.matrix, counts / cfg.samples)
+            assert est.censored.tolist() == censored.tolist()
+            censored_seen += int(censored.sum())
     assert censored_seen > 0
+    stuck = hs.estimate_exit_probability(_self_loop_model(), 0, "up",
+                                         hs.ExitConfig(seed=23, samples=300, max_steps=40))
+    assert stuck.censored[0] == 300 and stuck.matrix[0].sum() == 0.0
 
 
 def test_estimate_exit_probability_up_matches_analytic(retrial_c1):

@@ -74,3 +74,23 @@ def test_report_digests_lists_every_op_of_a_round(tmp_path):
     ops, _ = workloads.build("critical", hs, 1, tmp_path)
     assert [row[:3] for row in rows] == [["1", op.label, "0"] for op in ops]
     assert all(len(row[3]) == 64 and set(row[3]) <= set("0123456789abcdef") for row in rows)
+
+
+def test_exit_calibration_counts_cells_per_model():
+    """Two seeds at 200 walks per phase: one row per model, c1's exits are
+    all 0 or 1 and compare no cell, c8_high compares some, and the shares
+    agree with their counts."""
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run(
+        [sys.executable, "scripts/exit_calibration.py", "--seeds", "2", "--samples", "200"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = {row["model"]: row for row in csv.DictReader(io.StringIO(proc.stdout))}
+    assert list(rows) == ["c1", "c8_high"]
+    assert rows["c1"]["cells"] == "0" and rows["c1"]["checks_failed"] == "0"
+    row = rows["c8_high"]
+    assert (row["estimates"], row["samples"]) == ("2", "200")
+    cells, over = int(row["cells"]), int(row["over_3se"])
+    assert 0 < cells <= 2 * 81 and 0 <= over <= cells
+    assert float(row["share"]) == pytest.approx(over / cells, abs=1e-5)
+    assert float(row["share_lo"]) <= float(row["share"]) <= float(row["share_hi"])
