@@ -75,6 +75,7 @@ from .stationary import (
     censored_matrix,
     censored_measure,
     decay_rate,
+    expand_rows,
     matrix_product_check,
     result_to_csv,
     result_to_dict,
@@ -117,7 +118,7 @@ __all__ = [
     # stationary distribution
     "StationaryResult", "DecayReport", "stationary_dist", "censored_matrix",
     "censored_measure", "matrix_product_check", "balance_residual",
-    "decay_rate", "result_to_csv", "result_to_dict",
+    "decay_rate", "result_to_csv", "result_to_dict", "expand_rows",
     "NotPositiveRecurrentError", "TailNotPositiveRecurrentError",
     # oracles
     "TruncatedSolution", "truncated_solve", "SimConfig", "SimStats", "simulate",

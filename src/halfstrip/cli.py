@@ -267,6 +267,9 @@ def _cmd_stationary(args):
         "layer masses (first 10): "
         + " ".join(_fmt(float(r.sum()), 6) for r in result.nu[:10]),
     ]
+    if result.meta["truncated_at_cap"]:
+        lines.append(f"truncated at the level cap: mass {_fmt(1.0 - result.mass, 3)} "
+                     f"lies beyond level {result.levels}")
     for c in checks:
         lines.append(f"check {c['name']}: {c['status']} "
                      f"(measured {_fmt(c['measured'], 3)}, tolerance {_fmt(c['tolerance'], 3)})")

@@ -105,7 +105,8 @@ class StationaryResult:
     layer 0 from that vector (mass of layer 0 is its reciprocal).
     decay_rate and empirical_rates describe the geometric tail.
     underflow_levels lists levels where entries below 1e-300 were reported
-    as exact zeros.
+    as exact zeros. tail (None if the rows stop below the first tail level
+    K) holds K as ``level``, w_K as ``w``, A and F: row K + j is w A^j F / Z.
     """
 
     nu: np.ndarray
@@ -118,6 +119,7 @@ class StationaryResult:
     empirical_rates: list
     underflow_levels: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    tail: dict | None = None
 
 
 def _empirical_rates(nu):
@@ -169,23 +171,9 @@ def stationary_dist(model, data=None, levels=None, tol=DEFAULT_TOL,
             cap = n  # the mass cutoff falls inside the prefix: no tail rows
             break
         w = w @ data.offspring_down_at(n)
-    if cap >= k:
-        # rows w_K A^j by stacked doubling, X <- [X; X P], P <- P^2, up to the
-        # cap or until the last row's mass falls below the cutoff
-        x, p, f = w[None, :], data.offspring_down_at(k), data.fundamental_down_at(k)
-        while len(x) <= cap - k and (levels is not None
-                                     or ((x[-1] @ f) * inv_z).sum() >= MASS_CUTOFF):
-            x = np.concatenate([x, x[:cap - k + 1 - len(x)] @ p])
-            p = p @ p
-        rows.append((x @ f) * inv_z)
-    nu = np.vstack(rows)
-    body = nu[1:]
-    tiny = body <= UNDERFLOW_FLOOR
-    flagged = np.any(tiny & (body > 0), axis=1)
-    body[tiny] = 0.0
-    low = np.flatnonzero(body.sum(axis=1) < MASS_CUTOFF) if levels is None else []
-    if len(low):
-        nu = nu[:low[0] + 2]
+    tail = {"level": k, "w": w, "offspring": data.offspring_down_at(k),
+            "fundamental": data.fundamental_down_at(k)}
+    nu, flagged = _stack_rows(rows, tail if cap >= k else None, inv_z, levels)
     rates, rate_levels = _empirical_rates(nu)
     return StationaryResult(
         nu=nu,
@@ -204,7 +192,40 @@ def stationary_dist(model, data=None, levels=None, tol=DEFAULT_TOL,
             "empirical_rate_levels": rate_levels,
             "truncated_at_cap": levels is None and len(nu) - 1 >= LEVEL_CAP,
         },
+        tail=tail if len(nu) > k else None,
     )
+
+
+def _stack_rows(head, tail, inv_z, levels):
+    """(nu, underflow flags of levels 1..): ``head``, then rows (w A^j F) * inv_z
+    by stacked doubling, X <- [X; X P], P <- P^2, to ``levels`` (None: to the
+    mass cutoff, at most LEVEL_CAP), entries under the floor set to 0."""
+    cap = levels if levels is not None else LEVEL_CAP
+    rows = list(head)
+    if tail is not None:
+        k = tail["level"]
+        x, p, f = (np.atleast_2d(tail[key]) for key in ("w", "offspring", "fundamental"))
+        while len(x) <= cap - k and (levels is not None
+                                     or ((x[-1] @ f) * inv_z).sum() >= MASS_CUTOFF):
+            x = np.concatenate([x, x[:cap - k + 1 - len(x)] @ p])
+            p = p @ p
+        rows.append((x @ f) * inv_z)
+    nu = np.vstack(rows)
+    body = nu[1:]
+    tiny = body <= UNDERFLOW_FLOOR
+    flagged = np.any(tiny & (body > 0), axis=1)
+    body[tiny] = 0.0
+    low = np.flatnonzero(body.sum(axis=1) < MASS_CUTOFF) if levels is None else []
+    if len(low):
+        nu = nu[:low[0] + 2]
+    return nu, flagged
+
+
+def expand_rows(results):
+    """Rows 0..levels of a JSON stationary report's ``results``, bit for bit
+    those of ``stationary_dist``: ``nu``, then (w A^j F) * (1.0 / normalizer)."""
+    return _stack_rows(np.asarray(results["nu"], dtype=float), results["tail"],
+                       1.0 / results["normalizer"], results["levels"])[0]
 
 
 def matrix_product_check(model, data, result):
@@ -295,12 +316,16 @@ def decay_rate(model, data=None, result=None, levels=None, tol=DEFAULT_TOL):
 
 
 def result_to_dict(result):
-    """JSON-ready dict form of a StationaryResult."""
+    """JSON-ready dict form of a StationaryResult, report schema 2: rows below
+    the first tail level, then the ``tail`` form (``expand_rows`` expands it)."""
     return {
         "levels": result.levels,
         "boundary_measure": result.boundary_measure.tolist(),
         "censored": result.censored.tolist(),
-        "nu": result.nu.tolist(),
+        "nu": result.nu[:result.tail["level"] if result.tail else None].tolist(),
+        "tail": result.tail and {key: np.asarray(val).tolist() for key, val in result.tail.items()},
+        "schema": 2,
+        "truncated_at_cap": result.meta["truncated_at_cap"],
         "normalizer": float(result.normalizer),
         "mass": float(result.mass),
         "decay_rate": float(result.decay_rate),

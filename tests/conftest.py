@@ -112,3 +112,9 @@ def random_pos_recurrent_model(rng, d, n_prefix=2, radius_cap=0.9):
         data = hs.branching_data(model)
         if data.radius_down < radius_cap:
             return model, data
+
+
+# a valid model whose downward tail offspring matrix is nilpotent (Perron root 0)
+NILPOTENT_TAIL = {"d": 2, "r0": [[0.5, 0], [0.5, 0]], "p0": [[0.5, 0], [0, 0.5]],
+                  "prefix": [], "tail": {"p": [[0, 0.3], [0, 0]], "q": [[0.7, 0], [0, 0.5]],
+                                         "r": [[0, 0], [0, 0.5]]}}

@@ -22,6 +22,8 @@ from hypothesis import given, settings, strategies as st
 import halfstrip as hs
 from halfstrip.cli import _dump_json, main
 
+from conftest import NILPOTENT_TAIL
+
 
 def run_cli(argv, stdin_text=None):
     out, err = io.StringIO(), io.StringIO()
@@ -317,6 +319,30 @@ def test_stationary_pretty_lists_checks(model_files):
     assert code == 0
     assert "check matrix-product-form: pass" in out
     assert "check global-balance-residual: pass" in out
+    assert "truncated" not in out
+
+
+@pytest.mark.parametrize("excess, mass", [(-5.5e-6, 0.4231), (-1e-4, 0.99995)])
+def test_stationary_says_when_the_level_cap_cuts_it_off(excess, mass):
+    """Near r_c = 1 the mass cutoff lies past the level cap: the report
+    still passes both checks, and says so in its results and pretty form."""
+    theta, mu = 0.3, 0.5
+    lam = (-theta + math.sqrt(theta * theta + 4.0 * (1.0 + excess) * mu * theta)) / 2.0
+    _, model, _ = run_cli(["example", "retrial", "--lambda", repr(lam), "--mu", "0.5",
+                           "--c", "1", "--theta", "0.3"])
+    code, out, _ = run_cli(["stationary", "-", "--format", "json"], stdin_text=model)
+    assert code == 0
+    report = json.loads(out)
+    results = report["results"]
+    assert results["truncated_at_cap"] is True
+    assert results["levels"] == hs.stationary.LEVEL_CAP
+    assert results["mass"] == pytest.approx(mass, abs=5e-5)
+    assert all(c["status"] == "pass" for c in report["checks"])
+    assert len(out) < 2048
+    code, out, _ = run_cli(["stationary", "-"], stdin_text=model)
+    assert code == 0
+    assert f"truncated at the level cap: mass {1.0 - results['mass']:.3g} lies beyond " \
+        "level 100000" in out
 
 
 def test_stationary_csv(model_files):
@@ -408,11 +434,8 @@ def test_nilpotent_tail_offspring_model(tmp_path):
     """A valid model whose downward tail offspring matrix is nilpotent has
     Perron root 0: classify, stationary and decay all finish, and the
     stationary rows match the dense truncated solve."""
-    spec = {"d": 2, "r0": [[0.5, 0], [0.5, 0]], "p0": [[0.5, 0], [0, 0.5]],
-            "prefix": [], "tail": {"p": [[0, 0.3], [0, 0]], "q": [[0.7, 0], [0, 0.5]],
-                                   "r": [[0, 0], [0, 0.5]]}}
     path = tmp_path / "nilpotent.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(NILPOTENT_TAIL))
     reports = {}
     for command in ("classify", "stationary", "decay"):
         code, out, err = run_cli([command, str(path), "--format", "json"])
@@ -421,8 +444,8 @@ def test_nilpotent_tail_offspring_model(tmp_path):
     assert reports["classify"]["verdict"] == "positive-recurrent"
     assert reports["classify"]["tail_radius_down"] == 0.0
     assert reports["decay"]["rate"] == 0.0
-    nu = np.array(reports["stationary"]["nu"])
-    rows = hs.truncated_solve(hs.model_from_dict(spec), 40).level_rows()
+    nu = hs.expand_rows(reports["stationary"])
+    rows = hs.truncated_solve(hs.model_from_dict(NILPOTENT_TAIL), 40).level_rows()
     assert sum(np.abs(rows[n] - nu[n]).sum() for n in range(len(nu))) < 1e-13
 
 
@@ -501,11 +524,15 @@ def test_console_script_pipe(tmp_path):
 
 # SHA-256 of each report as written before reports were encoded in one pass
 # (_plain_reference and json.dumps below). They pin the exact bytes: a change
-# here is a change of the report format, never a value to re-record.
+# here is a change of the report format, never a value to re-record. The
+# stationary digest is of report schema 2 (rows from the first tail level on
+# in matrix-geometric form); SCHEMA1_STATIONARY pins the explicit-row report
+# of schema 1, which the schema-2 report expands back to.
 CRITICAL_LAMBDA = "0.2651505750929414"  # one-server retrial, mu 0.5, theta 0.3: r_c - 1 = -1e-3
+SCHEMA1_STATIONARY = "b4368ae51ff2e1d13760b1653c1e704b320cd55c7e5b08fd76ae22463b4d9a14"
 FROZEN_DIGESTS = {
     "example": "096a722c10a5b59bcef77c9a31aedaba663c69301910c7738f28cb8a3ba55ead",
-    "stationary": "b4368ae51ff2e1d13760b1653c1e704b320cd55c7e5b08fd76ae22463b4d9a14",
+    "stationary": "211a04dc4d872aa0cc72d52e8b0f692639fee192d53fd086cd1af5c6d6d73deb",
     "decay": "985db1ee605d779b77fafb6a220da0fceca6e8a68f31e51237d78d3dcf4596a3",
     "simulate": "09d37f2068356270938d66fb47fe487a0a5c34b512ef98126875f3c7d078d9f5",
 }
@@ -513,9 +540,9 @@ FROZEN_DIGESTS = {
 
 def test_report_bytes_match_frozen_digests():
     """The models go through stdin so no report echoes a file path: the
-    1.6 MB critical stationary report (the numeric-array path), NaN inside
-    a list (decay at zero levels) and NaN scalars and rows (one simulated
-    cycle)."""
+    critical stationary report and the 1.6 MB schema-1 report its rows
+    expand to (the numeric-array path), NaN inside a list (decay at zero
+    levels) and NaN scalars and rows (one simulated cycle)."""
     example = ["example", "retrial", "--mu", "0.5", "--c", "1", "--theta", "0.3"]
     _, small, _ = run_cli(example + ["--lambda", "0.2"])
     _, critical, _ = run_cli(example + ["--lambda", CRITICAL_LAMBDA])
@@ -527,11 +554,20 @@ def test_report_bytes_match_frozen_digests():
                           "--replications", "1", "--format", "json"], small)]:
         code, reports[name], _ = run_cli(argv, stdin_text=model)
         assert code == 0
-    assert len(reports["stationary"]) == 1_631_799
+    assert len(reports["stationary"]) == 1_509
     assert '"NaN"' in reports["decay"] and '"NaN"' in reports["simulate"]
     digests = {name: hashlib.sha256(text.encode()).hexdigest()
                for name, text in reports.items()}
     assert digests == FROZEN_DIGESTS
+    report = json.loads(reports["stationary"])
+    results = report["results"]
+    assert results["schema"] == 2 and results["truncated_at_cap"] is False
+    results["nu"] = hs.expand_rows(results)
+    for key in ("tail", "schema", "truncated_at_cap"):
+        del results[key]
+    schema1 = _dump_json(report)
+    assert len(schema1) == 1_631_799
+    assert hashlib.sha256(schema1.encode()).hexdigest() == SCHEMA1_STATIONARY
 
 
 def _plain_reference(obj):

@@ -58,7 +58,7 @@ def test_decay_profile_reads_chain_and_rate_model_files(tmp_path):
 
 def test_report_digests_lists_every_op_of_a_round(tmp_path):
     """One line per op of the critical round, in round order: seed, label,
-    exit code 0 and the SHA-256 digest of the report."""
+    exit code 0, the SHA-256 digest of the report and its byte length."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import workloads
@@ -74,6 +74,9 @@ def test_report_digests_lists_every_op_of_a_round(tmp_path):
     ops, _ = workloads.build("critical", hs, 1, tmp_path)
     assert [row[:3] for row in rows] == [["1", op.label, "0"] for op in ops]
     assert all(len(row[3]) == 64 and set(row[3]) <= set("0123456789abcdef") for row in rows)
+    sizes = {row[1]: int(row[4]) for row in rows}
+    assert all(size > 0 for size in sizes.values())
+    assert sizes["stationary rc-1=-1.0e-03"] <= 2048
 
 
 def test_exit_calibration_counts_cells_per_model():

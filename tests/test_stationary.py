@@ -7,7 +7,7 @@ import pytest
 import halfstrip as hs
 from halfstrip import NotPositiveRecurrentError, TailNotPositiveRecurrentError
 
-from conftest import random_pos_recurrent_model, retrial_model, scalar_chain
+from conftest import NILPOTENT_TAIL, random_pos_recurrent_model, retrial_model, scalar_chain
 
 
 def test_retrial_c1_frozen_stationary(retrial_c1):
@@ -261,3 +261,40 @@ def test_stationary_matches_censored_chain(retrial_c2):
     mu0 = hs.censored_measure(retrial_c2)
     boundary = res.nu[0] / res.nu[0].sum()
     assert np.max(np.abs(boundary - mu0)) < 1e-9
+
+
+def _expansion_cases():
+    """pytest params (model, levels, the level count wanted or None), levels
+    None for the mass-driven count."""
+    rand_d4, _ = random_pos_recurrent_model(np.random.default_rng(4), 4, n_prefix=4)
+    d1_pos = scalar_chain(0.3, 0.7)
+    return [
+        pytest.param(_critical_c1(), None, 20_713, id="critical"),
+        pytest.param(retrial_model(0.2, 0.5, 1, theta="0.3+0.3/n"), None, 62, id="prefix512"),
+        pytest.param(hs.model_from_dict(NILPOTENT_TAIL), None, None, id="nilpotent"),
+        pytest.param(rand_d4, None, None, id="rand_d4"),
+    ] + [pytest.param(d1_pos, levels, levels, id=f"d1_pos-{levels}") for levels in (0, 1, 2, 850)]
+
+
+@pytest.mark.parametrize("model, levels, want", _expansion_cases())
+def test_expand_rows_gives_back_every_row(model, levels, want):
+    """A report's rows below the first tail level K plus its tail form
+    expand, through the JSON text, to the rows stationary_dist formed, bit
+    for bit: 20,713 levels past K = 1 (critical), a mass cutoff at level 62
+    inside a 512-level prefix (no tail), a nilpotent offspring matrix, K = 5
+    (rand_d4), and levels 0, K - 1, K, K + 1 and 850 on the scalar chain,
+    whose deep levels underflow."""
+    res = hs.stationary_dist(model, levels=levels)
+    results = json.loads(json.dumps(hs.result_to_dict(res)))
+    k = model.n_prefix + 1
+    assert want is None or res.levels == want
+    assert results["schema"] == 2 and results["levels"] == res.levels
+    assert len(results["nu"]) == min(res.levels + 1, k)
+    if res.levels < k:
+        assert results["tail"] is None
+    else:
+        assert results["tail"]["level"] == k
+        assert np.array_equal(results["tail"]["offspring"],
+                              hs.branching_data(model).offspring_down_at(k))
+    assert np.array_equal(hs.expand_rows(results), res.nu)
+    assert results["underflow_levels"] == res.underflow_levels
