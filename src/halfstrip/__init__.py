@@ -21,7 +21,6 @@ from .linalg import (
 )
 from .model import (
     BlockTriple,
-    CallbackModel,
     GammaTooSmallError,
     GeneratorModel,
     GeneratorTriple,
@@ -101,8 +100,8 @@ __all__ = [
     "SingularMatrixError", "NotStochasticError", "ReducibleChainError",
     "NoConvergenceError",
     # models
-    "BlockTriple", "QbdModel", "CallbackModel", "GeneratorTriple",
-    "GeneratorModel", "RetrySchedule", "Violation", "ValidationReport",
+    "BlockTriple", "QbdModel", "GeneratorTriple", "GeneratorModel",
+    "RetrySchedule", "Violation", "ValidationReport",
     "ModelFormatError", "GammaTooSmallError", "validate", "default_gamma",
     "uniformize", "build_retrial", "as_chain", "load_model", "save_model",
     "model_to_dict", "model_from_dict",

@@ -28,21 +28,22 @@ logarithmic reduction on rank-one shifted blocks chosen by the tail's
 mean drift (``tail_drift``), and is stepped until one step returns it bit
 for bit, or at most ``POLISH_STEPS`` times. The downward root and its one
 factor serve every tail level. Every series certificate keys off the sign
-of that drift beyond its rounding: the return-time series is summed in
-closed form when it is negative, the boundary-visit series when it is
-positive.
+of that drift, taken exactly in rationals when the float drift is within
+its rounding bound (``exact_drift_sign``): the return-time series is
+summed in closed form when it is negative, the boundary-visit series when
+it is positive.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .linalg import (NoConvergenceError, ReducibleChainError, SingularMatrixError,
                      NotStochasticError, invert, spectral_radius, stationary_left_vector)
-from .model import CallbackModel
 
 DEFAULT_TOL = 1e-12
 # Most level steps a tail root takes toward a floating-point fixed point, a
@@ -52,10 +53,6 @@ DEFAULT_TOL = 1e-12
 POLISH_STEPS = 16
 # Anchor doublings a backward recursion from a caller's seed may take.
 ANCHOR_DOUBLINGS = 16
-SERIES_HORIZON = 10_000
-DIVERGENCE_FLOOR = 1e-12
-DIVERGENCE_WINDOW = 100
-OVERFLOW_CAP = 1e15
 
 
 def _stochastic_projection(mat, slack=1e-6):
@@ -295,6 +292,42 @@ def drift_sign(drift):
     return 1 if value > 0 else -1
 
 
+def exact_drift_sign(tail):
+    """Sign of the mean drift pi (U - D) 1 of the stored floats, in exact
+    rational arithmetic: -1, 0 or +1, or None when the phase chain has no
+    unique stationary vector.
+
+    pi solves pi Q = 0, pi 1 = 1 for the generator Q whose off-diagonal
+    entries are those of U + S + D and whose diagonal makes each row sum to
+    0 (Grassmann, Taksar & Heyman 1985), so the rounding of the stored row
+    sums does not enter. Gauss-Jordan elimination on ``Fraction`` entries
+    costs about d^3 big-number operations (some 150 ms at d = 33), so it
+    serves only drifts within their float rounding bound.
+    """
+    d = tail.d
+    up, down, stay = ([[Fraction(x) for x in row] for row in block.tolist()]
+                      for block in (tail.up, tail.down, tail.stay))
+    gen = [[u + s + w for u, s, w in zip(*rows)] for rows in zip(up, stay, down)]
+    for i, row in enumerate(gen):
+        row[i] -= sum(row)
+    # columns 0..d-2 of pi Q = 0, then pi 1 = 1; the last entry is the right side
+    rows = [[gen[j][r] for j in range(d)] + [Fraction(0)] for r in range(d - 1)]
+    rows.append([Fraction(1)] * (d + 1))
+    for c in range(d):
+        pivot = next((r for r in range(c, d) if rows[r][c]), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        head = rows[c][c]
+        rows[c] = [x / head for x in rows[c]]
+        for r in range(d):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    drift = sum(row[d] * (sum(u) - sum(w)) for row, u, w in zip(rows, up, down))
+    return (drift > 0) - (drift < 0)
+
+
 @dataclass
 class BranchingData:
     """Per-level downward exit, offspring, sojourn, and fundamental matrices.
@@ -302,7 +335,11 @@ class BranchingData:
     Lists are indexed by level 1..depth (index 0 unused), depth being
     n_prefix + 1, the first tail level; every deeper level repeats it, and
     the ``*_at`` accessors serve any level. ``tail_drift`` is the tail's
-    ``tail_drift`` pair.
+    ``tail_drift`` pair. ``drift_sign`` is its certified sign, -1, 0 or +1,
+    or None when the tail phase chain has no unique stationary vector: the
+    float sign when the drift clears its rounding bound, else the exact one
+    (``exact_drift_sign``), which ``exact_sign`` flags. It alone picks every
+    verdict.
     """
 
     model: object
@@ -313,6 +350,8 @@ class BranchingData:
     fundamental_down: list
     radius_down: float
     tail_drift: tuple = (None, math.inf)
+    drift_sign: int | None = None
+    exact_sign: bool = False
     meta: dict = field(default_factory=dict)
 
     def exit_down_at(self, n):
@@ -335,9 +374,6 @@ def branching_data(model, tol=DEFAULT_TOL):
     passage factor; the backward pass from it steps the prefix.
     ``meta["tail"]`` is the downward tail solver's info.
     """
-    if isinstance(model, CallbackModel):
-        raise ValueError("level-map models have no limiting tail; "
-                         "branching data requires a prefix+tail model")
     depth = model.n_prefix + 1
     ones = np.ones(model.d)
     tail_exit, tail_info = exit_down_tail(model.tail, tol=tol)
@@ -349,6 +385,8 @@ def branching_data(model, tol=DEFAULT_TOL):
     for n, t, factor, z in levels:
         exit_down[n], fundamental_down[n] = z, factor
         offspring_down[n], sojourn_down[n] = factor @ t.up, factor @ ones
+    drift = tail_drift(model.tail)
+    sign = drift_sign(drift)
     return BranchingData(
         model=model,
         depth=depth,
@@ -357,7 +395,9 @@ def branching_data(model, tol=DEFAULT_TOL):
         sojourn_down=sojourn_down,
         fundamental_down=fundamental_down,
         radius_down=spectral_radius(offspring_down[depth]),
-        tail_drift=tail_drift(model.tail),
+        tail_drift=drift,
+        drift_sign=sign if sign else exact_drift_sign(model.tail),
+        exact_sign=not sign,
         meta={"tail": tail_info, "tol": tol},
     )
 
@@ -366,8 +406,9 @@ def branching_data(model, tol=DEFAULT_TOL):
 class SeriesValue:
     """Outcome of summing a weighted branching series.
 
-    status: "finite" (value is the certified sum), "infinite" (value is
-    inf), or "inconclusive" (value is the partial sum at the horizon).
+    status: "finite" (value is the certified sum, or NaN when its closed
+    form was refused; the note says why), "infinite" (value is inf), or
+    "inconclusive" (value is the partial sum through the prefix).
     """
 
     status: str
@@ -380,97 +421,77 @@ class SeriesValue:
         return self.status == "finite"
 
 
-def series_down_weighted(model, data, weight, start=1, horizon=SERIES_HORIZON):
+def series_down_weighted(model, data, weight, start=1):
     r"""Sum of weight @ (offspring_down products) @ sojourn_down over levels.
 
     Computes sum_{k >= start} w A^-_{start} ... A^-_{k-1} u^-_k for a
     nonnegative row vector w. Terms through the prefix are accumulated
-    directly. When the tail's mean drift is negative beyond its rounding
-    bound, the tail radius is below 1 and the remainder is w (I-A)^{-1} u
-    in closed form; ``invert`` refusing I - A makes the sum inconclusive.
-    Otherwise divergence is certified by terms staying above 1e-12 for 100
-    consecutive levels (or partial sums overflowing 1e15); anything else
-    is inconclusive at the horizon.
+    directly; a weight they leave at zero ends the sum there. Past the
+    prefix the tail's certified drift sign (``data.drift_sign``) decides:
+    negative, the remainder is w (I-A)^{-1} u in closed form, NaN when
+    ``invert`` refuses I - A; zero or positive, the sum is infinite; no
+    sign, it is inconclusive.
     """
-    w = np.asarray(weight, dtype=float).copy()
+    w = np.asarray(weight, dtype=float)
     if np.any(w < 0):
         raise ValueError("series weights must be nonnegative")
-    n_pref = model.n_prefix
     total = 0.0
     k = start
-    while k <= n_pref:
+    while k <= model.n_prefix:
         total += float(w @ data.sojourn_down_at(k))
         w = w @ data.offspring_down_at(k)
         k += 1
-    a_t, u_t = data.offspring_down_at(k), data.sojourn_down_at(k)
-    if drift_sign(data.tail_drift) < 0:
-        try:
-            remainder = float(w @ invert(np.eye(model.d) - a_t) @ u_t)
-        except SingularMatrixError as exc:
-            return SeriesValue("inconclusive", total, k,
-                               note=f"tail closed form refused: {exc}")
-        return SeriesValue("finite", total + remainder, k,
-                           note="tail summed in closed form")
-    streak = 0
-    for lev in range(k, horizon + 1):
-        term = float(w @ u_t)
-        total += term
-        if term >= DIVERGENCE_FLOOR:
-            streak += 1
-            if streak >= DIVERGENCE_WINDOW:
-                return SeriesValue("infinite", math.inf, lev,
-                                   note="nonvanishing terms at critical tail radius")
-        else:
-            streak = 0
-        if not math.isfinite(total) or total > OVERFLOW_CAP:
-            return SeriesValue("infinite", math.inf, lev, note="partial sums overflowed")
-        if float(np.max(np.abs(w))) < 1e-250:
-            return SeriesValue("finite", total, lev, note="weights vanished")
-        w = w @ a_t
-    return SeriesValue("inconclusive", total, horizon,
-                       note="horizon exhausted without certificate")
+    if not w.any():
+        return SeriesValue("finite", total, k, note="weights vanished in the prefix")
+    if data.drift_sign is None:
+        return SeriesValue("inconclusive", total, k,
+                           note="tail phase chain has no unique stationary vector")
+    if data.drift_sign >= 0:
+        return SeriesValue("infinite", math.inf, k, note="tail drift not negative")
+    try:
+        remainder = float(w @ invert(np.eye(model.d) - data.offspring_down_at(k))
+                          @ data.sojourn_down_at(k))
+    except SingularMatrixError as exc:
+        return SeriesValue("finite", math.nan, k, note=f"tail closed form refused: {exc}")
+    return SeriesValue("finite", total + remainder, k, note="tail summed in closed form")
 
 
 @dataclass
 class BoundaryVisits:
     """Expected total visits to layer 0, with convergence certificates.
 
-    status "convergent" means value is the (finite) expected visit count;
-    "divergent" means the walk is recurrent by the visit criterion;
-    "inconclusive" carries the partial sum. terms always holds term 0.
+    status "convergent" means value is the finite expected visit count (NaN
+    when its closed form was refused; the note says why); "divergent" means
+    the walk is recurrent; "inconclusive" carries term 0. terms always
+    holds term 0.
     """
 
     status: str
     value: float
     terms: list
     partial_sums: list
-    horizon: int
     radius_up: float = None
     note: str = ""
 
 
-def expected_boundary_visits(model, mu=None, horizon=SERIES_HORIZON, tol=DEFAULT_TOL,
-                             data=None):
+def expected_boundary_visits(model, mu=None, tol=DEFAULT_TOL, data=None):
     """Expected number of layer-0 visits for a walk started on layer 0 at mu.
 
     Term k is mu_k A^+_k ... A^+_1 1 with mu_k the phase distribution upon
     first reaching layer k (term 0 is 1). The series is finite exactly when
-    the walk is transient. On a prefix+tail model the tail's drift sign
-    decides:
+    the walk is transient, so the tail's certified drift sign
+    (``data.drift_sign``) decides:
 
     - positive: the sum is mu (I - B G_1)^{-1} 1, with B the boundary's
       upward exit and G_1 the level-1 downward exit (each visit leaves up
       through B and comes back through G_1), taken as the one term after
-      term 0; ``invert`` refusing I - B G_1 makes it inconclusive;
-    - negative: divergent by Neuts' drift condition;
-    - zero: the terms are summed, and the sum is divergent once 100
-      consecutive tail terms stay above 1e-12 or partial sums pass 1e15.
+      term 0; NaN when ``invert`` refuses I - B G_1;
+    - negative or zero: divergent by Neuts' drift condition;
+    - none: inconclusive.
 
-    A level-callable model has no tail: its terms are summed, and the sum
-    is inconclusive at the horizon or on overflow. ``radius_up``, the
-    upward tail offspring radius, is reported and gates nothing. A
-    caller's ``data`` (from ``branching_data``) supplies the drift and G_1
-    instead of solving the tail again.
+    ``radius_up``, the upward tail offspring radius, is reported and gates
+    nothing. A caller's ``data`` (from ``branching_data``) supplies the
+    sign and G_1 instead of solving the tail again.
     """
     d = model.d
     if mu is None:
@@ -478,54 +499,29 @@ def expected_boundary_visits(model, mu=None, horizon=SERIES_HORIZON, tol=DEFAULT
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (d,) or np.any(mu < -1e-12) or abs(float(mu.sum()) - 1.0) > 1e-9:
         raise NotStochasticError("mu must be a probability vector over phases")
-    has_tail = getattr(model, "tail", None) is not None
+    if data is None:
+        data = branching_data(model, tol=tol)
     total = float(mu @ np.ones(d))
-    terms, partial_sums = [total], [total]
-    radius_up, sign = None, 0
-    if has_tail:
-        try:
-            radius_up = _radius_up(model.tail, tol)
-        except NoConvergenceError:
-            pass
-        sign = drift_sign(tail_drift(model.tail) if data is None else data.tail_drift)
-    if sign > 0:
-        if data is None:
-            data = branching_data(model, tol=tol)
-        g1 = data.exit_down_at(1)
-        try:
-            value = float(mu @ invert(np.eye(d) - boundary_exit_up(model) @ g1) @ np.ones(d))
-        except SingularMatrixError as exc:
-            return BoundaryVisits("inconclusive", total, terms, partial_sums, 0, radius_up,
-                                  note=f"closed form refused: {exc}")
-        return BoundaryVisits("convergent", value, terms + [value - total],
-                              partial_sums + [value], 1, radius_up,
-                              note="levels from 1 summed in closed form")
-    if sign < 0:
-        return BoundaryVisits("divergent", math.inf, terms, partial_sums, 0, radius_up,
-                              note="tail drift negative: recurrent by Neuts' condition")
-    w = np.ones(d)
-    m = mu.copy()
-    streak = 0
-    for k, (z_prev, a_k, _) in zip(range(1, horizon + 1), _upward_levels(model)):
-        m = m @ z_prev
-        w = a_k @ w
-        term = float(m @ w)
-        terms.append(term)
-        total += term
-        partial_sums.append(total)
-        if has_tail and k > model.n_prefix:
-            streak = streak + 1 if term >= DIVERGENCE_FLOOR else 0
-            if streak >= DIVERGENCE_WINDOW:
-                return BoundaryVisits("divergent", math.inf, terms, partial_sums,
-                                      k, radius_up)
-        if not math.isfinite(total) or total > OVERFLOW_CAP:
-            if has_tail:
-                return BoundaryVisits("divergent", math.inf, terms, partial_sums,
-                                      k, radius_up, note="partial sums overflowed")
-            return BoundaryVisits("inconclusive", total, terms, partial_sums, k,
-                                  radius_up, note="partial sums overflowed without a certificate")
-    return BoundaryVisits("inconclusive", total, terms, partial_sums, horizon,
-                          radius_up, note="horizon exhausted without certificate")
+    radius_up = None
+    try:
+        radius_up = _radius_up(model.tail, tol)
+    except NoConvergenceError:
+        pass
+    sign = data.drift_sign
+    if sign is None:
+        return BoundaryVisits("inconclusive", total, [total], [total], radius_up,
+                              note="tail phase chain has no unique stationary vector")
+    if sign <= 0:
+        return BoundaryVisits("divergent", math.inf, [total], [total], radius_up,
+                              note="tail drift not positive: recurrent by Neuts' condition")
+    try:
+        value = float(mu @ invert(np.eye(d) - boundary_exit_up(model) @ data.exit_down_at(1))
+                      @ np.ones(d))
+    except SingularMatrixError as exc:
+        return BoundaryVisits("convergent", math.nan, [total], [total], radius_up,
+                              note=f"closed form refused: {exc}")
+    return BoundaryVisits("convergent", value, [total, value - total], [total, value],
+                          radius_up, note="levels from 1 summed in closed form")
 
 
 def offspring_pmf(model, data, n, phase, count, direction):

@@ -207,7 +207,7 @@ def _emit(report, args, pretty_lines):
 def _cmd_classify(args):
     model, _ = _load_model(args.model)
     mu = _parse_mu(args.mu, model.d) if args.mu else None
-    res = classify(model, mu=mu, horizon=args.horizon, tol=args.tol)
+    res = classify(model, mu=mu, tol=args.tol)
     results = {
         "verdict": res.verdict,
         "certificate": res.certificate,
@@ -216,10 +216,9 @@ def _cmd_classify(args):
         "tail_radius_up": res.tail_radius_up,
         "tail_radius_down": res.tail_radius_down,
         "return_time": res.return_time,
-        "horizon": res.horizon,
         "visit_partial_sums_last": res.visit_partial_sums[-1] if res.visit_partial_sums else None,
     }
-    report = _report("classify", _inputs(args, ["model", "tol", "horizon", "mu"]),
+    report = _report("classify", _inputs(args, ["model", "tol", "mu"]),
                      results, [])
     lines = [
         f"verdict: {res.verdict}",
@@ -358,12 +357,12 @@ def _cmd_verify(args):
     tol = args.tol
     checks = []
     data = branching_data(model, tol=tol)
-    res = classify(model, horizon=args.horizon, tol=tol, data=data)
+    res = classify(model, tol=tol, data=data)
     results = {"verdict": res.verdict, "certificate": res.certificate}
     if res.verdict != "positive-recurrent":
         report = _report("verify",
                          _inputs(args, ["model", "seed", "cycles", "levels",
-                                        "tol", "horizon", "samples"]),
+                                        "tol", "samples"]),
                          results,
                          [_check("classification-certified",
                                  0.0 if res.verdict != INCONCLUSIVE else 1.0, 0.5,
@@ -455,7 +454,7 @@ def _cmd_verify(args):
     })
     report = _report("verify",
                      _inputs(args, ["model", "seed", "cycles", "levels", "tol",
-                                    "horizon", "samples"]),
+                                    "samples"]),
                      results, checks)
     _emit(report, args, _verify_lines(report))
     return EXIT_OK if all(c["status"] == "pass" for c in checks) else EXIT_CHECKS_FAILED
@@ -532,7 +531,7 @@ def build_parser():
                        parents=[tol])
     _add_common(p)
     p.add_argument("--horizon", type=_bounded(int, 1), default=10_000,
-                   help="series horizon (default 10000)")
+                   help="ignored: the tail's drift sign decides every verdict")
     p.add_argument("--mu", default=None,
                    help="layer-0 phase distribution, comma separated")
     p.add_argument("--format", choices=["pretty", "json"], default="pretty")
@@ -573,7 +572,6 @@ def build_parser():
                    help="simulation cycles (default 100000)")
     p.add_argument("--levels", type=_bounded(int, 0), default=None,
                    help="stationary truncation (default: mass-driven)")
-    p.add_argument("--horizon", type=_bounded(int, 1), default=10_000)
     p.add_argument("--samples", type=_bounded(int, 1), default=10_000,
                    help="exit-probability sample size per phase")
     p.add_argument("--format", choices=["json", "pretty"], default="json")

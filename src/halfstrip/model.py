@@ -91,37 +91,6 @@ class QbdModel:
 
 
 @dataclass(frozen=True)
-class CallbackModel:
-    """Half-strip walk whose level blocks come from an arbitrary callable.
-
-    No limiting tail is assumed, so only partial-sum diagnostics are
-    available downstream; classification of such a model is always
-    inconclusive and the stationary/decay machinery rejects it.
-    """
-
-    d: int
-    r0: np.ndarray
-    p0: np.ndarray
-    level_fn: object = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "r0", _as_block(self.r0, self.d, "r0"))
-        object.__setattr__(self, "p0", _as_block(self.p0, self.d, "p0"))
-
-    @property
-    def n_prefix(self):
-        return 0
-
-    def block_at(self, n):
-        if n < 1:
-            raise ValueError("levels with full triples start at 1")
-        trip = self.level_fn(n)
-        if not isinstance(trip, BlockTriple):
-            trip = BlockTriple(*trip)
-        return trip
-
-
-@dataclass(frozen=True)
 class GeneratorTriple:
     """One level's rate blocks: up, local (negative diagonal), down."""
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import invert, stationary_left_vector
-from .model import CallbackModel, _step_rows
+from .model import _step_rows
 
 # uniforms one simulator refill draws, split evenly over the replications
 UNIFORM_BUFFER = 2**19
@@ -204,11 +204,7 @@ def _jump_rows(rows):
 
 def _step_table(model, jump=False):
     """The compressed table of ``model``, or with ``jump`` of its jump
-    chain (``_jump_rows``); a level-map model has no limiting tail row and
-    is refused."""
-    if isinstance(model, CallbackModel):
-        raise ValueError("level-map models have no limiting tail; "
-                         "the Monte Carlo oracles require a prefix+tail model")
+    chain (``_jump_rows``)."""
     rows = _step_rows(model)
     if jump:
         rows = _jump_rows(rows)
@@ -246,8 +242,7 @@ def simulate(model, config=None):
     walker restarted on layer 0 at its cycle-start phase; each replication
     also retires after 2 * max_steps total steps (room for one restart) so
     runs on non-recurrent models terminate. If nothing completes,
-    MaxStepsExceededError is raised. Needs a prefix+tail model, not a
-    CallbackModel. Deterministic given (model, config).
+    MaxStepsExceededError is raised. Deterministic given (model, config).
 
     The active replications step together in segments of at most
     SEGMENT_STEPS steps, which end before a cycle could grow overlong or
@@ -490,8 +485,7 @@ def estimate_exit_probability(model, level, direction, config):
     reflects at 0 as usual); "down" records first entry into level-1 and
     needs level >= 1. config.samples walks start at (level, phase) for
     each phase, and all of them step together, each start phase drawing
-    from its own stream. Needs a prefix+tail model, not a CallbackModel.
-    Streams are keyed by (seed, level, direction, start phase), so the
+    from its own stream. Streams are keyed by (seed, level, direction, start phase), so the
     estimate is deterministic given the config.
 
     The walks step on the jump chain (``_jump_rows``): the first-passage

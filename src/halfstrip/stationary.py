@@ -15,22 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .branching import (
-    DEFAULT_TOL,
-    SERIES_HORIZON,
-    branching_data,
-    drift_sign,
-    series_down_weighted,
-)
-from .classify import return_time_bound
+from .branching import DEFAULT_TOL, branching_data, series_down_weighted
 from .linalg import ReducibleChainError, stationary_left_vector
-from .model import CallbackModel
 
 UNDERFLOW_FLOOR = 1e-300
 MASS_CUTOFF = 1e-12
 LEVEL_CAP = 100_000
-# how far below 1 the tail radius must read for a decay rate to be reported
-RADIUS_MARGIN = 1e-10
 
 
 class NotPositiveRecurrentError(Exception):
@@ -43,13 +33,6 @@ class TailNotPositiveRecurrentError(Exception):
     diverges), so the geometric decay rate is undefined."""
 
 
-def _require_tail_model(model, what):
-    if isinstance(model, CallbackModel):
-        raise NotPositiveRecurrentError(
-            f"{what} requires a prefix+tail model; level blocks from a "
-            "callable admit no limiting certificates")
-
-
 def censored_matrix(model, data=None, tol=DEFAULT_TOL):
     """Transition matrix of the boundary process watched only on layer 0.
 
@@ -58,7 +41,6 @@ def censored_matrix(model, data=None, tol=DEFAULT_TOL):
     through its eventual first down-crossing. Stochastic exactly when the
     walk is recurrent; substochastic rows expose escape probability.
     """
-    _require_tail_model(model, "the censored boundary matrix")
     if data is None:
         data = branching_data(model, tol=tol)
     return model.r0 + model.p0 @ data.exit_down[1]
@@ -74,7 +56,6 @@ def censored_measure(model, data=None, tol=DEFAULT_TOL):
     uses: uniform @ lim ((I + C) / 2)^(2^k), squared until a step returns
     its input bit for bit, at most 64 times.
     """
-    _require_tail_model(model, "the censored boundary measure")
     if data is None:
         data = branching_data(model, tol=tol)
     cm = censored_matrix(model, data=data, tol=tol)
@@ -134,8 +115,7 @@ def _empirical_rates(nu):
     return rates, levels
 
 
-def stationary_dist(model, data=None, levels=None, tol=DEFAULT_TOL,
-                    horizon=SERIES_HORIZON):
+def stationary_dist(model, data=None, levels=None, tol=DEFAULT_TOL):
     """Stationary distribution of a positive-recurrent walk, in closed form.
 
     nu_0 = m / Z and nu_n = m P0 A_1 ... A_{n-1} F_n / Z, with m the
@@ -145,19 +125,18 @@ def stationary_dist(model, data=None, levels=None, tol=DEFAULT_TOL,
     matrix-geometric form nu_{K+j} = w_K A^j F / Z, formed by stacked
     doubling. ``levels`` defaults to the first level whose mass drops below
     1e-12 (capped at 100000). Raises NotPositiveRecurrentError when the
-    return-time series cannot be certified finite.
+    normalizer is not a certified finite value: its series is infinite or
+    inconclusive, or ``invert`` refused its closed form.
     """
-    _require_tail_model(model, "the stationary distribution")
     if data is None:
         data = branching_data(model, tol=tol)
-    rb = return_time_bound(model, data=data, horizon=horizon, tol=tol)
-    if rb.status != "finite":
-        raise NotPositiveRecurrentError(
-            f"return-time series is {rb.status}; a stationary distribution "
-            "requires a certified finite expected return time")
     cm = censored_matrix(model, data=data, tol=tol)
     mu0 = censored_measure(model, data=data, tol=tol)
-    zser = series_down_weighted(model, data, mu0 @ model.p0, start=1, horizon=horizon)
+    zser = series_down_weighted(model, data, mu0 @ model.p0, start=1)
+    if not (zser.finite and math.isfinite(zser.value)):
+        raise NotPositiveRecurrentError(
+            f"the normalizer is not a certified finite value (return-time series "
+            f"{zser.status}: {zser.note}); a stationary distribution requires one")
     normalizer = zser.value + 1.0
     inv_z = 1.0 / normalizer
 
@@ -186,7 +165,6 @@ def stationary_dist(model, data=None, levels=None, tol=DEFAULT_TOL,
         empirical_rates=rates,
         underflow_levels=(np.flatnonzero(flagged[:len(nu) - 1]) + 1).tolist(),
         meta={
-            "return_bound": rb.value,
             "z_series_note": zser.note,
             "tol": tol,
             "empirical_rate_levels": rate_levels,
@@ -291,20 +269,18 @@ class DecayReport:
 def decay_rate(model, data=None, result=None, levels=None, tol=DEFAULT_TOL):
     """Decay rate of the stationary distribution plus finite-level estimates.
 
-    Requires the constant tail itself to be positive recurrent (downward
-    offspring radius below 1, certified with the usual margin, and mean
-    drift negative beyond its rounding bound); otherwise raises
-    TailNotPositiveRecurrentError. When ``result`` is omitted the
-    stationary distribution is computed here.
+    Requires the constant tail itself to be positive recurrent: its
+    certified mean drift sign (``data.drift_sign``) must be negative;
+    otherwise raises TailNotPositiveRecurrentError. When ``result`` is
+    omitted the stationary distribution is computed here.
     """
-    _require_tail_model(model, "the decay rate")
     if data is None:
         data = branching_data(model, tol=tol)
-    if data.radius_down >= 1.0 - RADIUS_MARGIN or drift_sign(data.tail_drift) >= 0:
+    if data.drift_sign != -1:
         raise TailNotPositiveRecurrentError(
-            f"tail offspring radius {data.radius_down:.12g} and mean drift "
-            f"{data.tail_drift[0]} do not certify a radius below 1; the tail "
-            "return-time series diverges and no geometric decay rate exists")
+            f"tail mean drift {data.tail_drift[0]} has certified sign "
+            f"{data.drift_sign}, not -1; the tail return-time series diverges "
+            "and no geometric decay rate exists")
     if result is None:
         result = stationary_dist(model, data=data, levels=levels, tol=tol)
     return DecayReport(

@@ -67,6 +67,27 @@ def perm_chain():
     )
 
 
+def reducible_tail_models():
+    """Two d=2 walks whose tail phase chain is the identity, so it has no
+    unique stationary vector and no drift sign: up 0.3 / down 0.7 in both
+    phases, and up 0.5 / down 0.5 in phase 0 with up 0.3 / down 0.7 in
+    phase 1. Both are inconclusive."""
+    return [hs.QbdModel(d=2, r0=np.zeros((2, 2)), p0=np.eye(2),
+                        tail=hs.BlockTriple(up=np.diag(up), down=np.diag(down),
+                                            stay=np.zeros((2, 2))))
+            for up, down in [([0.3, 0.3], [0.7, 0.7]), ([0.5, 0.3], [0.5, 0.7])]]
+
+
+def null_behind_prefix_model():
+    """Forty drift-down prefix levels (up 0.3 / down 0.7) over the symmetric
+    tail (up 0.5 / down 0.5): the tail's exact drift is 0, so the walk is
+    null recurrent."""
+    one = np.array([[0.0]])
+    down = hs.BlockTriple(up=np.array([[0.3]]), down=np.array([[0.7]]), stay=one)
+    crit = hs.BlockTriple(up=np.array([[0.5]]), down=np.array([[0.5]]), stay=one)
+    return hs.QbdModel(d=1, r0=one, p0=np.array([[1.0]]), prefix=(down,) * 40, tail=crit)
+
+
 def retrial_model(arrival, service, servers, theta="0.3", gamma=None):
     gen = hs.build_retrial(arrival, service, servers, hs.RetrySchedule.parse(theta))
     return hs.uniformize(gen, gamma=gamma)

@@ -69,39 +69,52 @@ def test_03_ascent_ratio_matrices_concentrate_on_last_row(retrial_c1, retrial_c2
 
 
 def test_04_verdict_flips_at_the_critical_arrival_rate():
-    # r_c = lam (lam + theta) / (mu theta) crosses 1 at lam* below; both
-    # sides certify via closed forms chosen by the sign of the tail's
-    # drift, so the last two points sit at r_c - 1 = -/+5.5e-7 with the
-    # default horizon
+    # r_c = lam (lam + theta) / (mu theta) crosses 1 at lam* below; the sign
+    # of the tail's drift picks every verdict, taken exactly when the float
+    # drift is within its rounding bound, so the points run to r_c - 1 =
+    # -/+1e-13 (values there are NaN: I - A and I - B G_1 are too ill
+    # conditioned to invert)
     mu, theta = 0.5, 0.3
     lam_star = (-theta + math.sqrt(theta * theta + 4 * mu * theta)) / 2.0
 
     def lam_at(excess):
         return (-theta + math.sqrt(theta * theta + 4 * (1.0 + excess) * mu * theta)) / 2.0
 
-    sweep = [
-        (0.20, 10_000), (0.24, 10_000), (0.26, 10_000), (0.265, 10_000),
-        (lam_star - 1e-6, 10_000),
-        (lam_star + 1.81e-5, 900_000),
-        (0.266, 120_000), (0.27, 30_000), (0.30, 10_000),
-        (lam_at(-5.5e-7), 10_000), (lam_at(5.5e-7), 10_000),
-    ]
+    sweep = [0.20, 0.24, 0.26, 0.265, lam_star - 1e-6, lam_star + 1.81e-5,
+             0.266, 0.27, 0.30]
+    sweep += [lam_at(sign * excess) for excess in (5.5e-7, 1e-11, 1e-12, 1e-13)
+              for sign in (-1, 1)]
     tight_pr = tight_tr = None
-    for lam, horizon in sweep:
+    for lam in sweep:
         r_c = lam * (lam + theta) / (mu * theta)
-        assert abs(r_c - 1.0) > 5e-7
-        res = hs.classify(retrial_model(lam, mu, 1), horizon=horizon)
-        assert (res.verdict == "positive-recurrent") == (r_c < 1.0), \
+        assert r_c != 1.0
+        res = hs.classify(retrial_model(lam, mu, 1))
+        assert res.verdict == ("positive-recurrent" if r_c < 1.0 else "transient"), \
             f"lam={lam}: verdict {res.verdict} vs r_c={r_c}"
         if r_c < 1.0:
             tight_pr = max(tight_pr or -1.0, r_c)
         else:
-            res_t = res.verdict
-            assert res_t == "transient"
             tight_tr = min(tight_tr or math.inf, r_c)
     record_acceptance(f"[PASS] 4. verdict flips with sign(r_c - 1) across "
                       f"{len(sweep)} points (tightest certified: r_c - 1 = "
                       f"{tight_pr - 1.0:+.1e} / {tight_tr - 1.0:+.1e})")
+
+
+def test_decay_rate_certified_by_the_drift_sign_near_the_critical_rate():
+    """Retrial c=1: the decay rate is r_c wherever the drift sign is
+    certified negative and I - A can be inverted (within 3.3e-16 and
+    8.9e-16 at r_c - 1 = -1e-10 and -1e-11); at -1e-12 its 1-norm condition
+    number is about 1.5e12 and the stationary solve is refused."""
+    mu, theta = 0.5, 0.3
+    for excess in (-1e-10, -1e-11, -1e-12):
+        lam = (-theta + math.sqrt(theta * theta + 4 * (1.0 + excess) * mu * theta)) / 2.0
+        r_c = lam * (lam + theta) / (mu * theta)
+        model = retrial_model(lam, mu, 1)
+        if excess == -1e-12:
+            with pytest.raises(hs.NotPositiveRecurrentError, match="condition number"):
+                hs.decay_rate(model)
+        else:
+            assert abs(hs.decay_rate(model).rate - r_c) <= 4e-15
 
 
 def test_05_scalar_chain_closed_forms_and_truncation(d1_pos):

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import halfstrip as hs
 
+from conftest import reducible_tail_models
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -50,11 +52,9 @@ def test_tail_solvers_report_sweeps(retrial_c1):
 def test_boundary_visits_keep_their_terms(d1_pos, d1_null, d1_transient):
     """The benchmark counts ``len(expected_boundary_visits(...).terms) - 1``
     levels, for every visit status."""
-    callback = hs.CallbackModel(d=1, r0=d1_pos.r0, p0=d1_pos.p0,
-                                level_fn=d1_pos.block_at)
     seen = set()
-    for model in (d1_pos, d1_null, d1_transient, callback):
-        bv = hs.expected_boundary_visits(model, horizon=200)
+    for model in (d1_pos, d1_null, d1_transient, *reducible_tail_models()):
+        bv = hs.expected_boundary_visits(model)
         assert len(bv.terms) >= 1
         seen.add(bv.status)
     assert seen == {"convergent", "divergent", "inconclusive"}

@@ -311,24 +311,26 @@ def test_branching_data_past_fixed_point_equals_per_level_stepping(retrial_c2):
 
 def test_boundary_visits_closed_form_matches_term_by_term():
     """On a tail drifting up the visit count is mu (I - B G_1)^{-1} 1 in
-    closed form; it equals the term-by-term sum that a level callable over
-    the same blocks forces."""
+    closed form; it equals the series summed term by term over 3000 upward
+    levels, term k being mu_k A^+_k ... A^+_1 1."""
     rng = np.random.default_rng(17)
     for d in (2, 3, 4, 2, 3, 4):
         model = _random_transient_model(rng, d)
-        bv = hs.expected_boundary_visits(model)
+        mu = np.full(d, 1.0 / d)
+        bv = hs.expected_boundary_visits(model, mu=mu)
         assert bv.status == "convergent"
         assert bv.note == "levels from 1 summed in closed form"
-        assert bv.horizon == 1
         assert len(bv.terms) == len(bv.partial_sums) == 2
         assert bv.partial_sums[-1] == bv.value
-        loop = hs.expected_boundary_visits(
-            hs.CallbackModel(d=d, r0=model.r0, p0=model.p0, level_fn=model.block_at),
-            horizon=3000)
-        assert loop.status == "inconclusive"
-        assert bv.terms[0] == loop.terms[0]
-        assert loop.terms[-1] < 1e-17
-        assert abs(bv.value - loop.partial_sums[-1]) <= 1e-12 * bv.value
+        m, w, total = mu, np.ones(d), 1.0
+        for z_prev, a_k, _ in itertools.islice(hs.branching._upward_levels(model), 3000):
+            m = m @ z_prev
+            w = a_k @ w
+            term = float(m @ w)
+            total += term
+        assert bv.terms[0] == 1.0
+        assert term < 1e-17
+        assert abs(bv.value - total) <= 1e-12 * bv.value
 
 
 def test_boundary_visits_closed_form_matches_retrial_value():
@@ -362,21 +364,6 @@ def test_branching_accessors_past_depth(d1_pos):
     for name in ("exit_down", "offspring_down", "fundamental_down", "sojourn_down"):
         at = getattr(data, f"{name}_at")
         assert at(200) is at(data.depth) is getattr(data, name)[data.depth]
-
-
-def test_branching_rejects_callback_models():
-    def level_fn(n):
-        return hs.BlockTriple(
-            up=np.array([[0.3]]),
-            down=np.array([[0.7]]),
-            stay=np.array([[0.0]]),
-        )
-
-    m = hs.CallbackModel(
-        d=1, r0=np.array([[0.0]]), p0=np.array([[1.0]]), level_fn=level_fn
-    )
-    with pytest.raises(ValueError):
-        hs.branching_data(m)
 
 
 def test_offspring_pmf_normalization_and_mean(retrial_c1):

@@ -6,7 +6,8 @@ import pytest
 
 import halfstrip as hs
 
-from conftest import random_pos_recurrent_model, scalar_chain
+from conftest import (null_behind_prefix_model, random_pos_recurrent_model,
+                      reducible_tail_models, scalar_chain)
 
 
 def _dense_return_time(model, cutoff, n, mu):
@@ -80,41 +81,25 @@ def test_classify_transient(d1_transient):
 
 
 def test_classify_inconclusive_when_no_certificate_applies():
-    """Forty drift-down prefix levels push the return-series terms below the
-    divergence floor before the critical tail is reached, so neither the
-    finite nor the infinite certificate can fire."""
-    down_block = hs.BlockTriple(
-        up=np.array([[0.3]]), down=np.array([[0.7]]), stay=np.array([[0.0]])
-    )
-    crit = hs.BlockTriple(
-        up=np.array([[0.5]]), down=np.array([[0.5]]), stay=np.array([[0.0]])
-    )
-    m = hs.QbdModel(
-        d=1,
-        r0=np.array([[0.0]]),
-        p0=np.array([[1.0]]),
-        prefix=(down_block,) * 40,
-        tail=crit,
-    )
-    c = hs.classify(m)
-    assert c.verdict == hs.INCONCLUSIVE
-    assert c.certificate == "no-certificate"
+    """A tail phase chain with no unique stationary vector has no drift
+    sign, so no verdict is certified, whatever the blocks' own drifts
+    (-0.4 in both phases; 0 and -0.4) would suggest."""
+    for m in reducible_tail_models():
+        c = hs.classify(m)
+        assert c.verdict == hs.INCONCLUSIVE
+        assert c.certificate == "no-certificate"
+        assert c.details["exact_sign"]
+        assert c.details["visit_status"] == c.details["return_status"] == "inconclusive"
 
 
-def test_classify_callback_model_inconclusive():
-    def level_fn(n):
-        return hs.BlockTriple(
-            up=np.array([[0.3]]),
-            down=np.array([[0.7]]),
-            stay=np.array([[0.0]]),
-        )
-
-    m = hs.CallbackModel(
-        d=1, r0=np.array([[0.0]]), p0=np.array([[1.0]]), level_fn=level_fn
-    )
-    c = hs.classify(m)
-    assert c.verdict == hs.INCONCLUSIVE
-    assert c.certificate == "no-limiting-tail"
+def test_classify_null_recurrent_behind_drift_down_prefix():
+    """Forty drift-down prefix levels over a tail with exact drift 0: the
+    tail's sign decides, so the walk is null recurrent."""
+    c = hs.classify(null_behind_prefix_model())
+    assert c.verdict == hs.NULL_RECURRENT
+    assert c.certificate == "visits-divergent-return-time-infinite"
+    assert c.return_bound == c.boundary_visits == math.inf
+    assert c.details["exact_sign"]
 
 
 def test_expected_return_time_boundary_kac(retrial_c1):
@@ -200,10 +185,13 @@ def test_classify_invariant_under_phase_relabeling(retrial_c2):
     assert abs(a.tail_radius_down - b.tail_radius_down) < 1e-9
 
 
-def test_classify_records_horizon_and_details(d1_null):
-    c = hs.classify(d1_null, horizon=5000)
-    assert c.horizon == 5000
-    assert isinstance(c.details, dict)
+def test_classify_records_horizon_and_details(d1_null, d1_pos):
+    """The library keeps no series horizon; details say whether the drift
+    sign was taken exactly (d1_null's float drift is within its bound)."""
+    c = hs.classify(d1_null)
+    assert not hasattr(c, "horizon")
+    assert c.details["exact_sign"] is True
+    assert hs.classify(d1_pos).details["exact_sign"] is False
     assert c.visit_terms is not None
     assert len(c.visit_partial_sums) == len(c.visit_terms)
 
@@ -246,8 +234,11 @@ def test_transient_classify_solves_the_tail_once(monkeypatch):
 
 def test_rounding_critical_point_is_not_certified_positive_recurrent():
     """The middle point of a 7-point retrial sweep lands at r_c - 1 = -2.2e-16,
-    where the drift is below its rounding bound: no positive-recurrence
-    certificate, no stationary distribution and no decay rate."""
+    where the float drift is below its rounding bound. The exact drift of
+    the stored floats is -5.0e-17, so the walk is certified positive
+    recurrent; but I - A is too ill conditioned for the closed form, so its
+    return-time value is NaN and no stationary distribution or decay rate
+    is certified."""
     mu, theta = 0.5, 0.3
     lam_crit = (-theta + math.sqrt(theta * theta + 4 * mu * theta)) / 2.0
     lo, hi = 0.5 * lam_crit, 1.5 * lam_crit
@@ -255,9 +246,11 @@ def test_rounding_critical_point_is_not_certified_positive_recurrent():
     assert abs(lam * (lam + theta) / (mu * theta) - 1.0) < 1e-15
     model = _retrial_at(lam)
     c = hs.classify(model)
-    assert c.verdict != hs.POSITIVE_RECURRENT
-    assert hs.return_time_bound(model).status != "finite"
-    with pytest.raises(hs.NotPositiveRecurrentError):
+    assert c.verdict == hs.POSITIVE_RECURRENT
+    assert c.details["exact_sign"]
+    assert math.isnan(c.return_bound)
+    assert "condition number" in c.details["return_series_note"]
+    with pytest.raises(hs.NotPositiveRecurrentError, match="condition number"):
         hs.stationary_dist(model)
-    with pytest.raises(hs.TailNotPositiveRecurrentError):
+    with pytest.raises(hs.NotPositiveRecurrentError, match="condition number"):
         hs.decay_rate(model)

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 import halfstrip as hs
 from halfstrip.cli import _dump_json, main
 
-from conftest import NILPOTENT_TAIL
+from conftest import NILPOTENT_TAIL, null_behind_prefix_model, reducible_tail_models
 
 
 def run_cli(argv, stdin_text=None):
@@ -42,23 +42,16 @@ def run_cli(argv, stdin_text=None):
 def model_files(tmp_path_factory, d1_pos, d1_transient, retrial_c1):
     root = tmp_path_factory.mktemp("cli-models")
     paths = {}
+    # the two inconclusive models have a tail phase chain with no unique
+    # stationary vector, hence no drift sign
+    inconclusive, inconclusive_mixed = reducible_tail_models()
     for name, model in [("pos", d1_pos), ("transient", d1_transient),
-                        ("retrial", retrial_c1)]:
+                        ("retrial", retrial_c1), ("null_prefix", null_behind_prefix_model()),
+                        ("inconclusive", inconclusive),
+                        ("inconclusive_mixed", inconclusive_mixed)]:
         p = root / f"{name}.json"
         hs.save_model(model, p)
         paths[name] = str(p)
-
-    # long drift-down prefix pushes the return-time series under the
-    # divergence floor before the critical tail can certify anything
-    down = hs.BlockTriple(up=np.array([[0.3]]), down=np.array([[0.7]]),
-                          stay=np.array([[0.0]]))
-    crit = hs.BlockTriple(up=np.array([[0.5]]), down=np.array([[0.5]]),
-                          stay=np.array([[0.0]]))
-    inconclusive = hs.QbdModel(d=1, r0=np.array([[0.0]]), p0=np.array([[1.0]]),
-                               prefix=(down,) * 40, tail=crit)
-    p = root / "inconclusive.json"
-    hs.save_model(inconclusive, p)
-    paths["inconclusive"] = str(p)
 
     p = root / "invalid.json"
     p.write_text(json.dumps({"d": 1, "r0": [[0.0]], "p0": [[0.5]], "prefix": [],
@@ -88,9 +81,16 @@ def test_classify_transient_still_exit_0(model_files):
 
 
 def test_classify_inconclusive_exit_4(model_files):
-    code, out, _ = run_cli(["classify", model_files["inconclusive"]])
-    assert code == 4
-    assert "verdict: inconclusive" in out
+    for name in ("inconclusive", "inconclusive_mixed"):
+        code, out, _ = run_cli(["classify", model_files[name]])
+        assert code == 4
+        assert "verdict: inconclusive" in out
+
+
+def test_classify_null_recurrent_behind_drift_down_prefix(model_files):
+    code, out, _ = run_cli(["classify", model_files["null_prefix"]])
+    assert code == 0
+    assert out.splitlines()[0] == "verdict: null-recurrent"
 
 
 def test_malformed_json_exit_1(model_files):
@@ -245,11 +245,25 @@ def test_classify_json_report(model_files):
     assert res["return_time_bound"] > 1.0
 
 
+def test_classify_ignores_horizon_and_verify_rejects_it(model_files):
+    """``classify --horizon`` is still accepted and changes no byte of the
+    report, which no longer echoes it; ``verify`` has no such option."""
+    argv = ["classify", model_files["transient"], "--format", "json"]
+    _, plain, _ = run_cli(argv)
+    code, out, _ = run_cli(argv + ["--horizon", "40000"])
+    assert code == 0 and out == plain
+    assert "horizon" not in out
+    code, _, err = run_cli(["verify", model_files["pos"], "--seed", "1", "--horizon", "5"])
+    assert code == 1 and "--horizon" in err
+
+
 @pytest.mark.parametrize("excess", [-1e-8, 1e-8, -1e-10, 1e-10, -1e-12, 1e-12, -1e-14, 1e-14])
 def test_classify_near_critical_retrial_agrees_with_drift_sign(tmp_path, excess):
     """Retrial c=1 (mu 0.5, theta 0.3) at r_c - 1 = excess: every verdict
-    agrees with the sign of the tail's certified drift, or is inconclusive
-    with exit 4; no point raises."""
+    is the one the sign of r_c - 1 gives, which the exact drift of the
+    stored floats shares where the float drift is within its rounding bound
+    (+/-1e-14). From +/-1e-12 on, the value that goes with the verdict is
+    NaN: invert refuses I - A or I - B G_1."""
     mu, theta = 0.5, 0.3
     lam = (-theta + math.sqrt(theta * theta + 4 * (1.0 + excess) * mu * theta)) / 2.0
     model = hs.uniformize(hs.build_retrial(lam, mu, 1, hs.RetrySchedule.parse("0.3")))
@@ -257,15 +271,13 @@ def test_classify_near_critical_retrial_agrees_with_drift_sign(tmp_path, excess)
     hs.save_model(model, path)
     code, out, err = run_cli(["classify", str(path), "--format", "json"])
     assert "Traceback" not in err
-    verdict = json.loads(out)["results"]["verdict"]
-    assert code == (4 if verdict == "inconclusive" else 0)
-    sign = hs.branching.drift_sign(hs.branching.tail_drift(model.tail))
-    agree = {-1: "positive-recurrent", 0: "null-recurrent", 1: "transient"}[sign]
-    assert verdict in (agree, "inconclusive")
-    if excess == 1e-12:
-        # the drift is certified positive, but I - B G_1 is too ill
-        # conditioned for the closed form
-        assert sign == 1 and verdict == "inconclusive"
+    assert code == 0
+    results = json.loads(out)["results"]
+    value = "return_time_bound" if excess < 0 else "boundary_visits"
+    assert results["verdict"] == ("positive-recurrent" if excess < 0 else "transient")
+    assert (results[value] == "NaN") == (abs(excess) <= 1e-12)
+    exact = hs.branching.drift_sign(hs.branching.tail_drift(model.tail)) == 0
+    assert exact == (abs(excess) == 1e-14)
 
 
 def test_classify_reads_rate_model_file(tmp_path):
@@ -423,11 +435,11 @@ def test_verify_non_recurrent_short_circuits(model_files):
 
 
 def test_verify_inconclusive_exit_4(model_files):
-    code, out, _ = run_cli(["verify", model_files["inconclusive"],
-                            "--seed", "1"])
-    assert code == 4
-    report = json.loads(out)
-    assert report["checks"][0]["status"] == "fail"
+    for name in ("inconclusive", "inconclusive_mixed"):
+        code, out, _ = run_cli(["verify", model_files[name], "--seed", "1"])
+        assert code == 4
+        report = json.loads(out)
+        assert report["checks"][0]["status"] == "fail"
 
 
 def test_nilpotent_tail_offspring_model(tmp_path):

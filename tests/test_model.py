@@ -241,22 +241,6 @@ def test_retry_schedule_bad_spec():
         hs.RetrySchedule.parse("not-a-rate-or-file")
 
 
-def test_callback_model_levels():
-    def level_fn(n):
-        return hs.BlockTriple(
-            up=np.array([[0.3]]),
-            down=np.array([[0.7]]),
-            stay=np.array([[0.0]]),
-        )
-
-    m = hs.CallbackModel(
-        d=1, r0=np.array([[0.0]]), p0=np.array([[1.0]]), level_fn=level_fn
-    )
-    blk = m.block_at(5)
-    assert np.allclose(blk.down, [[0.7]])
-    assert not hasattr(m, "tail")
-
-
 def test_as_chain_on_generator_and_chain(d1_pos):
     gen = hs.build_retrial(0.2, 0.5, 1, hs.RetrySchedule.parse("0.3"))
     from_gen = hs.as_chain(gen, gamma=1.0)

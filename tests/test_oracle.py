@@ -501,21 +501,6 @@ def test_estimate_exit_probability_directions_use_distinct_streams(d1_pos):
     assert first[0] != first[1]
 
 
-def test_monte_carlo_oracles_refuse_callback_model(retrial_c1):
-    """A level-map model has no limiting tail row for the step table, so
-    both Monte Carlo oracles refuse it; the dense solve still takes it."""
-    m = hs.CallbackModel(
-        d=retrial_c1.d, r0=retrial_c1.r0, p0=retrial_c1.p0,
-        level_fn=retrial_c1.block_at,
-    )
-    with pytest.raises(ValueError, match="prefix\\+tail"):
-        hs.simulate(m, config=hs.SimConfig(seed=1, cycles=100))
-    with pytest.raises(ValueError, match="prefix\\+tail"):
-        hs.estimate_exit_probability(m, 1, "down", hs.ExitConfig(seed=1, samples=100))
-    assert np.array_equal(hs.truncated_solve(m, 40).pi,
-                          hs.truncated_solve(retrial_c1, 40).pi)
-
-
 def test_cell_deviations_policy():
     ref = np.array([0.5, 1e-7, 0.0])
     obs = np.array([0.52, 5e-7, 0.0])

