@@ -3,11 +3,14 @@
 The sign of the tail's mean drift picks the verdict (Neuts' mean-drift
 condition): negative is positive recurrent, positive is transient, an
 exact zero is null recurrent, and a tail phase chain with no unique
-stationary vector is inconclusive. Two scalar series give the values
-that go with it. The return-time series (expected steps to come back
-down to layer 0) is finite exactly when the walk is positive recurrent,
-and the boundary-visit series (expected number of returns to layer 0)
-exactly when it is transient; each is summed in closed form on its side.
+stationary vector is inconclusive. A walk that cannot reach the tail
+from layer 0 (a prefix level it cannot climb past) stays in finitely
+many levels and is positive recurrent whatever the tail's drift. Two
+scalar series give the values that go with it. The return-time series
+(expected steps to come back down to layer 0) is finite exactly when the
+walk is positive recurrent, and the boundary-visit series (expected
+number of returns to layer 0) exactly when it is transient; each is
+summed in closed form on its side.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ import numpy as np
 
 from .branching import (
     DEFAULT_TOL,
+    BoundaryVisits,
     SeriesValue,
     _ascent_visits,
     branching_data,
@@ -101,7 +105,8 @@ class Classification:
     A value whose closed form was refused is NaN, and the verdict stands.
     visit_terms / visit_partial_sums are the boundary-visit series
     diagnostics (empty when the walk is positive recurrent).
-    details["exact_sign"] says whether the drift sign was taken exactly.
+    details["exact_sign"] says whether the drift sign was taken exactly,
+    details["tail_reachable"] whether a walk from layer 0 can reach the tail.
     """
 
     verdict: str
@@ -119,7 +124,8 @@ class Classification:
 def classify(model, mu=None, tol=DEFAULT_TOL, data=None):
     """Classify a half-strip walk by its tail's certified drift sign.
 
-    The sign (``BranchingData.drift_sign``) alone picks the verdict; the
+    The sign (``BranchingData.walk_sign``: the tail's drift sign, or -1
+    when the walk cannot reach the tail) alone picks the verdict; the
     series only give values. A positive-recurrent walk has a finite
     return-time series, and its boundary-visit series is divergent by
     implication and not summed. Otherwise the boundary-visit series is
@@ -128,25 +134,17 @@ def classify(model, mu=None, tol=DEFAULT_TOL, data=None):
     """
     if data is None:
         data = branching_data(model, tol=tol)
-    verdict, certificate = _VERDICTS[data.drift_sign]
+    verdict, certificate = _VERDICTS[data.walk_sign]
     rb = return_time_bound(model, data=data, tol=tol)
-    ret = None
-    if mu is not None:
-        ret = expected_return_time(model, mu, n=0, data=data, tol=tol)
+    ret = None if mu is None else expected_return_time(model, mu, n=0, data=data, tol=tol)
+    details = {"return_series_note": rb.note, "exact_sign": data.exact_sign,
+               "tail_reachable": data.tail_reachable}
     if verdict == POSITIVE_RECURRENT:
-        return Classification(
-            verdict=verdict,
-            certificate=certificate,
-            return_bound=rb.value,
-            boundary_visits=math.inf,
-            visit_terms=[],
-            visit_partial_sums=[],
-            tail_radius_down=data.radius_down,
-            return_time=ret,
-            details={"note": "boundary visits divergent by implication",
-                     "return_series_note": rb.note, "exact_sign": data.exact_sign},
-        )
-    bv = expected_boundary_visits(model, mu=mu, tol=tol, data=data)
+        bv = BoundaryVisits("divergent", math.inf, [], [])
+        details["note"] = "boundary visits divergent by implication"
+    else:
+        bv = expected_boundary_visits(model, mu=mu, tol=tol, data=data)
+        details.update(visit_status=bv.status, return_status=rb.status, visit_note=bv.note)
     return Classification(
         verdict=verdict,
         certificate=certificate,
@@ -157,7 +155,5 @@ def classify(model, mu=None, tol=DEFAULT_TOL, data=None):
         tail_radius_up=bv.radius_up,
         tail_radius_down=data.radius_down,
         return_time=ret,
-        details={"visit_status": bv.status, "return_status": rb.status,
-                 "visit_note": bv.note, "return_series_note": rb.note,
-                 "exact_sign": data.exact_sign},
+        details=details,
     )

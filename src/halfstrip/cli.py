@@ -359,20 +359,23 @@ def _cmd_verify(args):
     data = branching_data(model, tol=tol)
     res = classify(model, tol=tol, data=data)
     results = {"verdict": res.verdict, "certificate": res.certificate}
+    inputs = _inputs(args, ["model", "seed", "cycles", "levels", "tol", "samples"])
+    gate = None
     if res.verdict != "positive-recurrent":
-        report = _report("verify",
-                         _inputs(args, ["model", "seed", "cycles", "levels",
-                                        "tol", "samples"]),
-                         results,
-                         [_check("classification-certified",
-                                 0.0 if res.verdict != INCONCLUSIVE else 1.0, 0.5,
-                                 context={"verdict": res.verdict})])
+        gate = _check("classification-certified", float(res.verdict == INCONCLUSIVE), 0.5,
+                      context={"verdict": res.verdict})
+    else:
+        try:
+            result, stationary_checks = _stationary_with_checks(model, data, args.levels, tol)
+        except NotPositiveRecurrentError as exc:
+            # certified positive recurrent, but the normalizer's closed form was refused
+            gate = _check("stationary-certified", 1.0, 0.5, context={"reason": str(exc)})
+    if gate:
+        report = _report("verify", inputs, results, [gate])
         _emit(report, args, _verify_lines(report))
         if res.verdict == INCONCLUSIVE:
             return EXIT_INCONCLUSIVE
-        return EXIT_OK
-
-    result, stationary_checks = _stationary_with_checks(model, data, args.levels, tol)
+        return EXIT_OK if gate["status"] == "pass" else EXIT_CHECKS_FAILED
 
     # analytic self-consistency
     top = max(2, model.n_prefix + 1, result.levels + 1)
@@ -452,10 +455,7 @@ def _cmd_verify(args):
         "checks_passed": sum(1 for c in checks if c["status"] == "pass"),
         "checks_total": len(checks),
     })
-    report = _report("verify",
-                     _inputs(args, ["model", "seed", "cycles", "levels", "tol",
-                                    "samples"]),
-                     results, checks)
+    report = _report("verify", inputs, results, checks)
     _emit(report, args, _verify_lines(report))
     return EXIT_OK if all(c["status"] == "pass" for c in checks) else EXIT_CHECKS_FAILED
 

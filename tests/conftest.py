@@ -88,6 +88,21 @@ def null_behind_prefix_model():
     return hs.QbdModel(d=1, r0=one, p0=np.array([[1.0]]), prefix=(down,) * 40, tail=crit)
 
 
+def walled_prefix_models():
+    """Walks that cannot reach their tail: one prefix level with a zero up
+    block (down 1) over a drift-up tail (up 0.7 / down 0.3), a drift-0 tail
+    (up 0.5 / down 0.5), and, at d = 2, the identity tail phase chain with
+    no drift sign. Each stays on layers 0 and 1, so it is positive
+    recurrent with return time 2 from every phase."""
+    models = []
+    for d, up, down in [(1, [0.7], [0.3]), (1, [0.5], [0.5]), (2, [0.5, 0.3], [0.5, 0.7])]:
+        zero, eye = np.zeros((d, d)), np.eye(d)
+        wall = hs.BlockTriple(up=zero, down=eye, stay=zero)
+        tail = hs.BlockTriple(up=np.diag(up), down=np.diag(down), stay=zero)
+        models.append(hs.QbdModel(d=d, r0=zero, p0=eye, prefix=(wall,), tail=tail))
+    return models
+
+
 def retrial_model(arrival, service, servers, theta="0.3", gamma=None):
     gen = hs.build_retrial(arrival, service, servers, hs.RetrySchedule.parse(theta))
     return hs.uniformize(gen, gamma=gamma)

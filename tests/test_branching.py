@@ -356,6 +356,33 @@ def test_tail_drift_sign(d1_pos, d1_null, d1_transient):
         assert hs.branching.drift_sign(drift) == sign
 
 
+def test_exact_drift_sign_agrees_with_certified_float_sign():
+    """On seeded random tails, sparse ones included, the exact sign equals
+    the float sign wherever the float drift clears its bound, reads 0 when
+    U = D, and None when the phase chain is the identity."""
+    rng = np.random.default_rng(11)
+    checked = zeros = 0
+    for _ in range(200):
+        d = int(rng.integers(1, 7))
+        blocks = rng.random((3, d, d)) * (rng.random((3, d, d)) < 0.6)
+        blocks[1] += np.eye(d) * 1e-3
+        blocks /= blocks.sum(axis=(0, 2))[None, :, None]
+        tail = hs.BlockTriple(up=blocks[0], stay=blocks[1], down=blocks[2])
+        sign = hs.branching.drift_sign(hs.branching.tail_drift(tail))
+        if sign and hs.branching.tail_drift(tail)[0] is not None:
+            assert hs.branching.exact_drift_sign(tail) == sign
+            checked += 1
+        half = (blocks[0] + blocks[2]) / 2
+        level = hs.BlockTriple(up=half, stay=blocks[1], down=half)
+        if np.isfinite(hs.branching.tail_drift(level)[1]):
+            assert hs.branching.exact_drift_sign(level) == 0
+            zeros += 1
+    assert checked > 100 and zeros > 100
+    eye, zero = np.eye(3), np.zeros((3, 3))
+    assert hs.branching.exact_drift_sign(hs.BlockTriple(up=0.3 * eye, stay=zero,
+                                                        down=0.7 * eye)) is None
+
+
 def test_branching_accessors_past_depth(d1_pos):
     """Only the prefix and the first tail level are stored; every deeper
     level is served from the first tail level."""

@@ -7,7 +7,7 @@ import pytest
 import halfstrip as hs
 
 from conftest import (null_behind_prefix_model, random_pos_recurrent_model,
-                      reducible_tail_models, scalar_chain)
+                      reducible_tail_models, scalar_chain, walled_prefix_models)
 
 
 def _dense_return_time(model, cutoff, n, mu):
@@ -100,6 +100,28 @@ def test_classify_null_recurrent_behind_drift_down_prefix():
     assert c.certificate == "visits-divergent-return-time-infinite"
     assert c.return_bound == c.boundary_visits == math.inf
     assert c.details["exact_sign"]
+
+
+def test_classify_positive_recurrent_behind_a_prefix_wall():
+    """A prefix level with a zero up block keeps the walk off the tail, so
+    the tail's drift sign (+1, 0, none) does not apply: each walk lives on
+    layers 0 and 1 and is positive recurrent, with a finite stationary
+    distribution and a divergent boundary-visit series."""
+    for model, tail_sign in zip(walled_prefix_models(), (1, 0, None)):
+        data = hs.branching_data(model)
+        assert data.drift_sign == tail_sign
+        assert not data.tail_reachable
+        c = hs.classify(model, data=data)
+        assert c.verdict == hs.POSITIVE_RECURRENT
+        assert c.certificate == "return-time-series-finite"
+        assert c.return_bound == 2.0 * model.d
+        assert c.details["tail_reachable"] is False
+        assert hs.expected_return_time(model, np.full(model.d, 1.0 / model.d)) == 2.0
+        assert hs.expected_boundary_visits(model, data=data).status == "divergent"
+        result = hs.stationary_dist(model, data=data)
+        assert result.normalizer == 2.0
+        assert np.allclose(result.nu[:2].sum(axis=1), 0.5, atol=1e-15)
+        assert not result.nu[2:].any()
 
 
 def test_expected_return_time_boundary_kac(retrial_c1):

@@ -22,7 +22,8 @@ from hypothesis import given, settings, strategies as st
 import halfstrip as hs
 from halfstrip.cli import _dump_json, main
 
-from conftest import NILPOTENT_TAIL, null_behind_prefix_model, reducible_tail_models
+from conftest import (NILPOTENT_TAIL, null_behind_prefix_model, reducible_tail_models,
+                      walled_prefix_models)
 
 
 def run_cli(argv, stdin_text=None):
@@ -91,6 +92,17 @@ def test_classify_null_recurrent_behind_drift_down_prefix(model_files):
     code, out, _ = run_cli(["classify", model_files["null_prefix"]])
     assert code == 0
     assert out.splitlines()[0] == "verdict: null-recurrent"
+
+
+def test_classify_behind_a_prefix_wall_is_positive_recurrent(tmp_path):
+    for i, model in enumerate(walled_prefix_models()):
+        path = tmp_path / f"wall{i}.json"
+        hs.save_model(model, path)
+        code, out, _ = run_cli(["classify", str(path)])
+        assert code == 0
+        assert out.splitlines()[:3] == ["verdict: positive-recurrent",
+                                        "certificate: return-time-series-finite",
+                                        f"return-time bound: {2 * model.d}"]
 
 
 def test_malformed_json_exit_1(model_files):
@@ -440,6 +452,26 @@ def test_verify_inconclusive_exit_4(model_files):
         assert code == 4
         report = json.loads(out)
         assert report["checks"][0]["status"] == "fail"
+
+
+@pytest.mark.parametrize("excess", [-1e-12, -1e-13])
+def test_verify_refused_normalizer_fails_one_check(tmp_path, excess):
+    """Retrial c=1 just below r_c = 1 is certified positive recurrent, but
+    invert refuses I - A, so no stationary distribution is certified:
+    verify reports that as its one failed check and exits 5."""
+    mu, theta = 0.5, 0.3
+    lam = (-theta + math.sqrt(theta * theta + 4 * (1.0 + excess) * mu * theta)) / 2.0
+    path = tmp_path / "model.json"
+    hs.save_model(hs.uniformize(hs.build_retrial(lam, mu, 1, hs.RetrySchedule.parse("0.3"))),
+                  path)
+    code, out, err = run_cli(["verify", str(path), "--seed", "1"])
+    assert code == 5 and err == ""
+    report = json.loads(out)
+    assert report["results"] == {"verdict": "positive-recurrent",
+                                 "certificate": "return-time-series-finite"}
+    check, = report["checks"]
+    assert (check["name"], check["status"]) == ("stationary-certified", "fail")
+    assert "condition number" in check["context"]["reason"]
 
 
 def test_nilpotent_tail_offspring_model(tmp_path):
