@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""Record one checkout's benchmark figures under a label in a ledger file.
+
+Runs ``perfbench/run.py --workload all`` of the checkout at --root twice,
+at seed 1 and the run length BENCHMARK.json sets, with ``--trace 0``
+(end-to-end metrics) and ``--trace 1`` (per-layer metrics), and times ``halfstrip verify`` on the retrial model c=32
+(lambda 6, mu 0.3, theta 0.3, seed 1) in a fresh interpreter. Every
+``metric`` line the runs print is kept per workload, with its unit, beside
+the machine note, and the whole entry is written under the --label key of
+the JSON file --out; other labels in that file are kept. To compare two
+commits, run it once on a checkout of each with the same --out:
+
+    python3 scripts/bench_record.py --root ../parent --label parent --out BENCH_18.json
+    python3 scripts/bench_record.py --label change --out BENCH_18.json
+"""
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEED = 1
+# retrial c=32 as (arrival, service, servers, retry schedule)
+VERIFY_MODEL = (6.0, 0.3, 32, "0.3")
+VERIFY_SEED = 1
+
+
+def parse_run_output(text):
+    """The ``metric`` lines of one ``run.py --workload all`` output, as
+    {workload: {metric: [value or None when absent, unit]}}, and its
+    machine note."""
+    workloads, machine, current = {}, None, None
+    for line in text.splitlines():
+        if line.startswith("# halfstrip benchmark:"):
+            fields = dict(part.split("=", 1) for part in line.split()[3:] if "=" in part)
+            current = workloads.setdefault(fields["workload"], {})
+        elif line.startswith("# machine:"):
+            machine = line.split(":", 1)[1].strip()
+        elif line.startswith("metric ") and current is not None:
+            _, name, value, unit = line.split(maxsplit=4)[:4]
+            current[name] = [None if value == "absent" else float(value), unit]
+    return workloads, machine
+
+
+def cpu_model():
+    """The CPU model name from /proc/cpuinfo, or the platform's guess."""
+    try:
+        with open("/proc/cpuinfo") as info:
+            for line in info:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def run_perfbench(root, seconds, trace):
+    """stdout of ``run.py --workload all`` in the checkout ``root``."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(SEED),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=root, stdout=subprocess.PIPE, text=True, check=True)
+    return proc.stdout
+
+
+def time_verify(root):
+    """Wall seconds and exit code of one ``halfstrip verify`` run on the
+    c=32 retrial model, in a fresh interpreter importing ``root``'s src."""
+    env = dict(os.environ, PYTHONPATH=str(Path(root) / "src"))
+    lam, mu, servers, theta = VERIFY_MODEL
+    build = ("import sys, halfstrip as hs; hs.save_model(hs.uniformize(hs.build_retrial("
+             f"{lam!r}, {mu!r}, {servers!r}, hs.RetrySchedule.parse({theta!r}))), sys.argv[1])")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "c32.json")
+        subprocess.run([sys.executable, "-c", build, path], env=env, check=True)
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "halfstrip", "verify", path, "--seed", str(VERIFY_SEED),
+             "--format", "json"],
+            env=env, capture_output=True, text=True)
+        wall = time.perf_counter() - start
+    return {"wall_s": wall, "exit": proc.returncode, "seed": VERIFY_SEED,
+            "model": {"arrival": lam, "service": mu, "servers": servers, "retry": theta}}
+
+
+def write_entry(path, label, entry):
+    """Store ``entry`` under ``label`` in the JSON file ``path``, keeping
+    every other label."""
+    path = Path(path)
+    ledger = json.loads(path.read_text()) if path.exists() else {}
+    ledger[label] = entry
+    path.write_text(json.dumps(ledger, indent=1, sort_keys=True) + "\n")
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True, help="key of this entry, e.g. parent or change")
+    ap.add_argument("--out", type=Path, required=True, help="ledger file, e.g. BENCH_18.json")
+    ap.add_argument("--root", type=Path, default=ROOT, help="checkout to measure")
+    args = ap.parse_args(argv)
+    seconds = json.loads((args.root / "BENCHMARK.json").read_text())["run_seconds"]
+    entry = {"seed": SEED, "seconds": seconds, "cpu": cpu_model()}
+    for trace in (0, 1):
+        workloads, machine = parse_run_output(run_perfbench(args.root, seconds, trace))
+        entry[f"trace{trace}"] = workloads
+        entry["machine"] = machine
+    entry["verify_c32"] = time_verify(args.root)
+    write_entry(args.out, args.label, entry)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -168,14 +168,16 @@ def _rep_streams(seed, count, prefix=()):
 class _StepTable(NamedTuple):
     """Compressed sampling table for levels 0..n_prefix+1.
 
-    State s = level * d + phase keeps, in order, those of its 3d outcomes
-    [down phases | stay phases | up phases] that have positive
-    probability, plus the last one, whose cumulative probability is forced
-    to 1 so a uniform in [0, 1) always lands; repeats of it pad the row.
-    For the j-th kept outcome, ``cum[j, s]`` is its cumulative probability
-    in the full row, and ``shift`` and ``phase`` at j * n_states + s are
-    its level change and new phase. Every deeper level has the blocks of
-    level n_prefix + 1, so its rows serve them all.
+    A walker is one code x = level * d + phase. State x keeps, in order,
+    those of its 3d outcomes [down phases | stay phases | up phases] that
+    have positive probability, plus the last one, whose cumulative
+    probability is forced to 1 so a uniform in [0, 1) always lands;
+    repeats of it pad the row. For the j-th kept outcome, ``cum[j, x]`` is
+    its cumulative probability in the full row, stored for all but the
+    last, whose 1 no uniform passes, and ``move`` at j * n_states + x is
+    the change of code it makes: d times its level change plus its phase
+    change. Every deeper level has the blocks of level n_prefix + 1, whose
+    first code is ``base``, so its rows serve them all.
 
     The first full-row outcome whose cumulative value reaches u > 0 is
     positive or the last, so it is kept and a draw lands on the same
@@ -184,9 +186,8 @@ class _StepTable(NamedTuple):
     """
 
     cum: np.ndarray
-    shift: np.ndarray
-    phase: np.ndarray
-    top: int
+    move: np.ndarray
+    base: int
     d: int
 
 
@@ -218,18 +219,20 @@ def _step_table(model, jump=False):
     # kept columns in order, padded by repeats of the last one
     cols = np.sort(np.where(keep, np.arange(outcomes), outcomes - 1), axis=1)[:, :width]
     packed = np.take_along_axis(cum, cols, axis=1)
-    cols = cols.T.ravel()
-    return _StepTable(cum=np.ascontiguousarray(packed.T), shift=cols // d - 1,
-                      phase=cols % d, top=n_levels - 1, d=d)
+    # outcome column c of phase p's row moves to level + c // d - 1, phase c % d
+    move = cols - d - np.arange(cols.shape[0])[:, None] % d
+    return _StepTable(cum=np.ascontiguousarray(packed[:, :-1].T), move=move.T.ravel(),
+                      base=(n_levels - 1) * d, d=d)
 
 
-def _advance(table, level, phase, u):
-    """One step of each walker at (level, phase) driven by its uniform u;
-    returns the new (level, phase)."""
-    state = np.minimum(level, table.top) * table.d + phase
-    k = (table.cum.take(state, axis=1) < u).sum(axis=0)
-    slot = k * table.cum.shape[1] + state
-    return level + table.shift.take(slot), table.phase.take(slot)
+def _step(table, code, u, clamp=True):
+    """One step of each walker at code x = level * d + phase driven by its
+    uniform u; returns the new codes. With ``clamp`` a walker above the
+    table's top level reads the top level's row; without it every walker
+    must stand on a stored level."""
+    row = np.minimum(code, table.base + code % table.d) if clamp else code
+    k = (table.cum.take(row, axis=1) < u).sum(axis=0)
+    return code + table.move.take(k * table.cum.shape[1] + row)
 
 
 def simulate(model, config=None):
@@ -247,9 +250,9 @@ def simulate(model, config=None):
     The active replications step together in segments of at most
     SEGMENT_STEPS steps, which end before a cycle could grow overlong or
     a replication exhaust its budget anywhere but on their last step. A
-    segment records every walker's (level, phase) and then derives its
-    arrivals, cycle lengths, visits and restarts in one pass; steps past
-    a replication's last needed arrival are dropped. Each replication's
+    segment records every walker's code level * d + phase after each step
+    and then derives its arrivals, cycle lengths, visits and restarts in
+    one pass; steps past a replication's last needed arrival are dropped. Each replication's
     k-th step reads the k-th uniform of its stream however steps are
     grouped, so the statistics equal per-step bookkeeping's bit for bit.
     """
@@ -261,17 +264,17 @@ def simulate(model, config=None):
     per_rep = -(-config.cycles // reps)
     gens = _rep_streams(config.seed, reps)
 
-    level = np.zeros(reps, dtype=np.int64)
     cum_start = np.cumsum(np.full(d, 1.0 / d))
     cum_start[-1] = 1.0
     first_u = np.array([g.random() for g in gens])
-    phase = (cum_start[None, :] < first_u[:, None]).sum(axis=1).astype(np.int64)
+    # every walker starts on layer 0, where its code is its phase
+    code = (cum_start[None, :] < first_u[:, None]).sum(axis=1).astype(np.int64)
 
     pending = np.zeros((reps, 1, d))
     committed = np.zeros((reps, 1, d))
     arrival_counts = np.zeros((reps, d))
-    arrival_counts[np.arange(reps), phase] += 1
-    cycle_start_phase = phase.copy()
+    arrival_counts[np.arange(reps), code] += 1
+    cycle_start_phase = code.copy()
     cyc_len = np.zeros(reps, dtype=np.int64)
     completed = np.zeros(reps, dtype=np.int64)
     discarded = np.zeros(reps, dtype=np.int64)
@@ -297,18 +300,18 @@ def simulate(model, config=None):
         ptr += seg
         steps += seg
 
-        # stepping: levels[j], phases[j] is each replication's state after
-        # j steps of the segment
-        levels, phases = np.empty((2, seg + 1, act.size), dtype=np.int64)
-        levels[0], phases[0] = level[act], phase[act]
-        lev, ph = levels[0], phases[0]
+        # stepping: codes[j] is each replication's code after j steps of
+        # the segment
+        codes = np.empty((seg + 1, act.size), dtype=np.int64)
+        codes[0] = x = code[act]
         for j in range(seg):
-            lev, ph = _advance(table, lev, ph, u[j])
-            levels[j + 1], phases[j + 1] = lev, ph
+            x = _step(table, x, u[j])
+            codes[j + 1] = x
 
-        # bookkeeping; step j of the segment leaves the state in row j - 1
+        # bookkeeping; step j of the segment leaves the state in row j - 1;
+        # on layer 0 a code is the phase
         step = np.arange(1, seg + 1)[:, None]
-        lands = levels[1:] == 0
+        lands = codes[1:] < d
         start_len = cyc_len[act]
         # only a cycle open all segment long can cross the cap, on the last
         # step; one that crosses it on its closing step is still overlong
@@ -320,35 +323,34 @@ def simulate(model, config=None):
         last = (arrive * step).max(axis=0)
         closes = last > 0
 
-        top = int(levels.max())
+        top = int(codes.max()) // d
         if top >= pending.shape[1]:
             pad = ((0, 0), (0, top + 8 - pending.shape[1]), (0, 0))
             pending = np.pad(pending, pad)
             committed = np.pad(committed, pad)
         # visits up to a replication's last arrival close cycles, later ones
         # stay pending
-        cells = np.arange(act.size) * pending[0].size + levels[:-1] * d + phases[:-1]
+        cells = np.arange(act.size) * pending[0].size + codes[:-1]
         held = pending[act]
         closing = closes[:, None, None]
         committed[act] += np.where(closing, held, 0.0) + np.bincount(
             cells[step <= last], minlength=held.size).reshape(held.shape)
         pending[act] = np.where(closing, 0.0, held) + np.bincount(
             cells[step > last], minlength=held.size).reshape(held.shape)
-        arrival_counts += np.bincount((act * d + phases[1:])[arrive],
+        arrival_counts += np.bincount((act * d + codes[1:])[arrive],
                                       minlength=arrival_counts.size).reshape(reps, d)
-        cycle_start_phase[act[closes]] = phases[last[closes], np.flatnonzero(closes)]
+        cycle_start_phase[act[closes]] = codes[last[closes], np.flatnonzero(closes)]
 
         closed = np.where(closes, start_len + last, 0)
         sum_len[act] += closed
         cyc_len[act] = np.where(over, 0, start_len + seg - closed)
         completed[act] += arrive.sum(axis=0)
-        level[act], phase[act] = levels[-1], phases[-1]
+        code[act] = codes[-1]
         # restart, but do not record a teleport as an arrival
         overlong = act[over]
         discarded[overlong] += 1
         pending[overlong] = 0.0
-        level[overlong] = 0
-        phase[overlong] = cycle_start_phase[overlong]
+        code[overlong] = cycle_start_phase[overlong]
         active = completed < per_rep
     return _cycle_stats(config, per_rep, committed, arrival_counts, completed,
                         discarded, sum_len)
@@ -503,26 +505,28 @@ def estimate_exit_probability(model, level, direction, config):
     table = _step_table(model, jump=True)
     gens = _rep_streams(config.seed, d,
                         prefix=(int(level), 0 if direction == "up" else 1))
+    # an ascent from a stored level keeps every walker on stored levels;
+    # a descent, or an ascent from above them, can leave them
+    clamp = direction == "down" or level * d > table.base
     # walkers sorted by start phase: each step, phase p's stream gives one
     # uniform to each of its active[p] walkers still out, in the order
-    # they stand
-    start = np.repeat(np.arange(d), config.samples)
+    # they stand, so a walker's start phase follows from its place
     active = [config.samples] * d
-    lev = np.full(start.size, level, dtype=np.int64)
-    ph = start.copy()
-    arrivals = [start[:0]]
+    code = np.repeat(level * d + np.arange(d), config.samples)
+    entry = target * d  # code of phase 0 on the target level
+    arrivals = [code[:0]]
     steps = 0
-    while start.size and steps < config.max_steps:
+    while code.size and steps < config.max_steps:
         u = np.concatenate([gens[p].random(n) for p, n in enumerate(active) if n])
-        lev, ph = _advance(table, lev, ph, u)
-        done = lev == target
+        code = _step(table, code, u, clamp)
+        done = code >= entry if direction == "up" else code < entry + d
         if np.any(done):
-            finished = start[done]
-            arrivals.append(finished * d + ph[done])
+            at = np.flatnonzero(done)
+            start = np.searchsorted(np.cumsum(active), at, side="right")
+            arrivals.append(start * d + code[at] - entry)
             active = [n - f for n, f in
-                      zip(active, np.bincount(finished, minlength=d).tolist())]
-            keep = ~done
-            start, lev, ph = start[keep], lev[keep], ph[keep]
+                      zip(active, np.bincount(start, minlength=d).tolist())]
+            code = code[~done]
         steps += 1
     counts = np.bincount(np.concatenate(arrivals), minlength=d * d).reshape(d, d)
     censored = np.array(active)

@@ -236,6 +236,21 @@ def test_branching_data_forms_one_factor_per_level_and_direction(retrial_c1, mon
             assert len(calls) == model.n_prefix + 1 + solve
 
 
+def test_branching_data_forms_the_tail_drift_once(retrial_c1, d1_transient, monkeypatch):
+    """branching_data forms the tail's drift pair once and hands it to the
+    downward tail solve, whichever shift the drift sign picks."""
+    calls = []
+    tail_drift = hs.branching.tail_drift
+    monkeypatch.setattr(hs.branching, "tail_drift",
+                        lambda t: calls.append(t) or tail_drift(t))
+    models = (retrial_c1, retrial_model(0.2, 0.5, 1, theta="0.3+0.3/n"), d1_transient)
+    for model in models:
+        calls.clear()
+        hs.branching_data(model)
+        assert len(calls) == 1
+    assert hs.branching_data(d1_transient).meta["tail"]["shift"] == "drift-up"
+
+
 def test_expected_visits_ascent_forms_each_upward_factor_once(retrial_c1, monkeypatch):
     """Visits below layer k reuse the upward passage factors that stepping
     the exits formed: one inverse for the boundary exit, one per level and

@@ -229,7 +229,7 @@ def _per_step_simulate(model, config):
         act = np.flatnonzero(active)
         lev_a, ph_a = level[act], phase[act]
         pending[act, lev_a, ph_a] += 1
-        new_level, new_phase = oracle._advance(table, lev_a, ph_a, u[act])
+        new_level, new_phase = np.divmod(oracle._step(table, lev_a * d + ph_a, u[act]), d)
         level[act], phase[act] = new_level, new_phase
         cyc_len[act] += 1
         rep_steps[act] += 1
@@ -332,13 +332,15 @@ def test_oracle_streams_frozen():
 
 
 def _full_row_step(rows, level, phase, u):
-    """Reference step on the full 3d-outcome row of ``rows``: the first
-    outcome whose cumulative probability reaches u, the last one forced
-    to 1."""
+    """Reference step of walkers at (level, phase) on the full 3d-outcome
+    rows of ``rows``: each takes the first outcome whose cumulative
+    probability reaches its u, the last one forced to 1. Levels past the
+    last row read the last row. Returns the new (level, phase) and the
+    cumulative rows read."""
     d = rows.shape[1]
-    cum = np.cumsum(rows[min(level, len(rows) - 1), phase])
-    cum[-1] = 1.0
-    k = int((cum < u).sum())
+    cum = np.cumsum(rows[np.minimum(level, len(rows) - 1), phase], axis=-1)
+    cum[..., -1] = 1.0
+    k = (cum < np.asarray(u)[..., None]).sum(axis=-1)
     return level + k // d - 1, k % d, cum
 
 
@@ -378,10 +380,11 @@ def test_jump_rows_drop_self_loops():
 
 
 def test_advance_matches_full_rows():
-    """The compressed table steps exactly as the full row does for every
-    u > 0: random draws, ties with each cumulative value, and the largest
-    double below 1, from every stored level and one past the last, on the
-    walk's rows and on its jump chain's."""
+    """The compressed table steps a walker code exactly as the full row
+    does for every u > 0: random draws, ties with each cumulative value,
+    and the largest double below 1, from every stored level and one past
+    the last, on the walk's rows and on its jump chain's. On the stored
+    levels the unclamped step agrees too."""
     rng = np.random.default_rng(12)
     for model, jump in [(m, j) for m in _step_models() for j in (False, True)]:
         table = oracle._step_table(model, jump=jump)
@@ -398,10 +401,13 @@ def test_advance_matches_full_rows():
         level = np.array(levels, dtype=np.int64)
         phase = np.array([p for p, _ in cases], dtype=np.int64)
         u = np.array([u for _, u in cases])
-        got_level, got_phase = oracle._advance(table, level, phase, u)
-        want = [_full_row_step(rows, int(n), int(p), x)[:2]
-                for n, p, x in zip(level, phase, u)]
-        assert list(zip(got_level.tolist(), got_phase.tolist())) == want
+        want = _full_row_step(rows, level, phase, u)[:2]
+        got = oracle._step(table, level * model.d + phase, u)
+        assert np.array_equal(got, want[0] * model.d + want[1])
+        stored = level < len(rows)
+        assert np.array_equal(
+            oracle._step(table, level[stored] * model.d + phase[stored], u[stored], clamp=False),
+            got[stored])
 
 
 def test_advance_zero_uniform_takes_a_possible_move(retrial_c1):
@@ -411,19 +417,20 @@ def test_advance_zero_uniform_takes_a_possible_move(retrial_c1):
     d, top = retrial_c1.d, len(rows) - 1
     level = np.repeat(np.arange(top + 2), d)
     phase = np.tile(np.arange(d), top + 2)
-    new_level, new_phase = oracle._advance(oracle._step_table(retrial_c1), level, phase,
-                                           np.zeros(level.size))
+    code = oracle._step(oracle._step_table(retrial_c1), level * d + phase, np.zeros(level.size))
+    new_level, new_phase = np.divmod(code, d)
     assert new_level.min() >= 0
     outcome = (new_level - level + 1) * d + new_phase
     assert np.all(rows[np.minimum(level, top), phase, outcome] > 0)
 
 
 def _per_phase_exit_counts(model, level, direction, config):
-    """Reference estimator: each start phase walked on its own on the jump
-    chain, drawing a fresh block of its stream every step."""
+    """Reference estimator: each start phase walked on its own on the full
+    rows of the jump chain, drawing a fresh block of its stream every
+    step."""
     d = model.d
     target = level + 1 if direction == "up" else level - 1
-    table = oracle._step_table(model, jump=True)
+    rows = oracle._jump_rows(oracle._step_rows(model))
     gens = oracle._rep_streams(config.seed, d, prefix=(level, 0 if direction == "up" else 1))
     counts = np.zeros((d, d), dtype=np.int64)
     censored = np.zeros(d, dtype=np.int64)
@@ -432,7 +439,7 @@ def _per_phase_exit_counts(model, level, direction, config):
         ph = np.full(config.samples, start, dtype=np.int64)
         steps = 0
         while lev.size and steps < config.max_steps:
-            lev, ph = oracle._advance(table, lev, ph, gens[start].random(lev.size))
+            lev, ph, _ = _full_row_step(rows, lev, ph, gens[start].random(lev.size))
             done = lev == target
             np.add.at(counts[start], ph[done], 1)
             lev, ph = lev[~done], ph[~done]
@@ -443,14 +450,20 @@ def _per_phase_exit_counts(model, level, direction, config):
 
 def test_exit_estimate_matches_per_phase_reference():
     """The one-population estimator reproduces the per-phase walks count
-    for count, censored walks included."""
+    for count, censored walks included: ascents from level 0 read stored
+    rows only, while descents and ascents from n_prefix + 3 read the last
+    row for every level above it."""
     censored_seen = 0
     cases = [(m, steps) for m in _step_models() for steps in (10**6, 3)]
     # walkers from (0, 0) of the self-loop model run until the cap
     cases += [(_self_loop_model(), steps) for steps in (40, 3)]
     for model, max_steps in cases:
-        for level, direction in ((0, "up"), (model.n_prefix + 1, "down")):
-            cfg = hs.ExitConfig(seed=23, samples=300, max_steps=max_steps)
+        # an ascent against the drift can take millions of steps, so the
+        # one from n_prefix + 3 stops at 500
+        for level, direction, cap in ((0, "up", max_steps),
+                                      (model.n_prefix + 1, "down", max_steps),
+                                      (model.n_prefix + 3, "up", min(max_steps, 500))):
+            cfg = hs.ExitConfig(seed=23, samples=300, max_steps=cap)
             est = hs.estimate_exit_probability(model, level, direction, cfg)
             counts, censored = _per_phase_exit_counts(model, level, direction, cfg)
             assert np.array_equal(est.matrix, counts / cfg.samples)

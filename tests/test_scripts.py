@@ -1,7 +1,11 @@
 """Smoke tests of the runnable scripts, each run as a subprocess on the
-package in ``src`` (not an installed copy)."""
+package in ``src`` (not an installed copy). The benchmark ledger script is
+imported instead and fed canned benchmark output, since one real run takes
+minutes."""
 import csv
+import importlib.util
 import io
+import json
 import math
 import os
 import subprocess
@@ -99,3 +103,80 @@ def test_exit_calibration_counts_cells_per_model():
     assert 0 < cells <= 2 * 81 and 0 <= over <= cells
     assert float(row["share"]) == pytest.approx(over / cells, abs=1e-5)
     assert float(row["share_lo"]) <= float(row["share"]) <= float(row["share_hi"])
+
+
+# two workloads of a ``perfbench/run.py --workload all`` output, trimmed
+CANNED_RUN = {
+    0: """# halfstrip benchmark: workload=critical seed=1 seconds=0.0 trace=0
+# machine: nproc=2 python=3.11.7 numpy=2.4.6 blas=scipy-openblas 0.3.31 OMP_NUM_THREADS=1
+# 1 round(s) of 7 ops; closed loop, 1 client, in-process cli.main
+metric setup_s 0.307 s median of 9 set-ups, at reference 0.5 ms
+metric op_ms_geomean 4.947 ms n=7, all commands, at reference 0.5 ms
+metric verify_s_p50 absent s command not in workload
+metric ops_per_s 188.8 1/s 7 ops, at reference 0.5 ms
+metric ops_failed 0 count
+{"correct": true, "attempted": 34, "failed": 0, "metrics": {}}
+# halfstrip benchmark: workload=oracle seed=1 seconds=0.0 trace=0
+# machine: nproc=2 python=3.11.7 numpy=2.4.6 blas=scipy-openblas 0.3.31 OMP_NUM_THREADS=1
+metric op_ms_geomean 183.9 ms n=6, all commands, at reference 0.5 ms
+metric ops_per_s 4.24 1/s 6 ops, at reference 0.5 ms
+{"correct": true, "attempted": 8, "failed": 0, "metrics": {}}
+{"critical": {}, "oracle": {}}
+""",
+    1: """# halfstrip benchmark: workload=oracle seed=1 seconds=0.0 trace=1
+# machine: nproc=2 python=3.11.7 numpy=2.4.6 blas=scipy-openblas 0.3.31 OMP_NUM_THREADS=1
+metric ops_per_s 4.1 1/s 6 ops, at reference 0.5 ms
+# oracle.simulate.steps: at most 2e+06 in one call
+metric oracle.simulate.steps 1234567 count per op
+metric linalg.invert.calls 59 count per op
+{"correct": true, "attempted": 8, "failed": 0, "metrics": {}}
+{"oracle": {}}
+""",
+}
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_record_keeps_every_metric_under_its_label(tmp_path, monkeypatch):
+    """Canned output of both trace modes lands per workload, absent metrics
+    as null, beside the machine note and the verify timing; another label
+    already in the ledger is kept."""
+    record = _load_script("bench_record")
+    monkeypatch.setattr(record, "run_perfbench",
+                        lambda root, seconds, trace: CANNED_RUN[trace])
+    monkeypatch.setattr(record, "time_verify", lambda root: {"wall_s": 21.5, "exit": 0})
+    out = tmp_path / "BENCH_0.json"
+    out.write_text(json.dumps({"parent": {"seed": 1}}))
+    assert record.main(["--label", "change", "--out", str(out)]) == 0
+    ledger = json.loads(out.read_text())
+    assert ledger["parent"] == {"seed": 1}
+    entry = ledger["change"]
+    assert entry["trace0"] == {
+        "critical": {"setup_s": [0.307, "s"], "op_ms_geomean": [4.947, "ms"],
+                     "verify_s_p50": [None, "s"], "ops_per_s": [188.8, "1/s"],
+                     "ops_failed": [0.0, "count"]},
+        "oracle": {"op_ms_geomean": [183.9, "ms"], "ops_per_s": [4.24, "1/s"]},
+    }
+    assert entry["trace1"] == {"oracle": {"ops_per_s": [4.1, "1/s"],
+                                          "oracle.simulate.steps": [1234567.0, "count"],
+                                          "linalg.invert.calls": [59.0, "count"]}}
+    assert entry["machine"].startswith("nproc=2 python=3.11.7")
+    assert entry["verify_c32"] == {"wall_s": 21.5, "exit": 0}
+    run_seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    assert (entry["seed"], entry["seconds"]) == (1, run_seconds)
+
+
+def test_bench_record_times_verify_in_a_fresh_interpreter(monkeypatch):
+    """The verify timing builds its retrial model and runs the CLI on the
+    checkout's src; on c=1 every check passes."""
+    record = _load_script("bench_record")
+    monkeypatch.setattr(record, "VERIFY_MODEL", (0.2, 0.5, 1, "0.3"))
+    timing = record.time_verify(ROOT)
+    assert timing["exit"] == 0
+    assert 0.0 < timing["wall_s"] < 120.0
+    assert timing["model"]["servers"] == 1
