@@ -153,7 +153,7 @@ def _log_reduction(down, stay, up, tol=DEFAULT_TOL, max_sweeps=64):
                              iterations=max_sweeps)
 
 
-def _tail_exit(tail, tol, up, drift=None):
+def _tail_exit(tail, tol, up):
     """Exit matrix of one direction's step on a constant tail, and its info.
 
     The root comes from logarithmic reduction on rank-one shifted blocks
@@ -176,12 +176,11 @@ def _tail_exit(tail, tol, up, drift=None):
     info names the ``shift``; ``polish`` counts the steps, ``fixed`` says
     whether the last one returned its input, and ``residual`` is the
     fixed-point residual, which must not exceed max(10 tol, 1e-10). The
-    downward exit reads the tail's ``tail_drift`` pair ``drift``, formed
-    here when the caller does not pass it.
+    downward exit's info also holds the tail's ``tail_drift`` pair as
+    ``drift``.
     """
     back, toward = (tail.down, tail.up) if up else (tail.up, tail.down)
-    if not up and drift is None:
-        drift = tail_drift(tail)
+    drift = None if up else tail_drift(tail)
     if up or drift_sign(drift) <= 0:
         shift, v = "stochastic", 1.0 / tail.d
         z, sweeps = _log_reduction(toward - v * toward.sum(1, keepdims=True),
@@ -203,17 +202,19 @@ def _tail_exit(tail, tol, up, drift=None):
         raise NoConvergenceError(
             f"{'upward' if up else 'downward'} tail root has residual {residual:.3e}",
             estimate=z, iterations=sweeps, residual=residual)
-    return z, {"method": "reduction", "shift": shift, "sweeps": sweeps, "polish": polish,
-               "fixed": fixed, "residual": residual}
+    info = {"method": "reduction", "shift": shift, "sweeps": sweeps, "polish": polish,
+            "fixed": fixed, "residual": residual}
+    if not up:
+        info["drift"] = drift
+    return z, info
 
 
-def exit_down_tail(tail, tol=DEFAULT_TOL, drift=None):
+def exit_down_tail(tail, tol=DEFAULT_TOL):
     """Minimal nonnegative downward exit matrix of a constant tail: the
     shifted reduction root for the tail's drift sign, polished
-    (``_tail_exit``). ``drift`` is the tail's ``tail_drift`` pair, formed
-    here when not given. Returns (matrix, info dict).
+    (``_tail_exit``). Returns (matrix, info dict).
     """
-    return _tail_exit(tail, tol, up=False, drift=drift)
+    return _tail_exit(tail, tol, up=False)
 
 
 def exit_up_tail(tail, tol=DEFAULT_TOL):
@@ -397,8 +398,7 @@ def branching_data(model, tol=DEFAULT_TOL):
     """
     depth = model.n_prefix + 1
     ones = np.ones(model.d)
-    drift = tail_drift(model.tail)
-    tail_exit, tail_info = exit_down_tail(model.tail, tol=tol, drift=drift)
+    tail_exit, tail_info = exit_down_tail(model.tail, tol=tol)
     factor, _ = _step(model.tail, tail_exit)
     exit_down, fundamental_down, offspring_down, sojourn_down = (
         [None] * (depth + 1) for _ in range(4))
@@ -410,6 +410,7 @@ def branching_data(model, tol=DEFAULT_TOL):
     reach = ones @ model.p0
     for n in range(1, depth):
         reach = reach @ offspring_down[n]
+    drift = tail_info["drift"]
     sign = drift_sign(drift)
     return BranchingData(
         model=model,

@@ -36,12 +36,6 @@ class NoConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def _norm1(mat):
-    """1-norm of a matrix, its largest column sum of moduli: the bits of
-    ``np.linalg.norm(mat, 1)`` without its dispatch."""
-    return np.abs(mat).sum(axis=0).max()
-
-
 def invert(mat):
     """Inverse of a square matrix, from LAPACK's LU factorization.
 
@@ -57,7 +51,7 @@ def invert(mat):
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"LAPACK: {exc}") from exc
-    cond = float(_norm1(a) * _norm1(inv))
+    cond = float(np.linalg.norm(a, 1) * np.linalg.norm(inv, 1))
     if not cond <= COND_LIMIT:
         raise SingularMatrixError(
             f"1-norm condition number {cond:.3e} above {COND_LIMIT:g}")

@@ -237,8 +237,9 @@ def test_branching_data_forms_one_factor_per_level_and_direction(retrial_c1, mon
 
 
 def test_branching_data_forms_the_tail_drift_once(retrial_c1, d1_transient, monkeypatch):
-    """branching_data forms the tail's drift pair once and hands it to the
-    downward tail solve, whichever shift the drift sign picks."""
+    """branching_data forms the tail's drift pair once, in the downward
+    tail solve, and reads it from that solve's info, whichever shift the
+    drift sign picks."""
     calls = []
     tail_drift = hs.branching.tail_drift
     monkeypatch.setattr(hs.branching, "tail_drift",

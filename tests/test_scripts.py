@@ -171,12 +171,30 @@ def test_bench_record_keeps_every_metric_under_its_label(tmp_path, monkeypatch):
     assert (entry["seed"], entry["seconds"]) == (1, run_seconds)
 
 
-def test_bench_record_times_verify_in_a_fresh_interpreter(monkeypatch):
-    """The verify timing builds its retrial model and runs the CLI on the
-    checkout's src; on c=1 every check passes."""
+def test_bench_record_times_verify_on_the_checkout(monkeypatch):
+    """The verify timing runs its model build and the CLI on the
+    checkout's src, without starting them here: the build command writes
+    the c=32 retrial model, and verify reads that file at seed 1."""
     record = _load_script("bench_record")
-    monkeypatch.setattr(record, "VERIFY_MODEL", (0.2, 0.5, 1, "0.3"))
+    commands = []
+
+    def fake_run(cmd, env, **kwargs):
+        commands.append(cmd)
+        assert env["PYTHONPATH"] == str(ROOT / "src")
+        return subprocess.CompletedProcess(cmd, 0, stdout="", stderr="")
+
+    monkeypatch.setattr(record.subprocess, "run", fake_run)
     timing = record.time_verify(ROOT)
-    assert timing["exit"] == 0
-    assert 0.0 < timing["wall_s"] < 120.0
-    assert timing["model"]["servers"] == 1
+    build, verify = commands
+    assert build[:2] == [sys.executable, "-c"]
+    path = build[3]
+    assert verify == [sys.executable, "-m", "halfstrip", "verify", path, "--seed", "1",
+                      "--format", "json"]
+    assert timing["exit"] == 0 and timing["wall_s"] >= 0.0
+    monkeypatch.setattr(sys, "argv", ["-c", str(ROOT / "no-such-dir" / "c32.json")])
+    saved = []
+    monkeypatch.setattr(hs, "save_model", lambda model, out: saved.append((model, out)))
+    exec(build[2], {})
+    (model, out), = saved
+    assert out == sys.argv[1]
+    assert model.d == 33 and timing["model"]["servers"] == 32
