@@ -3,15 +3,17 @@
 
 Runs ``perfbench/run.py --workload all`` of the checkout at --root twice,
 at seed 1 and the run length BENCHMARK.json sets, with ``--trace 0``
-(end-to-end metrics) and ``--trace 1`` (per-layer metrics), and times ``halfstrip verify`` on the retrial model c=32
-(lambda 6, mu 0.3, theta 0.3, seed 1) in a fresh interpreter. Every
+(end-to-end metrics) and ``--trace 1`` (per-layer metrics), times
+``halfstrip verify`` on the retrial model c=32 (lambda 6, mu 0.3, theta
+0.3, seed 1) in a fresh interpreter, and times the checkout's tier-1
+suite (``python -m pytest -q --continue-on-collection-errors``). Every
 ``metric`` line the runs print is kept per workload, with its unit, beside
 the machine note, and the whole entry is written under the --label key of
 the JSON file --out; other labels in that file are kept. To compare two
 commits, run it once on a checkout of each with the same --out:
 
-    python3 scripts/bench_record.py --root ../parent --label parent --out BENCH_18.json
-    python3 scripts/bench_record.py --label change --out BENCH_18.json
+    python3 scripts/bench_record.py --root ../parent --label parent --out BENCH_19.json
+    python3 scripts/bench_record.py --label change --out BENCH_19.json
 """
 import argparse
 import json
@@ -88,6 +90,19 @@ def time_verify(root):
             "model": {"arrival": lam, "service": mu, "servers": servers, "retry": theta}}
 
 
+def time_tests(root):
+    """Wall seconds, exit code and summary line of one run of the tier-1
+    suite of the checkout ``root``, on its own src."""
+    env = dict(os.environ, PYTHONPATH=str(Path(root) / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+        cwd=root, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": wall, "exit": proc.returncode, "summary": lines[-1] if lines else ""}
+
+
 def write_entry(path, label, entry):
     """Store ``entry`` under ``label`` in the JSON file ``path``, keeping
     every other label."""
@@ -110,6 +125,7 @@ def main(argv=None):
         entry[f"trace{trace}"] = workloads
         entry["machine"] = machine
     entry["verify_c32"] = time_verify(args.root)
+    entry["tier1"] = time_tests(args.root)
     write_entry(args.out, args.label, entry)
     return 0
 

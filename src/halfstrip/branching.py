@@ -352,10 +352,11 @@ class BranchingData:
     ``tail_drift`` pair. ``drift_sign`` is its certified sign, -1, 0 or +1,
     or None when the tail phase chain has no unique stationary vector: the
     float sign when the drift clears its rounding bound, else the exact one
-    (``exact_drift_sign``), which ``exact_sign`` flags. ``tail_reachable``
-    is False when a walk from layer 0 never enters the first tail level
-    (its expected entries there, 1 P0 A_1 ... A_{depth-1}, are all 0): it
-    then stays in finitely many levels, and ``walk_sign`` reads -1 whatever
+    (``exact_drift_sign``), which ``exact_sign`` flags. ``top_reached`` is
+    the highest level up to depth that a walk from layer 0 enters: the
+    last whose expected entries, 1 P0 A_1 ... A_{n-1}, are not all 0.
+    Below depth the tail is out of reach (``tail_reachable`` is False): the
+    walk stays in finitely many levels, and ``walk_sign`` reads -1 whatever
     the tail's drift. ``walk_sign`` alone picks every verdict.
     """
 
@@ -366,11 +367,15 @@ class BranchingData:
     sojourn_down: list
     fundamental_down: list
     radius_down: float
+    top_reached: int
     tail_drift: tuple = (None, math.inf)
     drift_sign: int | None = None
     exact_sign: bool = False
-    tail_reachable: bool = True
     meta: dict = field(default_factory=dict)
+
+    @property
+    def tail_reachable(self):
+        return self.top_reached == self.depth
 
     @property
     def walk_sign(self):
@@ -407,9 +412,10 @@ def branching_data(model, tol=DEFAULT_TOL):
     for n, t, factor, z in levels:
         exit_down[n], fundamental_down[n] = z, factor
         offspring_down[n], sojourn_down[n] = factor @ t.up, factor @ ones
-    reach = ones @ model.p0
+    # expected entries into levels 1..depth, 0 above the first that has none
+    reach = [ones @ model.p0]
     for n in range(1, depth):
-        reach = reach @ offspring_down[n]
+        reach.append(reach[-1] @ offspring_down[n])
     drift = tail_info["drift"]
     sign = drift_sign(drift)
     return BranchingData(
@@ -420,10 +426,10 @@ def branching_data(model, tol=DEFAULT_TOL):
         sojourn_down=sojourn_down,
         fundamental_down=fundamental_down,
         radius_down=spectral_radius(offspring_down[depth]),
+        top_reached=int(np.count_nonzero(np.any(reach, axis=1))),
         tail_drift=drift,
         drift_sign=sign if sign else exact_drift_sign(model.tail),
         exact_sign=not sign,
-        tail_reachable=bool(reach.any()),
         meta={"tail": tail_info, "tol": tol},
     )
 

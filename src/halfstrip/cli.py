@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii as _quote
 import numpy as np
 
 from . import __version__
-from .branching import boundary_exit_up, branching_data, exit_up_seq
+from .branching import _levels, boundary_exit_up, branching_data
 from .classify import INCONCLUSIVE, classify
 from .linalg import (
     NoConvergenceError,
@@ -377,22 +377,37 @@ def _cmd_verify(args):
             return EXIT_INCONCLUSIVE
         return EXIT_OK if gate["status"] == "pass" else EXIT_CHECKS_FAILED
 
-    # analytic self-consistency
+    # analytic self-consistency, on the upward exits below the first one
+    # refused: none exists above a level the walk never leaves upward
     top = max(2, model.n_prefix + 1, result.levels + 1)
-    sums = np.abs(np.stack([z.sum(axis=1) for z in exit_up_seq(model, top)]) - 1.0)
-    checks.append(_check("ascent-exit-stochastic", float(sums.max()), 1e-9))
+    exits, refusal = [boundary_exit_up(model)], None
+    try:
+        for *_, z in _levels(model, exits[0], range(1, top + 1), up=True):
+            exits.append(z)
+    except SingularMatrixError as exc:
+        refusal = str(exc)
+    sums = np.abs(np.stack([z.sum(axis=1) for z in exits]) - 1.0)
+    checks.append(_check("ascent-exit-stochastic", float(sums.max()), 1e-9,
+                         context=refusal and {"levels_compared": len(exits),
+                                              "refusal": refusal}))
     checks.extend(stationary_checks)
     kac = abs(1.0 / result.normalizer - float(result.nu[0].sum()))
     checks.append(_check("return-time-reciprocal-is-boundary-mass", kac, 1e-8))
 
     # oracle 1: truncated linear solve
     cutoff = max(args.levels or 0, min(result.levels + 20, 400), 10)
-    trunc = truncated_solve(model, cutoff)
-    span = min(result.levels, cutoff // 2)
-    rows = trunc.pi.reshape(-1, model.d)[:span + 1]
-    l1 = float(np.sum(np.abs(rows - result.nu[:span + 1])))
-    checks.append(_check("stationary-vs-truncated-solve", l1, 1e-7,
-                         context={"levels_compared": span, "cutoff": cutoff}))
+    try:
+        trunc = truncated_solve(model, cutoff)
+    except ReducibleChainError as exc:
+        # no unique truncated answer to compare with, as when phases never mix
+        checks.append(_check("stationary-vs-truncated-solve", math.inf, 1e-7,
+                             context={"cutoff": cutoff, "refusal": str(exc)}))
+    else:
+        span = min(result.levels, cutoff // 2)
+        rows = trunc.pi.reshape(-1, model.d)[:span + 1]
+        l1 = float(np.sum(np.abs(rows - result.nu[:span + 1])))
+        checks.append(_check("stationary-vs-truncated-solve", l1, 1e-7,
+                             context={"levels_compared": span, "cutoff": cutoff}))
 
     # oracle 2: seeded simulation
     cfg = SimConfig(seed=args.seed, cycles=args.cycles)
@@ -435,7 +450,9 @@ def _cmd_verify(args):
                                   "censored": int(est_up.censored.sum()),
                                   "unit": "deviation / (3 s.e.)"}))
 
-    lev_dn = model.n_prefix + 1
+    # a walk that never enters the tail descends from the highest level it
+    # enters: a descent from a tail drifting up might never end
+    lev_dn = max(1, data.top_reached)
     est_dn = estimate_exit_probability(model, lev_dn, "down", ecfg)
     zd = data.exit_down_at(lev_dn)
     dn_viol, _, dn_skipped = cell_deviations(zd, est_dn.matrix, est_dn.se,

@@ -22,6 +22,8 @@ from .model import _step_rows
 UNIFORM_BUFFER = 2**19
 # most steps a simulator segment takes before its cycle bookkeeping
 SEGMENT_STEPS = 256
+# steps exit walks take between extensions of their table
+COVER_STEPS = 16
 
 
 class MaxStepsExceededError(Exception):
@@ -176,8 +178,8 @@ class _StepTable(NamedTuple):
     its cumulative probability in the full row, stored for all but the
     last, whose 1 no uniform passes, and ``move`` at j * n_states + x is
     the change of code it makes: d times its level change plus its phase
-    change. Every deeper level has the blocks of level n_prefix + 1, whose
-    first code is ``base``, so its rows serve them all.
+    change. Every deeper level has the blocks of level n_prefix + 1, so
+    ``_cover`` extends the table by repeats of that level's columns.
 
     The first full-row outcome whose cumulative value reaches u > 0 is
     positive or the last, so it is kept and a draw lands on the same
@@ -187,7 +189,6 @@ class _StepTable(NamedTuple):
 
     cum: np.ndarray
     move: np.ndarray
-    base: int
     d: int
 
 
@@ -209,7 +210,7 @@ def _step_table(model, jump=False):
     rows = _step_rows(model)
     if jump:
         rows = _jump_rows(rows)
-    n_levels, d, outcomes = rows.shape
+    _, d, outcomes = rows.shape
     rows = rows.reshape(-1, outcomes)
     cum = np.cumsum(rows, axis=1)
     cum[:, -1] = 1.0
@@ -221,18 +222,29 @@ def _step_table(model, jump=False):
     packed = np.take_along_axis(cum, cols, axis=1)
     # outcome column c of phase p's row moves to level + c // d - 1, phase c % d
     move = cols - d - np.arange(cols.shape[0])[:, None] % d
-    return _StepTable(cum=np.ascontiguousarray(packed[:, :-1].T), move=move.T.ravel(),
-                      base=(n_levels - 1) * d, d=d)
+    return _StepTable(cum=np.ascontiguousarray(packed[:, :-1].T), move=move.T.ravel(), d=d)
 
 
-def _step(table, code, u, clamp=True):
+def _cover(table, level):
+    """``table`` if it stores ``level``, else a copy that repeats its top
+    level's columns through at least ``level``, at least doubling its levels
+    so that a run copies it O(log) times."""
+    states, d = table.cum.shape[1], table.d
+    stored = states // d
+    if level < stored:
+        return table
+    more = max(level + 1, 2 * stored) - stored
+    move = table.move.reshape(-1, states)
+    return _StepTable(cum=np.hstack([table.cum, np.tile(table.cum[:, -d:], more)]),
+                      move=np.hstack([move, np.tile(move[:, -d:], more)]).ravel(), d=d)
+
+
+def _step(table, code, u):
     """One step of each walker at code x = level * d + phase driven by its
-    uniform u; returns the new codes. With ``clamp`` a walker above the
-    table's top level reads the top level's row; without it every walker
-    must stand on a stored level."""
-    row = np.minimum(code, table.base + code % table.d) if clamp else code
-    k = (table.cum.take(row, axis=1) < u).sum(axis=0)
-    return code + table.move.take(k * table.cum.shape[1] + row)
+    uniform u; returns the new codes. Every walker must stand on a level
+    the table stores (``_cover``)."""
+    k = (table.cum.take(code, axis=1) < u).sum(axis=0)
+    return code + table.move.take(k * table.cum.shape[1] + code)
 
 
 def simulate(model, config=None):
@@ -252,9 +264,11 @@ def simulate(model, config=None):
     a replication exhaust its budget anywhere but on their last step. A
     segment records every walker's code level * d + phase after each step
     and then derives its arrivals, cycle lengths, visits and restarts in
-    one pass; steps past a replication's last needed arrival are dropped. Each replication's
-    k-th step reads the k-th uniform of its stream however steps are
-    grouped, so the statistics equal per-step bookkeeping's bit for bit.
+    one pass; steps past a replication's last needed arrival are dropped.
+    Before a segment the step table is extended (``_cover``) to every
+    level it can reach. Each replication's k-th step reads the k-th uniform
+    of its stream however steps are grouped, so the statistics equal
+    per-step bookkeeping's bit for bit.
     """
     if config is None:
         raise ValueError("a SimConfig with an explicit seed is required")
@@ -304,6 +318,7 @@ def simulate(model, config=None):
         # the segment
         codes = np.empty((seg + 1, act.size), dtype=np.int64)
         codes[0] = x = code[act]
+        table = _cover(table, int(x.max()) // d + seg)  # one level a step at most
         for j in range(seg):
             x = _step(table, x, u[j])
             codes[j + 1] = x
@@ -505,9 +520,6 @@ def estimate_exit_probability(model, level, direction, config):
     table = _step_table(model, jump=True)
     gens = _rep_streams(config.seed, d,
                         prefix=(int(level), 0 if direction == "up" else 1))
-    # an ascent from a stored level keeps every walker on stored levels;
-    # a descent, or an ascent from above them, can leave them
-    clamp = direction == "down" or level * d > table.base
     # walkers sorted by start phase: each step, phase p's stream gives one
     # uniform to each of its active[p] walkers still out, in the order
     # they stand, so a walker's start phase follows from its place
@@ -517,8 +529,11 @@ def estimate_exit_probability(model, level, direction, config):
     arrivals = [code[:0]]
     steps = 0
     while code.size and steps < config.max_steps:
+        if steps % COVER_STEPS == 0:
+            # a walker climbs at most one level a step
+            table = _cover(table, int(code.max()) // d + COVER_STEPS)
         u = np.concatenate([gens[p].random(n) for p, n in enumerate(active) if n])
-        code = _step(table, code, u, clamp)
+        code = _step(table, code, u)
         done = code >= entry if direction == "up" else code < entry + d
         if np.any(done):
             at = np.flatnonzero(done)

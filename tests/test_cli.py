@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
@@ -472,6 +473,35 @@ def test_verify_refused_normalizer_fails_one_check(tmp_path, excess):
     check, = report["checks"]
     assert (check["name"], check["status"]) == ("stationary-certified", "fail")
     assert "condition number" in check["context"]["reason"]
+
+
+def test_verify_behind_a_prefix_wall_reports(tmp_path):
+    """A walk that never rises past its wall has no upward exit there and
+    never enters its tail: verify compares the upward exits below the
+    wall, descends from the wall level, passes every analytic check and
+    exits 0, or 5 on the d = 2 wall, whose phases never mix, so the
+    truncated solve has no unique answer."""
+    analytic = ("ascent-exit-stochastic", "matrix-product-form", "global-balance-residual",
+                "return-time-reciprocal-is-boundary-mass")
+    for i, model in enumerate(walled_prefix_models()):
+        path = tmp_path / f"wall{i}.json"
+        hs.save_model(model, path)
+        start = time.perf_counter()
+        code, out, err = run_cli(["verify", str(path), "--seed", "1"])
+        assert time.perf_counter() - start < 30.0
+        assert err == ""
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert all(checks[name]["status"] == "pass" for name in analytic)
+        assert checks["ascent-exit-stochastic"]["context"] == {
+            "levels_compared": 1, "refusal": "LAPACK: Singular matrix"}
+        descent = checks["descent-exit-vs-simulation"]
+        assert descent["context"]["level"] == 1 and descent["context"]["censored"] == 0
+        truncated = checks["stationary-vs-truncated-solve"]
+        if model.d == 1:
+            assert code == 0
+        else:
+            assert code == 5 and truncated["status"] == "fail"
+            assert truncated["context"]["refusal"] == "stationary system is singular"
 
 
 def test_nilpotent_tail_offspring_model(tmp_path):

@@ -198,10 +198,10 @@ def test_simulate_refill_size_keeps_streams(retrial_c1, monkeypatch):
 
 
 def _per_step_simulate(model, config):
-    """Reference simulator: all replications take one step at a time, with
-    the cycle bookkeeping after every step."""
+    """Reference simulator: all replications take one step at a time on
+    the full rows, with the cycle bookkeeping after every step."""
     d = model.d
-    table = oracle._step_table(model)
+    rows = oracle._step_rows(model)
     reps = max(1, min(config.replications, config.cycles))
     per_rep = -(-config.cycles // reps)
     gens = oracle._rep_streams(config.seed, reps)
@@ -229,7 +229,7 @@ def _per_step_simulate(model, config):
         act = np.flatnonzero(active)
         lev_a, ph_a = level[act], phase[act]
         pending[act, lev_a, ph_a] += 1
-        new_level, new_phase = np.divmod(oracle._step(table, lev_a * d + ph_a, u[act]), d)
+        new_level, new_phase, _ = _full_row_step(rows, lev_a, ph_a, u[act])
         level[act], phase[act] = new_level, new_phase
         cyc_len[act] += 1
         rep_steps[act] += 1
@@ -379,12 +379,33 @@ def test_jump_rows_drop_self_loops():
     assert jump[0, 0].tolist() == [0, 0, 1, 0, 0, 0]
 
 
+def test_cover_repeats_the_top_stored_level():
+    """A covered table's new columns repeat the top stored level's, on the
+    walk's rows and on its jump chain's, and the stored ones stay as they
+    were; a level the table already stores returns the table itself."""
+    for model, jump in [(m, j) for m in _step_models() for j in (False, True)]:
+        table = oracle._step_table(model, jump=jump)
+        d, stored = model.d, table.cum.shape[1] // model.d
+        assert stored == model.n_prefix + 2
+        for level in range(stored):
+            assert oracle._cover(table, level) is table
+        covered = oracle._cover(table, stored + 4)
+        levels = covered.cum.shape[1] // d
+        assert levels == max(stored + 5, 2 * stored)
+        for got, want in ((covered.cum, table.cum), (covered.move, table.move)):
+            got, want = got.reshape(-1, levels, d), want.reshape(-1, stored, d)
+            assert np.array_equal(got[:, :stored], want)
+            assert np.array_equal(got[:, stored:], np.repeat(want[:, -1:], levels - stored, axis=1))
+        assert oracle._cover(covered, levels - 1) is covered
+        assert oracle._cover(covered, levels).cum.shape[1] == 2 * levels * d
+
+
 def test_advance_matches_full_rows():
     """The compressed table steps a walker code exactly as the full row
     does for every u > 0: random draws, ties with each cumulative value,
-    and the largest double below 1, from every stored level and one past
-    the last, on the walk's rows and on its jump chain's. On the stored
-    levels the unclamped step agrees too."""
+    and the largest double below 1, from every stored level and from
+    levels past them on a covered table, on the walk's rows and on its
+    jump chain's."""
     rng = np.random.default_rng(12)
     for model, jump in [(m, j) for m in _step_models() for j in (False, True)]:
         table = oracle._step_table(model, jump=jump)
@@ -392,7 +413,7 @@ def test_advance_matches_full_rows():
         if jump:
             rows = oracle._jump_rows(rows)
         levels, cases = [], []
-        for level in range(model.n_prefix + 3):
+        for level in range(model.n_prefix + 5):
             for phase in range(model.d):
                 cum = _full_row_step(rows, level, phase, 0.5)[2]
                 draws = np.concatenate([rng.random(20), cum[cum > 0], [np.nextafter(1.0, 0.0)]])
@@ -402,12 +423,8 @@ def test_advance_matches_full_rows():
         phase = np.array([p for p, _ in cases], dtype=np.int64)
         u = np.array([u for _, u in cases])
         want = _full_row_step(rows, level, phase, u)[:2]
-        got = oracle._step(table, level * model.d + phase, u)
+        got = oracle._step(oracle._cover(table, int(level.max())), level * model.d + phase, u)
         assert np.array_equal(got, want[0] * model.d + want[1])
-        stored = level < len(rows)
-        assert np.array_equal(
-            oracle._step(table, level[stored] * model.d + phase[stored], u[stored], clamp=False),
-            got[stored])
 
 
 def test_advance_zero_uniform_takes_a_possible_move(retrial_c1):
@@ -417,7 +434,8 @@ def test_advance_zero_uniform_takes_a_possible_move(retrial_c1):
     d, top = retrial_c1.d, len(rows) - 1
     level = np.repeat(np.arange(top + 2), d)
     phase = np.tile(np.arange(d), top + 2)
-    code = oracle._step(oracle._step_table(retrial_c1), level * d + phase, np.zeros(level.size))
+    table = oracle._cover(oracle._step_table(retrial_c1), top + 1)
+    code = oracle._step(table, level * d + phase, np.zeros(level.size))
     new_level, new_phase = np.divmod(code, d)
     assert new_level.min() >= 0
     outcome = (new_level - level + 1) * d + new_phase
@@ -451,8 +469,8 @@ def _per_phase_exit_counts(model, level, direction, config):
 def test_exit_estimate_matches_per_phase_reference():
     """The one-population estimator reproduces the per-phase walks count
     for count, censored walks included: ascents from level 0 read stored
-    rows only, while descents and ascents from n_prefix + 3 read the last
-    row for every level above it."""
+    levels only, while descents and ascents from n_prefix + 3 read levels
+    the table covers past them."""
     censored_seen = 0
     cases = [(m, steps) for m in _step_models() for steps in (10**6, 3)]
     # walkers from (0, 0) of the self-loop model run until the cap
@@ -473,6 +491,35 @@ def test_exit_estimate_matches_per_phase_reference():
     stuck = hs.estimate_exit_probability(_self_loop_model(), 0, "up",
                                          hs.ExitConfig(seed=23, samples=300, max_steps=40))
     assert stuck.censored[0] == 300 and stuck.matrix[0].sum() == 0.0
+
+
+def test_descent_on_a_drift_up_tail_covers_only_what_it_reaches(monkeypatch):
+    """A descent on a tail drifting up, where most walkers climb until the
+    step cap censors them, matches the per-phase reference count for
+    count, and its table never covers much more than twice the highest
+    level a walker stands on."""
+    tail = hs.BlockTriple(up=np.array([[0.3, 0.2], [0.2, 0.3]]),
+                          down=np.array([[0.1, 0.1], [0.1, 0.1]]),
+                          stay=np.array([[0.1, 0.2], [0.2, 0.1]]))
+    model = hs.QbdModel(d=2, r0=np.array([[0.5, 0.2], [0.2, 0.5]]),
+                        p0=np.array([[0.2, 0.1], [0.1, 0.2]]), prefix=(tail,), tail=tail)
+    seen = []
+    step = oracle._step
+
+    def spy(table, code, u):
+        seen.append((table.cum.shape[1] // table.d, int(code.max()) // table.d))
+        return step(table, code, u)
+
+    monkeypatch.setattr(oracle, "_step", spy)
+    cfg = hs.ExitConfig(seed=31, samples=300, max_steps=3000)
+    est = hs.estimate_exit_probability(model, 2, "down", cfg)
+    counts, censored = _per_phase_exit_counts(model, 2, "down", cfg)
+    assert np.array_equal(est.matrix, counts / cfg.samples)
+    assert est.censored.tolist() == censored.tolist()
+    assert censored.sum() > cfg.samples
+    covered, reached = max(c for c, _ in seen), max(r for _, r in seen)
+    assert reached > 500
+    assert covered <= 2 * (reached + oracle.COVER_STEPS)
 
 
 def test_estimate_exit_probability_up_matches_analytic(retrial_c1):

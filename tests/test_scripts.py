@@ -150,6 +150,8 @@ def test_bench_record_keeps_every_metric_under_its_label(tmp_path, monkeypatch):
     monkeypatch.setattr(record, "run_perfbench",
                         lambda root, seconds, trace: CANNED_RUN[trace])
     monkeypatch.setattr(record, "time_verify", lambda root: {"wall_s": 21.5, "exit": 0})
+    tier1 = {"wall_s": 20.1, "exit": 0, "summary": "260 passed in 19.48s"}
+    monkeypatch.setattr(record, "time_tests", lambda root: tier1)
     out = tmp_path / "BENCH_0.json"
     out.write_text(json.dumps({"parent": {"seed": 1}}))
     assert record.main(["--label", "change", "--out", str(out)]) == 0
@@ -167,6 +169,7 @@ def test_bench_record_keeps_every_metric_under_its_label(tmp_path, monkeypatch):
                                           "linalg.invert.calls": [59.0, "count"]}}
     assert entry["machine"].startswith("nproc=2 python=3.11.7")
     assert entry["verify_c32"] == {"wall_s": 21.5, "exit": 0}
+    assert entry["tier1"] == tier1
     run_seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     assert (entry["seed"], entry["seconds"]) == (1, run_seconds)
 
@@ -198,3 +201,20 @@ def test_bench_record_times_verify_on_the_checkout(monkeypatch):
     (model, out), = saved
     assert out == sys.argv[1]
     assert model.d == 33 and timing["model"]["servers"] == 32
+
+
+def test_bench_record_times_the_suite_on_the_checkout(monkeypatch):
+    """The suite timing runs the tier-1 command in the checkout on its own
+    src, without starting it here, and keeps pytest's summary line."""
+    record = _load_script("bench_record")
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        assert cmd == [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+        assert cwd == ROOT and env["PYTHONPATH"] == str(ROOT / "src")
+        return subprocess.CompletedProcess(cmd, 1, stdout="..F\n1 failed, 2 passed in 0.50s\n",
+                                           stderr="")
+
+    monkeypatch.setattr(record.subprocess, "run", fake_run)
+    timing = record.time_tests(ROOT)
+    assert timing["exit"] == 1 and timing["wall_s"] >= 0.0
+    assert timing["summary"] == "1 failed, 2 passed in 0.50s"
