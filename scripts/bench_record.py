@@ -5,15 +5,17 @@ Runs ``perfbench/run.py --workload all`` of the checkout at --root twice,
 at seed 1 and the run length BENCHMARK.json sets, with ``--trace 0``
 (end-to-end metrics) and ``--trace 1`` (per-layer metrics), times
 ``halfstrip verify`` on the retrial model c=32 (lambda 6, mu 0.3, theta
-0.3, seed 1) in a fresh interpreter, and times the checkout's tier-1
-suite (``python -m pytest -q --continue-on-collection-errors``). Every
-``metric`` line the runs print is kept per workload, with its unit, beside
-the machine note, and the whole entry is written under the --label key of
-the JSON file --out; other labels in that file are kept. To compare two
-commits, run it once on a checkout of each with the same --out:
+0.3, seed 1) and ``halfstrip stationary`` on the 512-level prefix model
+(retrial c=1, lambda 0.2, mu 0.5, theta 0.3+0.3/n), each in a fresh
+interpreter, and times the checkout's tier-1 suite (``python -m pytest -q
+--continue-on-collection-errors``). Every ``metric`` line the runs print is
+kept per workload, with its unit, beside the machine note, and the whole
+entry is written under the --label key of the JSON file --out; other
+labels in that file are kept. To compare two commits, run it once on a
+checkout of each with the same --out:
 
-    python3 scripts/bench_record.py --root ../parent --label parent --out BENCH_19.json
-    python3 scripts/bench_record.py --label change --out BENCH_19.json
+    python3 scripts/bench_record.py --root ../parent --label parent --out BENCH_20.json
+    python3 scripts/bench_record.py --label change --out BENCH_20.json
 """
 import argparse
 import json
@@ -30,6 +32,8 @@ SEED = 1
 # retrial c=32 as (arrival, service, servers, retry schedule)
 VERIFY_MODEL = (6.0, 0.3, 32, "0.3")
 VERIFY_SEED = 1
+# retrial c=1 whose a+b/n retry schedule stores 512 prefix levels
+PREFIX_MODEL = (0.2, 0.5, 1, "0.3+0.3/n")
 
 
 def parse_run_output(text):
@@ -70,24 +74,36 @@ def run_perfbench(root, seconds, trace):
     return proc.stdout
 
 
-def time_verify(root):
-    """Wall seconds and exit code of one ``halfstrip verify`` run on the
-    c=32 retrial model, in a fresh interpreter importing ``root``'s src."""
+def time_cli(root, model, argv):
+    """Wall seconds and exit code of one ``halfstrip`` command, ``argv``
+    with the model path after its first word, on the uniformized retrial
+    ``model`` (arrival, service, servers, retry schedule), in a fresh
+    interpreter importing ``root``'s src."""
     env = dict(os.environ, PYTHONPATH=str(Path(root) / "src"))
-    lam, mu, servers, theta = VERIFY_MODEL
+    lam, mu, servers, theta = model
     build = ("import sys, halfstrip as hs; hs.save_model(hs.uniformize(hs.build_retrial("
              f"{lam!r}, {mu!r}, {servers!r}, hs.RetrySchedule.parse({theta!r}))), sys.argv[1])")
     with tempfile.TemporaryDirectory() as tmp:
-        path = str(Path(tmp) / "c32.json")
+        path = str(Path(tmp) / "model.json")
         subprocess.run([sys.executable, "-c", build, path], env=env, check=True)
         start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "halfstrip", "verify", path, "--seed", str(VERIFY_SEED),
-             "--format", "json"],
-            env=env, capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-m", "halfstrip", argv[0], path, *argv[1:]],
+                              env=env, capture_output=True, text=True)
         wall = time.perf_counter() - start
-    return {"wall_s": wall, "exit": proc.returncode, "seed": VERIFY_SEED,
+    return {"wall_s": wall, "exit": proc.returncode,
             "model": {"arrival": lam, "service": mu, "servers": servers, "retry": theta}}
+
+
+def time_verify(root):
+    """``time_cli`` of ``verify`` on the c=32 retrial model at seed 1."""
+    timing = time_cli(root, VERIFY_MODEL,
+                      ["verify", "--seed", str(VERIFY_SEED), "--format", "json"])
+    return dict(timing, seed=VERIFY_SEED)
+
+
+def time_prefix_stationary(root):
+    """``time_cli`` of ``stationary`` on the 512-level prefix model."""
+    return time_cli(root, PREFIX_MODEL, ["stationary", "--format", "json"])
 
 
 def time_tests(root):
@@ -125,6 +141,7 @@ def main(argv=None):
         entry[f"trace{trace}"] = workloads
         entry["machine"] = machine
     entry["verify_c32"] = time_verify(args.root)
+    entry["stationary_prefix512"] = time_prefix_stationary(args.root)
     entry["tier1"] = time_tests(args.root)
     write_entry(args.out, args.label, entry)
     return 0

@@ -38,6 +38,7 @@ from .model import (
     save_model,
     uniformize,
     validate,
+    validation_errors,
 )
 from .branching import (
     BoundaryVisits,
@@ -102,7 +103,8 @@ __all__ = [
     # models
     "BlockTriple", "QbdModel", "GeneratorTriple", "GeneratorModel",
     "RetrySchedule", "Violation", "ValidationReport",
-    "ModelFormatError", "GammaTooSmallError", "validate", "default_gamma",
+    "ModelFormatError", "GammaTooSmallError", "validate", "validation_errors",
+    "default_gamma",
     "uniformize", "build_retrial", "as_chain", "load_model", "save_model",
     "model_to_dict", "model_from_dict",
     # branching structure

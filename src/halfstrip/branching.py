@@ -15,13 +15,15 @@ with U/D/S the up/down/stay blocks. Upward exits are stochastic (the
 reflected walk eventually rises); downward exits are substochastic and
 stochastic exactly when the walk is recurrent.
 
-Both are one level step (``_step``) with the up and down blocks swapped.
-``branching_data`` keeps each downward level's passage factor F as it forms
-it: F @ up and F @ 1 are the offspring matrix and sojourn vector, and F is
-the fundamental matrix. It stores the prefix and the first tail level,
-which every deeper level repeats; the ``*_at`` accessors serve any level.
-The upward side is stepped on demand from the boundary
-(``_upward_levels``).
+Both are one level step (``_level_step``) with the up and down blocks
+swapped. Steps taken one at a time (``_step``, ``_levels``) check each
+passage factor's condition as they go. ``branching_data`` keeps each downward
+level's passage factor F as it forms it and checks the whole backward pass
+at once (``check_condition``) before it uses any: F @ up and F @ 1 are the
+offspring matrix and sojourn vector, and F is the fundamental matrix. It
+stores the prefix and the first tail level, which every deeper level
+repeats; the ``*_at`` accessors serve any level. The upward side is
+stepped on demand from the boundary (``_upward_levels``).
 
 Tail quantities cost O(prefix) levels. Each tail root comes from
 logarithmic reduction on rank-one shifted blocks chosen by the tail's
@@ -43,7 +45,8 @@ from fractions import Fraction
 import numpy as np
 
 from .linalg import (NoConvergenceError, ReducibleChainError, SingularMatrixError,
-                     NotStochasticError, invert, spectral_radius, stationary_left_vector)
+                     NotStochasticError, check_condition, invert, lu_inverse,
+                     spectral_radius, stationary_left_vector)
 
 DEFAULT_TOL = 1e-12
 # Most level steps a tail root takes toward a floating-point fixed point, a
@@ -74,17 +77,26 @@ def _stochastic_projection(mat, slack=1e-6):
     return out
 
 
-def _step(t, z, up=False):
-    """(F, F @ toward) with passage factor F = (I - back @ z - stay)^{-1}.
+def _level_step(t, z, up=False):
+    """(A, F, F @ toward) with A = I - back @ z - stay and passage factor
+    F = LAPACK's inverse of A, its condition unchecked.
 
     Going down, back/toward are the up/down blocks and z is the exit one
     level above; going up they swap, z is the exit one level below, and the
     exit is projected onto the stochastic matrices.
     """
     back, toward = (t.down, t.up) if up else (t.up, t.down)
-    factor = invert(np.eye(t.d) - back @ z - t.stay)
+    mat = np.eye(t.d) - back @ z - t.stay
+    factor = lu_inverse(mat)
     exit_mat = factor @ toward
-    return factor, _stochastic_projection(exit_mat) if up else exit_mat
+    return mat, factor, _stochastic_projection(exit_mat) if up else exit_mat
+
+
+def _step(t, z, up=False):
+    """(F, F @ toward): one ``_level_step``, its factor's condition checked."""
+    mat, factor, exit_mat = _level_step(t, z, up)
+    check_condition(mat[None], factor[None])
+    return factor, exit_mat
 
 
 def boundary_exit_up(model):
@@ -113,7 +125,8 @@ def exit_up_seq(model, n_max):
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    return [z for z, _, _ in itertools.islice(_upward_levels(model), n_max + 1)]
+    z = boundary_exit_up(model)
+    return [z] + [z for _, _, _, z in _levels(model, z, range(1, n_max + 1), up=True)]
 
 
 def _upward_levels(model):
@@ -397,21 +410,35 @@ class BranchingData:
 def branching_data(model, tol=DEFAULT_TOL):
     """Build BranchingData for levels 1..n_prefix+1.
 
-    One downward tail solve gives the first tail level's exit and its
-    passage factor; the backward pass from it steps the prefix.
+    One downward tail solve gives the first tail level's exit; the backward
+    pass from it forms that level's passage factor and steps the prefix,
+    holding each level's matrix and factor in a stack whose conditions are
+    checked together once the pass ends, or, when LAPACK finds a level
+    singular, up to that level before its error is raised. Either way the
+    first level in pass order that a one-step check refuses raises.
     ``meta["tail"]`` is the downward tail solver's info.
     """
-    depth = model.n_prefix + 1
-    ones = np.ones(model.d)
+    depth, d = model.n_prefix + 1, model.d
+    ones = np.ones(d)
     tail_exit, tail_info = exit_down_tail(model.tail, tol=tol)
-    factor, _ = _step(model.tail, tail_exit)
-    exit_down, fundamental_down, offspring_down, sojourn_down = (
-        [None] * (depth + 1) for _ in range(4))
-    levels = itertools.chain([(depth, model.tail, factor, tail_exit)],
-                             _levels(model, tail_exit, range(depth - 1, 0, -1)))
-    for n, t, factor, z in levels:
-        exit_down[n], fundamental_down[n] = z, factor
-        offspring_down[n], sojourn_down[n] = factor @ t.up, factor @ ones
+    levels = range(depth, 0, -1)
+    mats, factors = np.empty((depth, d, d)), np.empty((depth, d, d))
+    exit_down = [None] * (depth + 1)
+    z = tail_exit
+    try:
+        for i, n in enumerate(levels):
+            mats[i], factors[i], stepped = _level_step(model.block_at(n), z)
+            # the first tail level keeps the tail root; each prefix level its step
+            z = exit_down[n] = tail_exit if n == depth else stepped
+    except SingularMatrixError:
+        check_condition(mats[:i], factors[:i])
+        raise
+    check_condition(mats, factors)
+    ups = np.array([model.block_at(n).up for n in levels])
+    # level n sits at index depth - n of each stack
+    fundamental_down = [None, *factors[::-1]]
+    offspring_down = [None, *(factors @ ups)[::-1]]
+    sojourn_down = [None, *(factors @ ones)[::-1]]
     # expected entries into levels 1..depth, 0 above the first that has none
     reach = [ones @ model.p0]
     for n in range(1, depth):

@@ -40,7 +40,7 @@ from .model import (
     load_model,
     model_to_dict,
     uniformize,
-    validate,
+    validation_errors,
 )
 from .oracle import (
     ExitConfig,
@@ -156,11 +156,11 @@ def _load_model(path):
         model = as_chain(load_model(sys.stdin if path == "-" else path))
     except (ModelFormatError, GammaTooSmallError) as exc:
         raise _CliError(EXIT_USAGE, f"model file malformed: {exc}")
-    report = validate(model)
-    if not report.ok:
-        lines = "; ".join(f"{v.code} at {v.where}: {v.detail}" for v in report.errors)
+    errors = validation_errors(model)
+    if errors:
+        lines = "; ".join(f"{v.code} at {v.where}: {v.detail}" for v in errors)
         raise _CliError(EXIT_INVALID, f"model failed validation: {lines}")
-    return model, report
+    return model
 
 
 def _parse_mu(text, d):
@@ -205,7 +205,7 @@ def _emit(report, args, pretty_lines):
 
 
 def _cmd_classify(args):
-    model, _ = _load_model(args.model)
+    model = _load_model(args.model)
     mu = _parse_mu(args.mu, model.d) if args.mu else None
     res = classify(model, mu=mu, tol=args.tol)
     results = {
@@ -249,7 +249,7 @@ def _stationary_with_checks(model, data, levels, tol):
 
 
 def _cmd_stationary(args):
-    model, _ = _load_model(args.model)
+    model = _load_model(args.model)
     data = branching_data(model, tol=args.tol)
     result, checks = _stationary_with_checks(model, data, args.levels, args.tol)
     if args.format == "csv":
@@ -280,7 +280,7 @@ def _cmd_stationary(args):
 
 
 def _cmd_decay(args):
-    model, _ = _load_model(args.model)
+    model = _load_model(args.model)
     rep = decay_rate(model, levels=args.levels, tol=args.tol)
     results = {
         "rate": rep.rate,
@@ -301,7 +301,7 @@ def _cmd_decay(args):
 
 
 def _cmd_simulate(args):
-    model, _ = _load_model(args.model)
+    model = _load_model(args.model)
     cfg = SimConfig(seed=args.seed, cycles=args.cycles, max_steps=args.max_steps,
                     replications=args.replications)
     stats = simulate(model, config=cfg)
@@ -353,7 +353,7 @@ def _check(name, measured, tolerance, context=None):
 
 
 def _cmd_verify(args):
-    model, _ = _load_model(args.model)
+    model = _load_model(args.model)
     tol = args.tol
     checks = []
     data = branching_data(model, tol=tol)

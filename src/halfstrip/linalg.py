@@ -3,9 +3,13 @@
 Matrices are float64 numpy arrays, small (d x d with d rarely above a few
 dozen). Probability row
 vectors act on the left (``vec @ mat``); expected-step columns act on the
-right. Inverses, solves and eigenvalues run on LAPACK; ``invert`` refuses
-a matrix whose 1-norm condition number exceeds ``COND_LIMIT``, a
-singularity guard that scales with the matrix.
+right. Inverses, solves and eigenvalues run on LAPACK. The singularity
+guard is ``check_condition``: it takes a stack of matrices and their
+inverses and refuses the first whose 1-norm condition number exceeds
+``COND_LIMIT``, so it scales with each matrix. ``invert`` is LAPACK's
+inverse (``lu_inverse``) plus that check on a stack of one; a recursion
+that forms many inverses in one pass may check them all at once before it
+uses any.
 """
 from __future__ import annotations
 
@@ -36,25 +40,48 @@ class NoConvergenceError(RuntimeError):
         self.residual = residual
 
 
+def lu_inverse(mat):
+    """LAPACK's inverse of a square matrix, from its LU factorization,
+    unchecked: raises SingularMatrixError only when LAPACK finds the matrix
+    singular. ``check_condition`` is its guard."""
+    try:
+        return np.linalg.inv(mat)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"LAPACK: {exc}") from exc
+
+
+def check_condition(mats, invs):
+    """1-norm condition numbers ||A||_1 ||A^-1||_1 of a (k, n, n) stack of
+    matrices and their inverses, as a length-k array.
+
+    Raises SingularMatrixError for the first in stack order that is
+    non-finite or above ``COND_LIMIT``. Each 1-norm is the largest column
+    sum of absolute values, summed as ``np.linalg.norm(a, 1)`` sums it, so
+    every number equals the one-matrix guard's bit for bit.
+    """
+    cond = (np.abs(mats).sum(axis=-2).max(axis=-1, initial=0)
+            * np.abs(invs).sum(axis=-2).max(axis=-1, initial=0))
+    refused = np.flatnonzero(~(cond <= COND_LIMIT))
+    if refused.size:
+        raise SingularMatrixError(
+            f"1-norm condition number {cond[refused[0]]:.3e} above {COND_LIMIT:g}")
+    return cond
+
+
 def invert(mat):
     """Inverse of a square matrix, from LAPACK's LU factorization.
 
     Raises SingularMatrixError when LAPACK finds the matrix singular, or
     when the 1-norm condition number ||A||_1 ||A^-1||_1, formed from the
-    inverse just computed, is non-finite or above ``COND_LIMIT``. The guard
-    is relative, so it does not depend on the matrix's scale.
+    inverse just computed, is non-finite or above ``COND_LIMIT``
+    (``check_condition`` on a stack of one). The guard is relative, so it
+    does not depend on the matrix's scale.
     """
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    try:
-        inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"LAPACK: {exc}") from exc
-    cond = float(np.linalg.norm(a, 1) * np.linalg.norm(inv, 1))
-    if not cond <= COND_LIMIT:
-        raise SingularMatrixError(
-            f"1-norm condition number {cond:.3e} above {COND_LIMIT:g}")
+    inv = lu_inverse(a)
+    check_condition(a[None], inv[None])
     return inv
 
 

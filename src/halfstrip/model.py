@@ -149,9 +149,6 @@ class ValidationReport:
         """Valid means no errors; warnings are advisory."""
         return not self.errors
 
-    def add(self, severity, code, where, detail):
-        self.problems.append(Violation(severity, code, where, detail))
-
 
 def _step_rows(model):
     """Every stored level's transitions as one (n_prefix + 2, d, 3d) array.
@@ -198,56 +195,86 @@ def _boundary_communicates(rows):
     return reaches_layer0(src, dst) and reaches_layer0(dst, src)
 
 
-def validate(model, atol=VALIDATE_ATOL):
-    """Check a discrete model against its structural requirements.
+def _level_names(model):
+    return ["level 0"] + [f"level {n}" for n in range(1, model.n_prefix + 1)] + ["tail"]
 
-    Errors (invalid model): non-finite or negative entries, entries above
-    one, row sums off from 1 by more than ``atol``. Block shapes are
-    checked when the model is built.
-    Warnings (advisory): an up or down block with an all-zero column (the
-    walk can never enter that phase from the neighboring level, which can
-    starve the exit recursions), and a boundary layer whose phases do not
-    all communicate.
-    """
-    report = ValidationReport()
-    d = model.d
-    rows = _step_rows(model)
-    parts = rows.reshape(len(rows), d, 3, d)  # (level, row, [down, stay, up], column)
-    finite = np.isfinite(parts).all(axis=(1, 3)).tolist()
-    low = parts.min(axis=(1, 3)).tolist()
-    high = parts.max(axis=(1, 3)).tolist()
+
+def _errors(model, rows, atol):
+    """(stored level, severity, code, where, detail) of each error of the
+    ``_step_rows`` array ``rows``, in ``validate``'s order."""
+    parts = rows.reshape(len(rows), model.d, 3, model.d)  # (level, row, [down, stay, up], column)
+    finite = np.isfinite(parts).all(axis=(1, 3))
+    low, high = parts.min(axis=(1, 3)), parts.max(axis=(1, 3))
     down, stay, up = parts[:, :, 0], parts[:, :, 1], parts[:, :, 2]
     # a row holding both +inf and -inf sums to nan; it is reported as not-finite
     with np.errstate(invalid="ignore"):
-        dev = np.max(np.abs((up + down + stay).sum(axis=-1) - 1.0), axis=1).tolist()
-        # sum each column contiguously, in the order a one-column sum adds it
-        col_sums = np.ascontiguousarray(parts.transpose(0, 2, 3, 1)).sum(axis=-1)
-    zero_col = (col_sums <= 0.0).tolist()
-
-    names = ["level 0"] + [f"level {n}" for n in range(1, model.n_prefix + 1)] + ["tail"]
-    for n, name in enumerate(names):
+        dev = np.max(np.abs((up + down + stay).sum(axis=-1) - 1.0), axis=1)
+    flagged = (~finite.all(axis=1) | (low < -atol).any(axis=1)
+               | (high > 1.0 + 1e-6).any(axis=1) | (dev > atol))
+    names = _level_names(model)
+    found = []
+    for n in np.flatnonzero(flagged).tolist():
+        name = names[n]
         blocks = (((2, f"{name}.up"), (0, f"{name}.down"), (1, f"{name}.stay")) if n
                   else ((1, "r0"), (2, "p0")))
         for k, where in blocks:
-            if not finite[n][k]:
-                report.add("error", "not-finite", where, "non-finite entry")
+            if not finite[n, k]:
+                found.append((n, "error", "not-finite", where, "non-finite entry"))
                 continue
-            if low[n][k] < -atol:
-                report.add("error", "negative-entry", where, f"min entry {low[n][k]:.3e}")
-            if high[n][k] > 1.0 + 1e-6:
-                report.add("error", "entry-above-one", where, f"max entry {high[n][k]:.6f}")
+            if low[n, k] < -atol:
+                found.append((n, "error", "negative-entry", where, f"min entry {low[n, k]:.3e}"))
+            if high[n, k] > 1.0 + 1e-6:
+                found.append((n, "error", "entry-above-one", where, f"max entry {high[n, k]:.6f}"))
         if dev[n] > atol:
-            report.add("error", "row-sum", name, f"max |row sum - 1| = {dev[n]:.3e}")
-        if n:
-            for k, part in ((2, "up"), (0, "down")):
-                for j, zero in enumerate(zero_col[n][k]):
-                    if zero:
-                        report.add("warning", f"column-zero-{part}", name,
-                                   f"{part} block column {j} is identically zero")
-    if not report.errors and not _boundary_communicates(rows):
-        report.add("warning", "boundary-reducible", "level 0",
-                   "layer-0 phases do not all communicate on the support graph")
-    return report
+            found.append((n, "error", "row-sum", name, f"max |row sum - 1| = {dev[n]:.3e}"))
+    return found
+
+
+def _warnings(model, rows, reach):
+    """(stored level, severity, code, where, detail) of each warning of the
+    ``_step_rows`` array ``rows``, in ``validate``'s order; the boundary
+    reachability walk runs only when ``reach`` is set."""
+    parts = rows.reshape(len(rows), model.d, 3, model.d)
+    # sum each column contiguously, in the order a one-column sum adds it
+    with np.errstate(invalid="ignore"):
+        col_sums = np.ascontiguousarray(parts.transpose(0, 2, 3, 1)).sum(axis=-1)
+    names = _level_names(model)
+    found = []
+    for n, k, j in zip(*(a.tolist() for a in np.nonzero(col_sums[1:, [2, 0]] <= 0.0))):
+        part = ("up", "down")[k]
+        found.append((n + 1, "warning", f"column-zero-{part}", names[n + 1],
+                      f"{part} block column {j} is identically zero"))
+    if reach and not _boundary_communicates(rows):
+        found.append((len(rows), "warning", "boundary-reducible", "level 0",
+                      "layer-0 phases do not all communicate on the support graph"))
+    return found
+
+
+def validation_errors(model, atol=VALIDATE_ATOL):
+    """The error entries of ``validate(model)``, in the same order, without
+    its warnings or its reachability walk: what decides whether a model is
+    valid."""
+    return [Violation(*e[1:]) for e in _errors(model, _step_rows(model), atol)]
+
+
+def validate(model, atol=VALIDATE_ATOL):
+    """Check a discrete model against its structural requirements.
+
+    Errors (invalid model; ``validation_errors`` alone): non-finite or
+    negative entries, entries above one, row sums off from 1 by more than
+    ``atol``. Block shapes are checked when the model is built.
+    Warnings (advisory): an up or down block with an all-zero column (the
+    walk can never enter that phase from the neighboring level, which can
+    starve the exit recursions), and, on a model without errors, a
+    boundary layer whose phases do not all communicate. Each level's
+    errors come before its warnings.
+    """
+    rows = _step_rows(model)
+    errors = _errors(model, rows, atol)
+    found = errors + _warnings(model, rows, reach=not errors)
+    # a stable sort by level keeps errors ahead of warnings within a level
+    found.sort(key=lambda entry: entry[0])
+    return ValidationReport([Violation(*e[1:]) for e in found])
 
 
 def default_gamma(gen):

@@ -103,6 +103,28 @@ def walled_prefix_models():
     return models
 
 
+def refused_level_models():
+    """(name, model, error) triples. Each model is a d = 2 walk with three
+    prefix levels over the 0.3/0.7 diagonal tail. One prefix level is near
+    absorbing: phase 0 stays with probability 1 - 2e-13, and the condition
+    check refuses its passage factor (1-norm condition 7.0e12). In two
+    models another level absorbs every phase, and LAPACK finds its matrix
+    singular. ``error`` is what branching_data raises: the error of
+    whichever of those levels its backward pass, from the tail down,
+    reaches first."""
+    zero = np.zeros((2, 2))
+    drift_down = hs.BlockTriple(up=0.3 * np.eye(2), down=0.7 * np.eye(2), stay=zero)
+    near = hs.BlockTriple(up=np.diag([1e-13, 0.3]), down=np.diag([1e-13, 0.7]),
+                          stay=np.diag([1 - 2e-13, 0.0]))
+    stuck = hs.BlockTriple(up=zero, down=zero, stay=np.eye(2))
+    refused = "1-norm condition number 7.006e+12 above 1e+12"
+    return [(name, hs.QbdModel(d=2, r0=zero, p0=np.eye(2), prefix=prefix, tail=drift_down), error)
+            for name, prefix, error in [
+                ("refused", (drift_down, near, drift_down), refused),
+                ("refused-before-singular", (stuck, drift_down, near), refused),
+                ("singular-before-refused", (near, drift_down, stuck), "LAPACK: Singular matrix")]]
+
+
 def retrial_model(arrival, service, servers, theta="0.3", gamma=None):
     gen = hs.build_retrial(arrival, service, servers, hs.RetrySchedule.parse(theta))
     return hs.uniformize(gen, gamma=gamma)

@@ -1,11 +1,13 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 import halfstrip as hs
 
-from conftest import random_pos_recurrent_model, retrial_model, scalar_chain
+from conftest import (random_pos_recurrent_model, refused_level_models, retrial_model,
+                      scalar_chain, walled_prefix_models)
 
 
 # dense absorbing-chain oracle for expected visit counts
@@ -217,14 +219,20 @@ def test_exit_down_seq_anchor_independent_random():
         assert np.max(np.abs(a - c)) <= 10 * tol
 
 
+def _count_lapack_inverses(monkeypatch):
+    """A list that gains one entry per LAPACK inverse formed from now on."""
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a) or inv(a))
+    return calls
+
+
 def test_branching_data_forms_one_factor_per_level_and_direction(retrial_c1, monkeypatch):
     """branching_data inverts one passage factor per prefix level and one for
     the tail, besides the tail solve's own inverses (one per reduction sweep
     plus its start, one per polish step), whether or not the tail root is
     polished to a fixed point."""
-    calls = []
-    invert = hs.branching.invert
-    monkeypatch.setattr(hs.branching, "invert", lambda a: calls.append(a) or invert(a))
+    calls = _count_lapack_inverses(monkeypatch)
     models = (retrial_c1, retrial_model(0.2, 0.5, 1, theta="0.3+0.3/n"))
     for polish_steps in (8, 0):
         monkeypatch.setattr(hs.branching, "POLISH_STEPS", polish_steps)
@@ -234,6 +242,71 @@ def test_branching_data_forms_one_factor_per_level_and_direction(retrial_c1, mon
             assert tail["polish"] <= polish_steps
             solve = 1 + tail["sweeps"] + tail["polish"]
             assert len(calls) == model.n_prefix + 1 + solve
+
+
+def _level_by_level(model):
+    """{level: (exit, factor, offspring, sojourn)} of branching_data formed
+    one checked level step at a time, the tail level's factor stepped from
+    the tail root."""
+    tail_exit, _ = hs.exit_down_tail(model.tail)
+    depth = model.n_prefix + 1
+    factor, _ = hs.branching._step(model.tail, tail_exit)
+    steps = itertools.chain([(depth, model.tail, factor, tail_exit)],
+                            hs.branching._levels(model, tail_exit, range(depth - 1, 0, -1)))
+    return {n: (z, factor, factor @ t.up, factor @ np.ones(model.d))
+            for n, t, factor, z in steps}
+
+
+def test_branching_data_stacked_pass_is_bit_for_bit():
+    """The backward pass checked as one stack gives every level's exit,
+    fundamental, offspring and sojourn matrices bit for bit as one checked
+    step per level does, and, where the tail root is a fixed point, as
+    exit_down_seq does: on the 512-level prefix, on c=32 retrial with a
+    cycling tail root, and on random prefix models up to d = 33."""
+    rng = np.random.default_rng(20)
+    c32 = retrial_model(6.0, 0.3, 32)
+    models = [retrial_model(0.2, 0.5, 1, theta="0.3+0.3/n"),
+              hs.QbdModel(d=c32.d, r0=c32.r0, p0=c32.p0, prefix=(c32.tail,) * 20, tail=c32.tail)]
+    models += [random_pos_recurrent_model(rng, d, n_prefix=n)[0]
+               for d, n in [(1, 9), (2, 30), (3, 5), (5, 12), (9, 4), (17, 7), (33, 6)]]
+    for model in models:
+        data = hs.branching_data(model)
+        want = _level_by_level(model)
+        assert sorted(want) == list(range(1, data.depth + 1))
+        for n, (z, factor, offspring, sojourn) in want.items():
+            assert np.array_equal(data.exit_down_at(n), z), n
+            assert np.array_equal(data.fundamental_down_at(n), factor), n
+            assert np.array_equal(data.offspring_down_at(n), offspring), n
+            assert np.array_equal(data.sojourn_down_at(n), sojourn), n
+        if data.meta["tail"]["fixed"]:
+            seq, _ = hs.exit_down_seq(model)
+            assert all(np.array_equal(a, b) for a, b in zip(seq[1:], data.exit_down[1:]))
+    assert not hs.branching_data(models[1]).meta["tail"]["fixed"]
+
+
+@pytest.mark.parametrize("model, message", [(m, msg) for _, m, msg in refused_level_models()],
+                         ids=[name for name, _, _ in refused_level_models()])
+def test_branching_data_raises_the_first_refusal_in_pass_order(model, message):
+    """The whole pass is checked at once, yet the error is the one a check
+    after each level would raise first, from the tail down."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(hs.SingularMatrixError) as exc:
+            hs.branching_data(model)
+    assert str(exc.value) == message
+
+
+def test_exit_up_seq_steps_only_the_levels_it_returns(retrial_c1, monkeypatch):
+    """Levels 0..n cost the boundary exit and n level steps: behind a prefix
+    wall, whose level 1 step is refused, level 0 alone is the boundary exit."""
+    wall = walled_prefix_models()[0]
+    assert np.array_equal(hs.exit_up_seq(wall, 0)[0], hs.boundary_exit_up(wall))
+    assert len(hs.exit_up_seq(wall, 0)) == 1
+    calls = _count_lapack_inverses(monkeypatch)
+    for n in (0, 1, 5):
+        calls.clear()
+        assert len(hs.exit_up_seq(retrial_c1, n)) == n + 1
+        assert len(calls) == n + 1
 
 
 def test_branching_data_forms_the_tail_drift_once(retrial_c1, d1_transient, monkeypatch):
@@ -256,9 +329,7 @@ def test_expected_visits_ascent_forms_each_upward_factor_once(retrial_c1, monkey
     """Visits below layer k reuse the upward passage factors that stepping
     the exits formed: one inverse for the boundary exit, one per level and
     one for the boundary dwell."""
-    calls = []
-    invert = hs.branching.invert
-    monkeypatch.setattr(hs.branching, "invert", lambda a: calls.append(a) or invert(a))
+    calls = _count_lapack_inverses(monkeypatch)
     for k in (3, 10):
         calls.clear()
         hs.expected_visits_ascent(retrial_c1, k, np.array([0.5, 0.5]), 0)

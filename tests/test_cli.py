@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
@@ -24,7 +25,7 @@ import halfstrip as hs
 from halfstrip.cli import _dump_json, main
 
 from conftest import (NILPOTENT_TAIL, null_behind_prefix_model, reducible_tail_models,
-                      walled_prefix_models)
+                      refused_level_models, walled_prefix_models)
 
 
 def run_cli(argv, stdin_text=None):
@@ -104,6 +105,18 @@ def test_classify_behind_a_prefix_wall_is_positive_recurrent(tmp_path):
         assert out.splitlines()[:3] == ["verdict: positive-recurrent",
                                         "certificate: return-time-series-finite",
                                         f"return-time bound: {2 * model.d}"]
+
+
+def test_classify_refused_level_exit_1(tmp_path):
+    """A passage factor the condition check refuses ends the command with
+    that one error line, and numpy warns of nothing."""
+    _, model, message = refused_level_models()[0]
+    path = tmp_path / "refused.json"
+    hs.save_model(model, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["classify", str(path)])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_malformed_json_exit_1(model_files):

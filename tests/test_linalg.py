@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +30,33 @@ def test_invert_singular_raises(mat, expected):
             hs.invert(mat)
     else:
         assert np.allclose(hs.invert(mat), expected, rtol=1e-14, atol=0)
+
+
+def test_check_condition_matches_the_one_matrix_guard():
+    """The stacked condition numbers equal norm(a, 1) * norm(inv, 1) of
+    each matrix exactly, well and badly scaled, up to d = 200."""
+    rng = np.random.default_rng(20)
+    for d, k in [(1, 5), (2, 40), (3, 7), (11, 9), (33, 4), (200, 2)]:
+        mats = rng.standard_normal((k, d, d)) * 10.0 ** rng.integers(-8, 8, size=(k, 1, 1))
+        invs = np.linalg.inv(mats)
+        cond = hs.linalg.check_condition(mats, invs)
+        want = [np.linalg.norm(a, 1) * np.linalg.norm(inv, 1) for a, inv in zip(mats, invs)]
+        assert cond.shape == (k,) and np.array_equal(cond, want)
+
+
+def test_check_condition_refuses_the_first_bad_matrix_in_stack_order():
+    bad = 1e3 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
+    worse = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+    mats = np.stack([np.eye(2), bad, np.full((2, 2), np.nan), worse])
+    invs = np.linalg.inv(mats)
+    first = float(np.linalg.norm(bad, 1) * np.linalg.norm(invs[1], 1))
+    message = f"1-norm condition number {first:.3e} above 1e+12"
+    with pytest.raises(SingularMatrixError, match=f"^{re.escape(message)}$"):
+        hs.linalg.check_condition(mats, invs)
+    with pytest.raises(SingularMatrixError, match="^1-norm condition number nan above"):
+        hs.linalg.check_condition(mats[2:], invs[2:])
+    assert hs.linalg.check_condition(mats[:1], invs[:1]).tolist() == [1.0]
+    assert hs.linalg.check_condition(mats[:0], invs[:0]).shape == (0,)
 
 
 def test_invert_1x1():

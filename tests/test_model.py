@@ -6,6 +6,7 @@ import pytest
 
 import halfstrip as hs
 from halfstrip import GammaTooSmallError, ModelFormatError
+from halfstrip.cli import main
 
 from conftest import retrial_model, scalar_chain
 
@@ -115,7 +116,9 @@ _REDUCIBLE = ("warning", "boundary-reducible", "level 0",
               "layer-0 phases do not all communicate on the support graph")
 
 
-@pytest.mark.parametrize("model, expected", [
+# (model, problems) pairs: problems, their order and their detail text,
+# recorded on hand-built defective models
+_PINNED = [
     (hs.QbdModel(
         d=2, r0=[[0.5, 0.2], [0.5, 0.5]], p0=[[-0.1, 0.3], [0.0, 0.0]],
         prefix=(_triple([[1.5, 0.0], [0.0, 0.0]], np.zeros((2, 2)),
@@ -158,13 +161,40 @@ _REDUCIBLE = ("warning", "boundary-reducible", "level 0",
     (hs.QbdModel(d=2, r0=np.zeros((2, 2)), p0=np.eye(2),
                  tail=_triple([[0.0, 0.3], [0.3, 0.0]], 0.7 * np.eye(2), np.zeros((2, 2)))),
      []),
-], ids=["every-block-check", "non-finite-boundary", "split-phases", "one-way",
-        "folded-top"])
+]
+_PINNED_IDS = ["every-block-check", "non-finite-boundary", "split-phases", "one-way",
+               "folded-top"]
+
+
+@pytest.mark.parametrize("model, expected", _PINNED, ids=_PINNED_IDS)
 def test_validate_problem_list_pinned(model, expected):
     """Problems, their order and their detail text, recorded on hand-built
     defective models."""
     got = [(p.severity, p.code, p.where, p.detail) for p in hs.validate(model).problems]
     assert got == expected
+
+
+@pytest.mark.parametrize("model", [m for m, _ in _PINNED], ids=_PINNED_IDS)
+def test_validation_errors_are_the_error_entries_of_validate(model):
+    """The errors part alone gives exactly validate's error entries, in
+    validate's order."""
+    assert hs.validation_errors(model) == hs.validate(model).errors
+
+
+def test_cli_rejects_the_every_block_check_model(tmp_path, capsys):
+    """The CLI checks only errors, and lists every one, in validate's order."""
+    path = tmp_path / "defective.json"
+    hs.save_model(_PINNED[0][0], path)
+    assert main(["classify", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "model failed validation: negative-entry at p0: min entry -1.000e-01; "
+        "row-sum at level 0: max |row sum - 1| = 1.000e-01; "
+        "entry-above-one at level 1.up: max entry 1.500000; "
+        "row-sum at level 1: max |row sum - 1| = 1.000e+00; "
+        "not-finite at level 2.up: non-finite entry; "
+        "negative-entry at level 2.stay: min entry -2.000e-01; "
+        "row-sum at level 2: max |row sum - 1| = inf; "
+        "not-finite at tail.down: non-finite entry\n")
 
 
 def test_block_at_prefix_then_tail():

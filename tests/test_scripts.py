@@ -144,12 +144,14 @@ def _load_script(name):
 
 def test_bench_record_keeps_every_metric_under_its_label(tmp_path, monkeypatch):
     """Canned output of both trace modes lands per workload, absent metrics
-    as null, beside the machine note and the verify timing; another label
-    already in the ledger is kept."""
+    as null, beside the machine note and the verify and prefix stationary
+    timings; another label already in the ledger is kept."""
     record = _load_script("bench_record")
     monkeypatch.setattr(record, "run_perfbench",
                         lambda root, seconds, trace: CANNED_RUN[trace])
     monkeypatch.setattr(record, "time_verify", lambda root: {"wall_s": 21.5, "exit": 0})
+    monkeypatch.setattr(record, "time_prefix_stationary",
+                        lambda root: {"wall_s": 0.31, "exit": 0})
     tier1 = {"wall_s": 20.1, "exit": 0, "summary": "260 passed in 19.48s"}
     monkeypatch.setattr(record, "time_tests", lambda root: tier1)
     out = tmp_path / "BENCH_0.json"
@@ -169,6 +171,7 @@ def test_bench_record_keeps_every_metric_under_its_label(tmp_path, monkeypatch):
                                           "linalg.invert.calls": [59.0, "count"]}}
     assert entry["machine"].startswith("nproc=2 python=3.11.7")
     assert entry["verify_c32"] == {"wall_s": 21.5, "exit": 0}
+    assert entry["stationary_prefix512"] == {"wall_s": 0.31, "exit": 0}
     assert entry["tier1"] == tier1
     run_seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     assert (entry["seed"], entry["seconds"]) == (1, run_seconds)
@@ -201,6 +204,33 @@ def test_bench_record_times_verify_on_the_checkout(monkeypatch):
     (model, out), = saved
     assert out == sys.argv[1]
     assert model.d == 33 and timing["model"]["servers"] == 32
+
+
+def test_bench_record_times_prefix_stationary_on_the_checkout(monkeypatch):
+    """The prefix timing builds the 512-level prefix model and runs
+    ``stationary`` on it, both on the checkout's src, without starting them
+    here."""
+    record = _load_script("bench_record")
+    commands = []
+
+    def fake_run(cmd, env, **kwargs):
+        commands.append(cmd)
+        assert env["PYTHONPATH"] == str(ROOT / "src")
+        return subprocess.CompletedProcess(cmd, 0, stdout="", stderr="")
+
+    monkeypatch.setattr(record.subprocess, "run", fake_run)
+    timing = record.time_prefix_stationary(ROOT)
+    build, stationary = commands
+    path = build[3]
+    assert stationary == [sys.executable, "-m", "halfstrip", "stationary", path,
+                          "--format", "json"]
+    assert timing["exit"] == 0 and timing["model"]["retry"] == "0.3+0.3/n"
+    monkeypatch.setattr(sys, "argv", ["-c", path])
+    saved = []
+    monkeypatch.setattr(hs, "save_model", lambda model, out: saved.append(model))
+    exec(build[2], {})
+    (model,) = saved
+    assert (model.d, model.n_prefix) == (2, 512)
 
 
 def test_bench_record_times_the_suite_on_the_checkout(monkeypatch):
