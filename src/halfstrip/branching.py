@@ -15,11 +15,12 @@ with U/D/S the up/down/stay blocks. Upward exits are stochastic (the
 reflected walk eventually rises); downward exits are substochastic and
 stochastic exactly when the walk is recurrent.
 
-Both are one level step (``_level_step``) with the up and down blocks
-swapped. Steps taken one at a time (``_step``, ``_levels``) check each
-passage factor's condition as they go. ``branching_data`` keeps each downward
-level's passage factor F as it forms it and checks the whole backward pass
-at once (``check_condition``) before it uses any: F @ up and F @ 1 are the
+Both are one level step (``_step``) with the up and down blocks swapped.
+Steps taken one at a time (``_step``, ``_levels``) check each passage
+factor's condition as they go. ``branching_data`` steps the model's level
+stacks in one loop of the same arithmetic, keeps each downward level's
+passage factor F as it forms it and checks the whole backward pass at once
+(``check_condition``) before it uses any: F @ up and F @ 1 are the
 offspring matrix and sojourn vector, and F is the fundamental matrix. It
 stores the prefix and the first tail level, which every deeper level
 repeats; the ``*_at`` accessors serve any level. The upward side is
@@ -77,9 +78,9 @@ def _stochastic_projection(mat, slack=1e-6):
     return out
 
 
-def _level_step(t, z, up=False):
-    """(A, F, F @ toward) with A = I - back @ z - stay and passage factor
-    F = LAPACK's inverse of A, its condition unchecked.
+def _step(t, z, up=False):
+    """(F, F @ toward) with passage factor F = LAPACK's inverse of
+    A = I - back @ z - stay, its condition checked.
 
     Going down, back/toward are the up/down blocks and z is the exit one
     level above; going up they swap, z is the exit one level below, and the
@@ -88,15 +89,9 @@ def _level_step(t, z, up=False):
     back, toward = (t.down, t.up) if up else (t.up, t.down)
     mat = np.eye(t.d) - back @ z - t.stay
     factor = lu_inverse(mat)
-    exit_mat = factor @ toward
-    return mat, factor, _stochastic_projection(exit_mat) if up else exit_mat
-
-
-def _step(t, z, up=False):
-    """(F, F @ toward): one ``_level_step``, its factor's condition checked."""
-    mat, factor, exit_mat = _level_step(t, z, up)
     check_condition(mat[None], factor[None])
-    return factor, exit_mat
+    exit_mat = factor @ toward
+    return factor, _stochastic_projection(exit_mat) if up else exit_mat
 
 
 def boundary_exit_up(model):
@@ -110,9 +105,11 @@ def boundary_exit_up(model):
 
 def _levels(model, z, levels, up=False):
     """The level step over ``levels`` in order, z being the exit matrix of
-    the level before the first: yields (level, blocks, passage factor, exit)."""
+    the level before the first: yields (level, blocks, passage factor, exit).
+    Every tail level yields the same blocks."""
+    tail = model.tail
     for n in levels:
-        t = model.block_at(n)
+        t = model.block_at(n) if n <= model.n_prefix else tail
         factor, z = _step(t, z, up)
         yield n, t, factor, z
 
@@ -359,9 +356,11 @@ def exact_drift_sign(tail):
 class BranchingData:
     """Per-level downward exit, offspring, sojourn, and fundamental matrices.
 
-    Lists are indexed by level 1..depth (index 0 unused), depth being
-    n_prefix + 1, the first tail level; every deeper level repeats it, and
-    the ``*_at`` accessors serve any level. ``tail_drift`` is the tail's
+    ``fundamental``, ``offspring`` and ``sojourn`` are stacks over levels
+    1..depth, level n at index n - 1; the ``*_down`` lists index the exits
+    and views of the stacks by level (index 0 unused). depth is n_prefix + 1,
+    the first tail level; every deeper level repeats it, and the ``*_at``
+    accessors serve any level. ``tail_drift`` is the tail's
     ``tail_drift`` pair. ``drift_sign`` is its certified sign, -1, 0 or +1,
     or None when the tail phase chain has no unique stationary vector: the
     float sign when the drift clears its rounding bound, else the exact one
@@ -376,15 +375,22 @@ class BranchingData:
     model: object
     depth: int
     exit_down: list
-    offspring_down: list
-    sojourn_down: list
-    fundamental_down: list
+    fundamental: np.ndarray
+    offspring: np.ndarray
+    sojourn: np.ndarray
     radius_down: float
     top_reached: int
     tail_drift: tuple = (None, math.inf)
     drift_sign: int | None = None
     exact_sign: bool = False
     meta: dict = field(default_factory=dict)
+    fundamental_down: list = field(init=False, repr=False)
+    offspring_down: list = field(init=False, repr=False)
+    sojourn_down: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("fundamental", "offspring", "sojourn"):
+            setattr(self, f"{name}_down", [None, *getattr(self, name)])
 
     @property
     def tail_reachable(self):
@@ -411,49 +417,49 @@ def branching_data(model, tol=DEFAULT_TOL):
     """Build BranchingData for levels 1..n_prefix+1.
 
     One downward tail solve gives the first tail level's exit; the backward
-    pass from it forms that level's passage factor and steps the prefix,
-    holding each level's matrix and factor in a stack whose conditions are
-    checked together once the pass ends, or, when LAPACK finds a level
-    singular, up to that level before its error is raised. Either way the
-    first level in pass order that a one-step check refuses raises.
+    pass from it over the model's level stacks takes ``_step``'s arithmetic
+    at each level, the first tail level keeping the tail root.
+    Every level's matrix and factor are checked together once the pass ends,
+    or, when LAPACK finds a level singular, those before it, so the first
+    level in pass order that a one-step check refuses raises.
     ``meta["tail"]`` is the downward tail solver's info.
     """
     depth, d = model.n_prefix + 1, model.d
-    ones = np.ones(d)
+    ones, eye = np.ones(d), np.eye(d)
     tail_exit, tail_info = exit_down_tail(model.tail, tol=tol)
-    levels = range(depth, 0, -1)
-    mats, factors = np.empty((depth, d, d)), np.empty((depth, d, d))
+    mats, factors = [], []  # in pass order, from the tail down
     exit_down = [None] * (depth + 1)
-    z = tail_exit
+    exit_down[depth] = z = tail_exit
     try:
-        for i, n in enumerate(levels):
-            mats[i], factors[i], stepped = _level_step(model.block_at(n), z)
-            # the first tail level keeps the tail root; each prefix level its step
-            z = exit_down[n] = tail_exit if n == depth else stepped
+        for n, up, stay, down in zip(range(depth, 0, -1), model.up[::-1], model.stay[::-1],
+                                     model.down[::-1]):
+            mats.append(eye - up.dot(z) - stay)
+            factors.append(lu_inverse(mats[-1]))
+            if n < depth:
+                exit_down[n] = z = factors[-1].dot(down)
     except SingularMatrixError:
-        check_condition(mats[:i], factors[:i])
+        check_condition(np.reshape(mats[:-1], (-1, d, d)), np.reshape(factors, (-1, d, d)))
         raise
-    check_condition(mats, factors)
-    ups = np.array([model.block_at(n).up for n in levels])
-    # level n sits at index depth - n of each stack
-    fundamental_down = [None, *factors[::-1]]
-    offspring_down = [None, *(factors @ ups)[::-1]]
-    sojourn_down = [None, *(factors @ ones)[::-1]]
-    # expected entries into levels 1..depth, 0 above the first that has none
+    factors = np.array(factors)
+    check_condition(np.array(mats), factors)
+    factors = factors[::-1]  # level n at index n - 1, as in the model's stacks
+    offspring = factors @ model.up
+    # expected entries into levels 1..depth; a level with none has none above it
     reach = [ones @ model.p0]
-    for n in range(1, depth):
-        reach.append(reach[-1] @ offspring_down[n])
+    for a in offspring[:-1]:
+        reach.append(reach[-1].dot(a))
+    top_reached = depth if reach[-1].any() else int(np.count_nonzero(np.any(reach, axis=1)))
     drift = tail_info["drift"]
     sign = drift_sign(drift)
     return BranchingData(
         model=model,
         depth=depth,
         exit_down=exit_down,
-        offspring_down=offspring_down,
-        sojourn_down=sojourn_down,
-        fundamental_down=fundamental_down,
-        radius_down=spectral_radius(offspring_down[depth]),
-        top_reached=int(np.count_nonzero(np.any(reach, axis=1))),
+        fundamental=factors,
+        offspring=offspring,
+        sojourn=factors @ ones,
+        radius_down=spectral_radius(offspring[-1]),
+        top_reached=top_reached,
         tail_drift=drift,
         drift_sign=sign if sign else exact_drift_sign(model.tail),
         exact_sign=not sign,
@@ -494,12 +500,19 @@ def series_down_weighted(model, data, weight, start=1):
     w = np.asarray(weight, dtype=float)
     if np.any(w < 0):
         raise ValueError("series weights must be nonnegative")
+    if start < 1:
+        raise ValueError("series levels start at 1")
     total = 0.0
-    k = start
-    while k <= model.n_prefix:
-        total += float(w @ data.sojourn_down_at(k))
-        w = w @ data.offspring_down_at(k)
-        k += 1
+    k = max(start, model.n_prefix + 1)
+    weights = [w]  # w A_start ... A_{j-1} for levels j = start..k
+    for offspring in data.offspring[start - 1:k - 1]:
+        weights.append(weights[-1].dot(offspring))
+    w = weights.pop()
+    if weights:
+        # every term w_j @ u_j in one stacked product, added in level order
+        terms = np.array(weights)[:, None] @ data.sojourn[start - 1:k - 1, :, None]
+        for term in terms.ravel().tolist():
+            total += term
     if not w.any():
         return SeriesValue("finite", total, k, note="weights vanished in the prefix")
     if data.drift_sign is None:

@@ -332,12 +332,9 @@ def _visit_bursts(model, data, top_level):
     the per-cycle count is overdispersed relative to binomial by roughly
     the expected burst length. Bounded here by the level's downward sojourn
     (boundary: the stay-block dwell)."""
-    rows = []
     dwell0 = invert(np.eye(model.d) - model.r0) @ np.ones(model.d)
-    rows.append(1.0 + 2.0 * float(dwell0.max()))
-    for n in range(1, top_level + 1):
-        rows.append(1.0 + 2.0 * float(np.max(data.sojourn_down_at(n))))
-    return np.asarray(rows)[:, None]
+    levels = np.minimum(np.arange(top_level), data.depth - 1)  # stack index of levels 1..
+    return 1.0 + 2.0 * np.concatenate([[dwell0.max()], data.sojourn[levels].max(axis=1)])[:, None]
 
 
 def _check(name, measured, tolerance, context=None):

@@ -56,38 +56,73 @@ class BlockTriple:
         return self.up.shape[0]
 
 
-@dataclass(frozen=True)
-class QbdModel:
-    """Discrete-time half-strip walk: boundary pair plus prefix and tail triples."""
+class _Levels:
+    """Levels 1..n_prefix + 1 stored once: one (n_prefix + 1, d, d) stack per
+    field ``_KINDS`` of the level triple ``_TRIPLE``, level n at index n - 1,
+    the tail last. ``prefix``, ``tail`` and ``block_at`` are views into them."""
 
-    d: int
-    r0: np.ndarray
-    p0: np.ndarray
-    prefix: tuple = ()
-    tail: BlockTriple = None
+    def _set(self, d, boundary, prefix=(), tail=None, levels=None):
+        """Store d, the ``{name: block}`` boundary and the level stacks:
+        ``levels``, else those of ``prefix`` and ``tail``, shapes checked."""
+        object.__setattr__(self, "d", d)
+        for name, block in boundary.items():
+            object.__setattr__(self, name, _as_block(block, d, name))
+        kinds = self._KINDS
+        if levels is None:
+            triples = (*prefix, tail)
+            for n, trip in enumerate(triples, 1):
+                shapes = None if trip is None else tuple(getattr(trip, k).shape for k in kinds)
+                if shapes != ((d, d),) * 3:
+                    where = f"level {n}" if n < len(triples) else "tail"
+                    raise ModelFormatError(f"{where}: expected {kinds[0]}, {kinds[1]} and "
+                                           f"{kinds[2]} blocks of shape ({d}, {d}), got {shapes}")
+            levels = [np.array([getattr(t, k) for t in triples], dtype=float) for k in kinds]
+        for kind, stack in zip(kinds, levels):
+            object.__setattr__(self, kind, stack)
 
-    def __post_init__(self):
-        object.__setattr__(self, "r0", _as_block(self.r0, self.d, "r0"))
-        object.__setattr__(self, "p0", _as_block(self.p0, self.d, "p0"))
-        object.__setattr__(self, "prefix", tuple(self.prefix))
-        for n, trip in enumerate((*self.prefix, self.tail), 1):
-            shapes = None if trip is None else (trip.up.shape, trip.down.shape, trip.stay.shape)
-            if shapes != ((self.d, self.d),) * 3:
-                where = f"level {n}" if n <= self.n_prefix else "tail"
-                raise ModelFormatError(f"{where}: expected up, down and stay blocks of "
-                                       f"shape ({self.d}, {self.d}), got {shapes}")
+    @classmethod
+    def _of(cls, d, boundary, levels, **extra):
+        model = cls.__new__(cls)  # from stacks already (n_prefix + 1, d, d)
+        model._set(d, boundary, levels=levels)
+        for name, value in extra.items():
+            object.__setattr__(model, name, value)
+        return model
 
     @property
     def n_prefix(self):
-        return len(self.prefix)
+        return len(self.up) - 1
 
     def block_at(self, n):
         """Blocks of level n >= 1: prefix entry when stored, else the tail."""
         if n < 1:
             raise ValueError("levels with full triples start at 1")
-        if n <= len(self.prefix):
-            return self.prefix[n - 1]
-        return self.tail
+        i = min(n, len(self.up)) - 1
+        return self._TRIPLE(*[getattr(self, k)[i] for k in self._KINDS])
+
+    @property
+    def prefix(self):
+        return tuple(self.block_at(n) for n in range(1, self.n_prefix + 1))
+
+    @property
+    def tail(self):
+        return self.block_at(self.n_prefix + 1)
+
+
+@dataclass(frozen=True, init=False)
+class QbdModel(_Levels):
+    """Discrete-time half-strip walk: boundary pair (r0, p0), level stacks."""
+
+    d: int
+    r0: np.ndarray
+    p0: np.ndarray
+    up: np.ndarray
+    down: np.ndarray
+    stay: np.ndarray
+
+    _TRIPLE, _KINDS = BlockTriple, ("up", "down", "stay")
+
+    def __init__(self, d, r0, p0, prefix=(), tail=None):
+        self._set(d, {"r0": r0, "p0": p0}, prefix, tail)
 
 
 @dataclass(frozen=True)
@@ -103,25 +138,26 @@ class GeneratorTriple:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
 
 
-@dataclass(frozen=True)
-class GeneratorModel:
-    """Continuous-time half-strip chain stored as rate blocks.
-
-    b0/a0 are the boundary local and up blocks; gamma is a suggested
+@dataclass(frozen=True, init=False)
+class GeneratorModel(_Levels):
+    """Continuous-time half-strip chain stored as rate blocks: boundary
+    local and up blocks (b0, a0) and level stacks. gamma is a suggested
     uniformization rate (None means use the largest diagonal magnitude).
     """
 
     d: int
     b0: np.ndarray
     a0: np.ndarray
-    prefix: tuple = ()
-    tail: GeneratorTriple = None
+    up: np.ndarray
+    local: np.ndarray
+    down: np.ndarray
     gamma: float = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "b0", _as_block(self.b0, self.d, "b0"))
-        object.__setattr__(self, "a0", _as_block(self.a0, self.d, "a0"))
-        object.__setattr__(self, "prefix", tuple(self.prefix))
+    _TRIPLE, _KINDS = GeneratorTriple, ("up", "local", "down")
+
+    def __init__(self, d, b0, a0, prefix=(), tail=None, gamma=None):
+        self._set(d, {"b0": b0, "a0": a0}, prefix, tail)
+        object.__setattr__(self, "gamma", gamma)
 
 
 @dataclass(frozen=True)
@@ -158,9 +194,10 @@ def _step_rows(model):
     repeats.
     """
     d = model.d
-    levels = [(np.zeros((d, d)), model.r0, model.p0)]
-    levels += [(t.down, t.stay, t.up) for t in (*model.prefix, model.tail)]
-    return np.array(levels).transpose(0, 2, 1, 3).reshape(len(levels), d, 3 * d)
+    levels = np.zeros((model.n_prefix + 2, 3, d, d))
+    levels[0, 1], levels[0, 2] = model.r0, model.p0
+    levels[1:, 0], levels[1:, 1], levels[1:, 2] = model.down, model.stay, model.up
+    return levels.transpose(0, 2, 1, 3).reshape(len(levels), d, 3 * d)
 
 
 def _boundary_communicates(rows):
@@ -195,26 +232,27 @@ def _boundary_communicates(rows):
     return reaches_layer0(src, dst) and reaches_layer0(dst, src)
 
 
-def _level_names(model):
-    return ["level 0"] + [f"level {n}" for n in range(1, model.n_prefix + 1)] + ["tail"]
+def _level_name(model, n):
+    return "tail" if n > model.n_prefix else f"level {n}"
 
 
 def _errors(model, rows, atol):
     """(stored level, severity, code, where, detail) of each error of the
     ``_step_rows`` array ``rows``, in ``validate``'s order."""
     parts = rows.reshape(len(rows), model.d, 3, model.d)  # (level, row, [down, stay, up], column)
-    finite = np.isfinite(parts).all(axis=(1, 3))
-    low, high = parts.min(axis=(1, 3)), parts.max(axis=(1, 3))
+    # each block's entries contiguous: (level, [down, stay, up], entry)
+    blocks = np.ascontiguousarray(parts.transpose(0, 2, 1, 3)).reshape(len(rows), 3, -1)
+    finite = np.isfinite(blocks).all(axis=2)
+    low, high = blocks.min(axis=2), blocks.max(axis=2)
     down, stay, up = parts[:, :, 0], parts[:, :, 1], parts[:, :, 2]
     # a row holding both +inf and -inf sums to nan; it is reported as not-finite
     with np.errstate(invalid="ignore"):
         dev = np.max(np.abs((up + down + stay).sum(axis=-1) - 1.0), axis=1)
     flagged = (~finite.all(axis=1) | (low < -atol).any(axis=1)
                | (high > 1.0 + 1e-6).any(axis=1) | (dev > atol))
-    names = _level_names(model)
     found = []
     for n in np.flatnonzero(flagged).tolist():
-        name = names[n]
+        name = _level_name(model, n)
         blocks = (((2, f"{name}.up"), (0, f"{name}.down"), (1, f"{name}.stay")) if n
                   else ((1, "r0"), (2, "p0")))
         for k, where in blocks:
@@ -238,11 +276,10 @@ def _warnings(model, rows, reach):
     # sum each column contiguously, in the order a one-column sum adds it
     with np.errstate(invalid="ignore"):
         col_sums = np.ascontiguousarray(parts.transpose(0, 2, 3, 1)).sum(axis=-1)
-    names = _level_names(model)
     found = []
     for n, k, j in zip(*(a.tolist() for a in np.nonzero(col_sums[1:, [2, 0]] <= 0.0))):
         part = ("up", "down")[k]
-        found.append((n + 1, "warning", f"column-zero-{part}", names[n + 1],
+        found.append((n + 1, "warning", f"column-zero-{part}", _level_name(model, n + 1),
                       f"{part} block column {j} is identically zero"))
     if reach and not _boundary_communicates(rows):
         found.append((len(rows), "warning", "boundary-reducible", "level 0",
@@ -279,31 +316,31 @@ def validate(model, atol=VALIDATE_ATOL):
 
 def default_gamma(gen):
     """Largest diagonal rate magnitude over all stored blocks."""
-    mags = [float(np.max(np.abs(np.diag(gen.b0))))]
-    for trip in list(gen.prefix) + [gen.tail]:
-        mags.append(float(np.max(np.abs(np.diag(trip.local)))))
-    return max(mags)
+    return max(float(np.max(np.abs(np.diag(gen.b0)))),
+               float(np.max(np.abs(np.diagonal(gen.local, axis1=1, axis2=2)))))
 
 
 def _check_generator(gen, atol=VALIDATE_ATOL):
-    d = gen.d
-    def check(local, up, down, where):
-        for name, mat in (("local", local), ("up", up), ("down", down)):
-            if mat.shape != (d, d):
-                raise ModelFormatError(f"{where}.{name}: expected ({d}, {d}), got {mat.shape}")
-            if not np.all(np.isfinite(mat)):
+    """Raise ModelFormatError for the first level, level 0 first, with a
+    non-finite rate (blocks local, up, down in turn), a negative off-diagonal
+    rate or a generator row that does not sum to zero, in that order."""
+    local, up, down = (np.concatenate([b[None], s]) for b, s in (
+        (gen.b0, gen.local), (gen.a0, gen.up), (np.zeros((gen.d, gen.d)), gen.down)))
+    finite = [np.isfinite(b).all(axis=(1, 2)) for b in (local, up, down)]
+    off = np.where(np.eye(gen.d, dtype=bool), 0.0, local)
+    with np.errstate(invalid="ignore"):
+        low = np.min([b.min(axis=(1, 2)) for b in (off, up, down)], axis=0)
+        rows = np.abs((local + up + down).sum(axis=2)).max(axis=1)
+    scale = np.maximum(1.0, np.abs(local).max(axis=(1, 2)))
+    for n in np.flatnonzero(~np.logical_and.reduce(finite) | (low < -atol)
+                            | (rows > atol * scale))[:1].tolist():
+        where = "level 0" if n == 0 else f"level {n}" if n <= gen.n_prefix else "tail"
+        for name, ok in zip(("local", "up", "down"), finite):
+            if not ok[n]:
                 raise ModelFormatError(f"{where}.{name}: non-finite entry")
-        off = local - np.diag(np.diag(local))
-        if float(min(off.min(), up.min(), down.min())) < -atol:
+        if low[n] < -atol:
             raise ModelFormatError(f"{where}: negative off-diagonal rate")
-        rows = (local + up + down).sum(axis=1)
-        scale = max(1.0, float(np.max(np.abs(local))))
-        if float(np.max(np.abs(rows))) > atol * scale:
-            raise ModelFormatError(f"{where}: generator row sums not zero")
-    check(gen.b0, gen.a0, np.zeros((d, d)), "level 0")
-    for i, trip in enumerate(gen.prefix):
-        check(trip.local, trip.up, trip.down, f"level {i + 1}")
-    check(gen.tail.local, gen.tail.up, gen.tail.down, "tail")
+        raise ModelFormatError(f"{where}: generator row sums not zero")
 
 
 def uniformize(gen, gamma=None):
@@ -325,12 +362,8 @@ def uniformize(gen, gamma=None):
         raise GammaTooSmallError(
             f"gamma {gamma:g} below largest diagonal rate {need:g}")
     eye = np.eye(gen.d)
-
-    def embed(t):
-        return BlockTriple(up=t.up / gamma, down=t.down / gamma, stay=eye + t.local / gamma)
-
-    return QbdModel(d=gen.d, r0=eye + gen.b0 / gamma, p0=gen.a0 / gamma,
-                    prefix=tuple(embed(t) for t in gen.prefix), tail=embed(gen.tail))
+    return QbdModel._of(gen.d, {"r0": eye + gen.b0 / gamma, "p0": gen.a0 / gamma},
+                        [gen.up / gamma, gen.down / gamma, eye + gen.local / gamma])
 
 
 _AFFINE_RE = re.compile(
@@ -445,48 +478,39 @@ def build_retrial(arrival, service, servers, retry, prefix_levels=None):
         else:
             retry = RetrySchedule.constant(retry)
     d = c + 1
-
-    def blocks(theta):
-        up = np.zeros((d, d))
-        up[c, c] = lam
-        down = np.zeros((d, d))
-        local = np.zeros((d, d))
-        for k in range(c):
-            local[k, k + 1] = lam
-            if k > 0:
-                local[k, k - 1] = k * mu
-            local[k, k] = -(lam + k * mu + theta)
-            down[k, k + 1] = theta
-        local[c, c - 1] = c * mu
-        local[c, c] = -(lam + c * mu)
-        return GeneratorTriple(up=up, local=local, down=down)
-
-    boundary = blocks(0.0)
     if prefix_levels is None:
         prefix_levels = retry.default_prefix()
-    prefix_levels = int(prefix_levels)
     limit = float(retry.limit)
     if not math.isfinite(limit) or limit <= 0:
         raise ValueError("retry rates must have a positive finite limit")
-    prefix = tuple(blocks(float(retry.rate(n))) for n in range(1, prefix_levels + 1))
-    tail = blocks(limit)
-    return GeneratorModel(d=d, b0=boundary.local, a0=boundary.up,
-                          prefix=prefix, tail=tail, gamma=None)
+    # retry rate of levels 0..prefix_levels + 1: none at the boundary, the limit in the tail
+    theta = np.array([0.0, *(float(retry.rate(n)) for n in range(1, int(prefix_levels) + 1)),
+                      limit])
+    up, local, down = np.zeros((3, len(theta), d, d))
+    up[:, c, c] = lam
+    for k in range(c):
+        local[:, k, k + 1] = lam
+        if k > 0:
+            local[:, k, k - 1] = k * mu
+        local[:, k, k] = -(lam + k * mu + theta)
+        down[:, k, k + 1] = theta
+    local[:, c, c - 1] = c * mu
+    local[:, c, c] = -(lam + c * mu)
+    return GeneratorModel._of(d, {"b0": local[0], "a0": up[0]}, [up[1:], local[1:], down[1:]])
 
 
-# File layout of each model flavor: its boundary block keys, its level
-# triple type, and the (file key, field) pairs of a level triple.
+# File layout of each model flavor: its boundary block keys and the
+# (file key, stack) pairs of its levels.
 _CODEC = {
-    QbdModel: (("r0", "p0"), BlockTriple, (("p", "up"), ("q", "down"), ("r", "stay"))),
-    GeneratorModel: (("b0", "a0"), GeneratorTriple,
-                     (("a", "up"), ("b", "local"), ("c", "down"))),
+    QbdModel: (("r0", "p0"), (("p", "up"), ("q", "down"), ("r", "stay"))),
+    GeneratorModel: (("b0", "a0"), (("a", "up"), ("b", "local"), ("c", "down"))),
 }
 
 
 def model_to_dict(model):
-    boundary, _, fields = _CODEC[type(model)]
-    levels = [{key: getattr(t, name).tolist() for key, name in fields}
-              for t in (*model.prefix, model.tail)]
+    boundary, fields = _CODEC[type(model)]
+    levels = [dict(zip([key for key, _ in fields], blocks))
+              for blocks in zip(*(getattr(model, name).tolist() for _, name in fields))]
     doc = {key: getattr(model, key).tolist() for key in boundary}
     doc.update(d=model.d, prefix=levels[:-1], tail=levels[-1])
     if isinstance(model, GeneratorModel):
@@ -502,6 +526,26 @@ def _require(doc, key):
     return doc[key]
 
 
+def _level_stacks(doc, d, fields):
+    """The level stacks of ``doc``, one array expression per (file key,
+    stack) pair of ``fields``. A document that does not stack so is parsed
+    level by level, and its first malformed block in file order raises."""
+    try:
+        levels = [*doc.get("prefix", []), doc["tail"]]
+        stacks = [np.array([level[key] for level in levels], dtype=float) for key, _ in fields]
+        if all(stack.shape == (len(levels), d, d) for stack in stacks):
+            return stacks
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
+
+    def triple(level, where):
+        return [_as_block(_require(level, key), d, f"{where}.{key}") for key, _ in fields]
+
+    blocks = [triple(level, "prefix") for level in doc.get("prefix", [])]
+    blocks.append(triple(_require(doc, "tail"), "tail"))
+    return [np.array(kind) for kind in zip(*blocks)]
+
+
 def model_from_dict(doc):
     """Build a model from the JSON document shape; see model_to_dict."""
     if not isinstance(doc, dict):
@@ -513,19 +557,13 @@ def model_from_dict(doc):
     if d < 1:
         raise ModelFormatError("field 'd' must be >= 1")
     flavor = GeneratorModel if doc.get("type") == "generator" else QbdModel
-    boundary, triple_type, fields = _CODEC[flavor]
-
-    def triple(t, where):
-        return triple_type(**{name: _as_block(_require(t, key), d, f"{where}.{key}")
-                              for key, name in fields})
-
-    prefix = tuple(triple(t, "prefix") for t in doc.get("prefix", []))
-    tail = triple(_require(doc, "tail"), "tail")
+    boundary, fields = _CODEC[flavor]
+    levels = _level_stacks(doc, d, fields)
     blocks = {key: _as_block(_require(doc, key), d, key) for key in boundary}
-    if flavor is GeneratorModel:
-        gamma = doc.get("gamma")
-        blocks["gamma"] = None if gamma is None else float(gamma)
-    return flavor(d=d, prefix=prefix, tail=tail, **blocks)
+    if flavor is QbdModel:
+        return QbdModel._of(d, blocks, levels)
+    gamma = doc.get("gamma")
+    return GeneratorModel._of(d, blocks, levels, gamma=None if gamma is None else float(gamma))
 
 
 def load_model(source):

@@ -76,12 +76,12 @@ def truncated_solve(model, cutoff):
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
     d = model.d
-    blocks = [model.block_at(n) for n in range(1, cutoff + 1)]
+    stored = np.minimum(np.arange(cutoff), model.n_prefix)  # stack index of levels 1..cutoff
     zero = np.zeros((d, d))
-    down = np.stack([zero] + [b.down for b in blocks])
-    stay = np.stack([model.r0] + [b.stay for b in blocks])
-    up = np.stack([model.p0] + [b.up for b in blocks[:-1]] + [zero])
-    stay[cutoff] += blocks[-1].up
+    down = np.concatenate([zero[None], model.down[stored]])
+    stay = np.concatenate([model.r0[None], model.stay[stored]])
+    up = np.concatenate([model.p0[None], model.up[stored[:-1]], zero[None]])
+    stay[cutoff] += model.up[stored[-1]]
 
     eye = np.eye(d)
     rates = np.empty((cutoff + 1, d, d))

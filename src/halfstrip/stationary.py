@@ -144,12 +144,13 @@ def stationary_dist(model, data=None, levels=None, tol=DEFAULT_TOL):
     k = data.depth
     rows = [mu0 * inv_z]
     w = mu0 @ model.p0
-    for n in range(1, min(k, cap + 1)):
-        rows.append((w @ data.fundamental_down_at(n)) * inv_z)
+    for n, fundamental, offspring in zip(range(1, min(k, cap + 1)), data.fundamental,
+                                         data.offspring):
+        rows.append(w.dot(fundamental) * inv_z)
         if levels is None and rows[-1].sum() < MASS_CUTOFF:
             cap = n  # the mass cutoff falls inside the prefix: no tail rows
             break
-        w = w @ data.offspring_down_at(n)
+        w = w.dot(offspring)
     tail = {"level": k, "w": w, "offspring": data.offspring_down_at(k),
             "fundamental": data.fundamental_down_at(k)}
     nu, flagged = _stack_rows(rows, tail if cap >= k else None, inv_z, levels)
@@ -211,17 +212,18 @@ def matrix_product_check(model, data, result):
     with R_n = (up block of level n-1) @ (fundamental matrix of level n).
 
     An algebraic identity makes the two equal at every level; deviations
-    beyond rounding indicate an implementation fault. R_n is constant past
-    the first tail level, so those levels are checked in one product.
+    beyond rounding indicate an implementation fault. Levels through the
+    first tail level are checked as stacks; R_n is constant past it, so
+    those levels are checked in one product.
     """
     nu = result.nu
     top = len(nu) - 1
     k = data.depth
-    dev = 0.0
-    for n in range(1, min(k, top) + 1):
-        up_prev = model.p0 if n == 1 else model.block_at(n - 1).up
-        r_n = up_prev @ data.fundamental_down_at(n)
-        dev = max(dev, float(np.max(np.abs(nu[n] - nu[n - 1] @ r_n))))
+    m = min(k, top)
+    r = np.concatenate([model.p0[None], model.up])[:m] @ data.fundamental[:m]
+    level_dev = np.abs(nu[1:m + 1] - (nu[:m, None] @ r)[:, 0]).max(axis=1)
+    # a level whose deviation is NaN leaves the maximum as it was
+    dev = float(np.fmax.reduce(level_dev, initial=0.0))
     if top > k:
         r_tail = model.tail.up @ data.fundamental_down_at(k)
         dev = max(dev, float(np.max(np.abs(nu[k + 1:top + 1] - nu[k:top] @ r_tail))))
@@ -232,18 +234,22 @@ def balance_residual(model, result):
     """l1 norm of the stationary balance residual on interior levels.
 
     Levels 0 and the truncation level are excluded: mass flowing beyond
-    the computed window has nowhere to balance. Levels from n_prefix + 2 on
-    see only tail blocks and are summed in one expression.
+    the computed window has nowhere to balance. Levels through the first
+    tail level are formed as stacks, their sums added in level order;
+    levels from n_prefix + 2 on see only tail blocks and are summed in one
+    expression.
     """
     nu = result.nu
     top = len(nu) - 1
     k = model.n_prefix + 1
+    m = max(min(k + 1, top) - 1, 0)  # levels 1..m, whose blocks below are stacked
+    ups = np.concatenate([model.p0[None], model.up])[:m]
+    downs = model.down[np.minimum(np.arange(1, m + 1), model.n_prefix)]
+    inflow = ((nu[:m, None] @ ups)[:, 0] + (nu[1:m + 1, None] @ model.stay[:m])[:, 0]
+              + (nu[2:m + 2, None] @ downs)[:, 0])
     total = 0.0
-    for n in range(1, min(k + 1, top)):
-        up_prev = model.p0 if n == 1 else model.block_at(n - 1).up
-        inflow = (nu[n - 1] @ up_prev + nu[n] @ model.block_at(n).stay
-                  + nu[n + 1] @ model.block_at(n + 1).down)
-        total += float(np.sum(np.abs(inflow - nu[n])))
+    for level_sum in np.abs(inflow - nu[1:m + 1]).sum(axis=1).tolist():
+        total += level_sum
     if top > k + 1:
         t = model.tail
         inflow = nu[k:top - 1] @ t.up + nu[k + 1:top] @ t.stay + nu[k + 2:] @ t.down

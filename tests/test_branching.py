@@ -586,6 +586,38 @@ def test_series_down_weighted_zero_weight(d1_null):
     assert sv.value == pytest.approx(0.0, abs=1e-15)
 
 
+def _series_level_by_level(model, data, w, start):
+    """The prefix part of series_down_weighted one level at a time: (sum,
+    weight past the prefix)."""
+    total, k = 0.0, start
+    while k <= model.n_prefix:
+        total += float(w @ data.sojourn_down_at(k))
+        w = w @ data.offspring_down_at(k)
+        k += 1
+    return total, w
+
+
+def test_series_over_the_stacks_is_bit_for_bit():
+    """The series reads the stacked offspring and sojourn arrays and forms
+    its terms in one stacked product, yet sums and weights equal a
+    level-by-level loop bit for bit, from every start; a start below level
+    1 is refused."""
+    rng = np.random.default_rng(21)
+    models = [retrial_model(0.2, 0.5, 1, theta="0.3+0.3/n")]
+    models += [random_pos_recurrent_model(rng, d, n_prefix=n)[0]
+               for d, n in [(1, 9), (3, 5), (9, 4), (33, 6)]]
+    for model in models:
+        data = hs.branching_data(model)
+        w = rng.random(model.d)
+        for start in (1, 2, model.n_prefix, model.n_prefix + 1, model.n_prefix + 5):
+            total, rest = _series_level_by_level(model, data, w, max(start, 1))
+            k = max(start, model.n_prefix + 1)
+            tail = float(rest @ hs.invert(np.eye(model.d) - data.offspring_down_at(k))
+                         @ data.sojourn_down_at(k))
+            assert hs.series_down_weighted(model, data, w, start=max(start, 1)).value == total + tail
+        with pytest.raises(ValueError):
+            hs.series_down_weighted(model, data, w, start=0)
+
 def test_boundary_visits_transient_value(d1_transient):
     bv = hs.expected_boundary_visits(d1_transient)
     assert bv.status == "convergent"

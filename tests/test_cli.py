@@ -25,7 +25,7 @@ import halfstrip as hs
 from halfstrip.cli import _dump_json, main
 
 from conftest import (NILPOTENT_TAIL, null_behind_prefix_model, reducible_tail_models,
-                      refused_level_models, walled_prefix_models)
+                      refused_level_models, retrial_model, walled_prefix_models)
 
 
 def run_cli(argv, stdin_text=None):
@@ -656,6 +656,36 @@ def test_report_bytes_match_frozen_digests():
     assert len(schema1) == 1_631_799
     assert hashlib.sha256(schema1.encode()).hexdigest() == SCHEMA1_STATIONARY
 
+
+# SHA-256 of the 512-level a+b/n prefix model file and of its classify,
+# stationary and decay reports, recorded before the levels were stored as
+# stacked arrays and the backward pass stepped over them. Like
+# FROZEN_DIGESTS, a change here is a change of the numbers, never a value
+# to re-record.
+PREFIX512_DIGESTS = {
+    "model": "0a6bf758f54246bf24ba1366171fbc6ae5cd95bbec0a3d0b1edcf749d847d9d8",
+    "classify": "6981d864febf125302879d68d01203d5208833d85880775989d485d34f63ec15",
+    "stationary": "b4441c8da854aaab9d3ffddbb41991176ae125d2d3868adb3180393af1c80ef1",
+    "decay": "1620d745675804ab0ff963acca6b266d086478b1436de862b63b2729f10fe450",
+}
+
+
+def test_prefix512_bytes_match_frozen_digests(tmp_path):
+    """The 512-level prefix model saves, loads and saves again to the same
+    bytes, and its reports, the model fed through stdin so that no report
+    echoes a path, keep their digests."""
+    path = tmp_path / "prefix512.json"
+    hs.save_model(retrial_model(0.2, 0.5, 1, theta="0.3+0.3/n"), path)
+    text = path.read_text()
+    hs.save_model(hs.load_model(path), path)
+    assert path.read_text() == text
+    reports = {"model": text}
+    for command in ("classify", "stationary", "decay"):
+        code, reports[command], _ = run_cli([command, "-", "--format", "json"], stdin_text=text)
+        assert code == 0
+    digests = {name: hashlib.sha256(report.encode()).hexdigest()
+               for name, report in reports.items()}
+    assert digests == PREFIX512_DIGESTS
 
 def _plain_reference(obj):
     """The converter reports went through before the one-pass encoder."""

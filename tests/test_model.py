@@ -237,6 +237,92 @@ def test_model_from_dict_rejects_garbage():
         hs.model_from_dict({"d": 1, "r0": [[0]], "p0": [[1]], "tail": {}})
 
 
+_RATES = hs.GeneratorTriple(up=np.diag([0.0, 0.2]), local=[[-0.5, 0.5], [0.3, -0.5]],
+                            down=np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("b0, prefix, tail, message", [
+    (np.zeros((1, 1)), (), _RATES, "b0: expected shape (2, 2), got (1, 1)"),
+    (-np.eye(2), (hs.GeneratorTriple(up=np.zeros((2, 3)), local=-np.eye(2), down=np.eye(2)),),
+     _RATES, "level 1: expected up, local and down blocks of shape (2, 2), got "
+     "((2, 3), (2, 2), (2, 2))"),
+    (-np.eye(2), (_RATES,), hs.GeneratorTriple(up=np.zeros((2, 2)), local=[[-1.0]],
+                                               down=np.eye(2)),
+     "tail: expected up, local and down blocks of shape (2, 2), got "
+     "((2, 2), (1, 1), (2, 2))"),
+    (-np.eye(2), (), None, "tail: expected up, local and down blocks of shape (2, 2), got None"),
+], ids=["boundary", "prefix-triple", "tail-block", "missing-tail"])
+def test_generator_shapes_rejected_at_construction(b0, prefix, tail, message):
+    """A rate model checks its block shapes when it is built, as a discrete
+    model does, so a missing tail no longer surfaces later as an
+    AttributeError inside uniformize."""
+    with pytest.raises(ModelFormatError) as exc:
+        hs.GeneratorModel(d=2, b0=b0, a0=np.eye(2), prefix=prefix, tail=tail)
+    assert str(exc.value) == message
+
+
+def test_level_stacks_serve_prefix_tail_and_blocks():
+    """Each flavor stores its levels once, as (n_prefix + 1, d, d) stacks
+    with the tail last; block_at, prefix and tail are views into them, and
+    uniformize and the dict round trip keep every level."""
+    gen = hs.build_retrial(0.2, 0.5, 1, hs.RetrySchedule.parse("0.3+0.3/n"), prefix_levels=7)
+    model = hs.uniformize(gen)
+    for m, kinds in [(gen, ("up", "local", "down")), (model, ("up", "down", "stay"))]:
+        assert m.n_prefix == 7 and len(m.prefix) == 7
+        for kind in kinds:
+            stack = getattr(m, kind)
+            assert stack.shape == (8, m.d, m.d)
+            assert np.shares_memory(getattr(m.block_at(3), kind), stack)
+            assert np.array_equal(getattr(m.block_at(50), kind), stack[-1])
+            assert np.array_equal(getattr(m.tail, kind), stack[-1])
+        again = hs.model_from_dict(json.loads(json.dumps(hs.model_to_dict(m))))
+        assert type(again) is type(m)
+        assert all(np.array_equal(getattr(again, k), getattr(m, k)) for k in kinds)
+
+
+def _prefix512_doc():
+    return hs.model_to_dict(retrial_model(0.2, 0.5, 1, theta="0.3+0.3/n"))
+
+
+def _broken(doc, level, key, how):
+    """Break block ``key`` of prefix ``level`` (or the tail, or a boundary
+    block at level None) in ``doc``, in place."""
+    owner = doc if level is None else doc["tail"] if level == "tail" else doc["prefix"][level - 1]
+    if how == "shape":
+        owner[key] = owner[key][:1]
+    elif how == "ragged":
+        owner[key] = [owner[key][0], owner[key][1][:1]]
+    elif how == "string":
+        owner[key][1][0] = "oops"
+    else:
+        del owner[key]
+
+
+@pytest.mark.parametrize("breaks, message", [
+    ([(300, "p", "shape")], "prefix.p: expected shape (2, 2), got (1, 2)"),
+    ([(300, "q", "ragged")], "prefix.q: not a numeric matrix"),
+    ([(300, "r", "string")], "prefix.r: not a numeric matrix"),
+    ([(300, "r", "missing")], "missing field 'r'"),
+    ([(400, "p", "shape"), (300, "r", "missing")], "missing field 'r'"),
+    ([(300, "p", "missing"), (400, "q", "shape")], "missing field 'p'"),
+    ([(300, "r", "string"), (300, "q", "ragged")], "prefix.q: not a numeric matrix"),
+    ([("tail", "p", "missing"), (512, "r", "shape")], "prefix.r: expected shape (2, 2), got (1, 2)"),
+    ([(None, "r0", "shape"), ("tail", "q", "string")], "tail.q: not a numeric matrix"),
+    ([(None, "p0", "string"), (None, "r0", "ragged")], "r0: not a numeric matrix"),
+], ids=["shape", "ragged", "string", "missing", "missing-before-shape", "level-order",
+        "key-order", "prefix-before-tail", "tail-before-boundary", "boundary-order"])
+def test_malformed_long_prefix_reports_the_first_block(breaks, message):
+    """The levels of a 512-level document are parsed one block kind at a
+    time; a malformed level raises the error a level-by-level parse raises
+    first: levels in order, keys p, q, r within a level, then the tail,
+    then r0 and p0."""
+    doc = _prefix512_doc()
+    for level, key, how in breaks:
+        _broken(doc, level, key, how)
+    with pytest.raises(ModelFormatError) as exc:
+        hs.model_from_dict(doc)
+    assert str(exc.value) == message
+
 def test_retry_schedule_constant():
     sch = hs.RetrySchedule.parse("0.3")
     assert sch.kind == "constant"

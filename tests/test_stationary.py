@@ -239,6 +239,41 @@ def test_checks_flag_a_perturbed_tail_row():
     assert hs.balance_residual(model, res) > 1e-8
 
 
+def _prefix_checks_level_by_level(model, data, nu):
+    """The two checks' parts below the tail, one level at a time: (largest
+    matrix-product deviation, balance residual sum)."""
+    top, k = len(nu) - 1, data.depth
+    dev = total = 0.0
+    for n in range(1, min(k, top) + 1):
+        up_prev = model.p0 if n == 1 else model.block_at(n - 1).up
+        dev = max(dev, float(np.max(np.abs(
+            nu[n] - nu[n - 1] @ (up_prev @ data.fundamental_down_at(n))))))
+    for n in range(1, min(k + 1, top)):
+        up_prev = model.p0 if n == 1 else model.block_at(n - 1).up
+        inflow = (nu[n - 1] @ up_prev + nu[n] @ model.block_at(n).stay
+                  + nu[n + 1] @ model.block_at(n + 1).down)
+        total += float(np.sum(np.abs(inflow - nu[n])))
+    return dev, total
+
+
+def test_prefix_checks_over_the_stacks_are_bit_for_bit():
+    """Through the first tail level, where the rows stop there, both checks
+    form their levels as stacks and still equal one level at a time bit
+    for bit: on the 512-level prefix, whose rows stop inside it, and on
+    random prefix models cut at the first tail level or below."""
+    rng = np.random.default_rng(22)
+    cases = [(retrial_model(0.2, 0.5, 1, theta="0.3+0.3/n"), None)]
+    for d, n_prefix in [(1, 9), (3, 5), (9, 4), (33, 6)]:
+        model = random_pos_recurrent_model(rng, d, n_prefix=n_prefix)[0]
+        cases += [(model, 1), (model, n_prefix), (model, n_prefix + 1)]
+    for model, levels in cases:
+        data = hs.branching_data(model)
+        res = hs.stationary_dist(model, data=data, levels=levels)
+        assert len(res.nu) <= data.depth + 1
+        dev, total = _prefix_checks_level_by_level(model, data, res.nu)
+        assert hs.matrix_product_check(model, data, res) == dev
+        assert hs.balance_residual(model, res) == total
+
 def test_stationary_matches_censored_chain(retrial_c2):
     """The boundary rows of the stationary vector, renormalized, equal the
     stationary vector of the censored boundary chain."""
