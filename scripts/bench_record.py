@@ -6,8 +6,8 @@ at seed 1 and the run length BENCHMARK.json sets, with ``--trace 0``
 (end-to-end metrics) and ``--trace 1`` (per-layer metrics), times
 ``halfstrip verify`` on the retrial model c=32 (lambda 6, mu 0.3, theta
 0.3, seed 1) and ``halfstrip stationary`` on the 512-level prefix model
-(retrial c=1, lambda 0.2, mu 0.5, theta 0.3+0.3/n), each in a fresh
-interpreter, and times the checkout's tier-1 suite (``python -m pytest -q
+(retrial c=1, lambda 0.2, mu 0.5, theta 0.3+0.3/n), each RUNS times in a
+fresh interpreter, keeping every run and their median, and times the checkout's tier-1 suite (``python -m pytest -q
 --continue-on-collection-errors``). Every ``metric`` line the runs print is
 kept per workload, with its unit, beside the machine note, and the whole
 entry is written under the --label key of the JSON file --out; other
@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -34,6 +35,8 @@ VERIFY_MODEL = (6.0, 0.3, 32, "0.3")
 VERIFY_SEED = 1
 # retrial c=1 whose a+b/n retry schedule stores 512 prefix levels
 PREFIX_MODEL = (0.2, 0.5, 1, "0.3+0.3/n")
+# fresh-interpreter runs per CLI timing: one run cannot resolve a change
+RUNS = 5
 
 
 def parse_run_output(text):
@@ -75,10 +78,11 @@ def run_perfbench(root, seconds, trace):
 
 
 def time_cli(root, model, argv):
-    """Wall seconds and exit code of one ``halfstrip`` command, ``argv``
-    with the model path after its first word, on the uniformized retrial
-    ``model`` (arrival, service, servers, retry schedule), in a fresh
-    interpreter importing ``root``'s src."""
+    """Median wall seconds over RUNS runs of one ``halfstrip`` command,
+    ``argv`` with the model path after its first word, on the uniformized
+    retrial ``model`` (arrival, service, servers, retry schedule), each in a
+    fresh interpreter importing ``root``'s src; every run's seconds and exit
+    code, and the largest exit code."""
     env = dict(os.environ, PYTHONPATH=str(Path(root) / "src"))
     lam, mu, servers, theta = model
     build = ("import sys, halfstrip as hs; hs.save_model(hs.uniformize(hs.build_retrial("
@@ -86,11 +90,14 @@ def time_cli(root, model, argv):
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "model.json")
         subprocess.run([sys.executable, "-c", build, path], env=env, check=True)
-        start = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-m", "halfstrip", argv[0], path, *argv[1:]],
-                              env=env, capture_output=True, text=True)
-        wall = time.perf_counter() - start
-    return {"wall_s": wall, "exit": proc.returncode,
+        runs = []
+        for _ in range(RUNS):
+            start = time.perf_counter()
+            proc = subprocess.run([sys.executable, "-m", "halfstrip", argv[0], path, *argv[1:]],
+                                  env=env, capture_output=True, text=True)
+            runs.append({"wall_s": time.perf_counter() - start, "exit": proc.returncode})
+    return {"wall_s": statistics.median(run["wall_s"] for run in runs),
+            "exit": max(run["exit"] for run in runs), "runs": runs,
             "model": {"arrival": lam, "service": mu, "servers": servers, "retry": theta}}
 
 

@@ -15,16 +15,16 @@ with U/D/S the up/down/stay blocks. Upward exits are stochastic (the
 reflected walk eventually rises); downward exits are substochastic and
 stochastic exactly when the walk is recurrent.
 
-Both are one level step (``_step``) with the up and down blocks swapped.
-Steps taken one at a time (``_step``, ``_levels``) check each passage
-factor's condition as they go. ``branching_data`` steps the model's level
-stacks in one loop of the same arithmetic, keeps each downward level's
-passage factor F as it forms it and checks the whole backward pass at once
-(``check_condition``) before it uses any: F @ up and F @ 1 are the
-offspring matrix and sojourn vector, and F is the fundamental matrix. It
-stores the prefix and the first tail level, which every deeper level
-repeats; the ``*_at`` accessors serve any level. The upward side is
-stepped on demand from the boundary (``_upward_levels``).
+Both are one level pass (``_pass``) with the up and down blocks swapped.
+It forms every level's passage factor F over stacks of blocks and checks
+them all at once (``check_condition``) before any is used. Going up it
+forms the diagonal without subtraction, so upward exits are stochastic by
+construction, to the rounding of one inverse. ``branching_data`` keeps the
+backward pass's factors: F @ up and F @ 1 are the offspring matrix and
+sojourn vector, and F is the fundamental matrix. It stores the prefix and
+the first tail level, which every deeper level repeats; the ``*_at``
+accessors serve any level. The upward side is stepped on demand from the
+boundary (``exit_up_seq``).
 
 Tail quantities cost O(prefix) levels. Each tail root comes from
 logarithmic reduction on rank-one shifted blocks chosen by the tail's
@@ -59,80 +59,72 @@ POLISH_STEPS = 16
 ANCHOR_DOUBLINGS = 16
 
 
-def _stochastic_projection(mat, slack=1e-6):
-    """Renormalize rows that are within ``slack`` of summing to 1.
+def _pass(back, toward, stay, z, up=False):
+    """One exit recursion over stacks of (back, toward, stay) blocks in pass
+    order, from z, the exit the first level steps back into: the (k, d, d)
+    stack of passage factors F = A^{-1} and the list of exits F @ toward,
+    each exit the z of the next level.
 
-    The upward recursion is stochastic in exact arithmetic but amplifies
-    rounding geometrically on positive-recurrent models; projecting back to
-    the stochastic manifold removes that unstable error mode. Rows far from
-    1 are left alone so genuine substochasticity stays visible. Without it
-    the upward exits of the three models of acceptance test_08 have row
-    sums off from 1 by up to 2.48 within 8 levels, and ``verify``'s
-    ascent-exit check fails on them.
+    Going down, back/toward are the up/down blocks and A = I - back @ z -
+    stay. Going up they swap, and A's diagonal is formed without
+    subtraction (Grassmann, Taksar & Heyman 1985): the toward block's row
+    mass plus A's negated off-diagonal mass. Then A 1 = toward 1 whatever
+    the error in z, and every upward exit is stochastic to the rounding of
+    one inverse. All factors are checked at once when the pass ends, or,
+    when LAPACK finds a level singular, those before it: the first level in
+    pass order that a one-step check refuses raises, its place in the pass
+    the error's ``index``.
     """
-    sums = mat.sum(axis=1)
-    close = np.abs(sums - 1.0) <= slack
-    out = np.array(mat, dtype=float)
-    if np.any(close):
-        out[close] /= sums[close, None]
-    return out
-
-
-def _step(t, z, up=False):
-    """(F, F @ toward) with passage factor F = LAPACK's inverse of
-    A = I - back @ z - stay, its condition checked.
-
-    Going down, back/toward are the up/down blocks and z is the exit one
-    level above; going up they swap, z is the exit one level below, and the
-    exit is projected onto the stochastic matrices.
-    """
-    back, toward = (t.down, t.up) if up else (t.up, t.down)
-    mat = np.eye(t.d) - back @ z - t.stay
-    factor = lu_inverse(mat)
-    check_condition(mat[None], factor[None])
-    exit_mat = factor @ toward
-    return factor, _stochastic_projection(exit_mat) if up else exit_mat
+    d = len(z)
+    if up:
+        mass, diag = toward.sum(axis=-1), np.diag_indices(d)
+    else:
+        mass, eye = itertools.repeat(None), np.eye(d)
+    mats, factors, exits = [], [], []
+    try:
+        for b, t, s, m in zip(back, toward, stay, mass):
+            if up:
+                off = b.dot(z) + s
+                off[diag] = 0.0
+                mat = -off
+                mat[diag] = m + off.sum(axis=1)
+            else:
+                mat = eye - b.dot(z) - s
+            mats.append(mat)
+            factors.append(lu_inverse(mat))
+            z = factors[-1].dot(t)
+            exits.append(z)
+    except SingularMatrixError as exc:
+        check_condition(np.array(mats[:-1]).reshape(-1, d, d),
+                        np.array(factors).reshape(-1, d, d))
+        exc.index = len(factors)
+        raise
+    factors = np.array(factors).reshape(-1, d, d)
+    if mats:
+        check_condition(np.array(mats), factors)
+    return factors, exits
 
 
 def boundary_exit_up(model):
-    """First-passage matrix from layer 0 to layer 1: (I - R0)^{-1} P0.
-
-    Equals P0 exactly when the boundary has no stay block.
+    """First-passage matrix from layer 0 to layer 1: (I - R0)^{-1} P0, the
+    upward pass's one step with no level below. P0 with each row scaled to
+    unit sum when the boundary has no stay block.
     """
-    d = model.d
-    return _stochastic_projection(invert(np.eye(d) - model.r0) @ model.p0)
-
-
-def _levels(model, z, levels, up=False):
-    """The level step over ``levels`` in order, z being the exit matrix of
-    the level before the first: yields (level, blocks, passage factor, exit).
-    Every tail level yields the same blocks."""
-    tail = model.tail
-    for n in levels:
-        t = model.block_at(n) if n <= model.n_prefix else tail
-        factor, z = _step(t, z, up)
-        yield n, t, factor, z
+    zero = np.zeros((1, model.d, model.d))
+    return _pass(zero, model.p0[None], model.r0[None], zero[0], up=True)[1][0]
 
 
 def exit_up_seq(model, n_max):
-    """Upward exit matrices for levels 0..n_max (forward recursion).
-
-    Every element is row-stochastic; each iterate is projected back onto
-    the stochastic manifold to keep the recursion numerically stable.
+    """Upward exit matrices for levels 0..n_max: the boundary's, then the
+    upward pass over levels 1..n_max from it (``_pass``). Each is
+    row-stochastic to the rounding of one inverse. A refused level n raises
+    SingularMatrixError with ``index`` n - 1.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     z = boundary_exit_up(model)
-    return [z] + [z for _, _, _, z in _levels(model, z, range(1, n_max + 1), up=True)]
-
-
-def _upward_levels(model):
-    """(exit matrix of level k-1, upward offspring matrix of level k, upward
-    passage factor of level k) for k = 1, 2, ..., stepped from the boundary."""
-    z = boundary_exit_up(model)
-    for _, t, factor, nxt in _levels(model, z, itertools.count(1), up=True):
-        yield z, factor @ t.down, factor
-        z = nxt
+    levels = np.minimum(np.arange(n_max), model.n_prefix)
+    return [z, *_pass(model.down[levels], model.up[levels], model.stay[levels], z, up=True)[1]]
 
 
 def _log_reduction(down, stay, up, tol=DEFAULT_TOL, max_sweeps=64):
@@ -200,9 +192,10 @@ def _tail_exit(tail, tol, up):
         shift, pi = "drift-up", stationary_left_vector(tail.up + tail.stay + tail.down)
         z, sweeps = _log_reduction(toward, tail.stay + pi @ toward, back - pi @ back, tol)
     z = np.clip(z, 0.0, None)
+    blocks = back[None], toward[None], tail.stay[None]
     polish, fixed, nxt = 0, False, z
     while polish < POLISH_STEPS and not fixed:
-        stepped, nxt = nxt, _step(tail, nxt, up)[1]
+        stepped, nxt = nxt, _pass(*blocks, nxt, up)[1][0]
         polish += 1
         fixed = np.array_equal(nxt, stepped)
     if fixed:
@@ -242,8 +235,9 @@ def exit_down_seq(model, n_max=None, tol=DEFAULT_TOL, seed=None):
     The default seed, the tail's minimal downward exit matrix, is exact at
     every tail level, so one pass from a = depth+1 suffices. A caller's
     ``seed`` is anchored at prefix+16 and the anchor doubles until the
-    level-1 answer moves by less than ``tol``. Returns (list indexed by
-    level with [0] unused, info dict).
+    level-1 answer moves by less than ``tol``. Tail levels above depth are
+    stepped 1024 at a time, keeping only the last exit. Returns (list
+    indexed by level with [0] unused, info dict).
     """
     depth = max(n_max or 0, model.n_prefix + 1)
     exact = seed is None
@@ -253,12 +247,15 @@ def exit_down_seq(model, n_max=None, tol=DEFAULT_TOL, seed=None):
     else:
         seed, tail_info = np.asarray(seed, dtype=float), {"method": "caller-seed"}
         anchor = max(model.n_prefix + 16, depth + 1)
+    tail = model.up[-1:], model.down[-1:], model.stay[-1:]
+    levels = np.minimum(np.arange(depth, 0, -1), model.n_prefix + 1) - 1
     prev_first = None
     for passes in range(1, ANCHOR_DOUBLINGS + 1):
-        exits = [None] * (depth + 1)
-        for n, _, _, z in _levels(model, seed, range(anchor - 1, 0, -1)):
-            if n <= depth:
-                exits[n] = z
+        z = seed
+        for top in range(anchor - 1, depth, -1024):
+            run = (min(1024, top - depth), model.d, model.d)
+            z = _pass(*(np.broadcast_to(b, run) for b in tail), z)[1][-1]
+        exits = [None, *_pass(model.up[levels], model.down[levels], model.stay[levels], z)[1][::-1]]
         delta = None if prev_first is None else float(np.max(np.abs(exits[1] - prev_first)))
         if exact or (delta is not None and delta < tol):
             return exits, {"anchor": anchor, "passes": passes,
@@ -272,8 +269,9 @@ def exit_down_seq(model, n_max=None, tol=DEFAULT_TOL, seed=None):
 
 def _radius_up(tail, tol):
     """Spectral radius of the upward tail offspring matrix."""
-    factor, _ = _step(tail, exit_up_tail(tail, tol=tol)[0], up=True)
-    return spectral_radius(factor @ tail.down)
+    factors, _ = _pass(tail.down[None], tail.up[None], tail.stay[None],
+                       exit_up_tail(tail, tol=tol)[0], up=True)
+    return spectral_radius(factors[0] @ tail.down)
 
 
 def tail_drift(tail):
@@ -356,9 +354,8 @@ def exact_drift_sign(tail):
 class BranchingData:
     """Per-level downward exit, offspring, sojourn, and fundamental matrices.
 
-    ``fundamental``, ``offspring`` and ``sojourn`` are stacks over levels
-    1..depth, level n at index n - 1; the ``*_down`` lists index the exits
-    and views of the stacks by level (index 0 unused). depth is n_prefix + 1,
+    ``exit_down``, ``fundamental``, ``offspring`` and ``sojourn`` are stacks
+    over levels 1..depth, level n at index n - 1. depth is n_prefix + 1,
     the first tail level; every deeper level repeats it, and the ``*_at``
     accessors serve any level. ``tail_drift`` is the tail's
     ``tail_drift`` pair. ``drift_sign`` is its certified sign, -1, 0 or +1,
@@ -374,7 +371,7 @@ class BranchingData:
 
     model: object
     depth: int
-    exit_down: list
+    exit_down: np.ndarray
     fundamental: np.ndarray
     offspring: np.ndarray
     sojourn: np.ndarray
@@ -384,13 +381,6 @@ class BranchingData:
     drift_sign: int | None = None
     exact_sign: bool = False
     meta: dict = field(default_factory=dict)
-    fundamental_down: list = field(init=False, repr=False)
-    offspring_down: list = field(init=False, repr=False)
-    sojourn_down: list = field(init=False, repr=False)
-
-    def __post_init__(self):
-        for name in ("fundamental", "offspring", "sojourn"):
-            setattr(self, f"{name}_down", [None, *getattr(self, name)])
 
     @property
     def tail_reachable(self):
@@ -401,48 +391,33 @@ class BranchingData:
         return self.drift_sign if self.tail_reachable else -1
 
     def exit_down_at(self, n):
-        return self.exit_down[min(n, self.depth)]
+        return self.exit_down[min(n, self.depth) - 1]
 
     def offspring_down_at(self, n):
-        return self.offspring_down[min(n, self.depth)]
+        return self.offspring[min(n, self.depth) - 1]
 
     def sojourn_down_at(self, n):
-        return self.sojourn_down[min(n, self.depth)]
+        return self.sojourn[min(n, self.depth) - 1]
 
     def fundamental_down_at(self, n):
-        return self.fundamental_down[min(n, self.depth)]
+        return self.fundamental[min(n, self.depth) - 1]
 
 
 def branching_data(model, tol=DEFAULT_TOL):
     """Build BranchingData for levels 1..n_prefix+1.
 
-    One downward tail solve gives the first tail level's exit; the backward
-    pass from it over the model's level stacks takes ``_step``'s arithmetic
-    at each level, the first tail level keeping the tail root.
-    Every level's matrix and factor are checked together once the pass ends,
-    or, when LAPACK finds a level singular, those before it, so the first
-    level in pass order that a one-step check refuses raises.
-    ``meta["tail"]`` is the downward tail solver's info.
+    One downward tail solve gives the first tail level's exit, which that
+    level keeps; the backward pass (``_pass``) forms its factor from it,
+    then steps the prefix from it, level n_prefix first. A refusal raises
+    the first level's in that order. ``meta["tail"]`` is the downward tail
+    solver's info.
     """
-    depth, d = model.n_prefix + 1, model.d
-    ones, eye = np.ones(d), np.eye(d)
+    depth, ones = model.n_prefix + 1, np.ones(model.d)
     tail_exit, tail_info = exit_down_tail(model.tail, tol=tol)
-    mats, factors = [], []  # in pass order, from the tail down
-    exit_down = [None] * (depth + 1)
-    exit_down[depth] = z = tail_exit
-    try:
-        for n, up, stay, down in zip(range(depth, 0, -1), model.up[::-1], model.stay[::-1],
-                                     model.down[::-1]):
-            mats.append(eye - up.dot(z) - stay)
-            factors.append(lu_inverse(mats[-1]))
-            if n < depth:
-                exit_down[n] = z = factors[-1].dot(down)
-    except SingularMatrixError:
-        check_condition(np.reshape(mats[:-1], (-1, d, d)), np.reshape(factors, (-1, d, d)))
-        raise
-    factors = np.array(factors)
-    check_condition(np.array(mats), factors)
-    factors = factors[::-1]  # level n at index n - 1, as in the model's stacks
+    tail_factor, _ = _pass(model.up[-1:], model.down[-1:], model.stay[-1:], tail_exit)
+    factors, exits = _pass(model.up[-2::-1], model.down[-2::-1], model.stay[-2::-1], tail_exit)
+    # level n at index n - 1, as in the model's stacks
+    factors = np.concatenate((factors[::-1], tail_factor))
     offspring = factors @ model.up
     # expected entries into levels 1..depth; a level with none has none above it
     reach = [ones @ model.p0]
@@ -454,7 +429,7 @@ def branching_data(model, tol=DEFAULT_TOL):
     return BranchingData(
         model=model,
         depth=depth,
-        exit_down=exit_down,
+        exit_down=np.array([*exits[::-1], tail_exit]),
         fundamental=factors,
         offspring=offspring,
         sojourn=factors @ ones,
@@ -634,12 +609,16 @@ def offspring_pmf(model, data, n, phase, count, direction):
 
 def _ascent_visits(model, k, mu):
     """Expected visits per phase to layers k, k-1, ..., 0, in that order,
-    before the walk, started on layer k at mu, first reaches layer k+1."""
-    below = list(itertools.islice(_upward_levels(model), k))
-    w = np.asarray(mu, dtype=float).copy()
-    for _, offspring, factor in reversed(below):
-        yield w @ factor
-        w = w @ offspring
+    before the walk, started on layer k at mu, first reaches layer k+1: w_n
+    F_n at layer n, with w_k = mu and w_{n-1} = w_n F_n D_n."""
+    levels = np.minimum(np.arange(k), model.n_prefix)
+    factors, _ = _pass(model.down[levels], model.up[levels], model.stay[levels],
+                       boundary_exit_up(model), up=True)
+    w = np.asarray(mu, dtype=float)
+    for factor, down in zip(factors[::-1], model.down[levels[::-1]]):
+        w = w @ factor
+        yield w
+        w = w @ down
     yield w @ invert(np.eye(model.d) - model.r0)
 
 

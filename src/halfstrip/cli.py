@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii as _quote
 import numpy as np
 
 from . import __version__
-from .branching import _levels, boundary_exit_up, branching_data
+from .branching import branching_data, exit_up_seq
 from .classify import INCONCLUSIVE, classify
 from .linalg import (
     NoConvergenceError,
@@ -349,6 +349,16 @@ def _check(name, measured, tolerance, context=None):
     return entry
 
 
+def _cell_check(name, reference, observed, se, trials, bursts=None, **context):
+    """A Monte Carlo check over cells (``cell_deviations``): the worst
+    deviation in units of 3 s.e., passing at 1.0, its context counting the
+    cells compared and those skipped as rare."""
+    viol, compared, skipped = cell_deviations(reference, observed, se, trials, bursts=bursts)
+    return _check(name, viol, 1.0, context={**context, "cells": compared,
+                                            "cells_skipped_rare": skipped,
+                                            "unit": "deviation / (3 s.e.)"})
+
+
 def _cmd_verify(args):
     model = _load_model(args.model)
     tol = args.tol
@@ -377,12 +387,10 @@ def _cmd_verify(args):
     # analytic self-consistency, on the upward exits below the first one
     # refused: none exists above a level the walk never leaves upward
     top = max(2, model.n_prefix + 1, result.levels + 1)
-    exits, refusal = [boundary_exit_up(model)], None
     try:
-        for *_, z in _levels(model, exits[0], range(1, top + 1), up=True):
-            exits.append(z)
+        exits, refusal = exit_up_seq(model, top), None
     except SingularMatrixError as exc:
-        refusal = str(exc)
+        exits, refusal = exit_up_seq(model, exc.index), str(exc)
     sums = np.abs(np.stack([z.sum(axis=1) for z in exits]) - 1.0)
     checks.append(_check("ascent-exit-stochastic", float(sums.max()), 1e-9,
                          context=refusal and {"levels_compared": len(exits),
@@ -413,14 +421,10 @@ def _cmd_verify(args):
 
     span2 = min(stats.max_level, result.levels, 20)
     ref_visits = result.nu[:span2 + 1] * result.normalizer
-    bursts = _visit_bursts(model, data, span2)
-    viol, compared, skipped = cell_deviations(
-        ref_visits, stats.visit_counts[:span2 + 1], stats.visit_se[:span2 + 1],
-        stats.cycles, bursts=bursts)
-    checks.append(_check("visits-per-cycle-vs-simulation", viol, 1.0,
-                         context={"levels_compared": span2, "cells": compared,
-                                  "cells_skipped_rare": skipped,
-                                  "unit": "deviation / (3 s.e.)"}))
+    checks.append(_cell_check("visits-per-cycle-vs-simulation", ref_visits,
+                              stats.visit_counts[:span2 + 1], stats.visit_se[:span2 + 1],
+                              stats.cycles, bursts=_visit_bursts(model, data, span2),
+                              levels_compared=span2))
 
     # fewer than two replications that complete a cycle give no s.e.
     rt_se = stats.return_time_se if math.isfinite(stats.return_time_se) else 0.0
@@ -429,37 +433,22 @@ def _cmd_verify(args):
     checks.append(_check("return-time-vs-simulation", rt_dev, 1.0,
                          context={"unit": "deviation / (3 s.e.)"}))
 
-    mu0 = result.boundary_measure
-    bm_viol, _, bm_skipped = cell_deviations(
-        mu0, stats.exit_frequencies, stats.exit_frequency_se, stats.cycles)
-    checks.append(_check("boundary-measure-vs-simulation", bm_viol, 1.0,
-                         context={"cells_skipped_rare": bm_skipped,
-                                  "unit": "deviation / (3 s.e.)"}))
+    checks.append(_cell_check("boundary-measure-vs-simulation", result.boundary_measure,
+                              stats.exit_frequencies, stats.exit_frequency_se, stats.cycles))
 
     ecfg = ExitConfig(seed=args.seed, samples=args.samples)
     est_up = estimate_exit_probability(model, 0, "up", ecfg)
-    zu = boundary_exit_up(model)
-    up_viol, _, up_skipped = cell_deviations(zu, est_up.matrix, est_up.se,
-                                             ecfg.samples)
-    checks.append(_check("boundary-exit-vs-simulation", up_viol, 1.0,
-                         context={"cells_skipped_rare": up_skipped,
-                                  "samples": ecfg.samples,
-                                  "censored": int(est_up.censored.sum()),
-                                  "unit": "deviation / (3 s.e.)"}))
+    checks.append(_cell_check("boundary-exit-vs-simulation", exits[0], est_up.matrix,
+                              est_up.se, ecfg.samples, samples=ecfg.samples,
+                              censored=int(est_up.censored.sum())))
 
     # a walk that never enters the tail descends from the highest level it
     # enters: a descent from a tail drifting up might never end
     lev_dn = max(1, data.top_reached)
     est_dn = estimate_exit_probability(model, lev_dn, "down", ecfg)
-    zd = data.exit_down_at(lev_dn)
-    dn_viol, _, dn_skipped = cell_deviations(zd, est_dn.matrix, est_dn.se,
-                                             ecfg.samples)
-    checks.append(_check("descent-exit-vs-simulation", dn_viol, 1.0,
-                         context={"level": lev_dn,
-                                  "cells_skipped_rare": dn_skipped,
-                                  "samples": ecfg.samples,
-                                  "censored": int(est_dn.censored.sum()),
-                                  "unit": "deviation / (3 s.e.)"}))
+    checks.append(_cell_check("descent-exit-vs-simulation", data.exit_down_at(lev_dn),
+                              est_dn.matrix, est_dn.se, ecfg.samples, level=lev_dn,
+                              samples=ecfg.samples, censored=int(est_dn.censored.sum())))
 
     results.update({
         "normalizer": result.normalizer,

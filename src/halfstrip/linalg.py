@@ -19,7 +19,12 @@ COND_LIMIT = 1e12
 
 
 class SingularMatrixError(ValueError):
-    """The matrix is singular or too ill-conditioned to invert."""
+    """The matrix is singular or too ill-conditioned to invert. ``index`` is
+    its place in the stack or pass that refused it, when one did."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class NotStochasticError(ValueError):
@@ -55,16 +60,20 @@ def check_condition(mats, invs):
     matrices and their inverses, as a length-k array.
 
     Raises SingularMatrixError for the first in stack order that is
-    non-finite or above ``COND_LIMIT``. Each 1-norm is the largest column
-    sum of absolute values, summed as ``np.linalg.norm(a, 1)`` sums it, so
-    every number equals the one-matrix guard's bit for bit.
+    non-finite or above ``COND_LIMIT``, its ``index`` that place. Each
+    1-norm is the largest column sum of absolute values, summed as
+    ``np.linalg.norm(a, 1)`` sums it, so every number equals the one-matrix
+    guard's bit for bit. The reductions are called as ufuncs: this guard
+    runs once per inverse.
     """
-    cond = (np.abs(mats).sum(axis=-2).max(axis=-1, initial=0)
-            * np.abs(invs).sum(axis=-2).max(axis=-1, initial=0))
-    refused = np.flatnonzero(~(cond <= COND_LIMIT))
-    if refused.size:
+    add, largest = np.add.reduce, np.maximum.reduce
+    cond = (largest(add(np.abs(mats), axis=-2), axis=-1)
+            * largest(add(np.abs(invs), axis=-2), axis=-1))
+    if not largest(cond, initial=0.0) <= COND_LIMIT:  # NaN compares False
+        refused = np.flatnonzero(~(cond <= COND_LIMIT))
         raise SingularMatrixError(
-            f"1-norm condition number {cond[refused[0]]:.3e} above {COND_LIMIT:g}")
+            f"1-norm condition number {cond[refused[0]]:.3e} above {COND_LIMIT:g}",
+            int(refused[0]))
     return cond
 
 

@@ -43,7 +43,7 @@ def censored_matrix(model, data=None, tol=DEFAULT_TOL):
     """
     if data is None:
         data = branching_data(model, tol=tol)
-    return model.r0 + model.p0 @ data.exit_down[1]
+    return model.r0 + model.p0 @ data.exit_down_at(1)
 
 
 def censored_measure(model, data=None, tol=DEFAULT_TOL):

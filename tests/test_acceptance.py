@@ -222,7 +222,9 @@ def test_08_invariant_suite(retrial_c1, retrial_c2, d1_pos):
             worst["anchor"] = max(worst["anchor"], float(np.max(np.abs(a - b))))
 
         horizon = 600
-        upward = list(itertools.islice(hs.branching._upward_levels(model), 2))
+        # upward offspring F_n D_n of levels 1 and 2, one inverse per level
+        upward = [hs.invert(np.eye(d) - t.down @ z - t.stay) @ t.down
+                  for t, z in zip(map(model.block_at, (1, 2)), hs.exit_up_seq(model, 1))]
         for n, phase in [(1, 0), (2, d - 1)]:
             up = hs.offspring_pmf(model, data, n, phase, horizon, "down")
             dn = hs.offspring_pmf(model, data, n, phase, horizon, "up")
@@ -233,7 +235,7 @@ def test_08_invariant_suite(retrial_c1, retrial_c2, d1_pos):
             worst["pmf_mean"] = max(
                 worst["pmf_mean"],
                 abs(mean_up - float(data.offspring_down_at(n).sum(axis=1)[phase])),
-                abs(mean_dn - float(upward[n - 1][1].sum(axis=1)[phase])))
+                abs(mean_dn - float(upward[n - 1].sum(axis=1)[phase])))
 
         res = hs.stationary_dist(model, tol=tol)
         worst["product"] = max(worst["product"],

@@ -46,8 +46,22 @@ def _dense_visits(model, lo, hi, start_level, mu, count_level):
 
 
 def _offspring_up(model, n):
-    """Upward offspring matrix of level n, stepped from the boundary."""
-    return next(itertools.islice(hs.branching._upward_levels(model), n - 1, None))[1]
+    """Upward offspring matrix F_n D_n of level n: one inverse of the level
+    step from the upward exit below it."""
+    t = model.block_at(n)
+    z = hs.exit_up_seq(model, n - 1)[-1]
+    return hs.invert(np.eye(model.d) - t.down @ z - t.stay) @ t.down
+
+
+def _down_steps(model, z, levels):
+    """(level, blocks, passage factor, exit) of the backward recursion from z
+    over ``levels`` in order, one checked inverse per level: the reference
+    the level pass matches bit for bit."""
+    for n in levels:
+        t = model.block_at(n)
+        factor = hs.invert(np.eye(model.d) - t.up @ z - t.stay)
+        z = factor @ t.down
+        yield n, t, factor, z
 
 
 def test_scalar_chain_frozen_quantities(d1_pos):
@@ -119,6 +133,42 @@ def test_exit_up_rows_stochastic_random_models():
         model, _ = random_pos_recurrent_model(rng, d)
         for mat in hs.exit_up_seq(model, 10):
             assert np.max(np.abs(mat.sum(axis=1) - 1.0)) <= 1e-9
+
+
+def test_upward_pass_keeps_rows_stochastic_without_projection():
+    """The upward diagonal is formed without subtraction, so every upward
+    exit is stochastic to the rounding of one inverse however far the pass
+    goes: on the 512-level prefix to level 600, on c=32 retrial to level
+    200 and on random d = 5 models to level 1000."""
+    rng = np.random.default_rng(22)
+    runs = [(retrial_model(0.2, 0.5, 1, theta="0.3+0.3/n"), 600),
+            (retrial_model(6.0, 0.3, 32), 200)]
+    runs += [(random_pos_recurrent_model(rng, 5, n_prefix=n)[0], 1000) for n in (2, 30)]
+    for model, n_max in runs:
+        sums = np.stack([z.sum(axis=1) for z in hs.exit_up_seq(model, n_max)])
+        assert np.max(np.abs(sums - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("name, message, level", [
+    ("refused", "1-norm condition number 3.000e+12 above 1e+12", 2),
+    ("refused-before-singular", "1-norm condition number 3.000e+12 above 1e+12", 1),
+    ("singular-before-refused", "LAPACK: Singular matrix", 1)])
+def test_upward_pass_raises_the_first_refusal_in_pass_order(name, message, level):
+    """Each refused-level model with its prefix reversed meets, going up,
+    its levels in the order the backward pass meets the original's. The
+    whole pass is checked at once, yet the error is the one a check after
+    each level would raise first (the near-absorbing level's upward factor
+    has condition 3.0e12), its index the refused level less one, and the
+    levels below it step."""
+    model = {n: m for n, m, _ in refused_level_models()}[name]
+    rev = hs.QbdModel(d=model.d, r0=model.r0, p0=model.p0, prefix=model.prefix[::-1],
+                      tail=model.tail)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(hs.SingularMatrixError) as exc:
+            hs.exit_up_seq(rev, rev.n_prefix + 1)
+    assert (str(exc.value), exc.value.index) == (message, level - 1)
+    assert len(hs.exit_up_seq(rev, level - 1)) == level
 
 
 def test_exit_down_seq_from_zero_rises_toward_tail_root(d1_pos, retrial_c1):
@@ -219,6 +269,18 @@ def test_exit_down_seq_anchor_independent_random():
         assert np.max(np.abs(a - c)) <= 10 * tol
 
 
+def test_exit_down_seq_from_a_far_anchor_is_bit_for_bit():
+    """A caller's seed on a slowly mixing chain doubles its anchor past
+    2048 levels. The tail levels above depth, stepped in runs of 1024, give
+    every returned exit bit for bit as one checked step per level does."""
+    model, seed = scalar_chain(0.49, 0.51), np.zeros((1, 1))
+    exits, info = hs.exit_down_seq(model, n_max=3, seed=seed)
+    assert info["anchor"] - 1 - 3 > 1024  # more than one run above depth 3
+    want = {n: z for n, _, _, z in _down_steps(model, seed, range(info["anchor"] - 1, 0, -1))
+            if n <= 3}
+    assert all(np.array_equal(exits[n], want[n]) for n in (1, 2, 3))
+
+
 def _count_lapack_inverses(monkeypatch):
     """A list that gains one entry per LAPACK inverse formed from now on."""
     calls = []
@@ -249,10 +311,10 @@ def _level_by_level(model):
     one checked level step at a time, the tail level's factor stepped from
     the tail root."""
     tail_exit, _ = hs.exit_down_tail(model.tail)
-    depth = model.n_prefix + 1
-    factor, _ = hs.branching._step(model.tail, tail_exit)
-    steps = itertools.chain([(depth, model.tail, factor, tail_exit)],
-                            hs.branching._levels(model, tail_exit, range(depth - 1, 0, -1)))
+    depth, t = model.n_prefix + 1, model.tail
+    factor = hs.invert(np.eye(model.d) - t.up @ tail_exit - t.stay)
+    steps = itertools.chain([(depth, t, factor, tail_exit)],
+                            _down_steps(model, tail_exit, range(depth - 1, 0, -1)))
     return {n: (z, factor, factor @ t.up, factor @ np.ones(model.d))
             for n, t, factor, z in steps}
 
@@ -280,7 +342,7 @@ def test_branching_data_stacked_pass_is_bit_for_bit():
             assert np.array_equal(data.sojourn_down_at(n), sojourn), n
         if data.meta["tail"]["fixed"]:
             seq, _ = hs.exit_down_seq(model)
-            assert all(np.array_equal(a, b) for a, b in zip(seq[1:], data.exit_down[1:]))
+            assert all(np.array_equal(a, b) for a, b in zip(seq[1:], data.exit_down))
     assert not hs.branching_data(models[1]).meta["tail"]["fixed"]
 
 
@@ -345,8 +407,7 @@ def test_cycling_tail_root_keeps_the_shortcut():
     data = hs.branching_data(model)
     assert not data.meta["tail"]["fixed"]
     assert data.depth == model.n_prefix + 1
-    steps = hs.branching._levels(model, data.exit_down_at(data.depth), range(depth, 0, -1))
-    for n, _, _, z in steps:
+    for n, _, _, z in _down_steps(model, data.exit_down_at(data.depth), range(depth, 0, -1)):
         assert np.max(np.abs(data.exit_down_at(n) - z)) <= 1e-15, n
 
 
@@ -387,8 +448,7 @@ def test_branching_data_past_fixed_point_equals_per_level_stepping(retrial_c2):
         data = hs.branching_data(model)
         assert data.depth == model.n_prefix + 1
         ones = np.ones(model.d)
-        steps = hs.branching._levels(model, data.exit_down_at(data.depth),
-                                     range(depth, 0, -1))
+        steps = _down_steps(model, data.exit_down_at(data.depth), range(depth, 0, -1))
         for n, t, factor, z in steps:
             assert np.array_equal(data.exit_down_at(n), z)
             assert np.array_equal(data.fundamental_down_at(n), factor)
@@ -410,9 +470,10 @@ def test_boundary_visits_closed_form_matches_term_by_term():
         assert len(bv.terms) == len(bv.partial_sums) == 2
         assert bv.partial_sums[-1] == bv.value
         m, w, total = mu, np.ones(d), 1.0
-        for z_prev, a_k, _ in itertools.islice(hs.branching._upward_levels(model), 3000):
+        for k, z_prev in enumerate(hs.exit_up_seq(model, 2999), 1):
+            t = model.block_at(k)
             m = m @ z_prev
-            w = a_k @ w
+            w = hs.invert(np.eye(d) - t.down @ z_prev - t.stay) @ t.down @ w
             term = float(m @ w)
             total += term
         assert bv.terms[0] == 1.0
@@ -471,13 +532,16 @@ def test_exact_drift_sign_agrees_with_certified_float_sign():
 
 
 def test_branching_accessors_past_depth(d1_pos):
-    """Only the prefix and the first tail level are stored; every deeper
-    level is served from the first tail level."""
-    data = hs.branching_data(d1_pos)
-    assert data.depth == d1_pos.n_prefix + 1 == len(data.exit_down) - 1
-    for name in ("exit_down", "offspring_down", "fundamental_down", "sojourn_down"):
-        at = getattr(data, f"{name}_at")
-        assert at(200) is at(data.depth) is getattr(data, name)[data.depth]
+    """Only the prefix and the first tail level are stored, once, as stacks;
+    every deeper level is served as a view of the first tail level's entry."""
+    for model in (d1_pos, retrial_model(0.2, 0.5, 1, theta="0.3+0.3/n")):
+        data = hs.branching_data(model)
+        assert data.depth == model.n_prefix + 1 == len(data.exit_down)
+        for name, stack in (("exit_down", "exit_down"), ("offspring_down", "offspring"),
+                            ("fundamental_down", "fundamental"), ("sojourn_down", "sojourn")):
+            at, entry = getattr(data, f"{name}_at"), getattr(data, stack)[data.depth - 1]
+            for n in (data.depth, data.depth + 1, data.depth + 200):
+                assert np.shares_memory(at(n), entry) and np.array_equal(at(n), entry)
 
 
 def test_offspring_pmf_normalization_and_mean(retrial_c1):

@@ -435,6 +435,32 @@ def test_verify_deterministic_and_green(model_files, tmp_path):
     # cut off by the step cap
     for c in report["checks"][-2:]:
         assert (c["context"]["samples"], c["context"]["censored"]) == (2000, 0)
+    # each Monte Carlo cell check counts the cells it compared
+    for c in report["checks"][-5:]:
+        if c["name"] != "return-time-vs-simulation":
+            assert c["context"]["unit"] == "deviation / (3 s.e.)"
+            assert c["context"]["cells"] >= 1 and c["context"]["cells_skipped_rare"] >= 0
+
+
+def test_verify_fails_an_upward_exit_off_the_stochastic_matrices(model_files, monkeypatch):
+    """With upward exits stochastic by construction the ascent check can
+    fail: an exit that loses 1e-6 of one row's mass is reported failed, with
+    that loss measured."""
+    exit_up_seq = hs.cli.exit_up_seq
+
+    def leaky(model, n_max):
+        exits = exit_up_seq(model, n_max)
+        exits[1] = exits[1].copy()
+        exits[1][0] *= 1.0 - 1e-6 / exits[1][0].sum()
+        return exits
+
+    monkeypatch.setattr(hs.cli, "exit_up_seq", leaky)
+    code, out, err = run_cli(["verify", model_files["retrial"], "--seed", "1",
+                              "--cycles", "2000", "--samples", "300"])
+    assert code == 5, err
+    check, = (c for c in json.loads(out)["checks"] if c["name"] == "ascent-exit-stochastic")
+    assert check["status"] == "fail"
+    assert abs(check["measured"] - 1e-6) <= 1e-12
 
 
 def test_verify_one_cycle_floors_the_return_time_se(model_files):

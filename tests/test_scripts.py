@@ -178,25 +178,35 @@ def test_bench_record_keeps_every_metric_under_its_label(tmp_path, monkeypatch):
 
 
 def test_bench_record_times_verify_on_the_checkout(monkeypatch):
-    """The verify timing runs its model build and the CLI on the
-    checkout's src, without starting them here: the build command writes
-    the c=32 retrial model, and verify reads that file at seed 1."""
+    """The verify timing runs its model build once and the CLI five times
+    on the checkout's src, without starting them here: the build command
+    writes the c=32 retrial model, and verify reads that file at seed 1.
+    The median run is the timing, every run is kept, and one failed run
+    makes the exit code nonzero."""
     record = _load_script("bench_record")
-    commands = []
+    commands, clock = [], [0.0]
+    walls, codes = iter([3.0, 1.0, 2.0, 5.0, 4.0]), iter([0, 0, 5, 0, 0])
 
     def fake_run(cmd, env, **kwargs):
         commands.append(cmd)
         assert env["PYTHONPATH"] == str(ROOT / "src")
-        return subprocess.CompletedProcess(cmd, 0, stdout="", stderr="")
+        if cmd[1] == "-c":
+            return subprocess.CompletedProcess(cmd, 0)
+        clock[0] += next(walls)
+        return subprocess.CompletedProcess(cmd, next(codes), stdout="", stderr="")
 
     monkeypatch.setattr(record.subprocess, "run", fake_run)
+    monkeypatch.setattr(record, "time", type("FakeTime", (), {
+        "perf_counter": staticmethod(lambda: clock[0])}))
     timing = record.time_verify(ROOT)
-    build, verify = commands
+    build, *verify = commands
     assert build[:2] == [sys.executable, "-c"]
     path = build[3]
-    assert verify == [sys.executable, "-m", "halfstrip", "verify", path, "--seed", "1",
-                      "--format", "json"]
-    assert timing["exit"] == 0 and timing["wall_s"] >= 0.0
+    assert verify == [[sys.executable, "-m", "halfstrip", "verify", path, "--seed", "1",
+                       "--format", "json"]] * 5
+    assert timing["wall_s"] == 3.0 and timing["exit"] == 5
+    assert timing["runs"] == [{"wall_s": w, "exit": c}
+                              for w, c in [(3.0, 0), (1.0, 0), (2.0, 5), (5.0, 0), (4.0, 0)]]
     monkeypatch.setattr(sys, "argv", ["-c", str(ROOT / "no-such-dir" / "c32.json")])
     saved = []
     monkeypatch.setattr(hs, "save_model", lambda model, out: saved.append((model, out)))
@@ -220,11 +230,12 @@ def test_bench_record_times_prefix_stationary_on_the_checkout(monkeypatch):
 
     monkeypatch.setattr(record.subprocess, "run", fake_run)
     timing = record.time_prefix_stationary(ROOT)
-    build, stationary = commands
+    build, *stationary = commands
     path = build[3]
-    assert stationary == [sys.executable, "-m", "halfstrip", "stationary", path,
-                          "--format", "json"]
+    assert stationary == [[sys.executable, "-m", "halfstrip", "stationary", path,
+                           "--format", "json"]] * 5
     assert timing["exit"] == 0 and timing["model"]["retry"] == "0.3+0.3/n"
+    assert len(timing["runs"]) == 5 and timing["wall_s"] >= 0.0
     monkeypatch.setattr(sys, "argv", ["-c", path])
     saved = []
     monkeypatch.setattr(hs, "save_model", lambda model, out: saved.append(model))
