@@ -7,12 +7,14 @@ at seed 1 and the run length BENCHMARK.json sets, with ``--trace 0``
 ``halfstrip verify`` on the retrial model c=32 (lambda 6, mu 0.3, theta
 0.3, seed 1) and ``halfstrip stationary`` on the 512-level prefix model
 (retrial c=1, lambda 0.2, mu 0.5, theta 0.3+0.3/n), each RUNS times in a
-fresh interpreter, keeping every run and their median, and times the checkout's tier-1 suite (``python -m pytest -q
---continue-on-collection-errors``). Every ``metric`` line the runs print is
-kept per workload, with its unit, beside the machine note, and the whole
-entry is written under the --label key of the JSON file --out; other
-labels in that file are kept. To compare two commits, run it once on a
-checkout of each with the same --out:
+fresh interpreter, keeping every run and their median, times
+``branching_data`` on that prefix model in process the same way (each run
+the median of CALLS calls after one warm call), and times the checkout's
+tier-1 suite (``python -m pytest -q --continue-on-collection-errors``).
+Every ``metric`` line the runs print is kept per workload, with its unit,
+beside the machine note, and the whole entry is written under the --label
+key of the JSON file --out; other labels in that file are kept. To compare
+two commits, run it once on a checkout of each with the same --out:
 
     python3 scripts/bench_record.py --root ../parent --label parent --out BENCH_20.json
     python3 scripts/bench_record.py --label change --out BENCH_20.json
@@ -37,6 +39,22 @@ VERIFY_SEED = 1
 PREFIX_MODEL = (0.2, 0.5, 1, "0.3+0.3/n")
 # fresh-interpreter runs per CLI timing: one run cannot resolve a change
 RUNS = 5
+# timed branching_data calls per run, after one warm call
+CALLS = 50
+# prints the median milliseconds of CALLS branching_data calls on one model
+BRANCHING_TIMER = """\
+import statistics, time
+import halfstrip as hs
+lam, mu, servers, theta = {model!r}
+model = hs.uniformize(hs.build_retrial(lam, mu, servers, hs.RetrySchedule.parse(theta)))
+hs.branching_data(model)
+times = []
+for _ in range({calls}):
+    start = time.perf_counter()
+    hs.branching_data(model)
+    times.append(time.perf_counter() - start)
+print(1e3 * statistics.median(times))
+"""
 
 
 def parse_run_output(text):
@@ -113,6 +131,21 @@ def time_prefix_stationary(root):
     return time_cli(root, PREFIX_MODEL, ["stationary", "--format", "json"])
 
 
+def time_prefix_branching(root):
+    """Median milliseconds of ``branching_data`` on the 512-level prefix
+    model over RUNS fresh interpreters importing ``root``'s src, each run
+    the median of CALLS in-process calls after one warm call; every run's
+    figure is kept."""
+    env = dict(os.environ, PYTHONPATH=str(Path(root) / "src"))
+    code = BRANCHING_TIMER.format(model=PREFIX_MODEL, calls=CALLS)
+    runs = [float(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, check=True).stdout)
+            for _ in range(RUNS)]
+    lam, mu, servers, theta = PREFIX_MODEL
+    return {"ms": statistics.median(runs), "runs": runs, "calls": CALLS,
+            "model": {"arrival": lam, "service": mu, "servers": servers, "retry": theta}}
+
+
 def time_tests(root):
     """Wall seconds, exit code and summary line of one run of the tier-1
     suite of the checkout ``root``, on its own src."""
@@ -149,6 +182,7 @@ def main(argv=None):
         entry["machine"] = machine
     entry["verify_c32"] = time_verify(args.root)
     entry["stationary_prefix512"] = time_prefix_stationary(args.root)
+    entry["branching_data_prefix512_ms"] = time_prefix_branching(args.root)
     entry["tier1"] = time_tests(args.root)
     write_entry(args.out, args.label, entry)
     return 0

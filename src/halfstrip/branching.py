@@ -46,8 +46,8 @@ from fractions import Fraction
 import numpy as np
 
 from .linalg import (NoConvergenceError, ReducibleChainError, SingularMatrixError,
-                     NotStochasticError, check_condition, invert, lu_inverse,
-                     spectral_radius, stationary_left_vector)
+                     NotStochasticError, check_condition, invert, lapack_errstate,
+                     lapack_inverse, spectral_radius, stationary_left_vector)
 
 DEFAULT_TOL = 1e-12
 # Most level steps a tail root takes toward a floating-point fixed point, a
@@ -70,38 +70,39 @@ def _pass(back, toward, stay, z, up=False):
     subtraction (Grassmann, Taksar & Heyman 1985): the toward block's row
     mass plus A's negated off-diagonal mass. Then A 1 = toward 1 whatever
     the error in z, and every upward exit is stochastic to the rounding of
-    one inverse. All factors are checked at once when the pass ends, or,
-    when LAPACK finds a level singular, those before it: the first level in
-    pass order that a one-step check refuses raises, its place in the pass
-    the error's ``index``.
+    one inverse. Each level's A and F are written into stacks allocated
+    before the loop, F by one LAPACK call, all in one error state
+    (``lapack_errstate``). All factors are checked at once when the pass
+    ends, or, when LAPACK finds a level singular, those before it: the
+    first level in pass order that a one-step check refuses raises, its
+    place in the pass the error's ``index``.
     """
-    d = len(z)
+    k, d = len(back), len(z)
+    mats, factors, exits = np.empty((k, d, d)), np.empty((k, d, d)), []
     if up:
         mass, diag = toward.sum(axis=-1), np.diag_indices(d)
     else:
-        mass, eye = itertools.repeat(None), np.eye(d)
-    mats, factors, exits = [], [], []
+        eye = np.eye(d)
     try:
-        for b, t, s, m in zip(back, toward, stay, mass):
-            if up:
-                off = b.dot(z) + s
-                off[diag] = 0.0
-                mat = -off
-                mat[diag] = m + off.sum(axis=1)
-            else:
-                mat = eye - b.dot(z) - s
-            mats.append(mat)
-            factors.append(lu_inverse(mat))
-            z = factors[-1].dot(t)
-            exits.append(z)
+        with lapack_errstate():
+            for level, (b, t, s) in enumerate(zip(back, toward, stay)):
+                mat = mats[level]
+                if up:
+                    off = b.dot(z) + s
+                    off[diag] = 0.0
+                    np.negative(off, out=mat)
+                    mat[diag] = mass[level] + off.sum(axis=1)
+                else:
+                    np.subtract(eye, b.dot(z), out=mat)
+                    mat -= s
+                z = lapack_inverse(mat, factors[level]).dot(t)
+                exits.append(z)
     except SingularMatrixError as exc:
-        check_condition(np.array(mats[:-1]).reshape(-1, d, d),
-                        np.array(factors).reshape(-1, d, d))
-        exc.index = len(factors)
+        check_condition(mats[:level], factors[:level])
+        exc.index = level
         raise
-    factors = np.array(factors).reshape(-1, d, d)
-    if mats:
-        check_condition(np.array(mats), factors)
+    if k:
+        check_condition(mats, factors)
     return factors, exits
 
 
@@ -172,14 +173,15 @@ def _tail_exit(tail, tol, up):
       minimal root, as pi down = pi up G.
 
     Negative rounding is clipped once, and the root is then stepped, at
-    most POLISH_STEPS times, until a step returns it bit for bit. If none
-    does, the reduction root is kept: near criticality the step contracts
-    at a rate close to 1, so its rounding drifts instead of settling. The
-    info names the ``shift``; ``polish`` counts the steps, ``fixed`` says
-    whether the last one returned its input, and ``residual`` is the
-    fixed-point residual, which must not exceed max(10 tol, 1e-10). The
-    downward exit's info also holds the tail's ``tail_drift`` pair as
-    ``drift``.
+    most POLISH_STEPS times, until a step returns it bit for bit or returns
+    an earlier root, which starts a cycle that never reaches a fixed point.
+    If no step returns its input, the reduction root is kept: near
+    criticality the step contracts at a rate close to 1, so its rounding
+    drifts or cycles instead of settling. The info names the ``shift``;
+    ``polish`` counts the steps, ``fixed`` says whether the last one
+    returned its input, and ``residual`` is the fixed-point residual,
+    which must not exceed max(10 tol, 1e-10). The downward exit's info
+    also holds the tail's ``tail_drift`` pair as ``drift``.
     """
     back, toward = (tail.down, tail.up) if up else (tail.up, tail.down)
     drift = None if up else tail_drift(tail)
@@ -193,8 +195,9 @@ def _tail_exit(tail, tol, up):
         z, sweeps = _log_reduction(toward, tail.stay + pi @ toward, back - pi @ back, tol)
     z = np.clip(z, 0.0, None)
     blocks = back[None], toward[None], tail.stay[None]
-    polish, fixed, nxt = 0, False, z
-    while polish < POLISH_STEPS and not fixed:
+    polish, fixed, nxt, seen = 0, False, z, set()
+    while polish < POLISH_STEPS and not fixed and nxt.tobytes() not in seen:
+        seen.add(nxt.tobytes())
         stepped, nxt = nxt, _pass(*blocks, nxt, up)[1][0]
         polish += 1
         fixed = np.array_equal(nxt, stepped)

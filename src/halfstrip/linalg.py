@@ -1,21 +1,26 @@
 """Dense numeric kernels shared across the package.
 
 Matrices are float64 numpy arrays, small (d x d with d rarely above a few
-dozen). Probability row
-vectors act on the left (``vec @ mat``); expected-step columns act on the
-right. Inverses, solves and eigenvalues run on LAPACK. The singularity
-guard is ``check_condition``: it takes a stack of matrices and their
-inverses and refuses the first whose 1-norm condition number exceeds
-``COND_LIMIT``, so it scales with each matrix. ``invert`` is LAPACK's
-inverse (``lu_inverse``) plus that check on a stack of one; a recursion
-that forms many inverses in one pass may check them all at once before it
-uses any.
+dozen). Probability row vectors act on the left (``vec @ mat``);
+expected-step columns act on the right. Inverses, solves and eigenvalues
+run on LAPACK. Every inverse in the package is one call of
+``lapack_inverse``, the gufunc behind ``np.linalg.inv`` without its Python
+wrapper, inside ``lapack_errstate``: a recursion enters that error state
+once and forms any number of inverses in it. The singularity guard is
+``check_condition``: it takes a stack of matrices and their inverses and
+refuses the first whose 1-norm condition number exceeds ``COND_LIMIT``, so
+it scales with each matrix. ``invert`` is one inverse plus that check on a
+stack of one; a recursion that forms many inverses in one pass may check
+them all at once before it uses any.
 """
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 COND_LIMIT = 1e12
+# LAPACK's inverse as numpy.linalg.inv calls it (numpy 1.24 to 2.x)
+_INV = _umath_linalg.inv
 
 
 class SingularMatrixError(ValueError):
@@ -45,14 +50,27 @@ class NoConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def lu_inverse(mat):
-    """LAPACK's inverse of a square matrix, from its LU factorization,
-    unchecked: raises SingularMatrixError only when LAPACK finds the matrix
-    singular. ``check_condition`` is its guard."""
-    try:
-        return np.linalg.inv(mat)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"LAPACK: {exc}") from exc
+def _raise_singular(err, flag):
+    raise SingularMatrixError("LAPACK: Singular matrix")
+
+
+def lapack_errstate():
+    """numpy's error state for ``lapack_inverse``, as ``np.linalg.inv``
+    sets it: a matrix LAPACK finds singular raises SingularMatrixError, and
+    overflow, underflow and division stay silent. Inside it any invalid
+    floating-point operation raises that error, so enter it only around the
+    inverses and the arithmetic that forms their matrices."""
+    return np.errstate(call=_raise_singular, invalid="call", over="ignore",
+                       divide="ignore", under="ignore")
+
+
+def lapack_inverse(mat, out=None):
+    """LAPACK's inverse of a square float64 matrix, from its LU
+    factorization, unchecked, written into ``out`` when given: bit for bit
+    ``np.linalg.inv``. Call it inside ``lapack_errstate``, where a matrix
+    LAPACK finds singular raises SingularMatrixError; ``check_condition``
+    is its guard."""
+    return _INV(mat, out=out, signature="d->d")
 
 
 def check_condition(mats, invs):
@@ -89,7 +107,8 @@ def invert(mat):
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    inv = lu_inverse(a)
+    with lapack_errstate():
+        inv = lapack_inverse(a)
     check_condition(a[None], inv[None])
     return inv
 

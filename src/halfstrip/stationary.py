@@ -192,7 +192,8 @@ def _stack_rows(head, tail, inv_z, levels):
     nu = np.vstack(rows)
     body = nu[1:]
     tiny = body <= UNDERFLOW_FLOOR
-    flagged = np.any(tiny & (body > 0), axis=1)
+    flagged = np.zeros(len(body), dtype=bool)
+    flagged[np.flatnonzero(tiny & (body > 0)) // body.shape[1]] = True
     body[tiny] = 0.0
     low = np.flatnonzero(body.sum(axis=1) < MASS_CUTOFF) if levels is None else []
     if len(low):

@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -55,11 +56,14 @@ def _offspring_up(model, n):
 
 def _down_steps(model, z, levels):
     """(level, blocks, passage factor, exit) of the backward recursion from z
-    over ``levels`` in order, one checked inverse per level: the reference
-    the level pass matches bit for bit."""
+    over ``levels`` in order, one inverse per level by numpy's public
+    ``np.linalg.inv``, checked by ``check_condition``: the reference the
+    level pass matches bit for bit."""
     for n in levels:
         t = model.block_at(n)
-        factor = hs.invert(np.eye(model.d) - t.up @ z - t.stay)
+        mat = np.eye(model.d) - t.up @ z - t.stay
+        factor = np.linalg.inv(mat)
+        hs.linalg.check_condition(mat[None], factor[None])
         z = factor @ t.down
         yield n, t, factor, z
 
@@ -239,6 +243,20 @@ def test_exit_up_tail_is_stochastic_root_on_positive_recurrent_tails():
         assert np.max(np.abs(root - deep)) <= 1e-14
 
 
+def test_cycling_upward_tail_polish_stops_at_the_first_repeat(monkeypatch):
+    """On the c=8 retrial tail the upward polish cycles in the last bit. It
+    stops at the first step that returns an earlier root, short of
+    POLISH_STEPS, and keeps the reduction root and its residual bit for bit,
+    as running every polish step would."""
+    tail = retrial_model(1.5, 0.3, 8).tail
+    root, info = hs.exit_up_tail(tail)
+    assert not info["fixed"] and info["polish"] < hs.branching.POLISH_STEPS
+    monkeypatch.setattr(hs.branching, "POLISH_STEPS", 0)
+    unpolished, plain = hs.exit_up_tail(tail)
+    assert np.array_equal(root, unpolished)
+    assert info["residual"] == plain["residual"]
+
+
 def test_exit_down_seq_anchor_independent(retrial_c2):
     """The backward recursion forgets its anchor seed: two very different
     seeds, and the default exact tail root, must agree at every retained
@@ -282,10 +300,11 @@ def test_exit_down_seq_from_a_far_anchor_is_bit_for_bit():
 
 
 def _count_lapack_inverses(monkeypatch):
-    """A list that gains one entry per LAPACK inverse formed from now on."""
+    """A list that gains one entry per LAPACK inverse formed from now on:
+    one per call of the package's one binding to it, ``linalg._INV``."""
     calls = []
-    inv = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a) or inv(a))
+    inv = hs.linalg._INV
+    monkeypatch.setattr(hs.linalg, "_INV", lambda a, **kw: calls.append(a) or inv(a, **kw))
     return calls
 
 
@@ -311,8 +330,8 @@ def _level_by_level(model):
     one checked level step at a time, the tail level's factor stepped from
     the tail root."""
     tail_exit, _ = hs.exit_down_tail(model.tail)
-    depth, t = model.n_prefix + 1, model.tail
-    factor = hs.invert(np.eye(model.d) - t.up @ tail_exit - t.stay)
+    depth = model.n_prefix + 1
+    (_, t, factor, _), = _down_steps(model, tail_exit, [depth])
     steps = itertools.chain([(depth, t, factor, tail_exit)],
                             _down_steps(model, tail_exit, range(depth - 1, 0, -1)))
     return {n: (z, factor, factor @ t.up, factor @ np.ones(model.d))
@@ -356,6 +375,26 @@ def test_branching_data_raises_the_first_refusal_in_pass_order(model, message):
         with pytest.raises(hs.SingularMatrixError) as exc:
             hs.branching_data(model)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("model, message", [
+    (retrial_model(0.2, 0.5, 1, theta="0.3+0.3/n"), None),
+    *[(m, msg) for _, m, msg in refused_level_models()]],
+    ids=["prefix512", *[name for name, _, _ in refused_level_models()]])
+def test_branching_data_leaves_the_error_state_as_it_found_it(model, message):
+    """The pass enters numpy's error state for LAPACK inverses once; on a
+    completed pass and on each refusal, the LAPACK-singular one included,
+    numpy's error state and callback are as before the call, and no
+    warning was raised."""
+    before = np.geterr(), np.geterrcall()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if message is None:
+            hs.branching_data(model)
+        else:
+            with pytest.raises(hs.SingularMatrixError, match=re.escape(message)):
+                hs.branching_data(model)
+    assert (np.geterr(), np.geterrcall()) == before
 
 
 def test_exit_up_seq_steps_only_the_levels_it_returns(retrial_c1, monkeypatch):

@@ -152,6 +152,7 @@ def test_bench_record_keeps_every_metric_under_its_label(tmp_path, monkeypatch):
     monkeypatch.setattr(record, "time_verify", lambda root: {"wall_s": 21.5, "exit": 0})
     monkeypatch.setattr(record, "time_prefix_stationary",
                         lambda root: {"wall_s": 0.31, "exit": 0})
+    monkeypatch.setattr(record, "time_prefix_branching", lambda root: {"ms": 4.9})
     tier1 = {"wall_s": 20.1, "exit": 0, "summary": "260 passed in 19.48s"}
     monkeypatch.setattr(record, "time_tests", lambda root: tier1)
     out = tmp_path / "BENCH_0.json"
@@ -172,6 +173,7 @@ def test_bench_record_keeps_every_metric_under_its_label(tmp_path, monkeypatch):
     assert entry["machine"].startswith("nproc=2 python=3.11.7")
     assert entry["verify_c32"] == {"wall_s": 21.5, "exit": 0}
     assert entry["stationary_prefix512"] == {"wall_s": 0.31, "exit": 0}
+    assert entry["branching_data_prefix512_ms"] == {"ms": 4.9}
     assert entry["tier1"] == tier1
     run_seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     assert (entry["seed"], entry["seconds"]) == (1, run_seconds)
@@ -242,6 +244,35 @@ def test_bench_record_times_prefix_stationary_on_the_checkout(monkeypatch):
     exec(build[2], {})
     (model,) = saved
     assert (model.d, model.n_prefix) == (2, 512)
+
+
+def test_bench_record_times_prefix_branching_data_on_the_checkout(monkeypatch, capsys):
+    """The branching_data timing runs its timer five times, each in a fresh
+    interpreter on the checkout's src, without starting them here, and
+    keeps the median run and every run. The timer times CALLS calls on the
+    512-level prefix model after one warm call and prints their median in
+    milliseconds."""
+    record = _load_script("bench_record")
+    commands, printed = [], iter(["5.0\n", "3.0\n", "4.0\n", "9.0\n", "3.5\n"])
+
+    def fake_run(cmd, env, **kwargs):
+        commands.append(cmd)
+        assert env["PYTHONPATH"] == str(ROOT / "src") and kwargs["check"]
+        return subprocess.CompletedProcess(cmd, 0, stdout=next(printed), stderr="")
+
+    monkeypatch.setattr(record.subprocess, "run", fake_run)
+    timing = record.time_prefix_branching(ROOT)
+    assert [cmd[:2] for cmd in commands] == [[sys.executable, "-c"]] * 5
+    assert timing["ms"] == 4.0 and timing["runs"] == [5.0, 3.0, 4.0, 9.0, 3.5]
+    assert timing["calls"] == record.CALLS == 50 and timing["model"]["retry"] == "0.3+0.3/n"
+    calls = []
+    branching_data = hs.branching_data
+    monkeypatch.setattr(hs, "branching_data",
+                        lambda model: calls.append(model) or branching_data(model))
+    exec(commands[0][2], {})
+    assert float(capsys.readouterr().out) > 0.0
+    assert len(calls) == record.CALLS + 1
+    assert (calls[0].d, calls[0].n_prefix) == (2, 512)
 
 
 def test_bench_record_times_the_suite_on_the_checkout(monkeypatch):
