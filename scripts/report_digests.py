@@ -9,17 +9,24 @@ after another. Reports echo their model file's path, so the digests of two
 checkouts compare only when both runs use the same --workdir. The ops come
 from ``perfbench/workloads.py``; halfstrip is imported from PYTHONPATH.
 
+With ``--against ROOT`` the same workloads and seeds also run with the
+package under ROOT/src, in a subprocess and in the same --workdir, and only
+the ops whose exit code, digest or length differ are printed, as
+seed, label, then ROOT's and this run's code, digest and length. The exit
+status is 1 on any difference, 0 when every op matches.
+
 Usage:
     PYTHONPATH=src python3 scripts/report_digests.py --workload oracle \
         --seeds 1 2 3 --workdir /tmp/digests > new.tsv
-    PYTHONPATH=../old/src python3 scripts/report_digests.py --workload oracle \
-        --seeds 1 2 3 --workdir /tmp/digests > old.tsv
-    diff old.tsv new.tsv
+    PYTHONPATH=src python3 scripts/report_digests.py --workload all \
+        --seeds 1 2 3 --workdir /tmp/digests --against ../old
 """
 import argparse
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,26 +37,49 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", choices=workloads.NAMES + ("all",), required=True)
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1])
-    ap.add_argument("--workdir", type=Path, required=True,
-                    help="directory the model files are written to")
-    args = ap.parse_args()
-    args.workdir.mkdir(parents=True, exist_ok=True)
-    print(f"# halfstrip from {Path(hs.__file__).parent}", file=sys.stderr)
-    names = workloads.NAMES if args.workload == "all" else (args.workload,)
-    for name, seed in ((name, seed) for name in names for seed in args.seeds):
-        ops, _ = workloads.build(name, hs, seed, args.workdir)
+def digests(names, seeds, workdir):
+    """One tab-separated line per op, in round order."""
+    for name, seed in ((name, seed) for name in names for seed in seeds):
+        ops, _ = workloads.build(name, hs, seed, workdir)
         for op in ops:
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 code = halfstrip.cli.main(list(op.argv))
             report = out.getvalue().encode()
             digest = hashlib.sha256(report).hexdigest()
-            print(f"{seed}\t{op.label}\t{code}\t{digest}\t{len(report)}", flush=True)
+            yield f"{seed}\t{op.label}\t{code}\t{digest}\t{len(report)}"
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", choices=workloads.NAMES + ("all",), required=True)
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1])
+    ap.add_argument("--workdir", type=Path, required=True,
+                    help="directory the model files are written to")
+    ap.add_argument("--against", type=Path, default=None,
+                    help="checkout whose src/ package to compare with")
+    args = ap.parse_args()
+    args.workdir.mkdir(parents=True, exist_ok=True)
+    print(f"# halfstrip from {Path(hs.__file__).parent}", file=sys.stderr)
+    names = workloads.NAMES if args.workload == "all" else (args.workload,)
+    if args.against is None:
+        for line in digests(names, args.seeds, args.workdir):
+            print(line, flush=True)
+        return 0
+    argv = [sys.executable, __file__, "--workload", args.workload,
+            "--seeds", *map(str, args.seeds), "--workdir", str(args.workdir)]
+    env = dict(os.environ, PYTHONPATH=str(args.against.resolve() / "src"))
+    theirs = subprocess.run(argv, env=env, stdout=subprocess.PIPE, text=True, check=True)
+    differ = 0
+    # both runs take their ops from this checkout's workloads, in one order
+    for old, new in zip(theirs.stdout.splitlines(),
+                        digests(names, args.seeds, args.workdir), strict=True):
+        if old != new:
+            old, new = old.split("\t"), new.split("\t")
+            print("\t".join(old + new[2:]), flush=True)
+            differ = 1
+    return differ
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

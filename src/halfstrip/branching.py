@@ -38,6 +38,7 @@ it is positive.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -57,6 +58,7 @@ DEFAULT_TOL = 1e-12
 POLISH_STEPS = 16
 # Anchor doublings a backward recursion from a caller's seed may take.
 ANCHOR_DOUBLINGS = 16
+MAX_SWEEPS = 64  # logarithmic-reduction sweeps before increments must vanish
 
 
 def _pass(back, toward, stay, z, up=False):
@@ -128,7 +130,7 @@ def exit_up_seq(model, n_max):
     return [z, *_pass(model.down[levels], model.up[levels], model.stay[levels], z, up=True)[1]]
 
 
-def _log_reduction(down, stay, up, tol=DEFAULT_TOL, max_sweeps=64):
+def _log_reduction(down, stay, up, tol=DEFAULT_TOL):
     """A root of G = down + stay G + up G^2 by logarithmic reduction,
     quadratically convergent once ``_tail_exit``'s shift has moved the unit
     zero off the unit circle. Returns (root, sweeps); raises
@@ -140,7 +142,7 @@ def _log_reduction(down, stay, up, tol=DEFAULT_TOL, max_sweeps=64):
         base = invert(eye - stay)
         high, low = base @ up, base @ down
         g, t = low, high
-        for sweep in range(1, max_sweeps + 1):
+        for sweep in range(1, MAX_SWEEPS + 1):
             u = high @ low + low @ high
             mid = invert(eye - u)
             high = mid @ (high @ high)
@@ -153,7 +155,7 @@ def _log_reduction(down, stay, up, tol=DEFAULT_TOL, max_sweeps=64):
     except SingularMatrixError as exc:
         raise NoConvergenceError(f"reduction step failed: {exc}", estimate=None) from exc
     raise NoConvergenceError("reduction increments did not vanish", estimate=g,
-                             iterations=max_sweeps)
+                             iterations=MAX_SWEEPS)
 
 
 def _tail_exit(tail, tol, up):
@@ -353,6 +355,17 @@ def exact_drift_sign(tail):
     return (product < 0) - (product > 0)
 
 
+def _support_depth(weight, offspring):
+    """How many rows of weight, weight A_1, weight A_1 A_2, ... over the stack
+    ``offspring`` have a nonempty support before the first that has none,
+    stepping supports alone, s <- s @ (A > 0) in booleans: none underflows."""
+    rows = np.empty((len(offspring) + 1, len(weight)), dtype=bool)
+    rows[0] = weight > 0
+    for s, nxt, a in zip(rows, rows[1:], offspring > 0):
+        np.matmul(s, a, out=nxt)
+    return int(np.argmin(np.append(rows.any(axis=1), False)))
+
+
 @dataclass
 class BranchingData:
     """Per-level downward exit, offspring, sojourn, and fundamental matrices.
@@ -365,11 +378,11 @@ class BranchingData:
     or None when the tail phase chain has no unique stationary vector: the
     float sign when the drift clears its rounding bound, else the exact one
     (``exact_drift_sign``), which ``exact_sign`` flags. ``top_reached`` is
-    the highest level up to depth that a walk from layer 0 enters: the
-    last whose expected entries, 1 P0 A_1 ... A_{n-1}, are not all 0.
-    Below depth the tail is out of reach (``tail_reachable`` is False): the
-    walk stays in finitely many levels, and ``walk_sign`` reads -1 whatever
-    the tail's drift. ``walk_sign`` alone picks every verdict.
+    the highest level up to depth that a walk from layer 0 enters, read
+    from the support of 1 P0 A_1 ... A_{n-1} (``_support_depth``). Below
+    depth the tail is out of reach (``tail_reachable`` is False): the walk
+    stays in finitely many levels, and ``walk_sign`` reads -1 whatever the
+    tail's drift. ``walk_sign`` alone picks every verdict.
     """
 
     model: object
@@ -379,11 +392,14 @@ class BranchingData:
     offspring: np.ndarray
     sojourn: np.ndarray
     radius_down: float
-    top_reached: int
     tail_drift: tuple = (None, math.inf)
     drift_sign: int | None = None
     exact_sign: bool = False
     meta: dict = field(default_factory=dict)
+
+    @functools.cached_property
+    def top_reached(self):
+        return _support_depth(np.ones(self.model.d) @ self.model.p0, self.offspring[:-1])
 
     @property
     def tail_reachable(self):
@@ -422,11 +438,6 @@ def branching_data(model, tol=DEFAULT_TOL):
     # level n at index n - 1, as in the model's stacks
     factors = np.concatenate((factors[::-1], tail_factor))
     offspring = factors @ model.up
-    # expected entries into levels 1..depth; a level with none has none above it
-    reach = [ones @ model.p0]
-    for a in offspring[:-1]:
-        reach.append(reach[-1].dot(a))
-    top_reached = depth if reach[-1].any() else int(np.count_nonzero(np.any(reach, axis=1)))
     drift = tail_info["drift"]
     sign = drift_sign(drift)
     return BranchingData(
@@ -437,7 +448,6 @@ def branching_data(model, tol=DEFAULT_TOL):
         offspring=offspring,
         sojourn=factors @ ones,
         radius_down=spectral_radius(offspring[-1]),
-        top_reached=top_reached,
         tail_drift=drift,
         drift_sign=sign if sign else exact_drift_sign(model.tail),
         exact_sign=not sign,
@@ -451,13 +461,14 @@ class SeriesValue:
 
     status: "finite" (value is the certified sum, or NaN when its closed
     form was refused; the note says why), "infinite" (value is inf), or
-    "inconclusive" (value is the partial sum through the prefix).
+    "inconclusive" (value is the partial sum through the prefix). weights
+    stacks w A_start ... A_{j-1}, one row per level j = start, start + 1, ...
     """
 
     status: str
     value: float
-    last_level: int
     note: str = ""
+    weights: np.ndarray = None
 
     @property
     def finite(self):
@@ -469,11 +480,11 @@ def series_down_weighted(model, data, weight, start=1):
 
     Computes sum_{k >= start} w A^-_{start} ... A^-_{k-1} u^-_k for a
     nonnegative row vector w. Terms through the prefix are accumulated
-    directly; a weight they leave at zero ends the sum there. Past the
-    prefix the tail's certified drift sign (``data.drift_sign``) decides:
-    negative, the remainder is w (I-A)^{-1} u in closed form, NaN when
-    ``invert`` refuses I - A; zero or positive, the sum is infinite; no
-    sign, it is inconclusive.
+    directly; a weight they leave at zero ends the sum there if the tail
+    drifts down or its support (``_support_depth``) is empty too. Else the
+    tail's certified drift sign (``data.drift_sign``) decides: negative, the
+    remainder is w (I-A)^{-1} u in closed form, NaN when ``invert`` refuses
+    I - A; zero or positive, the sum is infinite; no sign, inconclusive.
     """
     w = np.asarray(weight, dtype=float)
     if np.any(w < 0):
@@ -482,28 +493,30 @@ def series_down_weighted(model, data, weight, start=1):
         raise ValueError("series levels start at 1")
     total = 0.0
     k = max(start, model.n_prefix + 1)
+    offspring = data.offspring[start - 1:k - 1]
     weights = [w]  # w A_start ... A_{j-1} for levels j = start..k
-    for offspring in data.offspring[start - 1:k - 1]:
-        weights.append(weights[-1].dot(offspring))
-    w = weights.pop()
-    if weights:
-        # every term w_j @ u_j in one stacked product, added in level order
-        terms = np.array(weights)[:, None] @ data.sojourn[start - 1:k - 1, :, None]
-        for term in terms.ravel().tolist():
-            total += term
-    if not w.any():
-        return SeriesValue("finite", total, k, note="weights vanished in the prefix")
+    for a in offspring:
+        weights.append(weights[-1].dot(a))
+    weights = np.array(weights)
+    # every term w_j @ u_j in one stacked product, added in level order
+    terms = weights[:-1, None] @ data.sojourn[start - 1:k - 1, :, None]
+    for term in terms.ravel().tolist():
+        total += term
+    series = functools.partial(SeriesValue, weights=weights)
+    if not weights[-1].any() and (data.drift_sign == -1
+                                  or _support_depth(w, offspring) < len(weights)):
+        return series("finite", total, note="weights vanished in the prefix")
     if data.drift_sign is None:
-        return SeriesValue("inconclusive", total, k,
-                           note="tail phase chain has no unique stationary vector")
+        return series("inconclusive", total,
+                      note="tail phase chain has no unique stationary vector")
     if data.drift_sign >= 0:
-        return SeriesValue("infinite", math.inf, k, note="tail drift not negative")
+        return series("infinite", math.inf, note="tail drift not negative")
     try:
-        remainder = float(w @ invert(np.eye(model.d) - data.offspring_down_at(k))
+        remainder = float(weights[-1] @ invert(np.eye(model.d) - data.offspring_down_at(k))
                           @ data.sojourn_down_at(k))
     except SingularMatrixError as exc:
-        return SeriesValue("finite", math.nan, k, note=f"tail closed form refused: {exc}")
-    return SeriesValue("finite", total + remainder, k, note="tail summed in closed form")
+        return series("finite", math.nan, note=f"tail closed form refused: {exc}")
+    return series("finite", total + remainder, note="tail summed in closed form")
 
 
 @dataclass

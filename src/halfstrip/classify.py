@@ -15,14 +15,13 @@ summed in closed form on its side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .branching import (
     DEFAULT_TOL,
     BoundaryVisits,
-    SeriesValue,
     _ascent_visits,
     branching_data,
     expected_boundary_visits,
@@ -48,15 +47,15 @@ def return_time_bound(model, data=None, tol=DEFAULT_TOL):
     """Phase-summed bound on the expected first return time to layer 0.
 
     Value is sum_i E_i(return time), i.e. 1'P0 (sum of descent sojourns) + d.
-    Finite exactly when the walk is positive recurrent. Returns a
-    SeriesValue; an "inconclusive" status carries the partial sum.
+    Finite exactly when the walk is positive recurrent. Returns the
+    series' SeriesValue, weights included, with d added to its value; an
+    "inconclusive" status carries the partial sum.
     """
     if data is None:
         data = branching_data(model, tol=tol)
     weight = np.ones(model.d) @ model.p0
     sv = series_down_weighted(model, data, weight, start=1)
-    value = sv.value + model.d if sv.status != "infinite" else math.inf
-    return SeriesValue(sv.status, value, sv.last_level, sv.note)
+    return replace(sv, value=sv.value + model.d)  # inf stays inf
 
 
 def _ascent_time(model, weight, k):
@@ -81,11 +80,8 @@ def expected_return_time(model, mu, n=0, data=None, tol=DEFAULT_TOL):
         raise NotStochasticError("mu must be a probability vector over phases")
     if data is None:
         data = branching_data(model, tol=tol)
-    if n == 0:
-        sv = series_down_weighted(model, data, mu @ model.p0, start=1)
-        if sv.status == "infinite":
-            return math.inf
-        return 1.0 + sv.value
+    if n == 0:  # an infinite series has value inf
+        return 1.0 + series_down_weighted(model, data, mu @ model.p0, start=1).value
     t = model.block_at(n)
     down = series_down_weighted(model, data, mu @ t.up, start=n + 1)
     if down.status == "infinite":

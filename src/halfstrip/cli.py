@@ -477,8 +477,6 @@ def _verify_lines(report):
 
 
 def _cmd_example(args):
-    if args.kind != "retrial":
-        raise _CliError(EXIT_USAGE, f"unknown example kind {args.kind!r}")
     try:
         schedule = RetrySchedule.parse(args.theta)
     except (ModelFormatError, ValueError) as exc:

@@ -236,7 +236,7 @@ def _level_name(model, n):
     return "tail" if n > model.n_prefix else f"level {n}"
 
 
-def _errors(model, rows, atol):
+def _errors(model, rows):
     """(stored level, severity, code, where, detail) of each error of the
     ``_step_rows`` array ``rows``, in ``validate``'s order."""
     parts = rows.reshape(len(rows), model.d, 3, model.d)  # (level, row, [down, stay, up], column)
@@ -248,8 +248,8 @@ def _errors(model, rows, atol):
     # a row holding both +inf and -inf sums to nan; it is reported as not-finite
     with np.errstate(invalid="ignore"):
         dev = np.max(np.abs((up + down + stay).sum(axis=-1) - 1.0), axis=1)
-    flagged = (~finite.all(axis=1) | (low < -atol).any(axis=1)
-               | (high > 1.0 + 1e-6).any(axis=1) | (dev > atol))
+    flagged = (~finite.all(axis=1) | (low < -VALIDATE_ATOL).any(axis=1)
+               | (high > 1.0 + 1e-6).any(axis=1) | (dev > VALIDATE_ATOL))
     found = []
     for n in np.flatnonzero(flagged).tolist():
         name = _level_name(model, n)
@@ -259,11 +259,11 @@ def _errors(model, rows, atol):
             if not finite[n, k]:
                 found.append((n, "error", "not-finite", where, "non-finite entry"))
                 continue
-            if low[n, k] < -atol:
+            if low[n, k] < -VALIDATE_ATOL:
                 found.append((n, "error", "negative-entry", where, f"min entry {low[n, k]:.3e}"))
             if high[n, k] > 1.0 + 1e-6:
                 found.append((n, "error", "entry-above-one", where, f"max entry {high[n, k]:.6f}"))
-        if dev[n] > atol:
+        if dev[n] > VALIDATE_ATOL:
             found.append((n, "error", "row-sum", name, f"max |row sum - 1| = {dev[n]:.3e}"))
     return found
 
@@ -287,19 +287,19 @@ def _warnings(model, rows, reach):
     return found
 
 
-def validation_errors(model, atol=VALIDATE_ATOL):
+def validation_errors(model):
     """The error entries of ``validate(model)``, in the same order, without
     its warnings or its reachability walk: what decides whether a model is
     valid."""
-    return [Violation(*e[1:]) for e in _errors(model, _step_rows(model), atol)]
+    return [Violation(*e[1:]) for e in _errors(model, _step_rows(model))]
 
 
-def validate(model, atol=VALIDATE_ATOL):
+def validate(model):
     """Check a discrete model against its structural requirements.
 
     Errors (invalid model; ``validation_errors`` alone): non-finite or
     negative entries, entries above one, row sums off from 1 by more than
-    ``atol``. Block shapes are checked when the model is built.
+    ``VALIDATE_ATOL``. Block shapes are checked when the model is built.
     Warnings (advisory): an up or down block with an all-zero column (the
     walk can never enter that phase from the neighboring level, which can
     starve the exit recursions), and, on a model without errors, a
@@ -307,7 +307,7 @@ def validate(model, atol=VALIDATE_ATOL):
     errors come before its warnings.
     """
     rows = _step_rows(model)
-    errors = _errors(model, rows, atol)
+    errors = _errors(model, rows)
     found = errors + _warnings(model, rows, reach=not errors)
     # a stable sort by level keeps errors ahead of warnings within a level
     found.sort(key=lambda entry: entry[0])
@@ -320,7 +320,7 @@ def default_gamma(gen):
                float(np.max(np.abs(np.diagonal(gen.local, axis1=1, axis2=2)))))
 
 
-def _check_generator(gen, atol=VALIDATE_ATOL):
+def _check_generator(gen):
     """Raise ModelFormatError for the first level, level 0 first, with a
     non-finite rate (blocks local, up, down in turn), a negative off-diagonal
     rate or a generator row that does not sum to zero, in that order."""
@@ -332,13 +332,13 @@ def _check_generator(gen, atol=VALIDATE_ATOL):
         low = np.min([b.min(axis=(1, 2)) for b in (off, up, down)], axis=0)
         rows = np.abs((local + up + down).sum(axis=2)).max(axis=1)
     scale = np.maximum(1.0, np.abs(local).max(axis=(1, 2)))
-    for n in np.flatnonzero(~np.logical_and.reduce(finite) | (low < -atol)
-                            | (rows > atol * scale))[:1].tolist():
+    for n in np.flatnonzero(~np.logical_and.reduce(finite) | (low < -VALIDATE_ATOL)
+                            | (rows > VALIDATE_ATOL * scale))[:1].tolist():
         where = "level 0" if n == 0 else f"level {n}" if n <= gen.n_prefix else "tail"
         for name, ok in zip(("local", "up", "down"), finite):
             if not ok[n]:
                 raise ModelFormatError(f"{where}.{name}: non-finite entry")
-        if low[n] < -atol:
+        if low[n] < -VALIDATE_ATOL:
             raise ModelFormatError(f"{where}: negative off-diagonal rate")
         raise ModelFormatError(f"{where}: generator row sums not zero")
 

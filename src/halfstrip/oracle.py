@@ -431,14 +431,14 @@ def _cycle_stats(config, per_rep, committed, arrival_counts, completed, discarde
     )
 
 
-def cell_deviations(reference, observed, se, samples, bursts=None, min_events=16.0):
+def cell_deviations(reference, observed, se, samples, bursts=None):
     """Worst per-cell deviation between an estimate and its reference, in
     units of 3 standard errors.
 
     Visits to a rare state arrive in bursts (one excursion yields several
     visits), so for cells that few excursions reach, the replication-based
     standard error is itself noisy. Cells whose expected event count
-    (reference * samples) is positive but below ``min_events`` are
+    (reference * samples) is positive but below 16 are
     therefore skipped, and the rest get an error floor
     sqrt(reference * burst / samples) - a binomial bound inflated by the
     expected burst size - plus an absolute floor of 1/samples. Cells with
@@ -457,7 +457,7 @@ def cell_deviations(reference, observed, se, samples, bursts=None, min_events=16
     skipped = 0
     for idx in np.ndindex(ref.shape):
         events = ref[idx] * samples
-        if 0.0 < events < min_events:
+        if 0.0 < events < 16.0:
             skipped += 1
             continue
         floor = math.sqrt(max(ref[idx], 0.0) * bursts[idx] / samples)

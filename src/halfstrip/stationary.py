@@ -121,12 +121,12 @@ def stationary_dist(model, data=None, levels=None, tol=DEFAULT_TOL):
     nu_0 = m / Z and nu_n = m P0 A_1 ... A_{n-1} F_n / Z, with m the
     censored boundary measure, A/F the downward offspring and fundamental
     matrices, and Z the normalizer (expected return time to layer 0 from
-    m). Past the first tail level K = n_prefix + 1 this is the
-    matrix-geometric form nu_{K+j} = w_K A^j F / Z, formed by stacked
-    doubling. ``levels`` defaults to the first level whose mass drops below
-    1e-12 (capped at 100000). Raises NotPositiveRecurrentError when the
-    normalizer is not a certified finite value: its series is infinite or
-    inconclusive, or ``invert`` refused its closed form.
+    m), the rows below K = n_prefix + 1 one stacked product over the weights
+    of Z's series; past K the matrix-geometric form nu_{K+j} = w_K A^j F / Z
+    by stacked doubling. ``levels`` defaults to the first level whose mass
+    drops below 1e-12 (capped at 100000). Raises NotPositiveRecurrentError
+    when the normalizer is not a certified finite value: its series is
+    infinite or inconclusive, or ``invert`` refused its closed form.
     """
     if data is None:
         data = branching_data(model, tol=tol)
@@ -141,19 +141,12 @@ def stationary_dist(model, data=None, levels=None, tol=DEFAULT_TOL):
     inv_z = 1.0 / normalizer
 
     cap = levels if levels is not None else LEVEL_CAP
-    k = data.depth
-    rows = [mu0 * inv_z]
-    w = mu0 @ model.p0
-    for n, fundamental, offspring in zip(range(1, min(k, cap + 1)), data.fundamental,
-                                         data.offspring):
-        rows.append(w.dot(fundamental) * inv_z)
-        if levels is None and rows[-1].sum() < MASS_CUTOFF:
-            cap = n  # the mass cutoff falls inside the prefix: no tail rows
-            break
-        w = w.dot(offspring)
-    tail = {"level": k, "w": w, "offspring": data.offspring_down_at(k),
+    k, weights = data.depth, zser.weights  # w_n = m P0 A_1 ... A_{n-1}, n = 1..k
+    m = min(k - 1, cap)
+    head = np.vstack([mu0 * inv_z, (weights[:m, None] @ data.fundamental[:m])[:, 0] * inv_z])
+    tail = {"level": k, "w": weights[k - 1], "offspring": data.offspring_down_at(k),
             "fundamental": data.fundamental_down_at(k)}
-    nu, flagged = _stack_rows(rows, tail if cap >= k else None, inv_z, levels)
+    nu, flagged = _stack_rows(head, tail if cap >= k else None, inv_z, levels)
     rates, rate_levels = _empirical_rates(nu)
     return StationaryResult(
         nu=nu,
@@ -176,11 +169,11 @@ def stationary_dist(model, data=None, levels=None, tol=DEFAULT_TOL):
 
 
 def _stack_rows(head, tail, inv_z, levels):
-    """(nu, underflow flags of levels 1..): ``head``, then rows (w A^j F) * inv_z
+    """(nu, underflow flags of levels 1..): rows ``head``, then (w A^j F) * inv_z
     by stacked doubling, X <- [X; X P], P <- P^2, to ``levels`` (None: to the
-    mass cutoff, at most LEVEL_CAP), entries under the floor set to 0."""
+    first row under the mass cutoff, at most LEVEL_CAP), entries under the floor 0."""
     cap = levels if levels is not None else LEVEL_CAP
-    rows = list(head)
+    rows = [head]
     if tail is not None:
         k = tail["level"]
         x, p, f = (np.atleast_2d(tail[key]) for key in ("w", "offspring", "fundamental"))

@@ -103,6 +103,31 @@ def walled_prefix_models():
     return models
 
 
+def underflow_prefix_models():
+    """Walks whose expected entries underflow inside the prefix while the
+    tail stays in reach: 170 and 400 prefix levels (d = 1, up 0.01 / down
+    0.99) over a tail drifting up (up 0.7 / down 0.3). The float product
+    1 P0 A_1 ... A_{n-1} is exactly 0 from level 164 on, but its support
+    never empties, so each walk is transient."""
+    one = np.array([[0.0]])
+    level = hs.BlockTriple(up=np.array([[0.01]]), down=np.array([[0.99]]), stay=one)
+    tail = hs.BlockTriple(up=np.array([[0.7]]), down=np.array([[0.3]]), stay=one)
+    return [hs.QbdModel(d=1, r0=one, p0=np.array([[1.0]]), prefix=(level,) * n, tail=tail)
+            for n in (170, 400)]
+
+
+def stacked_pass_models():
+    """The 512-level prefix, c=32 retrial with 20 prefix levels copied from
+    its tail (whose tail root cycles), and random prefix models up to
+    d = 33, seeded."""
+    rng = np.random.default_rng(20)
+    c32 = retrial_model(6.0, 0.3, 32)
+    models = [retrial_model(0.2, 0.5, 1, theta="0.3+0.3/n"),
+              hs.QbdModel(d=c32.d, r0=c32.r0, p0=c32.p0, prefix=(c32.tail,) * 20, tail=c32.tail)]
+    return models + [random_pos_recurrent_model(rng, d, n_prefix=n)[0]
+                     for d, n in [(1, 9), (2, 30), (3, 5), (5, 12), (9, 4), (17, 7), (33, 6)]]
+
+
 def refused_level_models():
     """(name, model, error) triples. Each model is a d = 2 walk with three
     prefix levels over the 0.3/0.7 diagonal tail. One prefix level is near

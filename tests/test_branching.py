@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 import warnings
 
@@ -8,7 +9,8 @@ import pytest
 import halfstrip as hs
 
 from conftest import (random_pos_recurrent_model, refused_level_models, retrial_model,
-                      scalar_chain, walled_prefix_models)
+                      scalar_chain, stacked_pass_models, underflow_prefix_models,
+                      walled_prefix_models)
 
 
 # dense absorbing-chain oracle for expected visit counts
@@ -344,12 +346,7 @@ def test_branching_data_stacked_pass_is_bit_for_bit():
     step per level does, and, where the tail root is a fixed point, as
     exit_down_seq does: on the 512-level prefix, on c=32 retrial with a
     cycling tail root, and on random prefix models up to d = 33."""
-    rng = np.random.default_rng(20)
-    c32 = retrial_model(6.0, 0.3, 32)
-    models = [retrial_model(0.2, 0.5, 1, theta="0.3+0.3/n"),
-              hs.QbdModel(d=c32.d, r0=c32.r0, p0=c32.p0, prefix=(c32.tail,) * 20, tail=c32.tail)]
-    models += [random_pos_recurrent_model(rng, d, n_prefix=n)[0]
-               for d, n in [(1, 9), (2, 30), (3, 5), (5, 12), (9, 4), (17, 7), (33, 6)]]
+    models = stacked_pass_models()
     for model in models:
         data = hs.branching_data(model)
         want = _level_by_level(model)
@@ -363,6 +360,69 @@ def test_branching_data_stacked_pass_is_bit_for_bit():
             seq, _ = hs.exit_down_seq(model)
             assert all(np.array_equal(a, b) for a, b in zip(seq[1:], data.exit_down))
     assert not hs.branching_data(models[1]).meta["tail"]["fixed"]
+
+
+def _float_chain(data, weight, start):
+    """The float weight chain w A_start ... A_{j-1}, levels j = start..k,
+    stepped one vector product per level: the reference for the weights a
+    series returns."""
+    chain = [np.asarray(weight, dtype=float)]
+    for a in data.offspring[start - 1:max(start, data.depth) - 1]:
+        chain.append(chain[-1].dot(a))
+    return np.array(chain)
+
+
+def _float_reach(model, data):
+    """The highest level whose float expected entries 1 P0 A_1 ... A_{n-1}
+    are not all 0, stepped one vector product per level, and whether the
+    float walk vanished before the first tail level."""
+    reach = _float_chain(data, np.ones(model.d) @ model.p0, 1)
+    if reach[-1].any():
+        return data.depth, False
+    return int(np.count_nonzero(np.any(reach, axis=1))), True
+
+
+def test_series_weights_and_top_reached_match_the_float_chain():
+    """A series returns its weight chain bit for bit as stepping it one level
+    at a time gives it, and return_time_bound passes it on; top_reached,
+    taken from the offspring support, equals the float walk's level on
+    every model where that walk does not vanish, and behind a prefix wall,
+    where it vanishes exactly."""
+    cases = [(model, False) for model in stacked_pass_models()]
+    for model, behind_wall in cases + [(model, True) for model in walled_prefix_models()]:
+        data = hs.branching_data(model)
+        weight = np.ones(model.d) @ model.p0
+        want = _float_chain(data, weight, 1)
+        assert np.array_equal(hs.series_down_weighted(model, data, weight).weights, want)
+        assert np.array_equal(hs.return_time_bound(model, data=data).weights, want)
+        for start in (2, data.depth // 2 + 1, data.depth + 3):
+            got = hs.series_down_weighted(model, data, weight, start=start).weights
+            assert np.array_equal(got, _float_chain(data, weight, start)), start
+        assert _float_reach(model, data) == (data.top_reached, behind_wall)
+
+
+def test_an_underflowing_prefix_keeps_the_tail_in_reach():
+    """The float expected entries of a long prefix underflow to 0 while its
+    tail, drifting up, stays in reach: the walk is transient, with an
+    infinite return-time series. Behind a prefix wall, where the support
+    is empty too, the series ends in the prefix and the walk is positive
+    recurrent with return time 2."""
+    for model in underflow_prefix_models():
+        data = hs.branching_data(model)
+        assert _float_reach(model, data) == (163, True)
+        assert data.top_reached == data.depth and data.tail_reachable
+        c = hs.classify(model, data=data)
+        assert c.verdict == hs.TRANSIENT
+        assert c.details["tail_reachable"] is True
+        bound = hs.return_time_bound(model, data=data)
+        assert (bound.status, bound.value) == ("infinite", math.inf)
+        assert c.return_bound == math.inf
+    for model in walled_prefix_models():
+        data = hs.branching_data(model)
+        sv = hs.series_down_weighted(model, data, np.ones(model.d) @ model.p0)
+        assert (sv.status, sv.note) == ("finite", "weights vanished in the prefix")
+        assert hs.classify(model, data=data).verdict == hs.POSITIVE_RECURRENT
+        assert hs.expected_return_time(model, np.full(model.d, 1.0 / model.d)) == 2.0
 
 
 @pytest.mark.parametrize("model, message", [(m, msg) for _, m, msg in refused_level_models()],

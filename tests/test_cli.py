@@ -25,7 +25,8 @@ import halfstrip as hs
 from halfstrip.cli import _dump_json, main
 
 from conftest import (NILPOTENT_TAIL, null_behind_prefix_model, reducible_tail_models,
-                      refused_level_models, retrial_model, walled_prefix_models)
+                      refused_level_models, retrial_model, underflow_prefix_models,
+                      walled_prefix_models)
 
 
 def run_cli(argv, stdin_text=None):
@@ -142,6 +143,27 @@ def test_stationary_on_transient_exit_3(model_files):
     code, _, err = run_cli(["stationary", model_files["transient"]])
     assert code == 3
     assert err.startswith("precondition failed:")
+
+
+@pytest.mark.parametrize("command", ["stationary", "decay"])
+def test_underflowing_prefix_over_a_transient_tail_exit_3(tmp_path, command):
+    """A long prefix whose float weights vanish over a tail drifting up is
+    transient: stationary and decay refuse it."""
+    for n, model in enumerate(underflow_prefix_models()):
+        path = tmp_path / f"underflow{n}.json"
+        hs.save_model(model, path)
+        code, out, err = run_cli([command, str(path)])
+        assert (code, out) == (3, "")
+        assert err.startswith("precondition failed:")
+        code, out, _ = run_cli(["classify", str(path), "--format", "json"])
+        assert code == 0 and json.loads(out)["results"]["verdict"] == "transient"
+
+
+def test_example_unknown_kind_exit_1():
+    code, out, err = run_cli(["example", "mm1", "--lambda", "0.2", "--mu", "0.5",
+                              "--c", "1", "--theta", "0.3"])
+    assert (code, out) == (1, "")
+    assert "argument kind: invalid choice: 'mm1'" in err
 
 
 def test_unknown_command_exit_1():

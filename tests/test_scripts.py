@@ -85,6 +85,31 @@ def test_report_digests_lists_every_op_of_a_round(tmp_path):
     assert sizes["stationary rc-1=-1.0e-03"] <= 2048
 
 
+def test_report_digests_against_a_checkout_prints_only_differences(tmp_path):
+    """Against this checkout every op matches: exit 0, nothing printed.
+    Against a copy of its package whose version string differs every
+    report differs: exit 1 and one line per op, with both codes, digests
+    and lengths."""
+    env = dict(os.environ, PYTHONPATH="src")
+    argv = [sys.executable, "scripts/report_digests.py", "--workload", "critical",
+            "--seeds", "1", "--workdir", str(tmp_path / "work"), "--against"]
+    proc = subprocess.run(argv + [str(ROOT)], cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert (proc.returncode, proc.stdout) == (0, ""), proc.stderr
+    other = tmp_path / "other" / "src" / "halfstrip"
+    other.mkdir(parents=True)
+    for path in (ROOT / "src" / "halfstrip").glob("*.py"):
+        text = path.read_text()
+        if path.name == "__init__.py":
+            text = text.replace(f'__version__ = "{hs.__version__}"', '__version__ = "0.0.0"')
+        (other / path.name).write_text(text)
+    proc = subprocess.run(argv + [str(tmp_path / "other")], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    rows = [line.split("\t") for line in proc.stdout.splitlines()]
+    assert rows and all(len(row) == 8 and row[0] == "1" and row[3] != row[6] for row in rows)
+
+
 def test_exit_calibration_counts_cells_per_model():
     """Two seeds at 200 walks per phase: one row per model, c1's exits are
     all 0 or 1 and compare no cell, c8_high compares some, and the shares

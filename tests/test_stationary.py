@@ -7,7 +7,8 @@ import pytest
 import halfstrip as hs
 from halfstrip import NotPositiveRecurrentError, TailNotPositiveRecurrentError
 
-from conftest import NILPOTENT_TAIL, random_pos_recurrent_model, retrial_model, scalar_chain
+from conftest import (NILPOTENT_TAIL, random_pos_recurrent_model, retrial_model, scalar_chain,
+                      stacked_pass_models, underflow_prefix_models)
 
 
 def test_retrial_c1_frozen_stationary(retrial_c1):
@@ -281,6 +282,61 @@ def test_stationary_matches_censored_chain(retrial_c2):
     mu0 = hs.censored_measure(retrial_c2)
     boundary = res.nu[0] / res.nu[0].sum()
     assert np.max(np.abs(boundary - mu0)) < 1e-9
+
+
+def _row_loop(model, data, levels):
+    """stationary_dist's rows formed level by level, each from a weight
+    stepped one vector product at a time, stopping at the first prefix row
+    whose mass is below the cutoff: the reference for the rows taken from
+    the normalizer series' weights. Returns (nu, tail w or None, underflow
+    levels)."""
+    mu0 = hs.censored_measure(model, data=data)
+    inv_z = 1.0 / (hs.series_down_weighted(model, data, mu0 @ model.p0).value + 1.0)
+    cap = levels if levels is not None else hs.stationary.LEVEL_CAP
+    k = data.depth
+    rows = [mu0 * inv_z]
+    w = mu0 @ model.p0
+    for n, fundamental, offspring in zip(range(1, min(k, cap + 1)), data.fundamental,
+                                         data.offspring):
+        rows.append(w.dot(fundamental) * inv_z)
+        if levels is None and rows[-1].sum() < hs.stationary.MASS_CUTOFF:
+            cap = n
+            break
+        w = w.dot(offspring)
+    tail = {"level": k, "w": w, "offspring": data.offspring_down_at(k),
+            "fundamental": data.fundamental_down_at(k)}
+    nu, flagged = hs.stationary._stack_rows(np.vstack(rows), tail if cap >= k else None,
+                                            inv_z, levels)
+    return nu, w if len(nu) > k else None, (np.flatnonzero(flagged[:len(nu) - 1]) + 1).tolist()
+
+
+def test_rows_from_the_normalizer_series_match_the_row_loop():
+    """Rows taken in one stacked product from the normalizer series'
+    weights, truncated by the mass cutoff alone, equal the level-by-level
+    row loop bit for bit: nu, the tail weight, the underflow levels and the
+    level count, with levels mass-driven (inside prefix512's prefix), below
+    K - 1 and above K."""
+    for model in stacked_pass_models():
+        data = hs.branching_data(model)
+        for levels in (None, data.depth // 2, data.depth + 5):
+            res = hs.stationary_dist(model, data=data, levels=levels)
+            nu, w, underflow = _row_loop(model, data, levels)
+            assert np.array_equal(res.nu, nu), levels
+            assert res.levels == len(nu) - 1
+            assert res.underflow_levels == underflow
+            assert (res.tail is None) == (w is None)
+            assert w is None or np.array_equal(res.tail["w"], w)
+        assert "top_reached" not in vars(data)  # formed only when read
+    prefix512 = stacked_pass_models()[0]
+    assert hs.stationary_dist(prefix512).levels == 62 < prefix512.n_prefix
+
+
+def test_stationary_refuses_an_underflowing_prefix_over_a_transient_tail():
+    """A prefix whose float weights vanish while the tail, drifting up, stays
+    in reach has no stationary distribution."""
+    for model in underflow_prefix_models():
+        with pytest.raises(NotPositiveRecurrentError, match="infinite"):
+            hs.stationary_dist(model)
 
 
 def _expansion_cases():
