@@ -27,7 +27,7 @@ def main():
     # a rate model runs as its uniformized chain, as in the CLI
     model = hs.as_chain(hs.load_model(sys.stdin if args.model == "-" else args.model))
 
-    res = hs.stationary_dist(model, levels=args.levels)
+    res = hs.stationary_dist(hs.branching_data(model), levels=args.levels)
     limit = math.log(res.decay_rate)
     print(f"# log decay rate limit {limit:.10g}", file=sys.stderr)
     print("level," + ",".join(f"log_rate_phase_{j}" for j in range(model.d))

@@ -35,13 +35,14 @@ def main():
         r_c = lam * (lam + theta) / (mu * theta)
         model = hs.uniformize(
             hs.build_retrial(lam, mu, 1, hs.RetrySchedule.parse(str(theta))))
-        res = hs.classify(model)
+        data = hs.branching_data(model)
+        res = hs.classify(data)
         decay, ret = "", ""
         if res.verdict == "positive-recurrent":
             # a grid point can land within float rounding of the critical
             # rate; the solver is allowed to give up there
             try:
-                st = hs.stationary_dist(model)
+                st = hs.stationary_dist(data)
                 decay, ret = f"{st.decay_rate:.10g}", f"{st.normalizer:.10g}"
             except Exception as exc:
                 print(f"# lam {lam:.10g}: {exc}", file=sys.stderr)

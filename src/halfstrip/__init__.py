@@ -6,6 +6,10 @@ probabilities and the associated branching structure, certifies recurrence
 classifications, evaluates the stationary distribution in closed form with
 its geometric decay rate, and verifies everything against two independent
 oracles (a truncated linear solve and a seeded simulator).
+
+A model is solved once, by ``data = branching_data(model, tol)``, and
+every downward quantity reads that one result: ``classify(data)``,
+``stationary_dist(data)``, ``decay_rate(data)`` and the series.
 """
 
 __version__ = "0.1.0"

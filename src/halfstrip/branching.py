@@ -233,25 +233,17 @@ def exit_up_tail(tail, tol=DEFAULT_TOL):
     return _tail_exit(tail, tol, up=True)
 
 
-def exit_down_seq(model, n_max=None, tol=DEFAULT_TOL, seed=None):
-    """Downward exit matrices for levels 1..max(n_max, prefix+1).
-
-    Backward recursion anchored at a level ``a`` inside the constant tail.
-    The default seed, the tail's minimal downward exit matrix, is exact at
-    every tail level, so one pass from a = depth+1 suffices. A caller's
-    ``seed`` is anchored at prefix+16 and the anchor doubles until the
-    level-1 answer moves by less than ``tol``. Tail levels above depth are
-    stepped 1024 at a time, keeping only the last exit. Returns (list
-    indexed by level with [0] unused, info dict).
+def exit_down_seq(model, seed, n_max=None, tol=DEFAULT_TOL):
+    """Downward exit matrices for levels 1..max(n_max, prefix+1), by the
+    backward recursion from a caller's ``seed``, the reference for
+    ``branching_data``'s exits. The seed is anchored at prefix+16 and the
+    anchor doubles until the level-1 answer moves by less than ``tol``.
+    Tail levels above depth are stepped 1024 at a time, keeping only the
+    last exit. Returns (list indexed by level with [0] unused, info dict).
     """
     depth = max(n_max or 0, model.n_prefix + 1)
-    exact = seed is None
-    if exact:
-        seed, tail_info = exit_down_tail(model.tail, tol=tol)
-        anchor = depth + 1
-    else:
-        seed, tail_info = np.asarray(seed, dtype=float), {"method": "caller-seed"}
-        anchor = max(model.n_prefix + 16, depth + 1)
+    seed = np.asarray(seed, dtype=float)
+    anchor = max(model.n_prefix + 16, depth + 1)
     tail = model.up[-1:], model.down[-1:], model.stay[-1:]
     levels = np.minimum(np.arange(depth, 0, -1), model.n_prefix + 1) - 1
     prev_first = None
@@ -261,10 +253,10 @@ def exit_down_seq(model, n_max=None, tol=DEFAULT_TOL, seed=None):
             run = (min(1024, top - depth), model.d, model.d)
             z = _pass(*(np.broadcast_to(b, run) for b in tail), z)[1][-1]
         exits = [None, *_pass(model.up[levels], model.down[levels], model.stay[levels], z)[1][::-1]]
-        delta = None if prev_first is None else float(np.max(np.abs(exits[1] - prev_first)))
-        if exact or (delta is not None and delta < tol):
-            return exits, {"anchor": anchor, "passes": passes,
-                           "delta": delta, "tail": tail_info}
+        if prev_first is not None:
+            delta = float(np.max(np.abs(exits[1] - prev_first)))
+            if delta < tol:
+                return exits, {"anchor": anchor, "passes": passes, "delta": delta}
         prev_first = exits[1]
         anchor *= 2
     raise NoConvergenceError(
@@ -429,7 +421,8 @@ def branching_data(model, tol=DEFAULT_TOL):
     level keeps; the backward pass (``_pass``) forms its factor from it,
     then steps the prefix from it, level n_prefix first. A refusal raises
     the first level's in that order. ``meta["tail"]`` is the downward tail
-    solver's info.
+    solver's info. The one place a model is solved and ``tol`` enters:
+    every reader of the downward structure takes the result alone.
     """
     depth, ones = model.n_prefix + 1, np.ones(model.d)
     tail_exit, tail_info = exit_down_tail(model.tail, tol=tol)
@@ -475,7 +468,7 @@ class SeriesValue:
         return self.status == "finite"
 
 
-def series_down_weighted(model, data, weight, start=1):
+def series_down_weighted(data, weight, start=1):
     r"""Sum of weight @ (offspring_down products) @ sojourn_down over levels.
 
     Computes sum_{k >= start} w A^-_{start} ... A^-_{k-1} u^-_k for a
@@ -492,7 +485,7 @@ def series_down_weighted(model, data, weight, start=1):
     if start < 1:
         raise ValueError("series levels start at 1")
     total = 0.0
-    k = max(start, model.n_prefix + 1)
+    k = max(start, data.depth)
     offspring = data.offspring[start - 1:k - 1]
     weights = [w]  # w A_start ... A_{j-1} for levels j = start..k
     for a in offspring:
@@ -512,7 +505,7 @@ def series_down_weighted(model, data, weight, start=1):
     if data.drift_sign >= 0:
         return series("infinite", math.inf, note="tail drift not negative")
     try:
-        remainder = float(weights[-1] @ invert(np.eye(model.d) - data.offspring_down_at(k))
+        remainder = float(weights[-1] @ invert(np.eye(len(w)) - data.offspring_down_at(k))
                           @ data.sojourn_down_at(k))
     except SingularMatrixError as exc:
         return series("finite", math.nan, note=f"tail closed form refused: {exc}")
@@ -537,8 +530,17 @@ class BoundaryVisits:
     note: str = ""
 
 
-def expected_boundary_visits(model, mu=None, tol=DEFAULT_TOL, data=None):
-    """Expected number of layer-0 visits for a walk started on layer 0 at mu.
+def _phase_distribution(mu, d):
+    """mu as a float array, checked to be a probability vector over d phases."""
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape != (d,) or np.any(mu < -1e-12) or abs(float(mu.sum()) - 1.0) > 1e-9:
+        raise NotStochasticError("mu must be a probability vector over phases")
+    return mu
+
+
+def expected_boundary_visits(data, mu=None):
+    """Expected number of layer-0 visits for a walk started on layer 0 at mu
+    (default uniform).
 
     Term k is mu_k A^+_k ... A^+_1 1 with mu_k the phase distribution upon
     first reaching layer k (term 0 is 1). The series is finite exactly when
@@ -553,22 +555,15 @@ def expected_boundary_visits(model, mu=None, tol=DEFAULT_TOL, data=None):
     - negative or zero: divergent by Neuts' drift condition;
     - none: inconclusive.
 
-    ``radius_up``, the upward tail offspring radius, is reported and gates
-    nothing. A caller's ``data`` (from ``branching_data``) supplies the
-    sign and G_1 instead of solving the tail again.
+    ``radius_up``, the upward tail offspring radius, solved at the data's
+    ``tol``, is reported and gates nothing.
     """
-    d = model.d
-    if mu is None:
-        mu = np.full(d, 1.0 / d)
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (d,) or np.any(mu < -1e-12) or abs(float(mu.sum()) - 1.0) > 1e-9:
-        raise NotStochasticError("mu must be a probability vector over phases")
-    if data is None:
-        data = branching_data(model, tol=tol)
+    model, d = data.model, data.model.d
+    mu = _phase_distribution(np.full(d, 1.0 / d) if mu is None else mu, d)
     total = float(mu @ np.ones(d))
     radius_up = None
     try:
-        radius_up = _radius_up(model.tail, tol)
+        radius_up = _radius_up(model.tail, data.meta["tol"])
     except NoConvergenceError:
         pass
     sign = data.walk_sign
@@ -588,7 +583,7 @@ def expected_boundary_visits(model, mu=None, tol=DEFAULT_TOL, data=None):
                           radius_up, note="levels from 1 summed in closed form")
 
 
-def offspring_pmf(model, data, n, phase, count, direction):
+def offspring_pmf(data, n, phase, count, direction):
     """Offspring pmf of a step into (n >= 1, phase), for counts 0..count-1.
 
     Entry c is the probability that the step begets c back-steps during a
@@ -597,6 +592,7 @@ def offspring_pmf(model, data, n, phase, count, direction):
     K = (I - S)^{-1} back E, where E is the exit matrix that returns a
     back-step to level n.
     """
+    model = data.model
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
     if n < 1:
@@ -649,7 +645,7 @@ def expected_visits_ascent(model, k, mu, n):
     return next(itertools.islice(_ascent_visits(model, k, mu), k - n, None))
 
 
-def expected_visits_descent(model, data, k, mu, n):
+def expected_visits_descent(data, k, mu, n):
     """Expected visits per phase to layer n (n >= k+1) before the walk,
     started on layer k >= 1 at mu, first reaches layer k-1."""
     if k < 1 or n < k + 1:

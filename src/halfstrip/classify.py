@@ -20,14 +20,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .branching import (
-    DEFAULT_TOL,
     BoundaryVisits,
     _ascent_visits,
-    branching_data,
+    _phase_distribution,
     expected_boundary_visits,
     series_down_weighted,
 )
-from .linalg import NotStochasticError
 
 POSITIVE_RECURRENT = "positive-recurrent"
 NULL_RECURRENT = "null-recurrent"
@@ -43,7 +41,7 @@ _VERDICTS = {
 }
 
 
-def return_time_bound(model, data=None, tol=DEFAULT_TOL):
+def return_time_bound(data):
     """Phase-summed bound on the expected first return time to layer 0.
 
     Value is sum_i E_i(return time), i.e. 1'P0 (sum of descent sojourns) + d.
@@ -51,10 +49,8 @@ def return_time_bound(model, data=None, tol=DEFAULT_TOL):
     series' SeriesValue, weights included, with d added to its value; an
     "inconclusive" status carries the partial sum.
     """
-    if data is None:
-        data = branching_data(model, tol=tol)
-    weight = np.ones(model.d) @ model.p0
-    sv = series_down_weighted(model, data, weight, start=1)
+    model = data.model
+    sv = series_down_weighted(data, np.ones(model.d) @ model.p0)
     return replace(sv, value=sv.value + model.d)  # inf stays inf
 
 
@@ -65,7 +61,7 @@ def _ascent_time(model, weight, k):
     return sum(float(visits @ ones) for visits in _ascent_visits(model, k, weight))
 
 
-def expected_return_time(model, mu, n=0, data=None, tol=DEFAULT_TOL):
+def expected_return_time(data, mu, n=0):
     """Expected first return time to layer n for a walk started there at mu.
 
     Path decomposition: one step, plus a descent from layer n+1 if that
@@ -74,16 +70,12 @@ def expected_return_time(model, mu, n=0, data=None, tol=DEFAULT_TOL):
     its closed form is refused; an inconclusive series propagates its
     partial sum.
     """
-    d = model.d
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (d,) or np.any(mu < -1e-12) or abs(float(mu.sum()) - 1.0) > 1e-9:
-        raise NotStochasticError("mu must be a probability vector over phases")
-    if data is None:
-        data = branching_data(model, tol=tol)
+    model = data.model
+    mu = _phase_distribution(mu, model.d)
     if n == 0:  # an infinite series has value inf
-        return 1.0 + series_down_weighted(model, data, mu @ model.p0, start=1).value
+        return 1.0 + series_down_weighted(data, mu @ model.p0).value
     t = model.block_at(n)
-    down = series_down_weighted(model, data, mu @ t.up, start=n + 1)
+    down = series_down_weighted(data, mu @ t.up, start=n + 1)
     if down.status == "infinite":
         return math.inf
     up_time = _ascent_time(model, mu @ t.down, n - 1)
@@ -117,7 +109,7 @@ class Classification:
     details: dict = field(default_factory=dict)
 
 
-def classify(model, mu=None, tol=DEFAULT_TOL, data=None):
+def classify(data, mu=None):
     """Classify a half-strip walk by its tail's certified drift sign.
 
     The sign (``BranchingData.walk_sign``: the tail's drift sign, or -1
@@ -128,18 +120,16 @@ def classify(model, mu=None, tol=DEFAULT_TOL, data=None):
     reported: divergent for a null-recurrent walk, summed in closed form
     for a transient one, and only its term 0 when the tail has no sign.
     """
-    if data is None:
-        data = branching_data(model, tol=tol)
     verdict, certificate = _VERDICTS[data.walk_sign]
-    rb = return_time_bound(model, data=data, tol=tol)
-    ret = None if mu is None else expected_return_time(model, mu, n=0, data=data, tol=tol)
+    rb = return_time_bound(data)
+    ret = None if mu is None else expected_return_time(data, mu)
     details = {"return_series_note": rb.note, "exact_sign": data.exact_sign,
                "tail_reachable": data.tail_reachable}
     if verdict == POSITIVE_RECURRENT:
         bv = BoundaryVisits("divergent", math.inf, [], [])
         details["note"] = "boundary visits divergent by implication"
     else:
-        bv = expected_boundary_visits(model, mu=mu, tol=tol, data=data)
+        bv = expected_boundary_visits(data, mu=mu)
         details.update(visit_status=bv.status, return_status=rb.status, visit_note=bv.note)
     return Classification(
         verdict=verdict,

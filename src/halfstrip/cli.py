@@ -207,7 +207,7 @@ def _emit(report, args, pretty_lines):
 def _cmd_classify(args):
     model = _load_model(args.model)
     mu = _parse_mu(args.mu, model.d) if args.mu else None
-    res = classify(model, mu=mu, tol=args.tol)
+    res = classify(branching_data(model, tol=args.tol), mu=mu)
     results = {
         "verdict": res.verdict,
         "certificate": res.certificate,
@@ -237,21 +237,20 @@ def _cmd_classify(args):
 # --------------------------------------------------------------- stationary
 
 
-def _stationary_with_checks(model, data, levels, tol):
+def _stationary_with_checks(data, levels):
     """Stationary result from ``data`` and its two analytic checks over
     every reported level: (result, checks)."""
-    result = stationary_dist(model, data=data, levels=levels, tol=tol)
+    result = stationary_dist(data, levels)
     checks = [
-        _check("matrix-product-form", matrix_product_check(model, data, result), 1e-10),
-        _check("global-balance-residual", balance_residual(model, result), 1e-8),
+        _check("matrix-product-form", matrix_product_check(data, result), 1e-10),
+        _check("global-balance-residual", balance_residual(data.model, result), 1e-8),
     ]
     return result, checks
 
 
 def _cmd_stationary(args):
-    model = _load_model(args.model)
-    data = branching_data(model, tol=args.tol)
-    result, checks = _stationary_with_checks(model, data, args.levels, args.tol)
+    data = branching_data(_load_model(args.model), tol=args.tol)
+    result, checks = _stationary_with_checks(data, args.levels)
     if args.format == "csv":
         _write_output(result_to_csv(result), args.output)
         return EXIT_OK
@@ -280,8 +279,7 @@ def _cmd_stationary(args):
 
 
 def _cmd_decay(args):
-    model = _load_model(args.model)
-    rep = decay_rate(model, levels=args.levels, tol=args.tol)
+    rep = decay_rate(branching_data(_load_model(args.model), tol=args.tol), args.levels)
     results = {
         "rate": rep.rate,
         "log_rate": math.log(rep.rate) if rep.rate > 0 else "-Infinity",
@@ -326,12 +324,13 @@ def _cmd_simulate(args):
 # ------------------------------------------------------------------- verify
 
 
-def _visit_bursts(model, data, top_level):
+def _visit_bursts(data, top_level):
     """Per-level variance inflation for visit-count comparisons: one
     excursion that reaches a level contributes a burst of visits there, so
     the per-cycle count is overdispersed relative to binomial by roughly
     the expected burst length. Bounded here by the level's downward sojourn
     (boundary: the stay-block dwell)."""
+    model = data.model
     dwell0 = invert(np.eye(model.d) - model.r0) @ np.ones(model.d)
     levels = np.minimum(np.arange(top_level), data.depth - 1)  # stack index of levels 1..
     return 1.0 + 2.0 * np.concatenate([[dwell0.max()], data.sojourn[levels].max(axis=1)])[:, None]
@@ -361,10 +360,9 @@ def _cell_check(name, reference, observed, se, trials, bursts=None, **context):
 
 def _cmd_verify(args):
     model = _load_model(args.model)
-    tol = args.tol
     checks = []
-    data = branching_data(model, tol=tol)
-    res = classify(model, tol=tol, data=data)
+    data = branching_data(model, tol=args.tol)
+    res = classify(data)
     results = {"verdict": res.verdict, "certificate": res.certificate}
     inputs = _inputs(args, ["model", "seed", "cycles", "levels", "tol", "samples"])
     gate = None
@@ -373,7 +371,7 @@ def _cmd_verify(args):
                       context={"verdict": res.verdict})
     else:
         try:
-            result, stationary_checks = _stationary_with_checks(model, data, args.levels, tol)
+            result, stationary_checks = _stationary_with_checks(data, args.levels)
         except NotPositiveRecurrentError as exc:
             # certified positive recurrent, but the normalizer's closed form was refused
             gate = _check("stationary-certified", 1.0, 0.5, context={"reason": str(exc)})
@@ -423,7 +421,7 @@ def _cmd_verify(args):
     ref_visits = result.nu[:span2 + 1] * result.normalizer
     checks.append(_cell_check("visits-per-cycle-vs-simulation", ref_visits,
                               stats.visit_counts[:span2 + 1], stats.visit_se[:span2 + 1],
-                              stats.cycles, bursts=_visit_bursts(model, data, span2),
+                              stats.cycles, bursts=_visit_bursts(data, span2),
                               levels_compared=span2))
 
     # fewer than two replications that complete a cycle give no s.e.

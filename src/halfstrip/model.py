@@ -463,20 +463,15 @@ def build_retrial(arrival, service, servers, retry, prefix_levels=None):
     Level = orbit size, phase = number of busy servers (0..servers).
     Per level: arrivals at rate ``arrival`` occupy a free server or (all
     busy) push the arrival into the orbit; each busy server completes at
-    rate ``service``; the orbit retries at total rate ``retry(level)``,
-    succeeding only when a server is free. Retry rates must converge to a
-    finite limit, stored as the tail.
+    rate ``service``; the orbit retries at total rate ``retry.rate(level)``
+    (``retry`` a RetrySchedule), succeeding only when a server is free.
+    Retry rates must converge to a finite limit, stored as the tail.
     """
     lam = float(arrival)
     mu = float(service)
     c = int(servers)
     if lam <= 0 or mu <= 0 or c < 1:
         raise ValueError("need arrival > 0, service > 0, servers >= 1")
-    if not isinstance(retry, RetrySchedule):
-        if isinstance(retry, (list, tuple)):
-            retry = RetrySchedule.table(retry)
-        else:
-            retry = RetrySchedule.constant(retry)
     d = c + 1
     if prefix_levels is None:
         prefix_levels = retry.default_prefix()

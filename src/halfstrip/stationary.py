@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .branching import DEFAULT_TOL, branching_data, series_down_weighted
+from .branching import series_down_weighted
 from .linalg import ReducibleChainError, stationary_left_vector
 
 UNDERFLOW_FLOOR = 1e-300
@@ -33,7 +33,7 @@ class TailNotPositiveRecurrentError(Exception):
     diverges), so the geometric decay rate is undefined."""
 
 
-def censored_matrix(model, data=None, tol=DEFAULT_TOL):
+def censored_matrix(data):
     """Transition matrix of the boundary process watched only on layer 0.
 
     Equals R0 + P0 Z1 with Z1 the downward exit matrix of level 1: either
@@ -41,12 +41,10 @@ def censored_matrix(model, data=None, tol=DEFAULT_TOL):
     through its eventual first down-crossing. Stochastic exactly when the
     walk is recurrent; substochastic rows expose escape probability.
     """
-    if data is None:
-        data = branching_data(model, tol=tol)
-    return model.r0 + model.p0 @ data.exit_down_at(1)
+    return data.model.r0 + data.model.p0 @ data.exit_down_at(1)
 
 
-def censored_measure(model, data=None, tol=DEFAULT_TOL):
+def censored_measure(data):
     """Stationary probability vector of the censored boundary matrix.
 
     Raises NotPositiveRecurrentError when the censored matrix is visibly
@@ -56,9 +54,7 @@ def censored_measure(model, data=None, tol=DEFAULT_TOL):
     uses: uniform @ lim ((I + C) / 2)^(2^k), squared until a step returns
     its input bit for bit, at most 64 times.
     """
-    if data is None:
-        data = branching_data(model, tol=tol)
-    cm = censored_matrix(model, data=data, tol=tol)
+    cm, d = censored_matrix(data), data.model.d
     deficit = float(np.max(np.abs(cm.sum(axis=1) - 1.0)))
     if deficit > 1e-8:
         raise NotPositiveRecurrentError(
@@ -67,12 +63,12 @@ def censored_measure(model, data=None, tol=DEFAULT_TOL):
     try:
         return stationary_left_vector(cm, row_tol=1e-8)
     except ReducibleChainError:
-        lazy = 0.5 * (np.eye(model.d) + cm)
+        lazy = 0.5 * (np.eye(d) + cm)
         for _ in range(64):
             lazy, before = lazy @ lazy, lazy
             if np.array_equal(lazy, before):
                 break
-        return np.full(model.d, 1.0 / model.d) @ lazy
+        return np.full(d, 1.0 / d) @ lazy
 
 
 @dataclass
@@ -115,7 +111,7 @@ def _empirical_rates(nu):
     return rates, levels
 
 
-def stationary_dist(model, data=None, levels=None, tol=DEFAULT_TOL):
+def stationary_dist(data, levels=None):
     """Stationary distribution of a positive-recurrent walk, in closed form.
 
     nu_0 = m / Z and nu_n = m P0 A_1 ... A_{n-1} F_n / Z, with m the
@@ -128,11 +124,9 @@ def stationary_dist(model, data=None, levels=None, tol=DEFAULT_TOL):
     when the normalizer is not a certified finite value: its series is
     infinite or inconclusive, or ``invert`` refused its closed form.
     """
-    if data is None:
-        data = branching_data(model, tol=tol)
-    cm = censored_matrix(model, data=data, tol=tol)
-    mu0 = censored_measure(model, data=data, tol=tol)
-    zser = series_down_weighted(model, data, mu0 @ model.p0, start=1)
+    cm = censored_matrix(data)
+    mu0 = censored_measure(data)
+    zser = series_down_weighted(data, mu0 @ data.model.p0)
     if not (zser.finite and math.isfinite(zser.value)):
         raise NotPositiveRecurrentError(
             f"the normalizer is not a certified finite value (return-time series "
@@ -160,7 +154,7 @@ def stationary_dist(model, data=None, levels=None, tol=DEFAULT_TOL):
         underflow_levels=(np.flatnonzero(flagged[:len(nu) - 1]) + 1).tolist(),
         meta={
             "z_series_note": zser.note,
-            "tol": tol,
+            "tol": data.meta["tol"],
             "empirical_rate_levels": rate_levels,
             "truncated_at_cap": levels is None and len(nu) - 1 >= LEVEL_CAP,
         },
@@ -201,7 +195,7 @@ def expand_rows(results):
                        1.0 / results["normalizer"], results["levels"])[0]
 
 
-def matrix_product_check(model, data, result):
+def matrix_product_check(data, result):
     """Max deviation between nu_n and one matrix-product step nu_{n-1} R_n,
     with R_n = (up block of level n-1) @ (fundamental matrix of level n).
 
@@ -210,7 +204,7 @@ def matrix_product_check(model, data, result):
     first tail level are checked as stacks; R_n is constant past it, so
     those levels are checked in one product.
     """
-    nu = result.nu
+    model, nu = data.model, result.nu
     top = len(nu) - 1
     k = data.depth
     m = min(k, top)
@@ -266,23 +260,20 @@ class DecayReport:
     meta: dict = field(default_factory=dict)
 
 
-def decay_rate(model, data=None, result=None, levels=None, tol=DEFAULT_TOL):
+def decay_rate(data, levels=None):
     """Decay rate of the stationary distribution plus finite-level estimates.
 
     Requires the constant tail itself to be positive recurrent: its
     certified mean drift sign (``data.drift_sign``) must be negative;
-    otherwise raises TailNotPositiveRecurrentError. When ``result`` is
-    omitted the stationary distribution is computed here.
+    otherwise raises TailNotPositiveRecurrentError. The empirical estimates
+    come from ``stationary_dist(data, levels)``.
     """
-    if data is None:
-        data = branching_data(model, tol=tol)
     if data.drift_sign != -1:
         raise TailNotPositiveRecurrentError(
             f"tail mean drift {data.tail_drift[0]} has certified sign "
             f"{data.drift_sign}, not -1; the tail return-time series diverges "
             "and no geometric decay rate exists")
-    if result is None:
-        result = stationary_dist(model, data=data, levels=levels, tol=tol)
+    result = stationary_dist(data, levels)
     return DecayReport(
         rate=data.radius_down,
         empirical=result.empirical_rates,

@@ -23,7 +23,7 @@ def test_01_single_server_retrial_decay_closed_form(retrial_c1):
     lam, mu, theta = 0.2, 0.5, 0.3
     expected = lam * (lam + theta) / (mu * theta)
     t0 = time.perf_counter()
-    rep = hs.decay_rate(retrial_c1)
+    rep = hs.decay_rate(hs.branching_data(retrial_c1))
     dt = time.perf_counter() - t0
     err = abs(rep.rate - expected)
     assert err <= 1e-8
@@ -38,7 +38,7 @@ def test_02_two_server_retrial_decay_closed_form(retrial_c2):
         / (3 * lam + 2 * mu + 2 * theta)
     assert abs(expected - 0.18518519) < 1e-7
     t0 = time.perf_counter()
-    rep = hs.decay_rate(retrial_c2)
+    rep = hs.decay_rate(hs.branching_data(retrial_c2))
     dt = time.perf_counter() - t0
     err = abs(rep.rate - expected)
     assert err <= 1e-8
@@ -88,7 +88,7 @@ def test_04_verdict_flips_at_the_critical_arrival_rate():
     for lam in sweep:
         r_c = lam * (lam + theta) / (mu * theta)
         assert r_c != 1.0
-        res = hs.classify(retrial_model(lam, mu, 1))
+        res = hs.classify(hs.branching_data(retrial_model(lam, mu, 1)))
         assert res.verdict == ("positive-recurrent" if r_c < 1.0 else "transient"), \
             f"lam={lam}: verdict {res.verdict} vs r_c={r_c}"
         if r_c < 1.0:
@@ -112,20 +112,20 @@ def test_decay_rate_certified_by_the_drift_sign_near_the_critical_rate():
         model = retrial_model(lam, mu, 1)
         if excess == -1e-12:
             with pytest.raises(hs.NotPositiveRecurrentError, match="condition number"):
-                hs.decay_rate(model)
+                hs.decay_rate(hs.branching_data(model))
         else:
-            assert abs(hs.decay_rate(model).rate - r_c) <= 4e-15
+            assert abs(hs.decay_rate(hs.branching_data(model)).rate - r_c) <= 4e-15
 
 
 def test_05_scalar_chain_closed_forms_and_truncation(d1_pos):
     # up 0.3 / down 0.7, boundary reflects: nu_0 = 2/7,
     # nu_n = (20/49)(3/7)^(n-1), mean return time 7/2, decay 3/7
-    res = hs.stationary_dist(d1_pos, levels=60)
+    res = hs.stationary_dist(hs.branching_data(d1_pos), levels=60)
     worst = abs(float(res.nu[0][0]) - 2.0 / 7.0)
     for n in range(1, 61):
         closed = (20.0 / 49.0) * (3.0 / 7.0) ** (n - 1)
         worst = max(worst, abs(float(res.nu[n][0]) - closed))
-    ret = hs.expected_return_time(d1_pos, np.array([1.0]))
+    ret = hs.expected_return_time(hs.branching_data(d1_pos), np.array([1.0]))
     worst = max(worst, abs(ret - 3.5), abs(res.normalizer - 3.5))
     worst = max(worst, abs(res.decay_rate - 3.0 / 7.0))
     assert worst <= 1e-8
@@ -142,13 +142,13 @@ def test_05_scalar_chain_closed_forms_and_truncation(d1_pos):
 
 
 def test_06_null_and_transient_certificates(d1_null, d1_transient):
-    res = hs.classify(d1_null)
+    res = hs.classify(hs.branching_data(d1_null))
     assert res.verdict == "null-recurrent"
     assert res.certificate == "visits-divergent-return-time-infinite"
     assert math.isinf(res.boundary_visits)
     assert math.isinf(res.return_bound)
 
-    res_t = hs.classify(d1_transient)
+    res_t = hs.classify(hs.branching_data(d1_transient))
     assert res_t.verdict == "transient"
     err = abs(res_t.boundary_visits - 1.75)
     assert err <= 1e-10
@@ -164,7 +164,7 @@ def test_07_oracle_triangle_on_random_models():
     for i in range(20):
         rng = np.random.default_rng(1000 + i)
         model, data = random_pos_recurrent_model(rng, 1 + i % 4)
-        res = hs.stationary_dist(model, data=data)
+        res = hs.stationary_dist(data)
 
         rows = hs.truncated_solve(model, 260).level_rows()
         span = min(30, res.levels)
@@ -182,7 +182,7 @@ def test_07_oracle_triangle_on_random_models():
         ref = np.stack([res.nu[n] * z for n in range(span2 + 1)])
         viol, _, _ = hs.cell_deviations(
             ref, stats.visit_counts[:span2 + 1], stats.visit_se[:span2 + 1],
-            stats.cycles, bursts=_visit_bursts(model, data, span2))
+            stats.cycles, bursts=_visit_bursts(data, span2))
         worst_visits = max(worst_visits, viol)
         assert viol <= 1.0, f"model {i}: visit deviation {viol:.2f} x 3 s.e."
 
@@ -226,8 +226,8 @@ def test_08_invariant_suite(retrial_c1, retrial_c2, d1_pos):
         upward = [hs.invert(np.eye(d) - t.down @ z - t.stay) @ t.down
                   for t, z in zip(map(model.block_at, (1, 2)), hs.exit_up_seq(model, 1))]
         for n, phase in [(1, 0), (2, d - 1)]:
-            up = hs.offspring_pmf(model, data, n, phase, horizon, "down")
-            dn = hs.offspring_pmf(model, data, n, phase, horizon, "up")
+            up = hs.offspring_pmf(data, n, phase, horizon, "down")
+            dn = hs.offspring_pmf(data, n, phase, horizon, "up")
             worst["pmf_norm"] = max(worst["pmf_norm"],
                                     abs(sum(up) - 1.0), abs(sum(dn) - 1.0))
             mean_up = sum(c * p for c, p in enumerate(up))
@@ -237,9 +237,9 @@ def test_08_invariant_suite(retrial_c1, retrial_c2, d1_pos):
                 abs(mean_up - float(data.offspring_down_at(n).sum(axis=1)[phase])),
                 abs(mean_dn - float(upward[n - 1].sum(axis=1)[phase])))
 
-        res = hs.stationary_dist(model, tol=tol)
+        res = hs.stationary_dist(data)
         worst["product"] = max(worst["product"],
-                               hs.matrix_product_check(model, data, res))
+                               hs.matrix_product_check(data, res))
         worst["balance"] = max(worst["balance"],
                                hs.balance_residual(model, res))
         worst["kac"] = max(worst["kac"],
@@ -259,7 +259,7 @@ def test_09_slowly_varying_retry_rate_keeps_the_limit_decay():
     # theta_n = 0.3 (1 + 1/n) converges to 0.3, so the tail decay must
     # approach the constant-rate value 2/3 level by level
     model = retrial_model(0.2, 0.5, 1, theta="0.3+0.3/n")
-    res = hs.stationary_dist(model, levels=300)
+    res = hs.stationary_dist(hs.branching_data(model), levels=300)
     target = math.log(2.0 / 3.0)
     errs = [abs(math.log(float(res.nu[300][j])) / 300.0 - target)
             for j in range(model.d)]

@@ -10,6 +10,8 @@ import inspect
 import json
 from pathlib import Path
 
+import numpy as np
+
 import halfstrip as hs
 
 from conftest import reducible_tail_models
@@ -49,12 +51,19 @@ def test_tail_solvers_report_sweeps(retrial_c1):
         assert isinstance(info["sweeps"], int) and info["sweeps"] >= 1
 
 
+def test_exit_down_seq_counts_its_passes(retrial_c1):
+    """The benchmark counts ``exit_down_seq(...)[1]["passes"]``."""
+    d = retrial_c1.d
+    _, info = hs.exit_down_seq(retrial_c1, np.zeros((d, d)))
+    assert isinstance(info["passes"], int) and info["passes"] >= 2
+
+
 def test_boundary_visits_keep_their_terms(d1_pos, d1_null, d1_transient):
     """The benchmark counts ``len(expected_boundary_visits(...).terms) - 1``
     levels, for every visit status."""
     seen = set()
     for model in (d1_pos, d1_null, d1_transient, *reducible_tail_models()):
-        bv = hs.expected_boundary_visits(model)
+        bv = hs.expected_boundary_visits(hs.branching_data(model))
         assert len(bv.terms) >= 1
         seen.add(bv.status)
     assert seen == {"convergent", "divergent", "inconclusive"}

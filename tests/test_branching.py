@@ -261,19 +261,18 @@ def test_cycling_upward_tail_polish_stops_at_the_first_repeat(monkeypatch):
 
 def test_exit_down_seq_anchor_independent(retrial_c2):
     """The backward recursion forgets its anchor seed: two very different
-    seeds, and the default exact tail root, must agree at every retained
-    level."""
+    seeds, and branching_data's exits from the tail root, must agree at
+    every retained level."""
     tol = 1e-12
     d = retrial_c2.d
     seq_a, _ = hs.exit_down_seq(retrial_c2, n_max=6, tol=tol, seed=np.zeros((d, d)))
     seq_b, _ = hs.exit_down_seq(
         retrial_c2, n_max=6, tol=tol, seed=np.full((d, d), 1.0 / d)
     )
-    seq_c, info = hs.exit_down_seq(retrial_c2, n_max=6, tol=tol)
-    assert info["passes"] == 1
-    for a, b, c in zip(seq_a[1:], seq_b[1:], seq_c[1:]):
+    data = hs.branching_data(retrial_c2, tol=tol)
+    for n, (a, b) in enumerate(zip(seq_a[1:], seq_b[1:]), 1):
         assert np.max(np.abs(a - b)) <= 10 * tol
-        assert np.max(np.abs(a - c)) <= 10 * tol
+        assert np.max(np.abs(a - data.exit_down_at(n))) <= 10 * tol
 
 
 def test_exit_down_seq_anchor_independent_random():
@@ -282,11 +281,10 @@ def test_exit_down_seq_anchor_independent_random():
     tol = 1e-12
     seq_a, _ = hs.exit_down_seq(model, n_max=5, tol=tol, seed=np.zeros((3, 3)))
     seq_b, _ = hs.exit_down_seq(model, n_max=5, tol=tol, seed=np.eye(3))
-    seq_c, info = hs.exit_down_seq(model, n_max=5, tol=tol)
-    assert info["passes"] == 1
-    for a, b, c in zip(seq_a[1:], seq_b[1:], seq_c[1:]):
+    data = hs.branching_data(model, tol=tol)
+    for n, (a, b) in enumerate(zip(seq_a[1:], seq_b[1:]), 1):
         assert np.max(np.abs(a - b)) <= 10 * tol
-        assert np.max(np.abs(a - c)) <= 10 * tol
+        assert np.max(np.abs(a - data.exit_down_at(n))) <= 10 * tol
 
 
 def test_exit_down_seq_from_a_far_anchor_is_bit_for_bit():
@@ -343,8 +341,7 @@ def _level_by_level(model):
 def test_branching_data_stacked_pass_is_bit_for_bit():
     """The backward pass checked as one stack gives every level's exit,
     fundamental, offspring and sojourn matrices bit for bit as one checked
-    step per level does, and, where the tail root is a fixed point, as
-    exit_down_seq does: on the 512-level prefix, on c=32 retrial with a
+    step per level does: on the 512-level prefix, on c=32 retrial with a
     cycling tail root, and on random prefix models up to d = 33."""
     models = stacked_pass_models()
     for model in models:
@@ -356,9 +353,6 @@ def test_branching_data_stacked_pass_is_bit_for_bit():
             assert np.array_equal(data.fundamental_down_at(n), factor), n
             assert np.array_equal(data.offspring_down_at(n), offspring), n
             assert np.array_equal(data.sojourn_down_at(n), sojourn), n
-        if data.meta["tail"]["fixed"]:
-            seq, _ = hs.exit_down_seq(model)
-            assert all(np.array_equal(a, b) for a, b in zip(seq[1:], data.exit_down))
     assert not hs.branching_data(models[1]).meta["tail"]["fixed"]
 
 
@@ -393,10 +387,10 @@ def test_series_weights_and_top_reached_match_the_float_chain():
         data = hs.branching_data(model)
         weight = np.ones(model.d) @ model.p0
         want = _float_chain(data, weight, 1)
-        assert np.array_equal(hs.series_down_weighted(model, data, weight).weights, want)
-        assert np.array_equal(hs.return_time_bound(model, data=data).weights, want)
+        assert np.array_equal(hs.series_down_weighted(data, weight).weights, want)
+        assert np.array_equal(hs.return_time_bound(data).weights, want)
         for start in (2, data.depth // 2 + 1, data.depth + 3):
-            got = hs.series_down_weighted(model, data, weight, start=start).weights
+            got = hs.series_down_weighted(data, weight, start=start).weights
             assert np.array_equal(got, _float_chain(data, weight, start)), start
         assert _float_reach(model, data) == (data.top_reached, behind_wall)
 
@@ -411,18 +405,18 @@ def test_an_underflowing_prefix_keeps_the_tail_in_reach():
         data = hs.branching_data(model)
         assert _float_reach(model, data) == (163, True)
         assert data.top_reached == data.depth and data.tail_reachable
-        c = hs.classify(model, data=data)
+        c = hs.classify(data)
         assert c.verdict == hs.TRANSIENT
         assert c.details["tail_reachable"] is True
-        bound = hs.return_time_bound(model, data=data)
+        bound = hs.return_time_bound(data)
         assert (bound.status, bound.value) == ("infinite", math.inf)
         assert c.return_bound == math.inf
     for model in walled_prefix_models():
         data = hs.branching_data(model)
-        sv = hs.series_down_weighted(model, data, np.ones(model.d) @ model.p0)
+        sv = hs.series_down_weighted(data, np.ones(model.d) @ model.p0)
         assert (sv.status, sv.note) == ("finite", "weights vanished in the prefix")
-        assert hs.classify(model, data=data).verdict == hs.POSITIVE_RECURRENT
-        assert hs.expected_return_time(model, np.full(model.d, 1.0 / model.d)) == 2.0
+        assert hs.classify(data).verdict == hs.POSITIVE_RECURRENT
+        assert hs.expected_return_time(data, np.full(model.d, 1.0 / model.d)) == 2.0
 
 
 @pytest.mark.parametrize("model, message", [(m, msg) for _, m, msg in refused_level_models()],
@@ -563,7 +557,7 @@ def test_boundary_visits_closed_form_matches_term_by_term():
     for d in (2, 3, 4, 2, 3, 4):
         model = _random_transient_model(rng, d)
         mu = np.full(d, 1.0 / d)
-        bv = hs.expected_boundary_visits(model, mu=mu)
+        bv = hs.expected_boundary_visits(hs.branching_data(model), mu=mu)
         assert bv.status == "convergent"
         assert bv.note == "levels from 1 summed in closed form"
         assert len(bv.terms) == len(bv.partial_sums) == 2
@@ -586,7 +580,7 @@ def test_boundary_visits_closed_form_matches_retrial_value():
     for excess in (0.2, 1e-2, 1e-3):
         lam = (-theta + np.sqrt(theta * theta + 4 * (1 + excess) * mu * theta)) / 2
         r_c = lam * (lam + theta) / (mu * theta)
-        bv = hs.expected_boundary_visits(retrial_model(lam, mu, 1))
+        bv = hs.expected_boundary_visits(hs.branching_data(retrial_model(lam, mu, 1)))
         assert bv.status == "convergent"
         assert "closed form" in bv.note
         want = 1.0 + 1.0 / (r_c - 1.0)
@@ -648,13 +642,13 @@ def test_offspring_pmf_normalization_and_mean(retrial_c1):
     data = hs.branching_data(retrial_c1)
     horizon = 2000
     for n, phase in [(1, 0), (1, 1), (3, 1)]:
-        up_probs = hs.offspring_pmf(retrial_c1, data, n, phase, horizon, "down")
+        up_probs = hs.offspring_pmf(data, n, phase, horizon, "down")
         assert abs(sum(up_probs) - 1.0) <= 1e-8
         mean = sum(c * p for c, p in enumerate(up_probs))
         want = float(data.offspring_down_at(n).sum(axis=1)[phase])
         assert abs(mean - want) <= 1e-6
     for n, phase in [(1, 0), (2, 1), (4, 0)]:
-        down_probs = hs.offspring_pmf(retrial_c1, data, n, phase, horizon, "up")
+        down_probs = hs.offspring_pmf(data, n, phase, horizon, "up")
         assert abs(sum(down_probs) - 1.0) <= 1e-8
         mean = sum(c * p for c, p in enumerate(down_probs))
         want = float(_offspring_up(retrial_c1, n).sum(axis=1)[phase])
@@ -664,21 +658,21 @@ def test_offspring_pmf_normalization_and_mean(retrial_c1):
 def test_offspring_pmf_bounds_checked(d1_pos):
     data = hs.branching_data(d1_pos)
     with pytest.raises(ValueError):
-        hs.offspring_pmf(d1_pos, data, 0, 0, 1, "up")
+        hs.offspring_pmf(data, 0, 0, 1, "up")
     with pytest.raises(ValueError):
-        hs.offspring_pmf(d1_pos, data, 0, 0, 1, "down")
+        hs.offspring_pmf(data, 0, 0, 1, "down")
     # any level serves "up": level 99 returns a down-step through exit_up_seq
     t = d1_pos.block_at(99)
     base = np.linalg.inv(np.eye(1) - t.stay)
     kernel = base @ t.down @ hs.exit_up_seq(d1_pos, 98)[98]
     leave = base @ t.up @ np.ones(1)
     want = [(np.linalg.matrix_power(kernel, c) @ leave)[0] for c in range(6)]
-    got = hs.offspring_pmf(d1_pos, data, 99, 0, 6, "up")
+    got = hs.offspring_pmf(data, 99, 0, 6, "up")
     assert np.allclose(got, want, rtol=1e-14, atol=0.0)
     with pytest.raises(ValueError):
-        hs.offspring_pmf(d1_pos, data, 1, 5, 1, "down")
+        hs.offspring_pmf(data, 1, 5, 1, "down")
     with pytest.raises(ValueError):
-        hs.offspring_pmf(d1_pos, data, 1, 0, 1, "sideways")
+        hs.offspring_pmf(data, 1, 0, 1, "sideways")
 
 
 def test_expected_visits_ascent_scalar_closed_form(d1_pos):
@@ -695,7 +689,7 @@ def test_expected_visits_descent_scalar_closed_form(d1_pos):
     for n in (2, 3, 4):
         want = (3.0 / 7.0) ** (n - 1) * (10.0 / 7.0)
         assert np.allclose(
-            hs.expected_visits_descent(d1_pos, data, 1, mu, n), [want]
+            hs.expected_visits_descent(data, 1, mu, n), [want]
         )
 
 
@@ -708,7 +702,7 @@ def test_expected_visits_against_dense_solve(retrial_c1):
         assert np.max(np.abs(got - want)) < 1e-10
     # descending: absorb below at layer 1, truncate far above
     for n in (3, 4, 5):
-        got = hs.expected_visits_descent(retrial_c1, data, 2, mu, n)
+        got = hs.expected_visits_descent(data, 2, mu, n)
         want = _dense_visits(retrial_c1, 2, 60, 2, mu, n)
         assert np.max(np.abs(got - want)) < 1e-9
 
@@ -721,14 +715,14 @@ def test_expected_visits_against_dense_solve_random():
         got = hs.expected_visits_ascent(model, 4, mu, n)
         want = _dense_visits(model, 0, 4, 4, mu, n)
         assert np.max(np.abs(got - want)) < 1e-9
-    got = hs.expected_visits_descent(model, data, 1, mu, 2)
+    got = hs.expected_visits_descent(data, 1, mu, 2)
     want = _dense_visits(model, 1, 80, 1, mu, 2)
     assert np.max(np.abs(got - want)) < 1e-9
 
 
 def test_series_down_weighted_scalar_value(d1_pos):
     data = hs.branching_data(d1_pos)
-    sv = hs.series_down_weighted(d1_pos, data, np.array([1.0]))
+    sv = hs.series_down_weighted(data, np.array([1.0]))
     assert sv.status == "finite"
     assert sv.finite
     assert abs(sv.value - 2.5) < 1e-10
@@ -736,7 +730,7 @@ def test_series_down_weighted_scalar_value(d1_pos):
 
 def test_series_down_weighted_divergent_on_null(d1_null):
     data = hs.branching_data(d1_null)
-    sv = hs.series_down_weighted(d1_null, data, np.array([1.0]))
+    sv = hs.series_down_weighted(data, np.array([1.0]))
     assert sv.status == "infinite"
     assert not sv.finite
 
@@ -744,7 +738,7 @@ def test_series_down_weighted_divergent_on_null(d1_null):
 def test_series_down_weighted_zero_weight(d1_null):
     # zero weight kills every term regardless of the tail radius
     data = hs.branching_data(d1_null)
-    sv = hs.series_down_weighted(d1_null, data, np.array([0.0]))
+    sv = hs.series_down_weighted(data, np.array([0.0]))
     assert sv.finite
     assert sv.value == pytest.approx(0.0, abs=1e-15)
 
@@ -777,12 +771,12 @@ def test_series_over_the_stacks_is_bit_for_bit():
             k = max(start, model.n_prefix + 1)
             tail = float(rest @ hs.invert(np.eye(model.d) - data.offspring_down_at(k))
                          @ data.sojourn_down_at(k))
-            assert hs.series_down_weighted(model, data, w, start=max(start, 1)).value == total + tail
+            assert hs.series_down_weighted(data, w, start=max(start, 1)).value == total + tail
         with pytest.raises(ValueError):
-            hs.series_down_weighted(model, data, w, start=0)
+            hs.series_down_weighted(data, w, start=0)
 
 def test_boundary_visits_transient_value(d1_transient):
-    bv = hs.expected_boundary_visits(d1_transient)
+    bv = hs.expected_boundary_visits(hs.branching_data(d1_transient))
     assert bv.status == "convergent"
     assert abs(bv.value - 1.75) < 1e-10
     assert abs(bv.radius_up - 3.0 / 7.0) < 1e-9
@@ -790,7 +784,7 @@ def test_boundary_visits_transient_value(d1_transient):
 
 def test_boundary_visits_divergent_on_recurrent(d1_pos, d1_null):
     for model in (d1_pos, d1_null):
-        bv = hs.expected_boundary_visits(model)
+        bv = hs.expected_boundary_visits(hs.branching_data(model))
         assert bv.status == "divergent"
         assert bv.value == np.inf
 

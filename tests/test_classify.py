@@ -1,4 +1,3 @@
-import importlib
 import math
 
 import numpy as np
@@ -48,14 +47,14 @@ def _dense_return_time(model, cutoff, n, mu):
 
 
 def test_return_time_bound_scalar(d1_pos):
-    rb = hs.return_time_bound(d1_pos)
+    rb = hs.return_time_bound(hs.branching_data(d1_pos))
     assert rb.finite
     assert abs(rb.value - 3.5) < 1e-8
 
 
 def test_classify_positive_recurrent(d1_pos, retrial_c1):
     for model in (d1_pos, retrial_c1):
-        c = hs.classify(model)
+        c = hs.classify(hs.branching_data(model))
         assert c.verdict == hs.POSITIVE_RECURRENT
         assert c.certificate == "return-time-series-finite"
         assert np.isfinite(c.return_bound)
@@ -63,7 +62,7 @@ def test_classify_positive_recurrent(d1_pos, retrial_c1):
 
 
 def test_classify_null_recurrent(d1_null):
-    c = hs.classify(d1_null)
+    c = hs.classify(hs.branching_data(d1_null))
     assert c.verdict == hs.NULL_RECURRENT
     assert c.certificate == "visits-divergent-return-time-infinite"
     assert c.return_bound == np.inf
@@ -73,7 +72,7 @@ def test_classify_null_recurrent(d1_null):
 
 
 def test_classify_transient(d1_transient):
-    c = hs.classify(d1_transient)
+    c = hs.classify(hs.branching_data(d1_transient))
     assert c.verdict == hs.TRANSIENT
     assert c.certificate == "boundary-visits-finite"
     assert abs(c.boundary_visits - 1.75) < 1e-10
@@ -85,7 +84,7 @@ def test_classify_inconclusive_when_no_certificate_applies():
     sign, so no verdict is certified, whatever the blocks' own drifts
     (-0.4 in both phases; 0 and -0.4) would suggest."""
     for m in reducible_tail_models():
-        c = hs.classify(m)
+        c = hs.classify(hs.branching_data(m))
         assert c.verdict == hs.INCONCLUSIVE
         assert c.certificate == "no-certificate"
         assert c.details["exact_sign"]
@@ -95,7 +94,7 @@ def test_classify_inconclusive_when_no_certificate_applies():
 def test_classify_null_recurrent_behind_drift_down_prefix():
     """Forty drift-down prefix levels over a tail with exact drift 0: the
     tail's sign decides, so the walk is null recurrent."""
-    c = hs.classify(null_behind_prefix_model())
+    c = hs.classify(hs.branching_data(null_behind_prefix_model()))
     assert c.verdict == hs.NULL_RECURRENT
     assert c.certificate == "visits-divergent-return-time-infinite"
     assert c.return_bound == c.boundary_visits == math.inf
@@ -111,14 +110,14 @@ def test_classify_positive_recurrent_behind_a_prefix_wall():
         data = hs.branching_data(model)
         assert data.drift_sign == tail_sign
         assert not data.tail_reachable
-        c = hs.classify(model, data=data)
+        c = hs.classify(data)
         assert c.verdict == hs.POSITIVE_RECURRENT
         assert c.certificate == "return-time-series-finite"
         assert c.return_bound == 2.0 * model.d
         assert c.details["tail_reachable"] is False
-        assert hs.expected_return_time(model, np.full(model.d, 1.0 / model.d)) == 2.0
-        assert hs.expected_boundary_visits(model, data=data).status == "divergent"
-        result = hs.stationary_dist(model, data=data)
+        assert hs.expected_return_time(data, np.full(model.d, 1.0 / model.d)) == 2.0
+        assert hs.expected_boundary_visits(data).status == "divergent"
+        result = hs.stationary_dist(data)
         assert result.normalizer == 2.0
         assert np.allclose(result.nu[:2].sum(axis=1), 0.5, atol=1e-15)
         assert not result.nu[2:].any()
@@ -127,23 +126,23 @@ def test_classify_positive_recurrent_behind_a_prefix_wall():
 def test_expected_return_time_boundary_kac(retrial_c1):
     """Reciprocal of the mean return time from the censored boundary measure
     equals the stationary mass of the boundary layer."""
-    mu0 = hs.censored_measure(retrial_c1)
-    ert = hs.expected_return_time(retrial_c1, mu0, 0)
+    mu0 = hs.censored_measure(hs.branching_data(retrial_c1))
+    ert = hs.expected_return_time(hs.branching_data(retrial_c1), mu0, 0)
     assert abs(ert - 15.0 / 7.0) < 1e-9
-    nu0_mass = hs.stationary_dist(retrial_c1).nu[0].sum()
+    nu0_mass = hs.stationary_dist(hs.branching_data(retrial_c1)).nu[0].sum()
     assert abs(1.0 / ert - nu0_mass) <= 1e-8
 
 
 def test_expected_return_time_scalar_boundary(d1_pos):
     # 1 step up then mean 1/(q-p) steps back down
-    ert = hs.expected_return_time(d1_pos, np.array([1.0]), 0)
+    ert = hs.expected_return_time(hs.branching_data(d1_pos), np.array([1.0]), 0)
     assert abs(ert - 3.5) < 1e-9
 
 
 def test_expected_return_time_vs_dense_solve(retrial_c1):
     for n in (1, 2, 4):
         for mu in (np.array([1.0, 0.0]), np.array([0.25, 0.75])):
-            got = hs.expected_return_time(retrial_c1, mu, n)
+            got = hs.expected_return_time(hs.branching_data(retrial_c1), mu, n)
             want = _dense_return_time(retrial_c1, 220, n, mu)
             assert abs(got - want) < 1e-7
 
@@ -153,26 +152,26 @@ def test_expected_return_time_vs_dense_solve_random():
     model, _ = random_pos_recurrent_model(rng, 3)
     mu = np.array([0.5, 0.2, 0.3])
     for n in (1, 3):
-        got = hs.expected_return_time(model, mu, n)
+        got = hs.expected_return_time(hs.branching_data(model), mu, n)
         want = _dense_return_time(model, 200, n, mu)
         assert abs(got - want) < 1e-7
 
 
 def test_expected_return_time_infinite_on_null(d1_null):
-    assert hs.expected_return_time(d1_null, np.array([1.0]), 0) == np.inf
+    assert hs.expected_return_time(hs.branching_data(d1_null), np.array([1.0]), 0) == np.inf
 
 
 def test_return_time_below_bound(retrial_c1):
-    bound = hs.return_time_bound(retrial_c1).value
-    mu0 = hs.censored_measure(retrial_c1)
-    assert hs.expected_return_time(retrial_c1, mu0, 0) <= bound + 1e-9
+    bound = hs.return_time_bound(hs.branching_data(retrial_c1)).value
+    mu0 = hs.censored_measure(hs.branching_data(retrial_c1))
+    assert hs.expected_return_time(hs.branching_data(retrial_c1), mu0, 0) <= bound + 1e-9
 
 
 def test_expected_return_time_validates_measure(d1_pos):
     with pytest.raises(ValueError):
-        hs.expected_return_time(d1_pos, np.array([-0.5]), 0)
+        hs.expected_return_time(hs.branching_data(d1_pos), np.array([-0.5]), 0)
     with pytest.raises(ValueError):
-        hs.expected_return_time(d1_pos, np.array([0.5, 0.5]), 0)
+        hs.expected_return_time(hs.branching_data(d1_pos), np.array([0.5, 0.5]), 0)
 
 
 def test_classify_invariant_under_phase_relabeling(retrial_c2):
@@ -200,8 +199,8 @@ def test_classify_invariant_under_phase_relabeling(retrial_c2):
             stay=relabel(m.tail.stay),
         ),
     )
-    a = hs.classify(m)
-    b = hs.classify(swapped)
+    a = hs.classify(hs.branching_data(m))
+    b = hs.classify(hs.branching_data(swapped))
     assert a.verdict == b.verdict
     assert abs(a.return_bound - b.return_bound) < 1e-8
     assert abs(a.tail_radius_down - b.tail_radius_down) < 1e-9
@@ -210,10 +209,10 @@ def test_classify_invariant_under_phase_relabeling(retrial_c2):
 def test_classify_records_horizon_and_details(d1_null, d1_pos):
     """The library keeps no series horizon; details say whether the drift
     sign was taken exactly (d1_null's float drift is within its bound)."""
-    c = hs.classify(d1_null)
+    c = hs.classify(hs.branching_data(d1_null))
     assert not hasattr(c, "horizon")
     assert c.details["exact_sign"] is True
-    assert hs.classify(d1_pos).details["exact_sign"] is False
+    assert hs.classify(hs.branching_data(d1_pos)).details["exact_sign"] is False
     assert c.visit_terms is not None
     assert len(c.visit_partial_sums) == len(c.visit_terms)
 
@@ -230,7 +229,7 @@ def test_transient_just_above_critical_is_not_certified_positive_recurrent():
     mu, theta = 0.5, 0.3
     lam = (-theta + math.sqrt(theta * theta + 4 * (1 + 5.5e-7) * mu * theta)) / 2
     r_c = lam * (lam + theta) / (mu * theta)
-    c = hs.classify(_retrial_at(lam))
+    c = hs.classify(hs.branching_data(_retrial_at(lam)))
     assert c.verdict == hs.TRANSIENT
     assert abs(c.tail_radius_down - 1.0) <= 1e-12
     want = 1.0 + 1.0 / (r_c - 1.0)
@@ -238,20 +237,31 @@ def test_transient_just_above_critical_is_not_certified_positive_recurrent():
 
 
 def test_transient_classify_solves_the_tail_once(monkeypatch):
-    """A transient classify builds its branching data once; the visit
-    series reads the drift and G_1 from it, and the verdict is unchanged."""
+    """A transient classify solves the downward tail once, in its branching
+    data; the visit series reads the drift and G_1 from it, and the verdict
+    is unchanged."""
     model = _retrial_at(0.35)
-    want = hs.classify(model)
+    want = hs.classify(hs.branching_data(model))
     calls = []
-    build = hs.branching.branching_data
-    counting = lambda *args, **kw: calls.append(args) or build(*args, **kw)
-    monkeypatch.setattr(hs.branching, "branching_data", counting)
-    monkeypatch.setattr(importlib.import_module("halfstrip.classify"), "branching_data",
-                        counting)
-    got = hs.classify(model)
+    solve = hs.branching.exit_down_tail
+    counting = lambda *args, **kw: calls.append(args) or solve(*args, **kw)
+    monkeypatch.setattr(hs.branching, "exit_down_tail", counting)
+    got = hs.classify(hs.branching_data(model))
     assert got.verdict == hs.TRANSIENT
     assert len(calls) == 1
     assert got == want
+
+
+def test_classify_solves_the_upward_tail_at_the_data_tol(monkeypatch):
+    """The upward tail radius a transient classify reports is solved at the
+    tol its branching data was built with, not at a default."""
+    tols = []
+    solve = hs.branching.exit_up_tail
+    recording = lambda tail, tol: tols.append(tol) or solve(tail, tol=tol)
+    monkeypatch.setattr(hs.branching, "exit_up_tail", recording)
+    c = hs.classify(hs.branching_data(_retrial_at(0.35), tol=1e-9))
+    assert c.verdict == hs.TRANSIENT and c.tail_radius_up is not None
+    assert tols == [1e-9]
 
 
 def test_rounding_critical_point_is_not_certified_positive_recurrent():
@@ -267,12 +277,12 @@ def test_rounding_critical_point_is_not_certified_positive_recurrent():
     lam = lo + (hi - lo) * 3 / 6
     assert abs(lam * (lam + theta) / (mu * theta) - 1.0) < 1e-15
     model = _retrial_at(lam)
-    c = hs.classify(model)
+    c = hs.classify(hs.branching_data(model))
     assert c.verdict == hs.POSITIVE_RECURRENT
     assert c.details["exact_sign"]
     assert math.isnan(c.return_bound)
     assert "condition number" in c.details["return_series_note"]
     with pytest.raises(hs.NotPositiveRecurrentError, match="condition number"):
-        hs.stationary_dist(model)
+        hs.stationary_dist(hs.branching_data(model))
     with pytest.raises(hs.NotPositiveRecurrentError, match="condition number"):
-        hs.decay_rate(model)
+        hs.decay_rate(hs.branching_data(model))

@@ -29,7 +29,7 @@ def test_truncated_solve_cutoff_stability(retrial_c1):
 
 def test_truncated_solve_matches_stationary(retrial_c1):
     rows = hs.truncated_solve(retrial_c1, 120).level_rows()
-    res = hs.stationary_dist(retrial_c1)
+    res = hs.stationary_dist(hs.branching_data(retrial_c1))
     err = sum(np.abs(rows[n] - res.nu[n]).sum() for n in range(30))
     assert err < 1e-9
 
@@ -127,7 +127,7 @@ def test_simulate_mean_return_time_scalar(d1_pos):
 
 def test_simulate_empirical_matches_stationary(retrial_c1):
     stats = hs.simulate(retrial_c1, config=hs.SimConfig(seed=77, cycles=50_000))
-    res = hs.stationary_dist(retrial_c1)
+    res = hs.stationary_dist(hs.branching_data(retrial_c1))
     data = hs.branching_data(retrial_c1)
     top = min(stats.max_level, res.levels)
     burst0 = 1.0 + 2.0 * float(
@@ -150,7 +150,7 @@ def test_simulate_empirical_matches_stationary(retrial_c1):
 
 def test_simulate_exit_frequencies_match_censored_measure(retrial_c1):
     stats = hs.simulate(retrial_c1, config=hs.SimConfig(seed=61, cycles=50_000))
-    mu0 = hs.censored_measure(retrial_c1)
+    mu0 = hs.censored_measure(hs.branching_data(retrial_c1))
     dev, compared, _ = hs.cell_deviations(
         mu0,
         np.asarray(stats.exit_frequencies),
@@ -537,8 +537,7 @@ def test_estimate_exit_probability_down_within_noise():
     est = hs.estimate_exit_probability(
         model, 1, "down", hs.ExitConfig(seed=17, samples=20_000)
     )
-    seq, _ = hs.exit_down_seq(model, n_max=1)
-    want = seq[1]
+    want = data.exit_down_at(1)
     worst = 0.0
     for i in range(2):
         dev, compared, _ = hs.cell_deviations(

@@ -12,7 +12,7 @@ from conftest import (NILPOTENT_TAIL, random_pos_recurrent_model, retrial_model,
 
 
 def test_retrial_c1_frozen_stationary(retrial_c1):
-    res = hs.stationary_dist(retrial_c1)
+    res = hs.stationary_dist(hs.branching_data(retrial_c1))
     assert np.allclose(res.censored, [[0.8, 0.2], [0.5, 0.5]], atol=1e-10)
     assert np.allclose(res.boundary_measure, [5.0 / 7.0, 2.0 / 7.0], atol=1e-9)
     assert abs(res.normalizer - 15.0 / 7.0) < 1e-9
@@ -22,7 +22,7 @@ def test_retrial_c1_frozen_stationary(retrial_c1):
 
 
 def test_scalar_chain_frozen_stationary(d1_pos):
-    res = hs.stationary_dist(d1_pos)
+    res = hs.stationary_dist(hs.branching_data(d1_pos))
     assert abs(res.nu[0][0] - 2.0 / 7.0) < 1e-10
     for n in range(1, 12):
         want = (20.0 / 49.0) * (3.0 / 7.0) ** (n - 1)
@@ -34,7 +34,7 @@ def test_scalar_chain_frozen_stationary(d1_pos):
 def test_birth_death_detailed_balance_closed_form():
     # p=0.2, q=0.5, stay 0.3; boundary stays half the time
     m = scalar_chain(0.2, 0.5, r=0.3, r0=0.5)
-    res = hs.stationary_dist(m)
+    res = hs.stationary_dist(hs.branching_data(m))
     # detailed balance: nu_0 * 0.5 = nu_1 * 0.5, then ratio p/q = 0.4
     nu0 = 3.0 / 8.0
     assert abs(res.nu[0][0] - nu0) < 1e-10
@@ -45,13 +45,13 @@ def test_birth_death_detailed_balance_closed_form():
 
 def test_total_mass_close_to_one(retrial_c1, retrial_c2):
     for model in (retrial_c1, retrial_c2):
-        res = hs.stationary_dist(model)
+        res = hs.stationary_dist(hs.branching_data(model))
         assert abs(res.mass - 1.0) < 1e-8
 
 
 def test_explicit_levels_override(d1_pos):
     # rows cover 0..levels inclusive
-    res = hs.stationary_dist(d1_pos, levels=10)
+    res = hs.stationary_dist(hs.branching_data(d1_pos), levels=10)
     assert res.levels == 10
     assert len(res.nu) == 11
 
@@ -59,13 +59,13 @@ def test_explicit_levels_override(d1_pos):
 def test_matrix_product_check(retrial_c1, retrial_c2):
     for model in (retrial_c1, retrial_c2):
         data = hs.branching_data(model)
-        res = hs.stationary_dist(model, data=data)
-        assert hs.matrix_product_check(model, data, res) <= 1e-10
+        res = hs.stationary_dist(data)
+        assert hs.matrix_product_check(data, res) <= 1e-10
 
 
 def test_balance_residual(retrial_c1, retrial_c2):
     for model in (retrial_c1, retrial_c2):
-        res = hs.stationary_dist(model)
+        res = hs.stationary_dist(hs.branching_data(model))
         assert hs.balance_residual(model, res) <= 1e-8
 
 
@@ -73,20 +73,20 @@ def test_invariants_on_random_models():
     rng = np.random.default_rng(314)
     for d in (2, 4):
         model, data = random_pos_recurrent_model(rng, d)
-        res = hs.stationary_dist(model, data=data)
+        res = hs.stationary_dist(data)
         assert abs(res.mass - 1.0) < 1e-8
-        assert hs.matrix_product_check(model, data, res) <= 1e-10
+        assert hs.matrix_product_check(data, res) <= 1e-10
         assert hs.balance_residual(model, res) <= 1e-8
 
 
 def test_stationary_rejects_transient(d1_transient):
     with pytest.raises(NotPositiveRecurrentError):
-        hs.stationary_dist(d1_transient)
+        hs.stationary_dist(hs.branching_data(d1_transient))
 
 
 def test_stationary_rejects_null(d1_null):
     with pytest.raises(NotPositiveRecurrentError):
-        hs.stationary_dist(d1_null)
+        hs.stationary_dist(hs.branching_data(d1_null))
 
 
 def test_swap_chain_boundary_measure_from_the_uniform_start(perm_chain):
@@ -94,14 +94,14 @@ def test_swap_chain_boundary_measure_from_the_uniform_start(perm_chain):
     boundary matrix is the identity: two closed classes and no unique
     stationary vector. The boundary measure is the long-run one from the
     uniform phase mix, which is where ``simulate`` starts."""
-    res = hs.stationary_dist(perm_chain)
+    res = hs.stationary_dist(hs.branching_data(perm_chain))
     assert np.array_equal(res.censored, np.eye(2))
     assert np.array_equal(res.boundary_measure, [0.5, 0.5])
-    assert abs(hs.decay_rate(perm_chain, result=res).rate - 3.0 / 7.0) < 1e-15
+    assert abs(hs.decay_rate(hs.branching_data(perm_chain)).rate - 3.0 / 7.0) < 1e-15
 
 
 def test_decay_rate_report(retrial_c1):
-    rep = hs.decay_rate(retrial_c1)
+    rep = hs.decay_rate(hs.branching_data(retrial_c1))
     assert abs(rep.rate - 2.0 / 3.0) < 1e-9
     assert len(rep.empirical) == retrial_c1.d
     assert all(np.isfinite(r) for r in rep.empirical)
@@ -110,25 +110,24 @@ def test_decay_rate_report(retrial_c1):
 def test_decay_rate_rejects_non_positive_recurrent(d1_null, d1_transient):
     for model in (d1_null, d1_transient):
         with pytest.raises(TailNotPositiveRecurrentError):
-            hs.decay_rate(model)
+            hs.decay_rate(hs.branching_data(model))
 
 
 def test_decay_empirical_rate_converges(d1_pos):
     """By level 500 the finite-level rate is within 1e-3 of log(3/7)."""
-    res = hs.stationary_dist(d1_pos, levels=500)
-    rep = hs.decay_rate(d1_pos, result=res)
+    rep = hs.decay_rate(hs.branching_data(d1_pos), levels=500)
     assert abs(rep.empirical[0] - math.log(3.0 / 7.0)) < 1e-3
 
 
 def test_decay_field_matches_report(d1_pos):
     data = hs.branching_data(d1_pos)
-    res = hs.stationary_dist(d1_pos, data=data)
-    rep = hs.decay_rate(d1_pos, data=data, result=res)
+    res = hs.stationary_dist(data)
+    rep = hs.decay_rate(data)
     assert res.decay_rate == rep.rate
 
 
 def test_deep_levels_underflow_flagged(d1_pos):
-    res = hs.stationary_dist(d1_pos, levels=850)
+    res = hs.stationary_dist(hs.branching_data(d1_pos), levels=850)
     assert res.levels == 850
     assert len(res.underflow_levels) > 0
     first = res.underflow_levels[0]
@@ -138,7 +137,7 @@ def test_deep_levels_underflow_flagged(d1_pos):
 
 
 def test_csv_export_shape_and_values(retrial_c1):
-    res = hs.stationary_dist(retrial_c1, levels=5)
+    res = hs.stationary_dist(hs.branching_data(retrial_c1), levels=5)
     csv = hs.result_to_csv(res)
     lines = csv.strip().splitlines()
     assert lines[0] == "level,phase,nu,log_nu_over_n"
@@ -152,7 +151,7 @@ def test_csv_export_shape_and_values(retrial_c1):
 
 
 def test_csv_has_no_numpy_reprs(retrial_c1):
-    csv = hs.result_to_csv(hs.stationary_dist(retrial_c1, levels=3))
+    csv = hs.result_to_csv(hs.stationary_dist(hs.branching_data(retrial_c1), levels=3))
     assert "np.float" not in csv
     assert "(" not in csv
 
@@ -172,14 +171,14 @@ def _csv_per_entry(result):
 def test_csv_matches_per_entry_rendering(d1_pos):
     """Byte for byte on the 20,714-level critical retrial result and on a
     scalar result whose deep levels underflow to 0 (blank rates)."""
-    deep = hs.stationary_dist(d1_pos, levels=850)
+    deep = hs.stationary_dist(hs.branching_data(d1_pos), levels=850)
     assert deep.underflow_levels
-    for res in (hs.stationary_dist(_critical_c1()), deep):
+    for res in (hs.stationary_dist(hs.branching_data(_critical_c1())), deep):
         assert hs.result_to_csv(res) == _csv_per_entry(res)
 
 
 def test_dict_export_is_json_ready(retrial_c1):
-    res = hs.stationary_dist(retrial_c1, levels=8)
+    res = hs.stationary_dist(hs.branching_data(retrial_c1), levels=8)
     payload = hs.result_to_dict(res)
     parsed = json.loads(json.dumps(payload))
     assert parsed["levels"] == 8
@@ -188,7 +187,7 @@ def test_dict_export_is_json_ready(retrial_c1):
 
 
 def test_boundary_row_scales_to_censored_measure(d1_pos):
-    res = hs.stationary_dist(d1_pos)
+    res = hs.stationary_dist(hs.branching_data(d1_pos))
     assert abs(res.boundary_measure.sum() - 1.0) < 1e-12
     assert np.max(np.abs(res.nu[0] * res.normalizer - res.boundary_measure)) < 1e-12
 
@@ -205,7 +204,7 @@ def test_tail_rows_match_per_level_recursion():
     level count (20,713 at r_c - 1 = -1e-3) and underflow levels."""
     model = _critical_c1()
     data = hs.branching_data(model)
-    res = hs.stationary_dist(model, data=data)
+    res = hs.stationary_dist(data)
     assert isinstance(res.nu, np.ndarray) and res.nu.shape == (res.levels + 1, model.d)
     inv_z = 1.0 / res.normalizer
     w = res.boundary_measure @ model.p0
@@ -232,11 +231,11 @@ def test_checks_flag_a_perturbed_tail_row():
     scaled by 1 + 1e-3 fails each at the CLI tolerances."""
     model = _critical_c1()
     data = hs.branching_data(model)
-    res = hs.stationary_dist(model, data=data)
-    assert hs.matrix_product_check(model, data, res) <= 1e-10
+    res = hs.stationary_dist(data)
+    assert hs.matrix_product_check(data, res) <= 1e-10
     assert hs.balance_residual(model, res) <= 1e-8
     res.nu[data.depth + 1000] *= 1.0 + 1e-3
-    assert hs.matrix_product_check(model, data, res) > 1e-10
+    assert hs.matrix_product_check(data, res) > 1e-10
     assert hs.balance_residual(model, res) > 1e-8
 
 
@@ -269,17 +268,17 @@ def test_prefix_checks_over_the_stacks_are_bit_for_bit():
         cases += [(model, 1), (model, n_prefix), (model, n_prefix + 1)]
     for model, levels in cases:
         data = hs.branching_data(model)
-        res = hs.stationary_dist(model, data=data, levels=levels)
+        res = hs.stationary_dist(data, levels=levels)
         assert len(res.nu) <= data.depth + 1
         dev, total = _prefix_checks_level_by_level(model, data, res.nu)
-        assert hs.matrix_product_check(model, data, res) == dev
+        assert hs.matrix_product_check(data, res) == dev
         assert hs.balance_residual(model, res) == total
 
 def test_stationary_matches_censored_chain(retrial_c2):
     """The boundary rows of the stationary vector, renormalized, equal the
     stationary vector of the censored boundary chain."""
-    res = hs.stationary_dist(retrial_c2)
-    mu0 = hs.censored_measure(retrial_c2)
+    res = hs.stationary_dist(hs.branching_data(retrial_c2))
+    mu0 = hs.censored_measure(hs.branching_data(retrial_c2))
     boundary = res.nu[0] / res.nu[0].sum()
     assert np.max(np.abs(boundary - mu0)) < 1e-9
 
@@ -290,8 +289,8 @@ def _row_loop(model, data, levels):
     whose mass is below the cutoff: the reference for the rows taken from
     the normalizer series' weights. Returns (nu, tail w or None, underflow
     levels)."""
-    mu0 = hs.censored_measure(model, data=data)
-    inv_z = 1.0 / (hs.series_down_weighted(model, data, mu0 @ model.p0).value + 1.0)
+    mu0 = hs.censored_measure(data)
+    inv_z = 1.0 / (hs.series_down_weighted(data, mu0 @ model.p0).value + 1.0)
     cap = levels if levels is not None else hs.stationary.LEVEL_CAP
     k = data.depth
     rows = [mu0 * inv_z]
@@ -319,7 +318,7 @@ def test_rows_from_the_normalizer_series_match_the_row_loop():
     for model in stacked_pass_models():
         data = hs.branching_data(model)
         for levels in (None, data.depth // 2, data.depth + 5):
-            res = hs.stationary_dist(model, data=data, levels=levels)
+            res = hs.stationary_dist(data, levels=levels)
             nu, w, underflow = _row_loop(model, data, levels)
             assert np.array_equal(res.nu, nu), levels
             assert res.levels == len(nu) - 1
@@ -328,7 +327,7 @@ def test_rows_from_the_normalizer_series_match_the_row_loop():
             assert w is None or np.array_equal(res.tail["w"], w)
         assert "top_reached" not in vars(data)  # formed only when read
     prefix512 = stacked_pass_models()[0]
-    assert hs.stationary_dist(prefix512).levels == 62 < prefix512.n_prefix
+    assert hs.stationary_dist(hs.branching_data(prefix512)).levels == 62 < prefix512.n_prefix
 
 
 def test_stationary_refuses_an_underflowing_prefix_over_a_transient_tail():
@@ -336,7 +335,7 @@ def test_stationary_refuses_an_underflowing_prefix_over_a_transient_tail():
     in reach has no stationary distribution."""
     for model in underflow_prefix_models():
         with pytest.raises(NotPositiveRecurrentError, match="infinite"):
-            hs.stationary_dist(model)
+            hs.stationary_dist(hs.branching_data(model))
 
 
 def _expansion_cases():
@@ -360,7 +359,7 @@ def test_expand_rows_gives_back_every_row(model, levels, want):
     inside a 512-level prefix (no tail), a nilpotent offspring matrix, K = 5
     (rand_d4), and levels 0, K - 1, K, K + 1 and 850 on the scalar chain,
     whose deep levels underflow."""
-    res = hs.stationary_dist(model, levels=levels)
+    res = hs.stationary_dist(hs.branching_data(model), levels=levels)
     results = json.loads(json.dumps(hs.result_to_dict(res)))
     k = model.n_prefix + 1
     assert want is None or res.levels == want
