@@ -10,7 +10,9 @@ at seed 1 and the run length BENCHMARK.json sets, with ``--trace 0``
 fresh interpreter, keeping every run and their median, times
 ``branching_data`` on that prefix model in process the same way (each run
 the median of CALLS calls after one warm call), and times the checkout's
-tier-1 suite (``python -m pytest -q --continue-on-collection-errors``).
+tier-1 suite (``python -m pytest -q --continue-on-collection-errors``),
+keeping the acceptance lines it prints, so that a speed claim shows in the
+same file that no acceptance error grew.
 Every ``metric`` line the runs print is kept per workload, with its unit,
 beside the machine note, and the whole entry is written under the --label
 key of the JSON file --out; other labels in that file are kept. To compare
@@ -147,8 +149,9 @@ def time_prefix_branching(root):
 
 
 def time_tests(root):
-    """Wall seconds, exit code and summary line of one run of the tier-1
-    suite of the checkout ``root``, on its own src."""
+    """Wall seconds, exit code, summary line and ``[PASS]`` acceptance lines
+    (with their measured errors) of one run of the tier-1 suite of the
+    checkout ``root``, on its own src."""
     env = dict(os.environ, PYTHONPATH=str(Path(root) / "src"))
     start = time.perf_counter()
     proc = subprocess.run(
@@ -156,7 +159,8 @@ def time_tests(root):
         cwd=root, env=env, capture_output=True, text=True)
     wall = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
-    return {"wall_s": wall, "exit": proc.returncode, "summary": lines[-1] if lines else ""}
+    return {"wall_s": wall, "exit": proc.returncode, "summary": lines[-1] if lines else "",
+            "acceptance": [line for line in lines if line.startswith("[PASS]")]}
 
 
 def write_entry(path, label, entry):

@@ -26,15 +26,16 @@ the first tail level, which every deeper level repeats; the ``*_at``
 accessors serve any level. The upward side is stepped on demand from the
 boundary (``exit_up_seq``).
 
-Tail quantities cost O(prefix) levels. Each tail root comes from
-logarithmic reduction on rank-one shifted blocks chosen by the tail's
-mean drift (``tail_drift``), and is stepped until one step returns it bit
-for bit, or at most ``POLISH_STEPS`` times. The downward root and its one
-factor serve every tail level. Every series certificate keys off the sign
-of that drift, taken exactly in rationals when the float drift is within
-its rounding bound (``exact_drift_sign``): the return-time series is
-summed in closed form when it is negative, the boundary-visit series when
-it is positive.
+Tail quantities cost O(prefix) levels. Each command solves one tail root,
+the downward one; the upward one (``exit_up_tail``) is a reference. Each
+comes from logarithmic reduction on rank-one shifted blocks chosen by the
+tail's mean drift (``tail_drift``), and is stepped until one step returns
+it bit for bit, or at most ``POLISH_STEPS`` times. The downward root and
+its one factor serve every tail level. Every series certificate keys off
+the sign of that drift, taken exactly in rationals when the float drift
+is within its rounding bound (``exact_drift_sign``): the return-time
+series is summed in closed form when it is negative, the boundary-visit
+series when it is positive.
 """
 from __future__ import annotations
 
@@ -228,7 +229,8 @@ def exit_down_tail(tail, tol=DEFAULT_TOL):
 def exit_up_tail(tail, tol=DEFAULT_TOL):
     """Stochastic upward exit matrix of a constant tail: the stochastically
     shifted reduction root of the mirrored equation, polished
-    (``_tail_exit``). Returns (matrix, info dict).
+    (``_tail_exit``). Returns (matrix, info dict). No command calls it:
+    it is the reference for ``classify``'s ``tail_radius_up``.
     """
     return _tail_exit(tail, tol, up=True)
 
@@ -262,13 +264,6 @@ def exit_down_seq(model, seed, n_max=None, tol=DEFAULT_TOL):
     raise NoConvergenceError(
         f"backward recursion did not settle by anchor {anchor // 2}",
         estimate=prev_first, iterations=ANCHOR_DOUBLINGS)
-
-
-def _radius_up(tail, tol):
-    """Spectral radius of the upward tail offspring matrix."""
-    factors, _ = _pass(tail.down[None], tail.up[None], tail.stay[None],
-                       exit_up_tail(tail, tol=tol)[0], up=True)
-    return spectral_radius(factors[0] @ tail.down)
 
 
 def tail_drift(tail):
@@ -526,7 +521,6 @@ class BoundaryVisits:
     value: float
     terms: list
     partial_sums: list
-    radius_up: float = None
     note: str = ""
 
 
@@ -555,32 +549,26 @@ def expected_boundary_visits(data, mu=None):
     - negative or zero: divergent by Neuts' drift condition;
     - none: inconclusive.
 
-    ``radius_up``, the upward tail offspring radius, solved at the data's
-    ``tol``, is reported and gates nothing.
+    It solves no tail: the sign and G_1 are read from the data.
     """
     model, d = data.model, data.model.d
     mu = _phase_distribution(np.full(d, 1.0 / d) if mu is None else mu, d)
     total = float(mu @ np.ones(d))
-    radius_up = None
-    try:
-        radius_up = _radius_up(model.tail, data.meta["tol"])
-    except NoConvergenceError:
-        pass
     sign = data.walk_sign
     if sign is None:
-        return BoundaryVisits("inconclusive", total, [total], [total], radius_up,
+        return BoundaryVisits("inconclusive", total, [total], [total],
                               note="tail phase chain has no unique stationary vector")
     if sign <= 0:
-        return BoundaryVisits("divergent", math.inf, [total], [total], radius_up,
+        return BoundaryVisits("divergent", math.inf, [total], [total],
                               note="tail drift not positive, or tail out of reach: recurrent")
     try:
         value = float(mu @ invert(np.eye(d) - boundary_exit_up(model) @ data.exit_down_at(1))
                       @ np.ones(d))
     except SingularMatrixError as exc:
-        return BoundaryVisits("convergent", math.nan, [total], [total], radius_up,
+        return BoundaryVisits("convergent", math.nan, [total], [total],
                               note=f"closed form refused: {exc}")
     return BoundaryVisits("convergent", value, [total, value - total], [total, value],
-                          radius_up, note="levels from 1 summed in closed form")
+                          note="levels from 1 summed in closed form")
 
 
 def offspring_pmf(data, n, phase, count, direction):

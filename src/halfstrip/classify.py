@@ -26,6 +26,7 @@ from .branching import (
     expected_boundary_visits,
     series_down_weighted,
 )
+from .linalg import spectral_radius
 
 POSITIVE_RECURRENT = "positive-recurrent"
 NULL_RECURRENT = "null-recurrent"
@@ -54,13 +55,6 @@ def return_time_bound(data):
     return replace(sv, value=sv.value + model.d)  # inf stays inf
 
 
-def _ascent_time(model, weight, k):
-    """Expected steps for a walk at layer k (phase row ``weight``) to first
-    reach layer k+1: sum of expected visits over layers 0..k."""
-    ones = np.ones(model.d)
-    return sum(float(visits @ ones) for visits in _ascent_visits(model, k, weight))
-
-
 def expected_return_time(data, mu, n=0):
     """Expected first return time to layer n for a walk started there at mu.
 
@@ -78,8 +72,8 @@ def expected_return_time(data, mu, n=0):
     down = series_down_weighted(data, mu @ t.up, start=n + 1)
     if down.status == "infinite":
         return math.inf
-    up_time = _ascent_time(model, mu @ t.down, n - 1)
-    return 1.0 + down.value + up_time
+    ascent = _ascent_visits(model, n - 1, mu @ t.down)  # visits to layers < n until n
+    return 1.0 + down.value + sum(float(visits @ np.ones(model.d)) for visits in ascent)
 
 
 @dataclass
@@ -119,6 +113,12 @@ def classify(data, mu=None):
     implication and not summed. Otherwise the boundary-visit series is
     reported: divergent for a null-recurrent walk, summed in closed form
     for a transient one, and only its term 0 when the tail has no sign.
+
+    ``tail_radius_up`` is rho(G), G the downward tail root, for null and
+    transient verdicts, else None: the upward offspring matrix F D and the
+    mirrored tail's rate matrix D F share nonzero eigenvalues, which like
+    G's are the roots of det(D + (S - I)z + U z^2) in the closed unit disk
+    (Latouche & Ramaswami 1999; Bini, Latouche & Meini 2005).
     """
     verdict, certificate = _VERDICTS[data.walk_sign]
     rb = return_time_bound(data)
@@ -138,7 +138,8 @@ def classify(data, mu=None):
         boundary_visits=bv.value,
         visit_terms=bv.terms,
         visit_partial_sums=bv.partial_sums,
-        tail_radius_up=bv.radius_up,
+        tail_radius_up=(spectral_radius(data.exit_down[-1])
+                        if verdict in (NULL_RECURRENT, TRANSIENT) else None),
         tail_radius_down=data.radius_down,
         return_time=ret,
         details=details,

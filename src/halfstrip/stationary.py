@@ -45,7 +45,12 @@ def censored_matrix(data):
 
 
 def censored_measure(data):
-    """Stationary probability vector of the censored boundary matrix.
+    """Stationary probability vector of the censored boundary matrix."""
+    return _censored_measure(censored_matrix(data))
+
+
+def _censored_measure(cm):
+    """Stationary probability vector of a censored boundary matrix cm.
 
     Raises NotPositiveRecurrentError when the censored matrix is visibly
     substochastic (escape mass above 1e-8). A boundary chain with more than
@@ -54,7 +59,6 @@ def censored_measure(data):
     uses: uniform @ lim ((I + C) / 2)^(2^k), squared until a step returns
     its input bit for bit, at most 64 times.
     """
-    cm, d = censored_matrix(data), data.model.d
     deficit = float(np.max(np.abs(cm.sum(axis=1) - 1.0)))
     if deficit > 1e-8:
         raise NotPositiveRecurrentError(
@@ -63,12 +67,12 @@ def censored_measure(data):
     try:
         return stationary_left_vector(cm, row_tol=1e-8)
     except ReducibleChainError:
-        lazy = 0.5 * (np.eye(d) + cm)
+        lazy = 0.5 * (np.eye(len(cm)) + cm)
         for _ in range(64):
             lazy, before = lazy @ lazy, lazy
             if np.array_equal(lazy, before):
                 break
-        return np.full(d, 1.0 / d) @ lazy
+        return np.full(len(cm), 1.0 / len(cm)) @ lazy
 
 
 @dataclass
@@ -125,7 +129,7 @@ def stationary_dist(data, levels=None):
     infinite or inconclusive, or ``invert`` refused its closed form.
     """
     cm = censored_matrix(data)
-    mu0 = censored_measure(data)
+    mu0 = _censored_measure(cm)
     zser = series_down_weighted(data, mu0 @ data.model.p0)
     if not (zser.finite and math.isfinite(zser.value)):
         raise NotPositiveRecurrentError(

@@ -779,7 +779,6 @@ def test_boundary_visits_transient_value(d1_transient):
     bv = hs.expected_boundary_visits(hs.branching_data(d1_transient))
     assert bv.status == "convergent"
     assert abs(bv.value - 1.75) < 1e-10
-    assert abs(bv.radius_up - 3.0 / 7.0) < 1e-9
 
 
 def test_boundary_visits_divergent_on_recurrent(d1_pos, d1_null):
@@ -789,11 +788,58 @@ def test_boundary_visits_divergent_on_recurrent(d1_pos, d1_null):
         assert bv.value == np.inf
 
 
-def test_tail_up_radius(d1_transient, d1_pos):
-    radius = hs.branching._radius_up(d1_transient.tail, 1e-12)
-    assert abs(radius - 3.0 / 7.0) < 1e-9
-    radius = hs.branching._radius_up(d1_pos.tail, 1e-12)
-    assert abs(radius - 7.0 / 3.0) < 1e-9
+def _radius_up_by_upward_solve(tail):
+    """Spectral radius of the upward tail offspring matrix F D from the
+    upward root: one upward level pass from ``exit_up_tail``'s root."""
+    factors, _ = hs.branching._pass(tail.down[None], tail.up[None], tail.stay[None],
+                                    hs.exit_up_tail(tail)[0], up=True)
+    return hs.spectral_radius(factors[0] @ tail.down)
+
+
+def _retrial_c1_above_critical(excess, mu=0.5, theta=0.3):
+    """Retrial c=1 at r_c - 1 = excess, r_c = lambda (lambda + theta) / (mu theta),
+    and its r_c."""
+    lam = (-theta + math.sqrt(theta * theta + 4 * (1 + excess) * mu * theta)) / 2
+    return retrial_model(lam, mu, 1, theta=repr(theta)), lam * (lam + theta) / (mu * theta)
+
+
+def _mirrored(model):
+    """The model with its tail's up and down blocks swapped, and no prefix."""
+    t = model.tail
+    return hs.QbdModel(d=model.d, r0=model.r0, p0=model.p0, prefix=(),
+                       tail=hs.BlockTriple(up=t.down, down=t.up, stay=t.stay))
+
+
+def test_tail_up_radius(d1_transient, d1_null, d1_pos):
+    """classify's tail_radius_up, rho of the downward tail root, equals the
+    upward offspring radius that an upward tail solve gives, on transient
+    tails near and far from critical (d = 1 to 17) and on the null tail;
+    on a positive-recurrent tail the upward solve gives 7/3, not rho(G)."""
+    rng = np.random.default_rng(26)
+    models = [_retrial_c1_above_critical(excess)[0] for excess in (1e-2, 1e-3)]
+    models += [retrial_model(4.0, 0.3, 8), retrial_model(9.0, 0.3, 16)]
+    models += [_mirrored(random_pos_recurrent_model(rng, d)[0]) for d in range(2, 10)]
+    for model in models:
+        c = hs.classify(hs.branching_data(model))
+        assert c.verdict == hs.TRANSIENT
+        assert abs(c.tail_radius_up - _radius_up_by_upward_solve(model.tail)) <= 1e-14
+    for model, want, verdict in ((d1_transient, 3.0 / 7.0, hs.TRANSIENT),
+                                 (d1_null, 1.0, hs.NULL_RECURRENT)):
+        c = hs.classify(hs.branching_data(model))
+        assert c.verdict == verdict
+        assert abs(c.tail_radius_up - _radius_up_by_upward_solve(model.tail)) <= 1e-14
+        assert abs(c.tail_radius_up - want) <= 1e-14
+    assert abs(_radius_up_by_upward_solve(d1_pos.tail) - 7.0 / 3.0) < 1e-9
+
+
+@pytest.mark.parametrize("excess", [1e-11, 1e-7, 1e-3, 1e-2, 0.5, 2.0])
+def test_tail_up_radius_is_one_over_rc_on_transient_retrial(excess):
+    """On a transient single-server retrial tail the positive real roots of
+    det(D + (S - I)z + U z^2) are 1 and 1/r_c, so tail_radius_up is 1/r_c."""
+    model, r_c = _retrial_c1_above_critical(excess)
+    c = hs.classify(hs.branching_data(model))
+    assert c.verdict == hs.TRANSIENT
+    assert abs(c.tail_radius_up - 1.0 / r_c) <= 1e-14
 
 
 def test_term_ratio_approaches_radius():

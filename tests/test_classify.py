@@ -89,6 +89,7 @@ def test_classify_inconclusive_when_no_certificate_applies():
         assert c.certificate == "no-certificate"
         assert c.details["exact_sign"]
         assert c.details["visit_status"] == c.details["return_status"] == "inconclusive"
+        assert c.tail_radius_up is None
 
 
 def test_classify_null_recurrent_behind_drift_down_prefix():
@@ -252,16 +253,20 @@ def test_transient_classify_solves_the_tail_once(monkeypatch):
     assert got == want
 
 
-def test_classify_solves_the_upward_tail_at_the_data_tol(monkeypatch):
-    """The upward tail radius a transient classify reports is solved at the
-    tol its branching data was built with, not at a default."""
-    tols = []
-    solve = hs.branching.exit_up_tail
-    recording = lambda tail, tol: tols.append(tol) or solve(tail, tol=tol)
-    monkeypatch.setattr(hs.branching, "exit_up_tail", recording)
-    c = hs.classify(hs.branching_data(_retrial_at(0.35), tol=1e-9))
-    assert c.verdict == hs.TRANSIENT and c.tail_radius_up is not None
-    assert tols == [1e-9]
+def test_classify_solves_no_upward_tail(monkeypatch, d1_null):
+    """Neither branching_data nor classify solves an upward tail: on
+    transient, null and inconclusive data, tail_radius_up is read off the
+    downward root."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("upward tail solved")
+
+    down_only = hs.branching._tail_exit
+    monkeypatch.setattr(hs.branching, "exit_up_tail", refuse)
+    monkeypatch.setattr(hs.branching, "_tail_exit",
+                        lambda tail, tol, up: refuse() if up else down_only(tail, tol, up))
+    models = [_retrial_at(0.35), d1_null, *reducible_tail_models()]
+    verdicts = [hs.classify(hs.branching_data(model)).verdict for model in models]
+    assert verdicts == [hs.TRANSIENT, hs.NULL_RECURRENT, hs.INCONCLUSIVE, hs.INCONCLUSIVE]
 
 
 def test_rounding_critical_point_is_not_certified_positive_recurrent():

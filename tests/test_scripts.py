@@ -302,16 +302,23 @@ def test_bench_record_times_prefix_branching_data_on_the_checkout(monkeypatch, c
 
 def test_bench_record_times_the_suite_on_the_checkout(monkeypatch):
     """The suite timing runs the tier-1 command in the checkout on its own
-    src, without starting it here, and keeps pytest's summary line."""
+    src, without starting it here, and keeps pytest's summary line and
+    every [PASS] acceptance line, in order."""
     record = _load_script("bench_record")
+    acceptance = ["[PASS] 1. c=1 retrial decay 0.666666667 vs closed form (err 0.0e+00)",
+                  "[PASS] 9. retry rate: level-300 log-rate within 0.0131 of log(2/3)"]
+    stdout = "\n".join(["..F", "==== acceptance criteria ====", acceptance[0],
+                        "  [PASS] indented, not an acceptance line", acceptance[1],
+                        "FAILED tests/test_x.py::test_y - [PASS] in a message",
+                        "1 failed, 2 passed in 0.50s"]) + "\n"
 
     def fake_run(cmd, cwd, env, **kwargs):
         assert cmd == [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
         assert cwd == ROOT and env["PYTHONPATH"] == str(ROOT / "src")
-        return subprocess.CompletedProcess(cmd, 1, stdout="..F\n1 failed, 2 passed in 0.50s\n",
-                                           stderr="")
+        return subprocess.CompletedProcess(cmd, 1, stdout=stdout, stderr="")
 
     monkeypatch.setattr(record.subprocess, "run", fake_run)
     timing = record.time_tests(ROOT)
     assert timing["exit"] == 1 and timing["wall_s"] >= 0.0
     assert timing["summary"] == "1 failed, 2 passed in 0.50s"
+    assert timing["acceptance"] == acceptance

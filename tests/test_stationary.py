@@ -283,6 +283,22 @@ def test_stationary_matches_censored_chain(retrial_c2):
     assert np.max(np.abs(boundary - mu0)) < 1e-9
 
 
+def test_stationary_forms_the_censored_matrix_once(monkeypatch, retrial_c1, perm_chain):
+    """stationary_dist forms the censored boundary matrix once per call, and
+    its boundary measure is censored_measure's, bit for bit."""
+    form, calls = hs.stationary.censored_matrix, []
+    monkeypatch.setattr(hs.stationary, "censored_matrix",
+                        lambda data: calls.append(data) or form(data))
+    for model in (retrial_c1, perm_chain):
+        data = hs.branching_data(model)
+        want = hs.censored_measure(data)
+        calls.clear()
+        res = hs.stationary_dist(data)
+        assert len(calls) == 1
+        assert np.array_equal(res.boundary_measure, want)
+        assert np.array_equal(res.censored, form(data))
+
+
 def _row_loop(model, data, levels):
     """stationary_dist's rows formed level by level, each from a weight
     stepped one vector product at a time, stopping at the first prefix row
