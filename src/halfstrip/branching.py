@@ -122,11 +122,16 @@ def exit_up_seq(model, n_max):
     """Upward exit matrices for levels 0..n_max: the boundary's, then the
     upward pass over levels 1..n_max from it (``_pass``). Each is
     row-stochastic to the rounding of one inverse. A refused level n raises
-    SingularMatrixError with ``index`` n - 1.
+    SingularMatrixError with ``index`` n - 1, so -1 when layer 0 never
+    rises from some phase.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    z = boundary_exit_up(model)
+    try:
+        z = boundary_exit_up(model)
+    except SingularMatrixError as exc:
+        exc.index = -1
+        raise
     levels = np.minimum(np.arange(n_max), model.n_prefix)
     return [z, *_pass(model.down[levels], model.up[levels], model.stay[levels], z, up=True)[1]]
 

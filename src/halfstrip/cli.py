@@ -3,7 +3,12 @@
 Subcommands: classify, stationary, decay, simulate, verify, example.
 Reports are JSON objects with a stable field set {command, inputs,
 results, checks, version}; identical inputs produce byte-identical output
-(no timestamps, sorted keys, seeded randomness only). The example
+(no timestamps, sorted keys, seeded randomness only). Each entry of
+``checks`` has {name, measured, tolerance, status}, status "pass" or
+"fail", and may carry a ``context``. A verify exit check that the model's
+support decides (``_exit_check``) runs no walks and is not in
+``checks``: ``results["skipped_checks"]`` lists it as {name, reason},
+present only when one was skipped. The example
 subcommand prints a bare model file instead of a report so it can be
 piped straight into the other commands.
 
@@ -225,8 +230,9 @@ def _cmd_classify(args):
         f"certificate: {res.certificate}",
         f"return-time bound: {_fmt(res.return_bound)}",
         f"boundary visits: {_fmt(res.boundary_visits)}",
-        f"tail radius up: {_fmt(res.tail_radius_up) if res.tail_radius_up is not None else 'not computed'}",
-        f"tail radius down: {_fmt(res.tail_radius_down) if res.tail_radius_down is not None else 'not computed'}",
+        "tail radius up: " + (_fmt(res.tail_radius_up) if res.tail_radius_up is not None
+                              else "not defined for this verdict"),
+        f"tail radius down: {_fmt(res.tail_radius_down)}",
     ]
     if res.return_time is not None:
         lines.append(f"expected return time (given mu): {_fmt(res.return_time)}")
@@ -329,9 +335,13 @@ def _visit_bursts(data, top_level):
     excursion that reaches a level contributes a burst of visits there, so
     the per-cycle count is overdispersed relative to binomial by roughly
     the expected burst length. Bounded here by the level's downward sojourn
-    (boundary: the stay-block dwell)."""
+    (boundary: the stay-block dwell, unbounded when a layer-0 phase never
+    leaves)."""
     model = data.model
-    dwell0 = invert(np.eye(model.d) - model.r0) @ np.ones(model.d)
+    try:
+        dwell0 = invert(np.eye(model.d) - model.r0) @ np.ones(model.d)
+    except SingularMatrixError:
+        dwell0 = np.full(model.d, math.inf)
     levels = np.minimum(np.arange(top_level), data.depth - 1)  # stack index of levels 1..
     return 1.0 + 2.0 * np.concatenate([[dwell0.max()], data.sojourn[levels].max(axis=1)])[:, None]
 
@@ -356,6 +366,40 @@ def _cell_check(name, reference, observed, se, trials, bursts=None, **context):
     return _check(name, viol, 1.0, context={**context, "cells": compared,
                                             "cells_skipped_rare": skipped,
                                             "unit": "deviation / (3 s.e.)"})
+
+
+def _exit_check(name, model, start, reference, ecfg, checks, skipped, **context):
+    """The Monte Carlo exit check ``name`` from level ``start`` against the
+    analytic ``reference``: upward from layer 0 when ``start`` is 0, else
+    downward. Appends it to ``checks``, or, when the model's support
+    decides it, its name and reason to ``skipped`` without a walk.
+
+    The support decides it when the block that enters the target level (P0
+    going up, the down block of level ``start`` going down) has exactly one
+    nonzero column j and every row of ``reference`` is the unit vector e_j
+    to within 1e-9. A first passage can enter the target level only
+    through that block, so every walk that finishes lands in phase j and
+    the estimate's rows are e_j whatever the walks do. The reference is
+    e_j too, so the comparison could only measure the walks the step cap
+    cuts off, not the reference.
+    """
+    if start == 0:
+        direction, target, label, block = "up", 1, "P0", model.p0
+    else:
+        direction, target = "down", start - 1
+        label, block = f"the down block of level {start}", model.block_at(start).down
+    columns = np.flatnonzero(block.any(axis=0))
+    if len(columns) == 1 and np.abs(reference - np.eye(model.d)[columns[0]]).max() <= 1e-9:
+        j = int(columns[0])
+        skipped.append({"name": name, "reason": (
+            f"{label} has one nonzero column, phase {j}, and every reference row is e_{j}: "
+            f"every walk that finishes enters level {target} in phase {j}, so walks could "
+            f"differ from the reference only by step-cap censoring")})
+        return
+    est = estimate_exit_probability(model, start, direction, ecfg)
+    checks.append(_cell_check(name, reference, est.matrix, est.se, ecfg.samples,
+                              samples=ecfg.samples, censored=int(est.censored.sum()),
+                              **context))
 
 
 def _cmd_verify(args):
@@ -388,9 +432,11 @@ def _cmd_verify(args):
     try:
         exits, refusal = exit_up_seq(model, top), None
     except SingularMatrixError as exc:
-        exits, refusal = exit_up_seq(model, exc.index), str(exc)
-    sums = np.abs(np.stack([z.sum(axis=1) for z in exits]) - 1.0)
-    checks.append(_check("ascent-exit-stochastic", float(sums.max()), 1e-9,
+        # index -1: layer 0 itself never rises from some phase
+        exits = exit_up_seq(model, exc.index) if exc.index >= 0 else []
+        refusal = str(exc)
+    loss = max((float(np.abs(z.sum(axis=1) - 1.0).max()) for z in exits), default=0.0)
+    checks.append(_check("ascent-exit-stochastic", loss, 1e-9,
                          context=refusal and {"levels_compared": len(exits),
                                               "refusal": refusal}))
     checks.extend(stationary_checks)
@@ -435,18 +481,21 @@ def _cmd_verify(args):
                               stats.exit_frequencies, stats.exit_frequency_se, stats.cycles))
 
     ecfg = ExitConfig(seed=args.seed, samples=args.samples)
-    est_up = estimate_exit_probability(model, 0, "up", ecfg)
-    checks.append(_cell_check("boundary-exit-vs-simulation", exits[0], est_up.matrix,
-                              est_up.se, ecfg.samples, samples=ecfg.samples,
-                              censored=int(est_up.censored.sum())))
+    skipped = []
+    if exits:
+        _exit_check("boundary-exit-vs-simulation", model, 0, exits[0], ecfg, checks, skipped)
+    else:
+        # a walker in a phase that never rises would run to the step cap
+        checks.append(_check("boundary-exit-vs-simulation", math.inf, 1.0,
+                             context={"refusal": refusal}))
 
     # a walk that never enters the tail descends from the highest level it
     # enters: a descent from a tail drifting up might never end
     lev_dn = max(1, data.top_reached)
-    est_dn = estimate_exit_probability(model, lev_dn, "down", ecfg)
-    checks.append(_cell_check("descent-exit-vs-simulation", data.exit_down_at(lev_dn),
-                              est_dn.matrix, est_dn.se, ecfg.samples, level=lev_dn,
-                              samples=ecfg.samples, censored=int(est_dn.censored.sum())))
+    _exit_check("descent-exit-vs-simulation", model, lev_dn, data.exit_down_at(lev_dn), ecfg,
+                checks, skipped, level=lev_dn)
+    if skipped:
+        results["skipped_checks"] = skipped
 
     results.update({
         "normalizer": result.normalizer,
@@ -468,6 +517,8 @@ def _verify_lines(report):
             f"check {c['name']}: {c['status']} "
             f"(measured {_fmt(float(c['measured']), 4)}, "
             f"tolerance {_fmt(float(c['tolerance']), 4)})")
+    for c in report["results"].get("skipped_checks", []):
+        lines.append(f"check {c['name']}: skipped ({c['reason']})")
     return lines
 
 

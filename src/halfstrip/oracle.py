@@ -460,7 +460,7 @@ def cell_deviations(reference, observed, se, samples, bursts=None):
         if 0.0 < events < 16.0:
             skipped += 1
             continue
-        floor = math.sqrt(max(ref[idx], 0.0) * bursts[idx] / samples)
+        floor = math.sqrt(ref[idx] * bursts[idx] / samples) if ref[idx] > 0.0 else 0.0
         se_hat = sed[idx] if math.isfinite(sed[idx]) else 0.0
         se_eff = max(se_hat, floor, 1.0 / samples)
         worst = max(worst, abs(got[idx] - ref[idx]) / (3.0 * se_eff))

@@ -103,6 +103,19 @@ def walled_prefix_models():
     return models
 
 
+def absorbing_boundary_model():
+    """A d = 2 walk whose layer-0 phase 0 never leaves (r0 = diag(1, 0.5)),
+    while phase 1 rises to either phase (p0 row 0.25, 0.25) over the tail
+    up 0.15 J / down 0.35 J, J the all-ones matrix. It validates with only
+    the ``boundary-reducible`` warning and is positive recurrent, but
+    (I - R0)^{-1} does not exist, so neither does the boundary's upward
+    exit."""
+    ones = np.ones((2, 2))
+    return hs.QbdModel(d=2, r0=np.diag([1.0, 0.5]), p0=np.array([[0.0, 0.0], [0.25, 0.25]]),
+                       tail=hs.BlockTriple(up=0.15 * ones, down=0.35 * ones,
+                                           stay=np.zeros((2, 2))))
+
+
 def underflow_prefix_models():
     """Walks whose expected entries underflow inside the prefix while the
     tail stays in reach: 170 and 400 prefix levels (d = 1, up 0.01 / down

@@ -8,9 +8,9 @@ import pytest
 
 import halfstrip as hs
 
-from conftest import (random_pos_recurrent_model, refused_level_models, retrial_model,
-                      scalar_chain, stacked_pass_models, underflow_prefix_models,
-                      walled_prefix_models)
+from conftest import (absorbing_boundary_model, random_pos_recurrent_model,
+                      refused_level_models, retrial_model, scalar_chain, stacked_pass_models,
+                      underflow_prefix_models, walled_prefix_models)
 
 
 # dense absorbing-chain oracle for expected visit counts
@@ -453,10 +453,15 @@ def test_branching_data_leaves_the_error_state_as_it_found_it(model, message):
 
 def test_exit_up_seq_steps_only_the_levels_it_returns(retrial_c1, monkeypatch):
     """Levels 0..n cost the boundary exit and n level steps: behind a prefix
-    wall, whose level 1 step is refused, level 0 alone is the boundary exit."""
+    wall, whose level 1 step is refused, level 0 alone is the boundary exit.
+    A refused boundary exit is level 0's, so its index is -1."""
     wall = walled_prefix_models()[0]
     assert np.array_equal(hs.exit_up_seq(wall, 0)[0], hs.boundary_exit_up(wall))
     assert len(hs.exit_up_seq(wall, 0)) == 1
+    for n in (0, 3):
+        with pytest.raises(hs.SingularMatrixError) as exc:
+            hs.exit_up_seq(absorbing_boundary_model(), n)
+        assert exc.value.index == -1
     calls = _count_lapack_inverses(monkeypatch)
     for n in (0, 1, 5):
         calls.clear()

@@ -24,9 +24,9 @@ from hypothesis import given, settings, strategies as st
 import halfstrip as hs
 from halfstrip.cli import _dump_json, main
 
-from conftest import (NILPOTENT_TAIL, null_behind_prefix_model, reducible_tail_models,
-                      refused_level_models, retrial_model, underflow_prefix_models,
-                      walled_prefix_models)
+from conftest import (NILPOTENT_TAIL, absorbing_boundary_model, null_behind_prefix_model,
+                      random_pos_recurrent_model, reducible_tail_models, refused_level_models,
+                      retrial_model, underflow_prefix_models, walled_prefix_models)
 
 
 def run_cli(argv, stdin_text=None):
@@ -71,17 +71,24 @@ def model_files(tmp_path_factory, d1_pos, d1_transient, retrial_c1):
 # ------------------------------------------------------------ exit codes
 
 
-def test_classify_ok_exit_0(model_files):
+def test_classify_ok_exit_0(model_files, d1_pos):
     code, out, _ = run_cli(["classify", model_files["pos"]])
     assert code == 0
     assert out.splitlines()[0] == "verdict: positive-recurrent"
     assert "certificate: return-time-series-finite" in out
+    # the upward radius is rho(G) only for null and transient verdicts
+    radius_down = hs.classify(hs.branching_data(d1_pos)).tail_radius_down
+    assert out.splitlines()[4:6] == ["tail radius up: not defined for this verdict",
+                                     f"tail radius down: {radius_down:.6g}"]
 
 
-def test_classify_transient_still_exit_0(model_files):
+def test_classify_transient_still_exit_0(model_files, d1_transient):
     code, out, _ = run_cli(["classify", model_files["transient"]])
     assert code == 0
     assert "verdict: transient" in out
+    res = hs.classify(hs.branching_data(d1_transient))
+    assert out.splitlines()[4:6] == [f"tail radius up: {res.tail_radius_up:.6g}",
+                                     f"tail radius down: {res.tail_radius_down:.6g}"]
 
 
 def test_classify_inconclusive_exit_4(model_files):
@@ -427,34 +434,78 @@ def test_stationary_csv(model_files):
 # ------------------------------------------------------------ verify
 
 
-def test_verify_deterministic_and_green(model_files, tmp_path):
+VERIFY_CHECKS = [
+    "ascent-exit-stochastic",
+    "matrix-product-form",
+    "global-balance-residual",
+    "return-time-reciprocal-is-boundary-mass",
+    "stationary-vs-truncated-solve",
+    "visits-per-cycle-vs-simulation",
+    "return-time-vs-simulation",
+    "boundary-measure-vs-simulation",
+    "boundary-exit-vs-simulation",
+    "descent-exit-vs-simulation",
+]
+EXIT_CHECKS = VERIFY_CHECKS[-2:]
+
+
+class _CountingExits:
+    """Stands in for ``estimate_exit_probability``, counting its calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, model, level, direction, config):
+        self.calls.append((level, direction))
+        return hs.estimate_exit_probability(model, level, direction, config)
+
+
+def test_verify_deterministic_and_green(model_files, monkeypatch):
+    """On the scalar chain every walk enters its target level in the one
+    phase, so both exit checks are skipped with a reason and walk nothing;
+    every other check runs and passes."""
+    walks = _CountingExits()
+    monkeypatch.setattr(hs.cli, "estimate_exit_probability", walks)
     argv = ["verify", model_files["pos"], "--seed", "42",
             "--cycles", "5000", "--samples", "2000"]
     code1, out1, _ = run_cli(argv)
     code2, out2, _ = run_cli(argv)
     assert code1 == code2 == 0
     assert out1 == out2
+    assert walks.calls == []
 
     report = json.loads(out1)
-    names = [c["name"] for c in report["checks"]]
-    assert names == [
-        "ascent-exit-stochastic",
-        "matrix-product-form",
-        "global-balance-residual",
-        "return-time-reciprocal-is-boundary-mass",
-        "stationary-vs-truncated-solve",
-        "visits-per-cycle-vs-simulation",
-        "return-time-vs-simulation",
-        "boundary-measure-vs-simulation",
-        "boundary-exit-vs-simulation",
-        "descent-exit-vs-simulation",
-    ]
+    assert [c["name"] for c in report["checks"]] == VERIFY_CHECKS[:-2]
     for c in report["checks"]:
         assert c["status"] == "pass"
         assert c["measured"] <= c["tolerance"]
-    assert report["results"]["checks_passed"] == len(names)
-    # the exit estimates report their walks per start phase and the walks
-    # cut off by the step cap
+    results = report["results"]
+    assert results["checks_passed"] == results["checks_total"] == len(VERIFY_CHECKS) - 2
+    assert [c["name"] for c in results["skipped_checks"]] == EXIT_CHECKS
+    assert all("phase 0" in c["reason"] for c in results["skipped_checks"])
+    lines = run_cli(argv + ["--format", "pretty"])[1].splitlines()
+    assert [line.split(" (")[0] for line in lines[-2:]] == [
+        f"check {name}: skipped" for name in EXIT_CHECKS]
+
+
+def test_verify_full_support_model_runs_every_check(tmp_path, monkeypatch):
+    """A model whose blocks are all positive keeps both exit checks: they
+    walk, pass, and report their walks per start phase and the walks cut
+    off by the step cap."""
+    model, _ = random_pos_recurrent_model(np.random.default_rng(7), 2)
+    path = tmp_path / "full.json"
+    hs.save_model(model, path)
+    walks = _CountingExits()
+    monkeypatch.setattr(hs.cli, "estimate_exit_probability", walks)
+    code, out, err = run_cli(["verify", str(path), "--seed", "42",
+                              "--cycles", "5000", "--samples", "2000"])
+    assert code == 0, err
+    assert walks.calls == [(0, "up"), (3, "down")]  # the first tail level
+    report = json.loads(out)
+    assert [c["name"] for c in report["checks"]] == VERIFY_CHECKS
+    assert all(c["status"] == "pass" for c in report["checks"])
+    assert report["results"]["checks_passed"] == len(VERIFY_CHECKS)
+    assert "skipped_checks" not in report["results"]
     for c in report["checks"][-2:]:
         assert (c["context"]["samples"], c["context"]["censored"]) == (2000, 0)
     # each Monte Carlo cell check counts the cells it compared
@@ -462,6 +513,69 @@ def test_verify_deterministic_and_green(model_files, tmp_path):
         if c["name"] != "return-time-vs-simulation":
             assert c["context"]["unit"] == "deviation / (3 s.e.)"
             assert c["context"]["cells"] >= 1 and c["context"]["cells_skipped_rare"] >= 0
+
+
+@pytest.mark.parametrize("servers, skipped, walked", [
+    (1, EXIT_CHECKS, []),
+    (3, EXIT_CHECKS[:1], [(1, "down")]),
+])
+def test_verify_skips_the_exit_checks_the_support_decides(tmp_path, monkeypatch,
+                                                           servers, skipped, walked):
+    """An arrival that finds every server busy joins the orbit, so P0 has
+    one nonzero column on every retrial model and the boundary check is
+    skipped. At c = 1 the down block has one nonzero column too; at c = 3
+    it has three, and the descent check walks."""
+    path = tmp_path / "retrial.json"
+    hs.save_model(retrial_model(0.2 * servers, 0.5, servers), path)
+    walks = _CountingExits()
+    monkeypatch.setattr(hs.cli, "estimate_exit_probability", walks)
+    code, out, err = run_cli(["verify", str(path), "--seed", "1",
+                              "--cycles", "2000", "--samples", "500"])
+    assert code == 0, err
+    assert walks.calls == walked
+    report = json.loads(out)
+    assert [c["name"] for c in report["results"]["skipped_checks"]] == skipped
+    names = [c["name"] for c in report["checks"]]
+    assert names == [name for name in VERIFY_CHECKS if name not in skipped]
+    assert report["results"]["checks_total"] == len(names)
+
+
+def test_verify_runs_and_fails_a_boundary_reference_off_its_unit_row(model_files,
+                                                                      monkeypatch):
+    """Moving 1e-3 of one boundary-exit row to another column breaks the
+    support rule: the check walks again and, at 10^5 walks per phase,
+    fails, since every walk still enters level 1 in the one phase."""
+    exit_up_seq = hs.cli.exit_up_seq
+
+    def moved(model, n_max):
+        exits = exit_up_seq(model, n_max)
+        exits[0] = exits[0] + np.array([[1e-3, -1e-3], [0.0, 0.0]])
+        return exits
+
+    monkeypatch.setattr(hs.cli, "exit_up_seq", moved)
+    code, out, err = run_cli(["verify", model_files["retrial"], "--seed", "1",
+                              "--cycles", "2000", "--samples", "100000"])
+    assert code == 5, err
+    report = json.loads(out)
+    assert [c["name"] for c in report["results"]["skipped_checks"]] == EXIT_CHECKS[1:]
+    failed = [c for c in report["checks"] if c["status"] == "fail"]
+    assert [c["name"] for c in failed] == EXIT_CHECKS[:1]
+    assert failed[0]["measured"] > 3.0
+
+
+def test_verify_runs_and_fails_a_scaled_descent_reference(retrial_c1):
+    """A descent reference row scaled by 0.99 breaks the support rule: the
+    check walks and, at 10^5 walks per phase, fails; the unit reference
+    is skipped."""
+    reference = hs.branching_data(retrial_c1).exit_down_at(1)
+    cfg = hs.ExitConfig(seed=1, samples=100_000)
+    checks, skipped = [], []
+    hs.cli._exit_check("descent", retrial_c1, 1, reference, cfg, checks, skipped)
+    assert (checks, [c["name"] for c in skipped]) == ([], ["descent"])
+    scaled = reference * np.array([[0.99], [1.0]])
+    hs.cli._exit_check("descent", retrial_c1, 1, scaled, cfg, checks, skipped)
+    check, = checks
+    assert (check["status"], check["context"]["censored"]) == ("fail", 0)
 
 
 def test_verify_fails_an_upward_exit_off_the_stochastic_matrices(model_files, monkeypatch):
@@ -541,7 +655,8 @@ def test_verify_behind_a_prefix_wall_reports(tmp_path):
     never enters its tail: verify compares the upward exits below the
     wall, descends from the wall level, passes every analytic check and
     exits 0, or 5 on the d = 2 wall, whose phases never mix, so the
-    truncated solve has no unique answer."""
+    truncated solve has no unique answer. At d = 1 the support decides
+    both exit checks, so they are skipped."""
     analytic = ("ascent-exit-stochastic", "matrix-product-form", "global-balance-residual",
                 "return-time-reciprocal-is-boundary-mass")
     for i, model in enumerate(walled_prefix_models()):
@@ -555,14 +670,41 @@ def test_verify_behind_a_prefix_wall_reports(tmp_path):
         assert all(checks[name]["status"] == "pass" for name in analytic)
         assert checks["ascent-exit-stochastic"]["context"] == {
             "levels_compared": 1, "refusal": "LAPACK: Singular matrix"}
-        descent = checks["descent-exit-vs-simulation"]
-        assert descent["context"]["level"] == 1 and descent["context"]["censored"] == 0
         truncated = checks["stationary-vs-truncated-solve"]
         if model.d == 1:
             assert code == 0
+            skipped = json.loads(out)["results"]["skipped_checks"]
+            assert [c["name"] for c in skipped] == EXIT_CHECKS
+            assert not set(EXIT_CHECKS) & set(checks)
         else:
+            descent = checks["descent-exit-vs-simulation"]
+            assert descent["context"]["level"] == 1 and descent["context"]["censored"] == 0
             assert code == 5 and truncated["status"] == "fail"
             assert truncated["context"]["refusal"] == "stationary system is singular"
+
+
+def test_verify_refused_boundary_exit_fails_without_walking(tmp_path, monkeypatch):
+    """A layer-0 phase that never rises has no upward exit, so no upward
+    level can be compared: the ascent check names the refusal with no
+    level compared, and the boundary check fails on it without a walk,
+    where walkers from that phase would run to the step cap. The descent
+    check still walks, and verify exits 5, not 1."""
+    path = tmp_path / "absorbing.json"
+    hs.save_model(absorbing_boundary_model(), path)
+    walks = _CountingExits()
+    monkeypatch.setattr(hs.cli, "estimate_exit_probability", walks)
+    start = time.perf_counter()
+    code, out, err = run_cli(["verify", str(path), "--seed", "1"])
+    assert time.perf_counter() - start < 30.0
+    assert (code, err) == (5, "")
+    assert walks.calls == [(1, "down")]
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    refusal = "LAPACK: Singular matrix"
+    assert checks["ascent-exit-stochastic"]["context"] == {"levels_compared": 0,
+                                                           "refusal": refusal}
+    assert checks["ascent-exit-stochastic"]["status"] == "pass"
+    boundary = checks["boundary-exit-vs-simulation"]
+    assert (boundary["status"], boundary["context"]) == ("fail", {"refusal": refusal})
 
 
 def test_nilpotent_tail_offspring_model(tmp_path):
