@@ -530,9 +530,10 @@ class BoundaryVisits:
 
 
 def _phase_distribution(mu, d):
-    """mu as a float array, checked to be a probability vector over d phases."""
+    """mu as a float array, checked to be a probability vector over d phases
+    (comparisons written so that a NaN entry fails them)."""
     mu = np.asarray(mu, dtype=float)
-    if mu.shape != (d,) or np.any(mu < -1e-12) or abs(float(mu.sum()) - 1.0) > 1e-9:
+    if mu.shape != (d,) or not np.all(mu >= -1e-12) or not abs(float(mu.sum()) - 1.0) <= 1e-9:
         raise NotStochasticError("mu must be a probability vector over phases")
     return mu
 

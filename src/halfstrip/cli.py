@@ -14,8 +14,8 @@ piped straight into the other commands.
 
 Exit codes: 0 success; 1 malformed input or usage; 2 model validation
 failure; 3 precondition failure (e.g. stationary distribution of a
-non-positive-recurrent walk); 4 inconclusive classification; 5 verify ran
-but at least one check failed.
+non-positive-recurrent walk); 4 inconclusive classification; 5 a check
+of verify or stationary failed (stationary in every format).
 """
 from __future__ import annotations
 
@@ -257,9 +257,10 @@ def _stationary_with_checks(data, levels):
 def _cmd_stationary(args):
     data = branching_data(_load_model(args.model), tol=args.tol)
     result, checks = _stationary_with_checks(data, args.levels)
+    status = EXIT_OK if all(c["status"] == "pass" for c in checks) else EXIT_CHECKS_FAILED
     if args.format == "csv":
         _write_output(result_to_csv(result), args.output)
-        return EXIT_OK
+        return status
     report = _report("stationary", _inputs(args, ["model", "tol", "levels"]),
                      result_to_dict(result), checks) if args.format == "json" else None
     lines = [
@@ -278,7 +279,7 @@ def _cmd_stationary(args):
         lines.append(f"check {c['name']}: {c['status']} "
                      f"(measured {_fmt(c['measured'], 3)}, tolerance {_fmt(c['tolerance'], 3)})")
     _emit(report, args, lines)
-    return EXIT_OK if all(c["status"] == "pass" for c in checks) else EXIT_CHECKS_FAILED
+    return status
 
 
 # -------------------------------------------------------------------- decay

@@ -10,7 +10,7 @@ verify command compare analytic results against both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -144,21 +144,8 @@ class SimStats:
     meta: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "seed": self.seed,
-            "replications": self.replications,
-            "cycles": self.cycles,
-            "discarded": self.discarded,
-            "total_steps": self.total_steps,
-            "mean_return_time": self.mean_return_time,
-            "return_time_se": self.return_time_se,
-            "max_level": self.max_level,
-            "visit_counts": self.visit_counts.tolist(),
-            "visit_se": self.visit_se.tolist(),
-            "empirical_distribution": self.empirical_distribution.tolist(),
-            "exit_frequencies": self.exit_frequencies.tolist(),
-            "exit_frequency_se": self.exit_frequency_se.tolist(),
-        }
+        items = ((f.name, getattr(self, f.name)) for f in fields(self) if f.name != "meta")
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in items}
 
 
 def _rep_streams(seed, count, prefix=()):
@@ -377,7 +364,6 @@ def _cycle_stats(config, per_rep, committed, arrival_counts, completed, discarde
     visits to (l, p) in completed cycles, arrival_counts[r, p] the arrivals
     on layer 0 in phase p (the start included); completed, discarded and
     sum_len hold cycle counts and summed cycle lengths."""
-    reps, d = arrival_counts.shape
     total_cycles = int(completed.sum())
     if total_cycles == 0:
         raise MaxStepsExceededError(
@@ -386,35 +372,23 @@ def _cycle_stats(config, per_rep, committed, arrival_counts, completed, discarde
     total_steps = int(sum_len.sum())
     mean_rt = total_steps / total_cycles
     rep_means = sum_len / np.maximum(completed, 1)
-    done = completed > 0
-    if done.sum() > 1:
-        rt_se = float(np.std(rep_means[done], ddof=1) / math.sqrt(int(done.sum())))
-    else:
-        rt_se = math.nan
+    rt_se = float(_se(rep_means[completed > 0]))
 
     visit_total = committed.sum(axis=0)
     visit_mean = visit_total / total_cycles
-    rep_visit_means = committed / np.maximum(completed, 1)[:, None, None]
-    if reps > 1:
-        visit_se = np.std(rep_visit_means, axis=0, ddof=1) / math.sqrt(reps)
-    else:
-        visit_se = np.full_like(visit_mean, math.nan)
+    visit_se = _se(committed / np.maximum(completed, 1)[:, None, None])
     occupancy = visit_total / total_steps
 
     # arrival at the start of each completed cycle estimates the censored
     # boundary measure; the trailing arrival of the final cycle is included
     arr_total = arrival_counts.sum(axis=0)
     exit_freq = arr_total / arr_total.sum()
-    rep_arr = arrival_counts / np.maximum(arrival_counts.sum(axis=1), 1)[:, None]
-    if reps > 1:
-        exit_se = np.std(rep_arr, axis=0, ddof=1) / math.sqrt(reps)
-    else:
-        exit_se = np.full(d, math.nan)
+    exit_se = _se(arrival_counts / np.maximum(arrival_counts.sum(axis=1), 1)[:, None])
 
     top_used = int(np.max(np.nonzero(visit_total.sum(axis=1))[0])) if visit_total.any() else 0
     return SimStats(
         seed=config.seed,
-        replications=reps,
+        replications=len(arrival_counts),
         cycles=total_cycles,
         discarded=int(discarded.sum()),
         total_steps=total_steps,
@@ -429,6 +403,15 @@ def _cycle_stats(config, per_rep, committed, arrival_counts, completed, discarde
         meta={"per_replication_cycles": per_rep,
               "requested_cycles": config.cycles},
     )
+
+
+def _se(rep_values):
+    """Standard error of the mean over replications, the rows of
+    ``rep_values``, per remaining entry; NaN when fewer than two rows count."""
+    count = len(rep_values)
+    if count < 2:
+        return np.full(rep_values.shape[1:], math.nan)
+    return np.std(rep_values, axis=0, ddof=1) / math.sqrt(count)
 
 
 def cell_deviations(reference, observed, se, samples, bursts=None):
@@ -446,26 +429,18 @@ def cell_deviations(reference, observed, se, samples, bursts=None):
     zero). Returns (worst deviation / 3 s.e., compared count, skipped count).
     """
     ref = np.asarray(reference, dtype=float)
-    got = np.asarray(observed, dtype=float)
     sed = np.asarray(se, dtype=float)
-    if bursts is None:
-        bursts = np.ones_like(ref)
-    else:
-        bursts = np.broadcast_to(np.asarray(bursts, dtype=float), ref.shape)
-    worst = 0.0
-    compared = 0
-    skipped = 0
-    for idx in np.ndindex(ref.shape):
-        events = ref[idx] * samples
-        if 0.0 < events < 16.0:
-            skipped += 1
-            continue
-        floor = math.sqrt(ref[idx] * bursts[idx] / samples) if ref[idx] > 0.0 else 0.0
-        se_hat = sed[idx] if math.isfinite(sed[idx]) else 0.0
-        se_eff = max(se_hat, floor, 1.0 / samples)
-        worst = max(worst, abs(got[idx] - ref[idx]) / (3.0 * se_eff))
-        compared += 1
-    return worst, compared, skipped
+    events = ref * samples
+    compare = ~((events > 0.0) & (events < 16.0))
+    # a zero reference gets a zero floor without meeting its burst (0 * inf)
+    scaled = np.multiply(ref, 1.0 if bursts is None else bursts,
+                         out=np.zeros(ref.shape), where=ref > 0.0)
+    se_eff = np.fmax(np.fmax(np.where(np.isfinite(sed), sed, 0.0), np.sqrt(scaled / samples)),
+                     1.0 / samples)
+    dev = np.abs(np.asarray(observed, dtype=float) - ref) / (3.0 * se_eff)
+    compared = int(compare.sum())
+    # fmax skips NaN deviations
+    return float(np.fmax.reduce(dev[compare], initial=0.0)), compared, ref.size - compared
 
 
 @dataclass

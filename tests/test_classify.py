@@ -124,6 +124,15 @@ def test_classify_positive_recurrent_behind_a_prefix_wall():
         assert not result.nu[2:].any()
 
 
+@pytest.mark.parametrize("mu", [[math.nan, 1.0], [1.0, math.nan], [math.inf, 0.0]])
+def test_non_finite_phase_distribution_is_refused(retrial_c1, mu):
+    data = hs.branching_data(retrial_c1)
+    with pytest.raises(hs.NotStochasticError):
+        hs.expected_return_time(data, np.array(mu))
+    with pytest.raises(hs.NotStochasticError):
+        hs.expected_boundary_visits(data, mu=np.array(mu))
+
+
 def test_expected_return_time_boundary_kac(retrial_c1):
     """Reciprocal of the mean return time from the censored boundary measure
     equals the stationary mass of the boundary layer."""
@@ -291,3 +300,19 @@ def test_rounding_critical_point_is_not_certified_positive_recurrent():
         hs.stationary_dist(hs.branching_data(model))
     with pytest.raises(hs.NotPositiveRecurrentError, match="condition number"):
         hs.decay_rate(hs.branching_data(model))
+
+
+@pytest.mark.xfail(strict=True, raises=hs.NoConvergenceError,
+                   reason="the rank-one shift moves only the unit root at z = 1")
+def test_null_swap_tail_with_a_second_unit_circle_root():
+    """Tail U = D = 0.4 swap, S = 0.2 I (d = 2) has zero drift exactly, but
+    det(D + (S - I) z + U z^2) has a double root at z = -1 as well as at 1.
+    The downward tail root solve stops with a residual of about 3.6e-9
+    instead of returning G, so no verdict is given."""
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    model = hs.QbdModel(d=2, r0=np.zeros((2, 2)), p0=swap,
+                        tail=hs.BlockTriple(up=0.4 * swap, down=0.4 * swap,
+                                            stay=0.2 * np.eye(2)))
+    data = hs.branching_data(model)
+    assert data.drift_sign == 0
+    assert hs.classify(data).verdict == hs.NULL_RECURRENT

@@ -362,6 +362,17 @@ def test_classify_mu_reports_return_time(model_files):
     assert json.loads(out)["results"]["return_time"] == pytest.approx(1.0)
 
 
+def test_classify_nan_mu_exit_1(model_files):
+    """A NaN phase entry passes neither a sign nor a sum test written as
+    ``x < bound``, yet it is no probability vector: usage error."""
+    for mu in ("nan,1", "1,nan", "inf,0"):
+        code, out, err = run_cli(["classify", model_files["retrial"], "--mu", mu,
+                                  "--format", "json"])
+        assert code == 1, mu
+        assert out == ""
+        assert "probability vector" in err
+
+
 def test_decay_json_fields(model_files):
     code, out, _ = run_cli(["decay", model_files["pos"], "--format", "json"])
     assert code == 0
@@ -429,6 +440,22 @@ def test_stationary_csv(model_files):
             assert cells[3] == ""
         else:
             assert math.isfinite(float(cells[3]))
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+def test_stationary_failed_check_exits_5_in_every_format(model_files, monkeypatch, fmt):
+    """One exit rule for every format: a failed stationary check exits 5,
+    and the report is still written."""
+    argv = ["stationary", model_files["retrial"], "--format", fmt]
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    monkeypatch.setattr(hs.cli, "matrix_product_check", lambda data, result: 1.0)
+    failed_code, failed_out, _ = run_cli(argv)
+    assert failed_code == 5
+    if fmt == "csv":
+        assert failed_out == out
+    else:
+        assert "fail" in failed_out
 
 
 # ------------------------------------------------------------ verify

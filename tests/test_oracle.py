@@ -560,6 +560,76 @@ def test_estimate_exit_probability_directions_use_distinct_streams(d1_pos):
     assert first[0] != first[1]
 
 
+def _per_cell_deviations(reference, observed, se, samples, bursts=None):
+    """Reference for ``cell_deviations``: the same rules, one cell at a
+    time."""
+    ref = np.asarray(reference, dtype=float)
+    got = np.asarray(observed, dtype=float)
+    sed = np.asarray(se, dtype=float)
+    if bursts is None:
+        bursts = np.ones_like(ref)
+    else:
+        bursts = np.broadcast_to(np.asarray(bursts, dtype=float), ref.shape)
+    worst = 0.0
+    compared = 0
+    skipped = 0
+    for idx in np.ndindex(ref.shape):
+        events = ref[idx] * samples
+        if 0.0 < events < 16.0:
+            skipped += 1
+            continue
+        floor = math.sqrt(ref[idx] * bursts[idx] / samples) if ref[idx] > 0.0 else 0.0
+        se_hat = sed[idx] if math.isfinite(sed[idx]) else 0.0
+        se_eff = max(se_hat, floor, 1.0 / samples)
+        worst = max(worst, abs(got[idx] - ref[idx]) / (3.0 * se_eff))
+        compared += 1
+    return worst, compared, skipped
+
+
+def test_cell_deviations_matches_per_cell_reference():
+    """The array form gives the per-cell loop's triple bit for bit, and
+    numpy warns of nothing: zero references (with an infinite burst too),
+    rare cells, NaN and infinite s.e., NaN observations, and 0-d and 2-d
+    inputs."""
+    rng = np.random.default_rng(28)
+    ref = np.array([[0.0, 0.5, 1e-7, 0.2], [0.0, 3e-4, 0.25, 1e-3]])
+    got = ref + rng.normal(0.0, 0.01, ref.shape)
+    got[1, 2] = math.nan
+    se = np.array([[0.0, 0.01, math.nan, math.inf], [0.02, 1e-4, 0.01, -math.inf]])
+    bursts = np.array([[math.inf], [3.0]])
+    cases = [
+        (ref, got, se, 10_000, None),
+        (ref, got, se, 10_000.0, bursts),
+        (ref, got, se, 100, np.full(ref.shape, math.inf)),
+        (ref, got, np.abs(se), 7.0, 2.5),
+        (ref[0], got[0], se[0], 1_000, None),
+        (np.float64(0.3), 0.31, 0.004, 500, 4.0),
+        (0.0, 0.25, 0.0, 100.0, math.inf),
+        (1e-3, 0.0, math.nan, 1_000, None),
+        (np.full((2, 2), 0.5), np.full((2, 2), math.nan), np.zeros((2, 2)), 50, None),
+        (np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3)), 10, None),
+    ]
+    for case in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got_triple = hs.cell_deviations(*case[:4], bursts=case[4])
+        want = _per_cell_deviations(*case[:4], bursts=case[4])
+        assert got_triple[1:] == want[1:], case
+        assert float(got_triple[0]).hex() == float(want[0]).hex(), case
+    assert hs.cell_deviations(ref, got, se, 10_000)[1:] == (5, 3)
+
+
+def test_se_needs_two_replications():
+    """The replication s.e. is NaN with fewer than two replications, in the
+    shape of one replication's values."""
+    assert oracle._se(np.zeros((0, 3))).shape == (3,)
+    assert np.isnan(oracle._se(np.zeros((0, 3)))).all()
+    assert math.isnan(float(oracle._se(np.array([4.0]))))
+    assert np.isnan(oracle._se(np.ones((1, 2, 2)))).all()
+    assert float(oracle._se(np.array([1.0, 3.0]))) == 1.0
+    assert oracle._se(np.array([[1.0, 0.0], [3.0, 0.0]])).tolist() == [1.0, 0.0]
+
+
 def test_cell_deviations_policy():
     ref = np.array([0.5, 1e-7, 0.0])
     obs = np.array([0.52, 5e-7, 0.0])
