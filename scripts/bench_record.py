@@ -12,7 +12,9 @@ fresh interpreter, keeping every run and their median, times
 the median of CALLS calls after one warm call), and times the checkout's
 tier-1 suite (``python -m pytest -q --continue-on-collection-errors``),
 keeping the acceptance lines it prints, so that a speed claim shows in the
-same file that no acceptance error grew.
+same file that no acceptance error grew. It also counts the lines of
+``src/halfstrip/*.py`` per file and in total, as ``wc -l`` counts them, so
+that the package's size sits beside its timings.
 Every ``metric`` line the runs print is kept per workload, with its unit,
 beside the machine note, and the whole entry is written under the --label
 key of the JSON file --out; other labels in that file are kept. To compare
@@ -163,6 +165,14 @@ def time_tests(root):
             "acceptance": [line for line in lines if line.startswith("[PASS]")]}
 
 
+def src_lines(root):
+    """Newline count (``wc -l``) of each ``src/halfstrip/*.py`` file of the
+    checkout ``root``, by file name, and their total."""
+    files = {path.name: path.read_bytes().count(b"\n")
+             for path in sorted((Path(root) / "src" / "halfstrip").glob("*.py"))}
+    return {"files": files, "total": sum(files.values())}
+
+
 def write_entry(path, label, entry):
     """Store ``entry`` under ``label`` in the JSON file ``path``, keeping
     every other label."""
@@ -188,6 +198,7 @@ def main(argv=None):
     entry["stationary_prefix512"] = time_prefix_stationary(args.root)
     entry["branching_data_prefix512_ms"] = time_prefix_branching(args.root)
     entry["tier1"] = time_tests(args.root)
+    entry["src_lines"] = src_lines(args.root)
     write_entry(args.out, args.label, entry)
     return 0
 

@@ -111,29 +111,28 @@ def _pass(back, toward, stay, z, up=False):
 
 def boundary_exit_up(model):
     """First-passage matrix from layer 0 to layer 1: (I - R0)^{-1} P0, the
-    upward pass's one step with no level below. P0 with each row scaled to
-    unit sum when the boundary has no stay block.
+    upward pass's step on level 0. P0 with each row scaled to unit sum when
+    the boundary has no stay block.
     """
-    zero = np.zeros((1, model.d, model.d))
-    return _pass(zero, model.p0[None], model.r0[None], zero[0], up=True)[1][0]
+    return exit_up_seq(model, 0)[0]
 
 
 def exit_up_seq(model, n_max):
-    """Upward exit matrices for levels 0..n_max: the boundary's, then the
-    upward pass over levels 1..n_max from it (``_pass``). Each is
-    row-stochastic to the rounding of one inverse. A refused level n raises
-    SingularMatrixError with ``index`` n - 1, so -1 when layer 0 never
-    rises from some phase.
+    """Upward exit matrices for levels 0..n_max: one upward pass (``_pass``)
+    over them from a zero exit, which level 0's zero down block never reads.
+    Each is row-stochastic to the rounding of one inverse. A refused level n
+    raises SingularMatrixError with ``index`` n - 1, so -1 when layer 0
+    never rises from some phase.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    levels = model.levels(0, n_max + 1)
     try:
-        z = boundary_exit_up(model)
+        return _pass(model.down[levels], model.up[levels], model.stay[levels],
+                     np.zeros((model.d, model.d)), up=True)[1]
     except SingularMatrixError as exc:
-        exc.index = -1
+        exc.index -= 1
         raise
-    levels = np.minimum(np.arange(n_max), model.n_prefix)
-    return [z, *_pass(model.down[levels], model.up[levels], model.stay[levels], z, up=True)[1]]
 
 
 def _log_reduction(down, stay, up, tol=DEFAULT_TOL):
@@ -252,7 +251,7 @@ def exit_down_seq(model, seed, n_max=None, tol=DEFAULT_TOL):
     seed = np.asarray(seed, dtype=float)
     anchor = max(model.n_prefix + 16, depth + 1)
     tail = model.up[-1:], model.down[-1:], model.stay[-1:]
-    levels = np.minimum(np.arange(depth, 0, -1), model.n_prefix + 1) - 1
+    levels = model.levels(1, depth + 1)[::-1]
     prev_first = None
     for passes in range(1, ANCHOR_DOUBLINGS + 1):
         z = seed
@@ -427,10 +426,10 @@ def branching_data(model, tol=DEFAULT_TOL):
     depth, ones = model.n_prefix + 1, np.ones(model.d)
     tail_exit, tail_info = exit_down_tail(model.tail, tol=tol)
     tail_factor, _ = _pass(model.up[-1:], model.down[-1:], model.stay[-1:], tail_exit)
-    factors, exits = _pass(model.up[-2::-1], model.down[-2::-1], model.stay[-2::-1], tail_exit)
-    # level n at index n - 1, as in the model's stacks
+    prefix = slice(depth - 1, 0, -1)  # levels n_prefix..1
+    factors, exits = _pass(model.up[prefix], model.down[prefix], model.stay[prefix], tail_exit)
     factors = np.concatenate((factors[::-1], tail_factor))
-    offspring = factors @ model.up
+    offspring = factors @ model.up[1:]
     drift = tail_info["drift"]
     sign = drift_sign(drift)
     return BranchingData(
@@ -617,11 +616,12 @@ def _ascent_visits(model, k, mu):
     """Expected visits per phase to layers k, k-1, ..., 0, in that order,
     before the walk, started on layer k at mu, first reaches layer k+1: w_n
     F_n at layer n, with w_k = mu and w_{n-1} = w_n F_n D_n."""
-    levels = np.minimum(np.arange(k), model.n_prefix)
+    levels = model.levels(0, k + 1)
     factors, _ = _pass(model.down[levels], model.up[levels], model.stay[levels],
-                       boundary_exit_up(model), up=True)
+                       np.zeros((model.d, model.d)), up=True)
     w = np.asarray(mu, dtype=float)
-    for factor, down in zip(factors[::-1], model.down[levels[::-1]]):
+    # levels k..1; layer 0 by I - r0, not the pass's factor, whose diagonal differs
+    for factor, down in zip(factors[:0:-1], model.down[levels[:0:-1]]):
         w = w @ factor
         yield w
         w = w @ down

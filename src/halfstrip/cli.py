@@ -343,7 +343,7 @@ def _visit_bursts(data, top_level):
         dwell0 = invert(np.eye(model.d) - model.r0) @ np.ones(model.d)
     except SingularMatrixError:
         dwell0 = np.full(model.d, math.inf)
-    levels = np.minimum(np.arange(top_level), data.depth - 1)  # stack index of levels 1..
+    levels = model.levels(1, top_level + 1) - 1  # data's stacks: level n at index n - 1
     return 1.0 + 2.0 * np.concatenate([[dwell0.max()], data.sojourn[levels].max(axis=1)])[:, None]
 
 

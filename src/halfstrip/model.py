@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 
@@ -57,46 +58,53 @@ class BlockTriple:
 
 
 class _Levels:
-    """Levels 1..n_prefix + 1 stored once: one (n_prefix + 1, d, d) stack per
-    field ``_KINDS`` of the level triple ``_TRIPLE``, level n at index n - 1,
-    the tail last. ``prefix``, ``tail`` and ``block_at`` are views into them."""
+    """Levels 0..n_prefix + 1 stored once: one (n_prefix + 2, d, d) stack per
+    field ``_KINDS`` of the level triple ``_TRIPLE``, level n at index n, the
+    tail last. Level 0 is the boundary, its down block zero. ``prefix``,
+    ``tail`` and ``block_at`` are views into the stacks."""
 
-    def _set(self, d, boundary, prefix=(), tail=None, levels=None):
-        """Store d, the ``{name: block}`` boundary and the level stacks:
-        ``levels``, else those of ``prefix`` and ``tail``, shapes checked."""
-        object.__setattr__(self, "d", d)
-        for name, block in boundary.items():
-            object.__setattr__(self, name, _as_block(block, d, name))
-        kinds = self._KINDS
-        if levels is None:
-            triples = (*prefix, tail)
-            for n, trip in enumerate(triples, 1):
-                shapes = None if trip is None else tuple(getattr(trip, k).shape for k in kinds)
-                if shapes != ((d, d),) * 3:
-                    where = f"level {n}" if n < len(triples) else "tail"
-                    raise ModelFormatError(f"{where}: expected {kinds[0]}, {kinds[1]} and "
-                                           f"{kinds[2]} blocks of shape ({d}, {d}), got {shapes}")
-            levels = [np.array([getattr(t, k) for t in triples], dtype=float) for k in kinds]
-        for kind, stack in zip(kinds, levels):
-            object.__setattr__(self, kind, stack)
+    def _set(self, d, levels, **extra):
+        for name, value in {"d": d, **dict(zip(self._KINDS, levels)), **extra}.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def _of(cls, d, boundary, levels, **extra):
-        model = cls.__new__(cls)  # from stacks already (n_prefix + 1, d, d)
-        model._set(d, boundary, levels=levels)
-        for name, value in extra.items():
-            object.__setattr__(model, name, value)
+    def _of(cls, d, levels, **extra):
+        model = cls.__new__(cls)  # from stacks already (n_prefix + 2, d, d)
+        model._set(d, levels, **extra)
         return model
+
+    @classmethod
+    def _stacks(cls, d, boundary, prefix, tail):
+        """The level stacks of the ``boundary`` blocks (``_CODEC`` order),
+        ``prefix`` and ``tail``, shapes checked, boundary blocks first."""
+        keys, fields = _CODEC[cls]
+        level0 = {key: _as_block(block, d, f"{key}0") for key, block in zip(keys, boundary)}
+        kinds = cls._KINDS
+        triples = (*prefix, tail)
+        for n, trip in enumerate(triples, 1):
+            shapes = None if trip is None else tuple(getattr(trip, k).shape for k in kinds)
+            if shapes != ((d, d),) * 3:
+                where = f"level {n}" if n < len(triples) else "tail"
+                raise ModelFormatError(f"{where}: expected {kinds[0]}, {kinds[1]} and "
+                                       f"{kinds[2]} blocks of shape ({d}, {d}), got {shapes}")
+        zero = np.zeros((d, d))
+        return [np.array([level0.get(key, zero), *(getattr(t, k) for t in triples)], dtype=float)
+                for key, k in fields]
 
     @property
     def n_prefix(self):
-        return len(self.up) - 1
+        return len(self.up) - 2
+
+    def levels(self, start, stop):
+        """Stack indices of levels start..stop - 1: level n at index n up to
+        the tail's, which every deeper level repeats."""
+        return np.minimum(np.arange(start, stop), len(self.up) - 1)
 
     def block_at(self, n):
         """Blocks of level n >= 1: prefix entry when stored, else the tail."""
         if n < 1:
             raise ValueError("levels with full triples start at 1")
-        i = min(n, len(self.up)) - 1
+        i = self.levels(n, n + 1)[0]
         return self._TRIPLE(*[getattr(self, k)[i] for k in self._KINDS])
 
     @property
@@ -110,11 +118,10 @@ class _Levels:
 
 @dataclass(frozen=True, init=False)
 class QbdModel(_Levels):
-    """Discrete-time half-strip walk: boundary pair (r0, p0), level stacks."""
+    """Discrete-time half-strip walk: level stacks, level 0 the boundary
+    pair (r0, p0) as its (stay, up) blocks."""
 
     d: int
-    r0: np.ndarray
-    p0: np.ndarray
     up: np.ndarray
     down: np.ndarray
     stay: np.ndarray
@@ -122,7 +129,10 @@ class QbdModel(_Levels):
     _TRIPLE, _KINDS = BlockTriple, ("up", "down", "stay")
 
     def __init__(self, d, r0, p0, prefix=(), tail=None):
-        self._set(d, {"r0": r0, "p0": p0}, prefix, tail)
+        self._set(d, self._stacks(d, (r0, p0), prefix, tail))
+
+    r0 = property(lambda self: self.stay[0])
+    p0 = property(lambda self: self.up[0])
 
 
 @dataclass(frozen=True)
@@ -140,14 +150,12 @@ class GeneratorTriple:
 
 @dataclass(frozen=True, init=False)
 class GeneratorModel(_Levels):
-    """Continuous-time half-strip chain stored as rate blocks: boundary
-    local and up blocks (b0, a0) and level stacks. gamma is a suggested
+    """Continuous-time half-strip chain stored as rate level stacks, level 0
+    the boundary local and up blocks (b0, a0). gamma is a suggested
     uniformization rate (None means use the largest diagonal magnitude).
     """
 
     d: int
-    b0: np.ndarray
-    a0: np.ndarray
     up: np.ndarray
     local: np.ndarray
     down: np.ndarray
@@ -156,8 +164,7 @@ class GeneratorModel(_Levels):
     _TRIPLE, _KINDS = GeneratorTriple, ("up", "local", "down")
 
     def __init__(self, d, b0, a0, prefix=(), tail=None, gamma=None):
-        self._set(d, {"b0": b0, "a0": a0}, prefix, tail)
-        object.__setattr__(self, "gamma", gamma)
+        self._set(d, self._stacks(d, (b0, a0), prefix, tail), gamma=gamma)
 
 
 @dataclass(frozen=True)
@@ -193,11 +200,8 @@ def _step_rows(model):
     [0 | r0 | p0] and the last block is the tail, which every deeper level
     repeats.
     """
-    d = model.d
-    levels = np.zeros((model.n_prefix + 2, 3, d, d))
-    levels[0, 1], levels[0, 2] = model.r0, model.p0
-    levels[1:, 0], levels[1:, 1], levels[1:, 2] = model.down, model.stay, model.up
-    return levels.transpose(0, 2, 1, 3).reshape(len(levels), d, 3 * d)
+    return np.stack((model.down, model.stay, model.up), axis=2).reshape(
+        len(model.up), model.d, 3 * model.d)
 
 
 def _boundary_communicates(rows):
@@ -236,18 +240,16 @@ def _level_name(model, n):
     return "tail" if n > model.n_prefix else f"level {n}"
 
 
-def _errors(model, rows):
+def _errors(model):
     """(stored level, severity, code, where, detail) of each error of the
-    ``_step_rows`` array ``rows``, in ``validate``'s order."""
-    parts = rows.reshape(len(rows), model.d, 3, model.d)  # (level, row, [down, stay, up], column)
+    level stacks of ``model``, in ``validate``'s order."""
     # each block's entries contiguous: (level, [down, stay, up], entry)
-    blocks = np.ascontiguousarray(parts.transpose(0, 2, 1, 3)).reshape(len(rows), 3, -1)
+    blocks = np.stack((model.down, model.stay, model.up), axis=1).reshape(len(model.up), 3, -1)
     finite = np.isfinite(blocks).all(axis=2)
     low, high = blocks.min(axis=2), blocks.max(axis=2)
-    down, stay, up = parts[:, :, 0], parts[:, :, 1], parts[:, :, 2]
     # a row holding both +inf and -inf sums to nan; it is reported as not-finite
     with np.errstate(invalid="ignore"):
-        dev = np.max(np.abs((up + down + stay).sum(axis=-1) - 1.0), axis=1)
+        dev = np.max(np.abs((model.up + model.down + model.stay).sum(axis=-1) - 1.0), axis=1)
     flagged = (~finite.all(axis=1) | (low < -VALIDATE_ATOL).any(axis=1)
                | (high > 1.0 + 1e-6).any(axis=1) | (dev > VALIDATE_ATOL))
     found = []
@@ -268,21 +270,21 @@ def _errors(model, rows):
     return found
 
 
-def _warnings(model, rows, reach):
+def _warnings(model, reach):
     """(stored level, severity, code, where, detail) of each warning of the
-    ``_step_rows`` array ``rows``, in ``validate``'s order; the boundary
+    level stacks of ``model``, in ``validate``'s order; the boundary
     reachability walk runs only when ``reach`` is set."""
-    parts = rows.reshape(len(rows), model.d, 3, model.d)
-    # sum each column contiguously, in the order a one-column sum adds it
+    # (level, [up, down], column), each column summed in the order a one-column sum adds it
     with np.errstate(invalid="ignore"):
-        col_sums = np.ascontiguousarray(parts.transpose(0, 2, 3, 1)).sum(axis=-1)
+        col_sums = np.ascontiguousarray(
+            np.stack((model.up[1:], model.down[1:]), axis=1).swapaxes(2, 3)).sum(axis=-1)
     found = []
-    for n, k, j in zip(*(a.tolist() for a in np.nonzero(col_sums[1:, [2, 0]] <= 0.0))):
+    for n, k, j in zip(*(a.tolist() for a in np.nonzero(col_sums <= 0.0))):
         part = ("up", "down")[k]
         found.append((n + 1, "warning", f"column-zero-{part}", _level_name(model, n + 1),
                       f"{part} block column {j} is identically zero"))
-    if reach and not _boundary_communicates(rows):
-        found.append((len(rows), "warning", "boundary-reducible", "level 0",
+    if reach and not _boundary_communicates(_step_rows(model)):
+        found.append((len(model.up), "warning", "boundary-reducible", "level 0",
                       "layer-0 phases do not all communicate on the support graph"))
     return found
 
@@ -291,7 +293,7 @@ def validation_errors(model):
     """The error entries of ``validate(model)``, in the same order, without
     its warnings or its reachability walk: what decides whether a model is
     valid."""
-    return [Violation(*e[1:]) for e in _errors(model, _step_rows(model))]
+    return [Violation(*e[1:]) for e in _errors(model)]
 
 
 def validate(model):
@@ -306,9 +308,8 @@ def validate(model):
     boundary layer whose phases do not all communicate. Each level's
     errors come before its warnings.
     """
-    rows = _step_rows(model)
-    errors = _errors(model, rows)
-    found = errors + _warnings(model, rows, reach=not errors)
+    errors = _errors(model)
+    found = errors + _warnings(model, reach=not errors)
     # a stable sort by level keeps errors ahead of warnings within a level
     found.sort(key=lambda entry: entry[0])
     return ValidationReport([Violation(*e[1:]) for e in found])
@@ -316,25 +317,22 @@ def validate(model):
 
 def default_gamma(gen):
     """Largest diagonal rate magnitude over all stored blocks."""
-    return max(float(np.max(np.abs(np.diag(gen.b0)))),
-               float(np.max(np.abs(np.diagonal(gen.local, axis1=1, axis2=2)))))
+    return float(np.max(np.abs(np.diagonal(gen.local, axis1=1, axis2=2))))
 
 
 def _check_generator(gen):
     """Raise ModelFormatError for the first level, level 0 first, with a
     non-finite rate (blocks local, up, down in turn), a negative off-diagonal
     rate or a generator row that does not sum to zero, in that order."""
-    local, up, down = (np.concatenate([b[None], s]) for b, s in (
-        (gen.b0, gen.local), (gen.a0, gen.up), (np.zeros((gen.d, gen.d)), gen.down)))
-    finite = [np.isfinite(b).all(axis=(1, 2)) for b in (local, up, down)]
-    off = np.where(np.eye(gen.d, dtype=bool), 0.0, local)
+    finite = [np.isfinite(b).all(axis=(1, 2)) for b in (gen.local, gen.up, gen.down)]
+    off = np.where(np.eye(gen.d, dtype=bool), 0.0, gen.local)
     with np.errstate(invalid="ignore"):
-        low = np.min([b.min(axis=(1, 2)) for b in (off, up, down)], axis=0)
-        rows = np.abs((local + up + down).sum(axis=2)).max(axis=1)
-    scale = np.maximum(1.0, np.abs(local).max(axis=(1, 2)))
+        low = np.min([b.min(axis=(1, 2)) for b in (off, gen.up, gen.down)], axis=0)
+        rows = np.abs((gen.local + gen.up + gen.down).sum(axis=2)).max(axis=1)
+    scale = np.maximum(1.0, np.abs(gen.local).max(axis=(1, 2)))
     for n in np.flatnonzero(~np.logical_and.reduce(finite) | (low < -VALIDATE_ATOL)
                             | (rows > VALIDATE_ATOL * scale))[:1].tolist():
-        where = "level 0" if n == 0 else f"level {n}" if n <= gen.n_prefix else "tail"
+        where = _level_name(gen, n)
         for name, ok in zip(("local", "up", "down"), finite):
             if not ok[n]:
                 raise ModelFormatError(f"{where}.{name}: non-finite entry")
@@ -348,22 +346,22 @@ def uniformize(gen, gamma=None):
 
     gamma defaults to the largest diagonal rate magnitude, the smallest
     admissible value. The embedded chain keeps the stationary distribution
-    of the continuous chain. Raises GammaTooSmallError when some diagonal of
-    I + local/gamma would be negative.
+    of the continuous chain. Raises GammaTooSmallError when gamma is not
+    positive and finite, or when some diagonal of I + local/gamma would be
+    negative.
     """
     _check_generator(gen)
     if gamma is None:
         gamma = gen.gamma if gen.gamma is not None else default_gamma(gen)
     gamma = float(gamma)
-    if gamma <= 0:
-        raise GammaTooSmallError("gamma must be positive")
+    if not 0 < gamma < math.inf:  # NaN compares False
+        raise GammaTooSmallError(f"gamma must be positive and finite, got {gamma:g}")
     need = default_gamma(gen)
     if gamma < need * (1.0 - 1e-12):
         raise GammaTooSmallError(
             f"gamma {gamma:g} below largest diagonal rate {need:g}")
-    eye = np.eye(gen.d)
-    return QbdModel._of(gen.d, {"r0": eye + gen.b0 / gamma, "p0": gen.a0 / gamma},
-                        [gen.up / gamma, gen.down / gamma, eye + gen.local / gamma])
+    return QbdModel._of(gen.d, [gen.up / gamma, gen.down / gamma,
+                                np.eye(gen.d) + gen.local / gamma])
 
 
 _AFFINE_RE = re.compile(
@@ -491,14 +489,15 @@ def build_retrial(arrival, service, servers, retry, prefix_levels=None):
         down[:, k, k + 1] = theta
     local[:, c, c - 1] = c * mu
     local[:, c, c] = -(lam + c * mu)
-    return GeneratorModel._of(d, {"b0": local[0], "a0": up[0]}, [up[1:], local[1:], down[1:]])
+    return GeneratorModel._of(d, [up, local, down])
 
 
-# File layout of each model flavor: its boundary block keys and the
-# (file key, stack) pairs of its levels.
+# File layout of each model flavor: the level keys whose level-0 block is
+# stored, under the key with 0 appended (r0, p0), and the (level key,
+# stack) pairs of every level.
 _CODEC = {
-    QbdModel: (("r0", "p0"), (("p", "up"), ("q", "down"), ("r", "stay"))),
-    GeneratorModel: (("b0", "a0"), (("a", "up"), ("b", "local"), ("c", "down"))),
+    QbdModel: (("r", "p"), (("p", "up"), ("q", "down"), ("r", "stay"))),
+    GeneratorModel: (("b", "a"), (("a", "up"), ("b", "local"), ("c", "down"))),
 }
 
 
@@ -506,8 +505,8 @@ def model_to_dict(model):
     boundary, fields = _CODEC[type(model)]
     levels = [dict(zip([key for key, _ in fields], blocks))
               for blocks in zip(*(getattr(model, name).tolist() for _, name in fields))]
-    doc = {key: getattr(model, key).tolist() for key in boundary}
-    doc.update(d=model.d, prefix=levels[:-1], tail=levels[-1])
+    doc = {f"{key}0": levels[0][key] for key in boundary}
+    doc.update(d=model.d, prefix=levels[1:-1], tail=levels[-1])
     if isinstance(model, GeneratorModel):
         doc["type"] = "generator"
         if model.gamma is not None:
@@ -521,12 +520,19 @@ def _require(doc, key):
     return doc[key]
 
 
-def _level_stacks(doc, d, fields):
-    """The level stacks of ``doc``, one array expression per (file key,
-    stack) pair of ``fields``. A document that does not stack so is parsed
-    level by level, and its first malformed block in file order raises."""
+def _level_stacks(doc, d, boundary, fields):
+    """The level stacks of ``doc``, one array expression per (level key, stack)
+    pair of ``fields``, level 0 the ``boundary`` blocks and zeros. A document
+    that does not stack so is parsed level by level, and its first malformed
+    block in file order, the boundary blocks last, raises."""
+    prefix = doc.get("prefix", [])
+    if not isinstance(prefix, list):
+        raise ModelFormatError("field 'prefix' must be a list of level objects")
     try:
-        levels = [*doc.get("prefix", []), doc["tail"]]
+        # shaped by a block, not by d: d is not yet checked against the blocks
+        zero = np.zeros_like(np.asarray(doc[f"{boundary[0]}0"], dtype=float))
+        levels = [{key: doc[f"{key}0"] if key in boundary else zero for key, _ in fields},
+                  *prefix, doc["tail"]]
         stacks = [np.array([level[key] for level in levels], dtype=float) for key, _ in fields]
         if all(stack.shape == (len(levels), d, d) for stack in stacks):
             return stacks
@@ -534,31 +540,38 @@ def _level_stacks(doc, d, fields):
         pass
 
     def triple(level, where):
+        if not isinstance(level, dict):
+            raise ModelFormatError(f"{where}: a level must be an object")
         return [_as_block(_require(level, key), d, f"{where}.{key}") for key, _ in fields]
 
-    blocks = [triple(level, "prefix") for level in doc.get("prefix", [])]
+    blocks = [triple(level, "prefix") for level in prefix]
     blocks.append(triple(_require(doc, "tail"), "tail"))
-    return [np.array(kind) for kind in zip(*blocks)]
+    level0 = {key: _as_block(_require(doc, f"{key}0"), d, f"{key}0") for key in boundary}
+    return [np.array([level0.get(key, np.zeros((d, d))), *kind], dtype=float)
+            for (key, _), kind in zip(fields, zip(*blocks))]
 
 
 def model_from_dict(doc):
     """Build a model from the JSON document shape; see model_to_dict."""
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
-    try:
-        d = int(_require(doc, "d"))
-    except (TypeError, ValueError) as exc:
-        raise ModelFormatError("field 'd' must be an integer") from exc
+    d = _require(doc, "d")
+    if isinstance(d, bool) or not (isinstance(d, numbers.Integral)
+                                   or isinstance(d, float) and d.is_integer()):
+        raise ModelFormatError(f"field 'd' must be an integer, got {d!r}")
+    d = int(d)
     if d < 1:
         raise ModelFormatError("field 'd' must be >= 1")
-    flavor = GeneratorModel if doc.get("type") == "generator" else QbdModel
-    boundary, fields = _CODEC[flavor]
-    levels = _level_stacks(doc, d, fields)
-    blocks = {key: _as_block(_require(doc, key), d, key) for key in boundary}
+    if doc.get("type", "generator") != "generator":
+        raise ModelFormatError(f"field 'type' must be absent or 'generator', got {doc['type']!r}")
+    flavor = GeneratorModel if "type" in doc else QbdModel
+    levels = _level_stacks(doc, d, *_CODEC[flavor])
     if flavor is QbdModel:
-        return QbdModel._of(d, blocks, levels)
+        return QbdModel._of(d, levels)
     gamma = doc.get("gamma")
-    return GeneratorModel._of(d, blocks, levels, gamma=None if gamma is None else float(gamma))
+    if gamma is not None and (isinstance(gamma, bool) or not isinstance(gamma, numbers.Real)):
+        raise ModelFormatError(f"field 'gamma' must be a number, got {gamma!r}")
+    return GeneratorModel._of(d, levels, gamma=None if gamma is None else float(gamma))
 
 
 def load_model(source):

@@ -76,16 +76,13 @@ def truncated_solve(model, cutoff):
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
     d = model.d
-    stored = np.minimum(np.arange(cutoff), model.n_prefix)  # stack index of levels 1..cutoff
-    zero = np.zeros((d, d))
-    down = np.concatenate([zero[None], model.down[stored]])
-    stay = np.concatenate([model.r0[None], model.stay[stored]])
-    up = np.concatenate([model.p0[None], model.up[stored[:-1]], zero[None]])
-    stay[cutoff] += model.up[stored[-1]]
+    levels = model.levels(0, cutoff + 1)
+    down, stay, up = model.down[levels], model.stay[levels], model.up[levels]
+    stay[cutoff] += up[cutoff]  # the top level's up block, never read again
 
     eye = np.eye(d)
     rates = np.empty((cutoff + 1, d, d))
-    back = zero  # R_{n+1} D_{n+1}
+    back = np.zeros((d, d))  # R_{n+1} D_{n+1}
     for n in range(cutoff, 0, -1):
         rates[n] = up[n - 1] @ invert(eye - stay[n] - back)
         back = rates[n] @ down[n]

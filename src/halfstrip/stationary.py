@@ -212,7 +212,7 @@ def matrix_product_check(data, result):
     top = len(nu) - 1
     k = data.depth
     m = min(k, top)
-    r = np.concatenate([model.p0[None], model.up])[:m] @ data.fundamental[:m]
+    r = model.up[:m] @ data.fundamental[:m]
     level_dev = np.abs(nu[1:m + 1] - (nu[:m, None] @ r)[:, 0]).max(axis=1)
     # a level whose deviation is NaN leaves the maximum as it was
     dev = float(np.fmax.reduce(level_dev, initial=0.0))
@@ -235,10 +235,8 @@ def balance_residual(model, result):
     top = len(nu) - 1
     k = model.n_prefix + 1
     m = max(min(k + 1, top) - 1, 0)  # levels 1..m, whose blocks below are stacked
-    ups = np.concatenate([model.p0[None], model.up])[:m]
-    downs = model.down[np.minimum(np.arange(1, m + 1), model.n_prefix)]
-    inflow = ((nu[:m, None] @ ups)[:, 0] + (nu[1:m + 1, None] @ model.stay[:m])[:, 0]
-              + (nu[2:m + 2, None] @ downs)[:, 0])
+    inflow = ((nu[:m, None] @ model.up[:m])[:, 0] + (nu[1:m + 1, None] @ model.stay[1:m + 1])[:, 0]
+              + (nu[2:m + 2, None] @ model.down[model.levels(2, m + 2)])[:, 0])
     total = 0.0
     for level_sum in np.abs(inflow - nu[1:m + 1]).sum(axis=1).tolist():
         total += level_sum

@@ -163,6 +163,18 @@ def refused_level_models():
                 ("singular-before-refused", (near, drift_down, stuck), "LAPACK: Singular matrix")]]
 
 
+def layout_models():
+    """The refused-level models with their prefixes in both orders, the
+    walled-prefix models, the absorbing-boundary model and the stacked-pass
+    models: the models the level stacks are checked on against the forms
+    they had before level 0 joined them."""
+    refused = [model for _, model, _ in refused_level_models()]
+    reversed_prefix = [hs.QbdModel(d=m.d, r0=m.r0, p0=m.p0, prefix=m.prefix[::-1], tail=m.tail)
+                       for m in refused]
+    return (refused + reversed_prefix + walled_prefix_models() + [absorbing_boundary_model()]
+            + stacked_pass_models())
+
+
 def retrial_model(arrival, service, servers, theta="0.3", gamma=None):
     gen = hs.build_retrial(arrival, service, servers, hs.RetrySchedule.parse(theta))
     return hs.uniformize(gen, gamma=gamma)

@@ -8,7 +8,7 @@ import pytest
 
 import halfstrip as hs
 
-from conftest import (absorbing_boundary_model, random_pos_recurrent_model,
+from conftest import (absorbing_boundary_model, layout_models, random_pos_recurrent_model,
                       refused_level_models, retrial_model, scalar_chain, stacked_pass_models,
                       underflow_prefix_models, walled_prefix_models)
 
@@ -857,3 +857,43 @@ def test_term_ratio_approaches_radius():
     t200 = w @ np.linalg.matrix_power(a, 200) @ u
     t201 = w @ np.linalg.matrix_power(a, 201) @ u
     assert abs(t201 / t200 - data.radius_down) < 1e-4
+
+
+def _two_pass_exit_up_seq(model, n_max):
+    """Reference: the upward exits as the boundary's own one-level pass,
+    then a second pass over levels 1..n_max from its exit, with levels 1..
+    read as a stack of their own; the form ``exit_up_seq`` had before level
+    0 joined the level stacks."""
+    up, down, stay = model.up[1:], model.down[1:], model.stay[1:]  # level n at index n - 1
+    zero = np.zeros((1, model.d, model.d))
+    try:
+        z = hs.branching._pass(zero, model.p0[None], model.r0[None], zero[0], up=True)[1][0]
+    except hs.SingularMatrixError as exc:
+        exc.index = -1
+        raise
+    levels = np.minimum(np.arange(n_max), model.n_prefix)
+    return [z, *hs.branching._pass(down[levels], up[levels], stay[levels], z, up=True)[1]]
+
+
+def _exits_or_refusal(seq, model, n_max):
+    try:
+        return [z.tobytes() for z in seq(model, n_max)]
+    except hs.SingularMatrixError as exc:
+        return str(exc), exc.index
+
+
+def test_exit_up_seq_matches_the_two_pass_reference():
+    """One upward pass from level 0 returns the two-pass reference's exits
+    bit for bit, and refuses where it refuses, with the same message and
+    index, on the refused-level (both prefix orders), walled-prefix,
+    absorbing-boundary and random models; the boundary exit is its first."""
+    refusals = set()
+    for model in layout_models():
+        for n_max in sorted({0, 1, 2, model.n_prefix, model.n_prefix + 1, model.n_prefix + 3}):
+            want = _exits_or_refusal(_two_pass_exit_up_seq, model, n_max)
+            assert _exits_or_refusal(hs.exit_up_seq, model, n_max) == want
+            if isinstance(want, tuple):
+                refusals.add(want[1])
+            else:
+                assert hs.boundary_exit_up(model).tobytes() == want[0]
+    assert {-1, 0, 1} <= refusals

@@ -348,6 +348,33 @@ def test_classify_reads_rate_model_file(tmp_path):
     assert results[0] == results[1]
 
 
+MALFORMED_DOCS = [
+    (False, "prefix", "pqr"), (False, "prefix", [1]), (False, "prefix", None),
+    (False, "tail", 5), (False, "d", 2.5), (False, "d", "2"), (False, "d", True),
+    (False, "type", "weird"),
+    (True, "gamma", math.inf), (True, "gamma", math.nan), (True, "gamma", "x"),
+]
+
+
+@pytest.mark.parametrize("generator, key, value", MALFORMED_DOCS,
+                         ids=[f"{key}={value!r}" for _, key, value in MALFORMED_DOCS])
+def test_malformed_model_document_exit_1(tmp_path, generator, key, value):
+    """A document of the retrial example (its chain, or its rate model for
+    gamma) with one field malformed is refused as a malformed model file,
+    exit 1 without a traceback: a prefix that is not a list of objects, a
+    tail that is not an object, a d that is not an integer, an unknown type
+    and a gamma that is not a positive finite number."""
+    gen = hs.build_retrial(0.2, 0.5, 1, hs.RetrySchedule.parse("0.3"))
+    doc = hs.model_to_dict(gen if generator else hs.uniformize(gen))
+    doc[key] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))  # gamma inf and nan as Infinity and NaN
+    code, out, err = run_cli(["classify", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("model file malformed: ")
+    assert "Traceback" not in err
+
+
 def test_classify_mu_reports_return_time(model_files):
     # phase 1 is the only boundary phase with an upward transition
     code, out, _ = run_cli(["classify", model_files["retrial"],

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import halfstrip as hs
 from halfstrip import GammaTooSmallError, ModelFormatError
 from halfstrip.cli import main
 
-from conftest import retrial_model, scalar_chain
+from conftest import layout_models, retrial_model, scalar_chain
 
 
 def test_retrial_uniformized_blocks_gamma_one():
@@ -262,22 +263,43 @@ def test_generator_shapes_rejected_at_construction(b0, prefix, tail, message):
 
 
 def test_level_stacks_serve_prefix_tail_and_blocks():
-    """Each flavor stores its levels once, as (n_prefix + 1, d, d) stacks
-    with the tail last; block_at, prefix and tail are views into them, and
-    uniformize and the dict round trip keep every level."""
+    """Each flavor stores its levels once, as (n_prefix + 2, d, d) stacks,
+    level n at index n and the tail last. Level 0 is the boundary with a
+    zero down block: (0, r0, p0) for a chain and (0, b0, a0) for rates, r0
+    and p0 views of it. block_at, prefix and tail are views into the
+    stacks, and uniformize and the dict round trip keep every level."""
     gen = hs.build_retrial(0.2, 0.5, 1, hs.RetrySchedule.parse("0.3+0.3/n"), prefix_levels=7)
     model = hs.uniformize(gen)
     for m, kinds in [(gen, ("up", "local", "down")), (model, ("up", "down", "stay"))]:
         assert m.n_prefix == 7 and len(m.prefix) == 7
         for kind in kinds:
             stack = getattr(m, kind)
-            assert stack.shape == (8, m.d, m.d)
+            assert stack.shape == (9, m.d, m.d)
             assert np.shares_memory(getattr(m.block_at(3), kind), stack)
+            assert all(np.array_equal(getattr(t, kind), stack[n])
+                       for n, t in enumerate(m.prefix, 1))
             assert np.array_equal(getattr(m.block_at(50), kind), stack[-1])
             assert np.array_equal(getattr(m.tail, kind), stack[-1])
+        assert not m.down[0].any()
         again = hs.model_from_dict(json.loads(json.dumps(hs.model_to_dict(m))))
         assert type(again) is type(m)
         assert all(np.array_equal(getattr(again, k), getattr(m, k)) for k in kinds)
+    doc = hs.model_to_dict(gen)
+    assert (np.array_equal(gen.local[0], doc["b0"]) and np.array_equal(gen.up[0], doc["a0"])
+            and len(doc["prefix"]) == 7)
+    assert np.array_equal(model.r0, np.eye(2) + gen.local[0] / hs.default_gamma(gen))
+    for m in (model, hs.model_from_dict(hs.model_to_dict(model))):
+        assert np.shares_memory(m.r0, m.stay) and np.shares_memory(m.p0, m.up)
+        assert np.array_equal(m.r0, m.stay[0]) and np.array_equal(m.p0, m.up[0])
+    r0, p0 = [[0.5, 0.0], [0.0, 0.25]], [[0.5, 0.0], [0.25, 0.5]]
+    built = hs.QbdModel(d=2, r0=r0, p0=p0, tail=model.tail)
+    assert [s.tolist() for s in (built.down[0], built.stay[0], built.up[0])] == [
+        [[0.0, 0.0], [0.0, 0.0]], r0, p0]
+    rates = hs.GeneratorModel(d=2, b0=gen.local[0], a0=gen.up[0], tail=gen.tail)
+    assert [s.tolist() for s in (rates.down[0], rates.local[0], rates.up[0])] == [
+        [[0.0, 0.0], [0.0, 0.0]], gen.local[0].tolist(), gen.up[0].tolist()]
+    with pytest.raises(AttributeError):
+        model.r0 = np.eye(2)
 
 
 def _prefix512_doc():
@@ -362,3 +384,95 @@ def test_as_chain_on_generator_and_chain(d1_pos):
     from_gen = hs.as_chain(gen, gamma=1.0)
     assert isinstance(from_gen, hs.QbdModel)
     assert hs.as_chain(d1_pos) is d1_pos
+
+
+def _example_doc(generator=False):
+    """The retrial example (lambda 0.2, mu 0.5, c 1, theta 0.3) as a model
+    document: its uniformized chain, or with ``generator`` its rate model."""
+    gen = hs.build_retrial(0.2, 0.5, 1, hs.RetrySchedule.parse("0.3"))
+    return hs.model_to_dict(gen if generator else hs.uniformize(gen))
+
+
+MALFORMED = [
+    ("prefix", "pqr", "field 'prefix' must be a list of level objects"),
+    ("prefix", [1], "prefix: a level must be an object"),
+    ("prefix", None, "field 'prefix' must be a list of level objects"),
+    ("prefix", {"p": [[0.0]]}, "field 'prefix' must be a list of level objects"),
+    ("tail", 5, "tail: a level must be an object"),
+    ("tail", [[0.0, 1.0]], "tail: a level must be an object"),
+    ("d", 2.5, "field 'd' must be an integer, got 2.5"),
+    ("d", "2", "field 'd' must be an integer, got '2'"),
+    ("d", True, "field 'd' must be an integer, got True"),
+    ("d", math.nan, "field 'd' must be an integer, got nan"),
+    ("d", 10**12, "tail.p: expected shape (1000000000000, 1000000000000), got (2, 2)"),
+    ("type", "weird", "field 'type' must be absent or 'generator', got 'weird'"),
+    ("type", None, "field 'type' must be absent or 'generator', got None"),
+]
+
+
+@pytest.mark.parametrize("key, value, message", MALFORMED,
+                         ids=[f"{key}={value!r}" for key, value, _ in MALFORMED])
+def test_malformed_document_structure_is_refused(key, value, message):
+    """A prefix that is not a list of objects, a level that is not an
+    object, a d that is not an integer and an unknown type are malformed
+    documents, not a TypeError and not a quietly coerced model. A d far
+    larger than the blocks is refused by their shapes, with no d-sized
+    allocation before."""
+    doc = _example_doc()
+    doc[key] = value
+    with pytest.raises(ModelFormatError) as exc:
+        hs.model_from_dict(doc)
+    assert str(exc.value) == message
+
+
+def test_integral_d_forms_are_read():
+    """d may be written as an integral float, or be a numpy integer when a
+    document is built in Python."""
+    doc = _example_doc()
+    for d in (2.0, np.int64(2)):
+        doc["d"] = d
+        assert hs.model_from_dict(doc).d == 2
+
+
+@pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_uniformize_refuses_a_gamma_that_is_not_positive_and_finite(gamma):
+    """A non-finite or non-positive gamma, from a file or an argument, is
+    refused before any block is divided by it."""
+    gen = hs.build_retrial(0.2, 0.5, 1, hs.RetrySchedule.parse("0.3"))
+    with pytest.raises(GammaTooSmallError, match="gamma must be positive and finite"):
+        hs.uniformize(gen, gamma=gamma)
+    doc = _example_doc(generator=True)
+    doc["gamma"] = gamma
+    with pytest.raises(GammaTooSmallError, match="gamma must be positive and finite"):
+        hs.as_chain(hs.model_from_dict(doc))
+
+
+@pytest.mark.parametrize("gamma", ["x", "2", True, [1.0], {"value": 1.0}])
+def test_non_numeric_gamma_is_malformed(gamma):
+    doc = _example_doc(generator=True)
+    doc["gamma"] = gamma
+    with pytest.raises(ModelFormatError) as exc:
+        hs.model_from_dict(doc)
+    assert str(exc.value) == f"field 'gamma' must be a number, got {gamma!r}"
+
+
+def _assembled_step_rows(model):
+    """Reference: the step rows assembled level by level, level 0 from r0
+    and p0 and levels 1.. from stacks of their own; the form ``_step_rows``
+    had before level 0 joined the level stacks."""
+    d = model.d
+    levels = np.zeros((model.n_prefix + 2, 3, d, d))
+    levels[0, 1], levels[0, 2] = model.r0, model.p0
+    levels[1:, 0], levels[1:, 1], levels[1:, 2] = model.down[1:], model.stay[1:], model.up[1:]
+    return levels.transpose(0, 2, 1, 3).reshape(len(levels), d, 3 * d)
+
+
+def test_step_rows_match_the_assembled_reference():
+    """One stack of the level stacks gives the assembled rows bit for bit on
+    the refused-level, walled-prefix, absorbing-boundary and random models
+    and a rate model's chain."""
+    models = layout_models() + [retrial_model(0.2, 0.5, 1, theta="0.3+0.3/n")]
+    for model in models:
+        rows = hs.model._step_rows(model)
+        want = _assembled_step_rows(model)
+        assert rows.shape == want.shape and rows.tobytes() == want.tobytes()

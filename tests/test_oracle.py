@@ -8,7 +8,7 @@ import pytest
 import halfstrip as hs
 from halfstrip import MaxStepsExceededError, oracle
 
-from conftest import random_pos_recurrent_model, retrial_model, scalar_chain
+from conftest import layout_models, random_pos_recurrent_model, retrial_model, scalar_chain
 
 
 def test_truncated_solve_residual(retrial_c1, retrial_c2):
@@ -648,3 +648,57 @@ def test_cell_deviations_zero_reference_violation_flagged():
     dev, compared, skipped = hs.cell_deviations(ref, obs, se, samples=100.0)
     assert compared == 1
     assert dev > 1.0
+
+
+def _assembled_truncated_solve(model, cutoff):
+    """Reference: ``truncated_solve`` with its blocks assembled from r0, p0,
+    a zero block and stacks of levels 1.. of their own, the top level's up
+    block folded into its stay block and replaced by zero; the form it had
+    before level 0 joined the level stacks."""
+    d = model.d
+    stored = np.minimum(np.arange(cutoff), model.n_prefix)  # levels 1..cutoff
+    zero = np.zeros((d, d))
+    down = np.concatenate([zero[None], model.down[1:][stored]])
+    stay = np.concatenate([model.r0[None], model.stay[1:][stored]])
+    up = np.concatenate([model.p0[None], model.up[1:][stored[:-1]], zero[None]])
+    stay[cutoff] += model.up[1:][stored[-1]]
+    eye = np.eye(d)
+    rates = np.empty((cutoff + 1, d, d))
+    back = zero
+    for n in range(cutoff, 0, -1):
+        rates[n] = up[n - 1] @ hs.invert(eye - stay[n] - back)
+        back = rates[n] @ down[n]
+    pi = np.empty((cutoff + 1, d))
+    pi[0] = hs.stationary_left_vector(stay[0] + back, row_tol=1e-8)
+    for n in range(1, cutoff + 1):
+        pi[n] = pi[n - 1] @ rates[n]
+    pi /= pi.sum()
+    flow = np.einsum("ni,nij->nj", pi, stay)
+    flow[1:] += np.einsum("ni,nij->nj", pi[:-1], up[:-1])
+    flow[:-1] += np.einsum("ni,nij->nj", pi[1:], down[1:])
+    return pi.ravel(), float(np.sum(np.abs(flow - pi)))
+
+
+def _solution_or_refusal(solve, model, cutoff):
+    try:
+        pi, residual = solve(model, cutoff)
+        return pi.tobytes(), residual
+    except (hs.SingularMatrixError, hs.ReducibleChainError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_truncated_solve_matches_the_assembled_reference():
+    """Blocks sliced from the level stacks give the assembled reference's
+    solution and residual bit for bit, and its refusals, on the
+    refused-level, walled-prefix, absorbing-boundary and random models."""
+    def solve(model, cutoff):
+        sol = hs.truncated_solve(model, cutoff)
+        return sol.pi, sol.residual
+
+    kinds = set()
+    for model in layout_models():
+        for cutoff in sorted({2, max(2, model.n_prefix + 1), model.n_prefix + 6}):
+            want = _solution_or_refusal(_assembled_truncated_solve, model, cutoff)
+            assert _solution_or_refusal(solve, model, cutoff) == want
+            kinds.add(want[0] if isinstance(want[0], str) else "solved")
+    assert kinds == {"solved", "SingularMatrixError", "ReducibleChainError"}

@@ -204,6 +204,33 @@ def test_bench_record_keeps_every_metric_under_its_label(tmp_path, monkeypatch):
     assert (entry["seed"], entry["seconds"]) == (1, run_seconds)
 
 
+def test_bench_record_counts_src_lines_under_root(tmp_path, monkeypatch):
+    """Every entry records the ``wc -l`` line count of each
+    ``src/halfstrip/*.py`` file of the --root checkout and their total;
+    other files there are not counted."""
+    record = _load_script("bench_record")
+    monkeypatch.setattr(record, "run_perfbench",
+                        lambda root, seconds, trace: CANNED_RUN[trace])
+    for name in ("time_verify", "time_prefix_stationary", "time_prefix_branching",
+                 "time_tests"):
+        monkeypatch.setattr(record, name, lambda root: {})
+    root = tmp_path / "checkout"
+    package = root / "src" / "halfstrip"
+    package.mkdir(parents=True)
+    (root / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1}))
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3")  # no newline at the end: wc -l counts 0
+    (package / "notes.txt").write_text("not\ncounted\n")
+    out = tmp_path / "BENCH_0.json"
+    assert record.main(["--root", str(root), "--label", "change", "--out", str(out)]) == 0
+    entry = json.loads(out.read_text())["change"]
+    assert entry["src_lines"] == {"files": {"a.py": 2, "b.py": 0}, "total": 2}
+    assert entry["seconds"] == 1
+    wc = subprocess.run(["wc", "-l", *sorted(map(str, package.glob("*.py")))],
+                        capture_output=True, text=True, check=True).stdout
+    assert wc.splitlines()[-1].split()[0] == "2"
+
+
 def test_bench_record_times_verify_on_the_checkout(monkeypatch):
     """The verify timing runs its model build once and the CLI five times
     on the checkout's src, without starting them here: the build command
