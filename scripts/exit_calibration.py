@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
-"""Per-cell false-alarm rate of the descent-exit check, over many seeds.
+"""False-alarm rate of verify's descent-exit check, over many seeds.
 
-Runs the exit-probability estimator on the downward exit from the first
-tail level of two retrial models, c1 (lam 0.2, mu 0.5, one server,
-gamma 1) and c8_high (lam 1.5, mu 0.3, eight servers), once per seed, and
-compares every cell with the analytic ``exit_down_at`` by the rule
-``verify`` applies (``cell_deviations``: cells expecting fewer than 16
-events skipped, the rest in units of 3 s.e.). It prints one CSV row per
-model: the cells compared with a reference strictly between 0 and 1, the
-share of them with |z| > 3 and its 95% Wilson interval, and the share of
-estimates whose check would fail. A correct estimator and exit matrix
-give a share near the normal tail 0.27%. The interval treats the cells as
-independent; cells of one row share their walks, so it is optimistic.
-Every c1 descent ends in the busy phase, so its cells are all 0 or 1:
-it compares none, and a failed check there would be a defect.
+Runs the descent-exit check as ``verify`` runs it (``cli._exit_check``) on
+three retrial models with retry rate 0.3: c1 (lam 0.2, mu 0.5, one
+server, gamma 1), c8_high (lam 1.5, mu 0.3, eight servers) and c16
+(lam 3.0, mu 0.3, sixteen servers), once per seed. Each check descends
+from level max(1, top_reached), walks and compares only the rows of the
+analytic ``exit_down_at`` that an answer reads, and makes one
+``cell_deviations`` call per estimate: cells expecting fewer than 16
+events are skipped, and the worst of the rest, in units of 3 s.e.,
+decides. It prints one CSV row per model: the level, the walked phases,
+the estimates, the walks per phase, the cells compared over all
+estimates, the checks the support rule skipped, and the checks that
+failed, with their share of the checks run and its 95% Wilson interval.
+The worst cell decides, so a check's false-alarm rate is above the
+per-cell normal tail 0.27% and grows with the cells compared. Every c1
+descent ends in the busy phase, so its check is always skipped.
 
 Usage:
     python3 scripts/exit_calibration.py --seeds 200 --samples 2000
@@ -21,12 +23,8 @@ Usage:
 import argparse
 import math
 
-import numpy as np
-
 import halfstrip as hs
-
-# two-sided normal tail beyond 3 s.e.
-NORMAL_SHARE = math.erfc(3.0 / math.sqrt(2.0))
+from halfstrip.cli import _exit_check
 
 
 def wilson(k, n, z=1.96):
@@ -43,7 +41,8 @@ def models():
         gen = hs.build_retrial(lam, mu, c, hs.RetrySchedule.parse("0.3"))
         return hs.uniformize(gen, gamma=gamma)
 
-    return [("c1", retrial(0.2, 0.5, 1, gamma=1.0)), ("c8_high", retrial(1.5, 0.3, 8))]
+    return [("c1", retrial(0.2, 0.5, 1, gamma=1.0)), ("c8_high", retrial(1.5, 0.3, 8)),
+            ("c16", retrial(3.0, 0.3, 16))]
 
 
 def main():
@@ -52,30 +51,28 @@ def main():
     ap.add_argument("--samples", type=int, default=2000, help="walks per start phase")
     args = ap.parse_args()
 
-    print("model,level,estimates,samples,cells,over_3se,share,share_lo,share_hi,"
-          "checks_failed,failed_share,failed_lo,failed_hi,normal_share")
+    print("model,level,phases,estimates,samples,cells,skipped,"
+          "checks_failed,failed_share,failed_lo,failed_hi")
     for name, model in models():
-        level = model.n_prefix + 1
-        ref = hs.branching_data(model).exit_down_at(level)
-        cells = over = failed = 0
+        data = hs.branching_data(model)
+        level = max(1, data.top_reached)
+        ref = data.exit_down_at(level)
+        cells = skipped = failed = 0
+        phases = []
         for seed in range(1, args.seeds + 1):
-            est = hs.estimate_exit_probability(
-                model, level, "down", hs.ExitConfig(seed=seed, samples=args.samples))
-            worst = 0.0
-            for idx in np.ndindex(ref.shape):
-                dev, compared, _ = hs.cell_deviations(
-                    ref[idx], est.matrix[idx], est.se[idx], float(args.samples))
-                worst = max(worst, dev)
-                if compared and 0.0 < ref[idx] < 1.0:
-                    cells += 1
-                    over += dev > 1.0
-            failed += worst > 1.0
-        lo, hi = wilson(over, cells)
-        f_lo, f_hi = wilson(failed, args.seeds)
-        print(f"{name},{level},{args.seeds},{args.samples},{cells},{over},"
-              f"{over / cells if cells else math.nan:.5f},{lo:.5f},{hi:.5f},"
-              f"{failed},{failed / args.seeds:.4f},{f_lo:.4f},{f_hi:.4f},"
-              f"{NORMAL_SHARE:.5f}", flush=True)
+            checks, skips = [], []
+            _exit_check("descent-exit-vs-simulation", model, level, ref,
+                        hs.ExitConfig(seed=seed, samples=args.samples), checks, skips)
+            skipped += len(skips)
+            for check in checks:
+                cells += check["context"]["cells"]
+                failed += check["status"] == "fail"
+                phases = check["context"]["phases"]
+        run = args.seeds - skipped
+        lo, hi = wilson(failed, run)
+        print(f"{name},{level},{' '.join(map(str, phases))},{args.seeds},{args.samples},"
+              f"{cells},{skipped},{failed},{failed / run if run else math.nan:.4f},"
+              f"{lo:.4f},{hi:.4f}", flush=True)
 
 
 if __name__ == "__main__":

@@ -375,20 +375,40 @@ def _exit_check(name, model, start, reference, ecfg, checks, skipped, **context)
     downward. Appends it to ``checks``, or, when the model's support
     decides it, its name and reason to ``skipped`` without a walk.
 
-    The support decides it when the block that enters the target level (P0
-    going up, the down block of level ``start`` going down) has exactly one
-    nonzero column j and every row of ``reference`` is the unit vector e_j
-    to within 1e-9. A first passage can enter the target level only
-    through that block, so every walk that finishes lands in phase j and
-    the estimate's rows are e_j whatever the walks do. The reference is
-    e_j too, so the comparison could only measure the walks the step cap
-    cuts off, not the reference.
+    A descent walks and compares only the rows an answer reads, listed as
+    ``phases`` in its context. Every answer ``verify`` checks reads the
+    exit G_L only through U G_L, U the up block that enters level L from
+    below (P0 at L = 1; at the first tail level the tail's too, as the
+    tail root serves every tail level): the censored matrix R0 + P0 G_1
+    and the factor (I - S - U G)^-1 behind the offspring, sojourns,
+    stationary rows and decay rate. A row outside U's column support is
+    multiplied by zero wherever it is read, so no answer depends on it.
+    (rho(G) reads every row, but only for verdicts that walk nothing.)
+
+    The support decides the check when the block that enters the target
+    level (P0 going up, the down block of level ``start`` going down) has
+    exactly one nonzero column j and every compared row of ``reference`` is
+    the unit vector e_j to within 1e-9. A first passage can enter the
+    target level only through that block, so every walk that finishes
+    lands in phase j and the estimate's rows are e_j whatever the walks do.
+    The reference is e_j too, so the comparison could only measure the
+    walks the step cap cuts off, not the reference. A descent that no walk
+    enters from below has no read row and is skipped too.
     """
     if start == 0:
-        direction, target, label, block = "up", 1, "P0", model.p0
+        direction, target, label, block, phases = "up", 1, "P0", model.p0, None
     else:
         direction, target = "down", start - 1
         label, block = f"the down block of level {start}", model.block_at(start).down
+        entering = model.up[model.levels(start - 1, start + (start > model.n_prefix))]
+        phases = np.flatnonzero(entering.any(axis=(0, 1)))
+        reference = reference[phases]
+        context["phases"] = phases.tolist()
+        if not phases.size:
+            skipped.append({"name": name, "reason": (
+                f"no up block that enters level {start} has a nonzero entry: no walk "
+                f"enters it from below, so no answer reads its exit")})
+            return
     columns = np.flatnonzero(block.any(axis=0))
     if len(columns) == 1 and np.abs(reference - np.eye(model.d)[columns[0]]).max() <= 1e-9:
         j = int(columns[0])
@@ -397,7 +417,7 @@ def _exit_check(name, model, start, reference, ecfg, checks, skipped, **context)
             f"every walk that finishes enters level {target} in phase {j}, so walks could "
             f"differ from the reference only by step-cap censoring")})
         return
-    est = estimate_exit_probability(model, start, direction, ecfg)
+    est = estimate_exit_probability(model, start, direction, ecfg, phases=phases)
     checks.append(_cell_check(name, reference, est.matrix, est.se, ecfg.samples,
                               samples=ecfg.samples, censored=int(est.censored.sum()),
                               **context))

@@ -551,6 +551,23 @@ def _level_stacks(doc, d, boundary, fields):
             for (key, _), kind in zip(fields, zip(*blocks))]
 
 
+def _refuse_unknown_fields(doc, flavor):
+    """Raise ModelFormatError naming the first field, in sorted order, that a
+    ``flavor`` document or its levels (already parsed as objects) do not
+    have: a misspelled field would otherwise be ignored, its default read."""
+    boundary, fields = _CODEC[flavor]
+    rate = flavor is GeneratorModel
+    kind = "a rate document" if rate else "a chain document (no 'type')"
+    known = {"d", "prefix", "tail", *(f"{key}0" for key in boundary),
+             *(("type", "gamma") if rate else ())}
+    keys = {key for key, _ in fields}
+    used = set().union(*doc.get("prefix", []), doc["tail"])  # by any level
+    for where, extra, allowed in (("", set(doc) - known, known), ("level ", used - keys, keys)):
+        if extra:
+            raise ModelFormatError(f"unknown {where}field {min(extra)!r}: {kind} has the "
+                                   f"{where}fields {', '.join(sorted(allowed))}")
+
+
 def model_from_dict(doc):
     """Build a model from the JSON document shape; see model_to_dict."""
     if not isinstance(doc, dict):
@@ -566,6 +583,7 @@ def model_from_dict(doc):
         raise ModelFormatError(f"field 'type' must be absent or 'generator', got {doc['type']!r}")
     flavor = GeneratorModel if "type" in doc else QbdModel
     levels = _level_stacks(doc, d, *_CODEC[flavor])
+    _refuse_unknown_fields(doc, flavor)
     if flavor is QbdModel:
         return QbdModel._of(d, levels)
     gamma = doc.get("gamma")

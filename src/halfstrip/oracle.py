@@ -145,10 +145,15 @@ class SimStats:
         return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in items}
 
 
-def _rep_streams(seed, count, prefix=()):
-    root = np.random.SeedSequence(entropy=seed, spawn_key=tuple(prefix))
-    return [np.random.Generator(np.random.Philox(child))
-            for child in root.spawn(count)]
+def _rep_streams(seed, children, prefix=()):
+    """One Philox generator per child of the seed's ``prefix`` node: children
+    0..children - 1 when ``children`` is an int, else the listed ones. A
+    child's stream, keyed (*prefix, child), does not depend on which others
+    are made."""
+    if isinstance(children, int):
+        children = range(children)
+    return [np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=seed, spawn_key=(*prefix, int(k))))) for k in children]
 
 
 class _StepTable(NamedTuple):
@@ -454,9 +459,10 @@ class ExitConfig:
 class ExitEstimate:
     """Empirical first-passage phase distribution with binomial errors.
 
-    matrix[i, j] estimates the probability that a walk from (level, i)
-    first enters the neighbor level at phase j; rows can sum below 1 if
-    some walks never crossed within the step cap (counted in censored).
+    matrix[k, j] estimates the probability that a walk from
+    (level, phases[k]) first enters the neighbor level at phase j; rows can
+    sum below 1 if some walks never crossed within the step cap (counted in
+    censored, one entry per walked phase).
     """
 
     level: int
@@ -465,17 +471,20 @@ class ExitEstimate:
     se: np.ndarray
     samples: int
     censored: np.ndarray
+    phases: list
 
 
-def estimate_exit_probability(model, level, direction, config):
-    """Monte Carlo estimate of an exit-probability matrix.
+def estimate_exit_probability(model, level, direction, config, phases=None):
+    """Monte Carlo estimate of the rows ``phases`` (default: all, in order)
+    of an exit-probability matrix.
 
     direction "up" records the phase of first entry into level+1 (the walk
     reflects at 0 as usual); "down" records first entry into level-1 and
-    needs level >= 1. config.samples walks start at (level, phase) for
-    each phase, and all of them step together, each start phase drawing
-    from its own stream. Streams are keyed by (seed, level, direction, start phase), so the
-    estimate is deterministic given the config.
+    needs level >= 1. config.samples walks start at (level, p) for each
+    walked phase p, and all of them step together, each start phase drawing
+    from its own stream. Streams are keyed by (seed, level, direction, start
+    phase), so the estimate is deterministic given the config, and each
+    walked row equals the all-phase estimate's row bit for bit.
 
     The walks step on the jump chain (``_jump_rows``): the first-passage
     phase depends only on the sequence of states visited, so dropping
@@ -488,15 +497,19 @@ def estimate_exit_probability(model, level, direction, config):
     if direction == "down" and level < 1:
         raise ValueError("downward exit needs level >= 1")
     d = model.d
+    phases = list(range(d)) if phases is None else sorted({int(p) for p in phases})
+    if phases and not 0 <= phases[0] <= phases[-1] < d:
+        raise ValueError(f"phases must lie in 0..{d - 1}")
+    rows = len(phases)
     target = level + 1 if direction == "up" else level - 1
     table = _step_table(model, jump=True)
-    gens = _rep_streams(config.seed, d,
+    gens = _rep_streams(config.seed, phases,
                         prefix=(int(level), 0 if direction == "up" else 1))
-    # walkers sorted by start phase: each step, phase p's stream gives one
-    # uniform to each of its active[p] walkers still out, in the order
-    # they stand, so a walker's start phase follows from its place
-    active = [config.samples] * d
-    code = np.repeat(level * d + np.arange(d), config.samples)
+    # walkers sorted by start phase: each step, the k-th walked phase's
+    # stream gives one uniform to each of its active[k] walkers still out,
+    # in the order they stand, so a walker's start row follows from its place
+    active = [config.samples] * rows
+    code = np.repeat(level * d + np.array(phases, dtype=np.int64), config.samples)
     entry = target * d  # code of phase 0 on the target level
     arrivals = [code[:0]]
     steps = 0
@@ -504,7 +517,7 @@ def estimate_exit_probability(model, level, direction, config):
         if steps % COVER_STEPS == 0:
             # a walker climbs at most one level a step
             table = _cover(table, int(code.max()) // d + COVER_STEPS)
-        u = np.concatenate([gens[p].random(n) for p, n in enumerate(active) if n])
+        u = np.concatenate([gens[k].random(n) for k, n in enumerate(active) if n])
         code = _step(table, code, u)
         done = code >= entry if direction == "up" else code < entry + d
         if np.any(done):
@@ -512,12 +525,12 @@ def estimate_exit_probability(model, level, direction, config):
             start = np.searchsorted(np.cumsum(active), at, side="right")
             arrivals.append(start * d + code[at] - entry)
             active = [n - f for n, f in
-                      zip(active, np.bincount(start, minlength=d).tolist())]
+                      zip(active, np.bincount(start, minlength=rows).tolist())]
             code = code[~done]
         steps += 1
-    counts = np.bincount(np.concatenate(arrivals), minlength=d * d).reshape(d, d)
-    censored = np.array(active)
+    counts = np.bincount(np.concatenate(arrivals), minlength=rows * d).reshape(rows, d)
+    censored = np.array(active, dtype=np.int64)
     p_hat = counts / config.samples
     se = np.sqrt(p_hat * (1.0 - p_hat) / config.samples)
     return ExitEstimate(level=level, direction=direction, matrix=p_hat,
-                        se=se, samples=config.samples, censored=censored)
+                        se=se, samples=config.samples, censored=censored, phases=phases)

@@ -353,6 +353,7 @@ MALFORMED_DOCS = [
     (False, "tail", 5), (False, "d", 2.5), (False, "d", "2"), (False, "d", True),
     (False, "type", "weird"),
     (True, "gamma", math.inf), (True, "gamma", math.nan), (True, "gamma", "x"),
+    (False, "gamma", 1.0), (False, "extra", 1), (True, "gama", 2.0),
 ]
 
 
@@ -362,8 +363,9 @@ def test_malformed_model_document_exit_1(tmp_path, generator, key, value):
     """A document of the retrial example (its chain, or its rate model for
     gamma) with one field malformed is refused as a malformed model file,
     exit 1 without a traceback: a prefix that is not a list of objects, a
-    tail that is not an object, a d that is not an integer, an unknown type
-    and a gamma that is not a positive finite number."""
+    tail that is not an object, a d that is not an integer, an unknown type,
+    a gamma that is not a positive finite number, and a field the document's
+    flavor does not have (a chain's gamma, a misspelled one)."""
     gen = hs.build_retrial(0.2, 0.5, 1, hs.RetrySchedule.parse("0.3"))
     doc = hs.model_to_dict(gen if generator else hs.uniformize(gen))
     doc[key] = value
@@ -504,14 +506,18 @@ EXIT_CHECKS = VERIFY_CHECKS[-2:]
 
 
 class _CountingExits:
-    """Stands in for ``estimate_exit_probability``, counting its calls."""
+    """Stands in for ``estimate_exit_probability``, counting its calls and
+    recording the start phases each one walked."""
 
     def __init__(self):
         self.calls = []
+        self.rows = []
 
-    def __call__(self, model, level, direction, config):
+    def __call__(self, model, level, direction, config, phases=None):
         self.calls.append((level, direction))
-        return hs.estimate_exit_probability(model, level, direction, config)
+        est = hs.estimate_exit_probability(model, level, direction, config, phases=phases)
+        self.rows.append(est.phases)
+        return est
 
 
 def test_verify_deterministic_and_green(model_files, monkeypatch):
@@ -555,7 +561,9 @@ def test_verify_full_support_model_runs_every_check(tmp_path, monkeypatch):
                               "--cycles", "5000", "--samples", "2000"])
     assert code == 0, err
     assert walks.calls == [(0, "up"), (3, "down")]  # the first tail level
+    assert walks.rows == [[0, 1], [0, 1]]
     report = json.loads(out)
+    assert report["checks"][-1]["context"]["phases"] == [0, 1]
     assert [c["name"] for c in report["checks"]] == VERIFY_CHECKS
     assert all(c["status"] == "pass" for c in report["checks"])
     assert report["results"]["checks_passed"] == len(VERIFY_CHECKS)
@@ -594,6 +602,49 @@ def test_verify_skips_the_exit_checks_the_support_decides(tmp_path, monkeypatch,
     assert report["results"]["checks_total"] == len(names)
 
 
+@pytest.mark.parametrize("arrival, service, servers", [(0.4, 0.3, 3), (0.3, 0.3, 4),
+                                                       (1.5, 0.3, 8)])
+def test_verify_descent_walks_only_the_all_busy_row(tmp_path, monkeypatch,
+                                                    arrival, service, servers):
+    """P0 and the up blocks of a retrial model have one nonzero column, the
+    all-busy phase c, so the descent from level 1 walks and compares that
+    row alone and names it in its context; the other c rows are read by no
+    answer."""
+    path = tmp_path / "retrial.json"
+    hs.save_model(retrial_model(arrival, service, servers), path)
+    walks = _CountingExits()
+    monkeypatch.setattr(hs.cli, "estimate_exit_probability", walks)
+    code, out, err = run_cli(["verify", str(path), "--seed", "1",
+                              "--cycles", "2000", "--samples", "500"])
+    assert code == 0, err
+    assert (walks.calls, walks.rows) == ([(1, "down")], [[servers]])
+    check = json.loads(out)["checks"][-1]
+    assert check["name"] == EXIT_CHECKS[1]
+    assert check["context"]["phases"] == [servers]
+    assert check["context"]["cells"] + check["context"]["cells_skipped_rare"] == servers + 1
+
+
+def test_descent_at_the_first_tail_level_reads_the_tail_up_block_too():
+    """The tail root serves every tail level, so at the first tail level
+    the rows read are those the last prefix up block or the tail's up block
+    enters; at a prefix level, those its entering up block enters."""
+    def triple(up_col):
+        up = np.zeros((2, 2))
+        up[:, up_col] = 0.2
+        return hs.BlockTriple(up=up, down=np.full((2, 2), 0.15), stay=np.full((2, 2), 0.25))
+
+    p0 = np.zeros((2, 2))
+    p0[:, 0] = 0.3
+    model = hs.QbdModel(d=2, r0=np.full((2, 2), 0.35), p0=p0, prefix=(triple(0),),
+                        tail=triple(1))
+    data = hs.branching_data(model)
+    cfg = hs.ExitConfig(seed=1, samples=200)
+    checks = []
+    for level, phases in ((1, [0]), (2, [0, 1])):
+        hs.cli._exit_check("descent", model, level, data.exit_down_at(level), cfg, checks, [])
+        assert checks[-1]["context"]["phases"] == phases
+
+
 def test_verify_runs_and_fails_a_boundary_reference_off_its_unit_row(model_files,
                                                                       monkeypatch):
     """Moving 1e-3 of one boundary-exit row to another column breaks the
@@ -618,18 +669,24 @@ def test_verify_runs_and_fails_a_boundary_reference_off_its_unit_row(model_files
 
 
 def test_verify_runs_and_fails_a_scaled_descent_reference(retrial_c1):
-    """A descent reference row scaled by 0.99 breaks the support rule: the
-    check walks and, at 10^5 walks per phase, fails; the unit reference
-    is skipped."""
+    """A descent reference whose read row, the busy phase 1 that P0 enters,
+    is scaled by 0.99 breaks the support rule: the check walks that row
+    and, at 10^5 walks, fails. The unit reference is skipped, and so is
+    the same defect in row 0: no walk enters level 1 in the idle phase, so
+    no answer reads that row, and the row compared is still e_1."""
     reference = hs.branching_data(retrial_c1).exit_down_at(1)
     cfg = hs.ExitConfig(seed=1, samples=100_000)
     checks, skipped = [], []
-    hs.cli._exit_check("descent", retrial_c1, 1, reference, cfg, checks, skipped)
-    assert (checks, [c["name"] for c in skipped]) == ([], ["descent"])
-    scaled = reference * np.array([[0.99], [1.0]])
+    for rows in ([1.0, 1.0], [0.99, 1.0]):
+        hs.cli._exit_check("descent", retrial_c1, 1, reference * np.array(rows)[:, None],
+                           cfg, checks, skipped)
+        assert (checks, skipped[-1]["name"]) == ([], "descent")
+    assert "every reference row is e_1" in skipped[-1]["reason"]
+    scaled = reference * np.array([[1.0], [0.99]])
     hs.cli._exit_check("descent", retrial_c1, 1, scaled, cfg, checks, skipped)
     check, = checks
     assert (check["status"], check["context"]["censored"]) == ("fail", 0)
+    assert check["context"]["phases"] == [1]
 
 
 def test_verify_fails_an_upward_exit_off_the_stochastic_matrices(model_files, monkeypatch):
@@ -759,6 +816,26 @@ def test_verify_refused_boundary_exit_fails_without_walking(tmp_path, monkeypatc
     assert checks["ascent-exit-stochastic"]["status"] == "pass"
     boundary = checks["boundary-exit-vs-simulation"]
     assert (boundary["status"], boundary["context"]) == ("fail", {"refusal": refusal})
+
+
+def test_verify_skips_a_descent_no_walk_enters(tmp_path, monkeypatch):
+    """With P0 = 0 no walk leaves layer 0, so no answer reads the exit of
+    level 1 and its descent check is skipped with that reason; walkers from
+    layer 0 never rise either, so the boundary check fails without a walk."""
+    level = hs.BlockTriple(up=np.full((2, 2), 0.1), down=np.full((2, 2), 0.2),
+                           stay=np.full((2, 2), 0.2))
+    path = tmp_path / "closed.json"
+    hs.save_model(hs.QbdModel(d=2, r0=np.full((2, 2), 0.5), p0=np.zeros((2, 2)),
+                              prefix=(level,), tail=level), path)
+    walks = _CountingExits()
+    monkeypatch.setattr(hs.cli, "estimate_exit_probability", walks)
+    code, out, err = run_cli(["verify", str(path), "--seed", "1", "--cycles", "500"])
+    assert (code, err, walks.calls) == (5, "", [])
+    report = json.loads(out)
+    skipped, = report["results"]["skipped_checks"]
+    assert skipped["name"] == EXIT_CHECKS[1]
+    assert "no walk enters it from below" in skipped["reason"]
+    assert [c["name"] for c in report["checks"] if c["status"] == "fail"] == EXIT_CHECKS[:1]
 
 
 def test_nilpotent_tail_offspring_model(tmp_path):

@@ -425,6 +425,39 @@ def test_malformed_document_structure_is_refused(key, value, message):
     assert str(exc.value) == message
 
 
+CHAIN_FIELDS = "d, p0, prefix, r0, tail"
+RATE_FIELDS = "a0, b0, d, gamma, prefix, tail, type"
+UNKNOWN = [
+    (False, None, "gamma", f"unknown field 'gamma': a chain document (no 'type') has "
+                           f"the fields {CHAIN_FIELDS}"),
+    (False, None, "extra", f"unknown field 'extra': a chain document (no 'type') has "
+                           f"the fields {CHAIN_FIELDS}"),
+    (True, None, "gama", f"unknown field 'gama': a rate document has the fields {RATE_FIELDS}"),
+    (True, None, "r0", f"unknown field 'r0': a rate document has the fields {RATE_FIELDS}"),
+    (False, "tail", "s", "unknown level field 's': a chain document (no 'type') has the "
+                         "level fields p, q, r"),
+    (True, 2, "p", "unknown level field 'p': a rate document has the level fields a, b, c"),
+]
+
+
+@pytest.mark.parametrize("generator, level, key, message", UNKNOWN,
+                         ids=[f"{level}.{key}" for _, level, key, _ in UNKNOWN])
+def test_unknown_fields_are_refused(generator, level, key, message):
+    """A field the document's flavor does not have, at the top or in a
+    level, is refused by name: a misspelled gamma would otherwise leave the
+    default gamma in force, and a chain document never reads one. Every
+    document ``model_to_dict`` writes still reads back to itself."""
+    gen = hs.build_retrial(0.2, 0.5, 1, hs.RetrySchedule.parse("0.3"), prefix_levels=3)
+    model = gen if generator else hs.uniformize(gen)
+    doc = hs.model_to_dict(model)
+    assert hs.model_to_dict(hs.model_from_dict(doc)) == doc
+    where = {None: doc, "tail": doc["tail"]}.get(level) or doc["prefix"][level - 1]
+    where[key] = [[0.0]]
+    with pytest.raises(ModelFormatError) as exc:
+        hs.model_from_dict(doc)
+    assert str(exc.value) == message
+
+
 def test_integral_d_forms_are_read():
     """d may be written as an integral float, or be a numpy integer when a
     document is built in Python."""

@@ -493,6 +493,32 @@ def test_exit_estimate_matches_per_phase_reference():
     assert stuck.censored[0] == 300 and stuck.matrix[0].sum() == 0.0
 
 
+def test_exit_estimate_rows_match_the_all_phase_estimate():
+    """Walking only some start phases gives the all-phase estimate's rows
+    for them bit for bit, censored walks included, since each start phase
+    draws from its own stream; the phases come back sorted and distinct,
+    and none walked gives an empty estimate."""
+    cases = [(m, 10**6) for m in _step_models()] + [(_self_loop_model(), 40)]
+    for model, max_steps in cases:
+        d = model.d
+        for level, direction in ((0, "up"), (model.n_prefix + 1, "down")):
+            cfg = hs.ExitConfig(seed=23, samples=300, max_steps=max_steps)
+            full = hs.estimate_exit_probability(model, level, direction, cfg)
+            assert full.phases == list(range(d))
+            for phases in ([d - 1], [0], [d - 1, 0, d - 1], range(0, d, 2), []):
+                part = hs.estimate_exit_probability(model, level, direction, cfg,
+                                                    phases=phases)
+                assert part.phases == sorted(set(phases))
+                assert np.array_equal(part.matrix, full.matrix[part.phases])
+                assert np.array_equal(part.se, full.se[part.phases])
+                assert part.censored.tolist() == full.censored[part.phases].tolist()
+                assert part.matrix.shape == (len(part.phases), d)
+    for bad in ([-1], [2]):
+        with pytest.raises(ValueError, match="phases"):
+            hs.estimate_exit_probability(_self_loop_model(), 1, "down",
+                                         hs.ExitConfig(seed=1, samples=10), phases=bad)
+
+
 def test_descent_on_a_drift_up_tail_covers_only_what_it_reaches(monkeypatch):
     """A descent on a tail drifting up, where most walkers climb until the
     step cap censors them, matches the per-phase reference count for

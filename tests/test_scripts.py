@@ -111,23 +111,26 @@ def test_report_digests_against_a_checkout_prints_only_differences(tmp_path):
 
 
 def test_exit_calibration_counts_cells_per_model():
-    """Two seeds at 200 walks per phase: one row per model, c1's exits are
-    all 0 or 1 and compare no cell, c8_high compares some, and the shares
-    agree with their counts."""
+    """Two seeds at 200 walks per phase, checked as verify checks them: one
+    row per model, c1's check is skipped by the support rule, and c8_high
+    and c16 walk and compare only the all-busy row read by an answer."""
     env = dict(os.environ, PYTHONPATH="src")
     proc = subprocess.run(
         [sys.executable, "scripts/exit_calibration.py", "--seeds", "2", "--samples", "200"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     rows = {row["model"]: row for row in csv.DictReader(io.StringIO(proc.stdout))}
-    assert list(rows) == ["c1", "c8_high"]
-    assert rows["c1"]["cells"] == "0" and rows["c1"]["checks_failed"] == "0"
-    row = rows["c8_high"]
-    assert (row["estimates"], row["samples"]) == ("2", "200")
-    cells, over = int(row["cells"]), int(row["over_3se"])
-    assert 0 < cells <= 2 * 81 and 0 <= over <= cells
-    assert float(row["share"]) == pytest.approx(over / cells, abs=1e-5)
-    assert float(row["share_lo"]) <= float(row["share"]) <= float(row["share_hi"])
+    assert list(rows) == ["c1", "c8_high", "c16"]
+    c1 = rows["c1"]
+    assert (c1["phases"], c1["cells"], c1["skipped"], c1["checks_failed"]) == ("", "0", "2", "0")
+    for name, servers in (("c8_high", 8), ("c16", 16)):
+        row = rows[name]
+        assert (row["level"], row["phases"], row["skipped"]) == ("1", str(servers), "0")
+        assert (row["estimates"], row["samples"]) == ("2", "200")
+        failed = int(row["checks_failed"])
+        assert 0 < int(row["cells"]) <= 2 * (servers + 1) and 0 <= failed <= 2
+        assert float(row["failed_share"]) == pytest.approx(failed / 2, abs=1e-4)
+        assert float(row["failed_lo"]) <= float(row["failed_share"]) <= float(row["failed_hi"])
 
 
 # two workloads of a ``perfbench/run.py --workload all`` output, trimmed

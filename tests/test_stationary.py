@@ -274,6 +274,40 @@ def test_prefix_checks_over_the_stacks_are_bit_for_bit():
         assert hs.matrix_product_check(data, res) == dev
         assert hs.balance_residual(model, res) == total
 
+@pytest.mark.parametrize("arrival, service, servers", [(0.4, 0.3, 3), (1.5, 0.3, 8)])
+def test_answers_read_only_the_exit_rows_an_up_block_enters(monkeypatch, arrival, service,
+                                                           servers):
+    """Answers read the tail root G only through P0 G and U G, which weigh
+    its rows by the column supports of P0 and the up blocks: on a retrial
+    model, the all-busy row alone. Permuting the other rows of G changes
+    G, and leaves the verdict, the stationary rows, the normalizer and the
+    decay rate bit for bit; so verify's descent walks only read rows."""
+    model = retrial_model(arrival, service, servers)
+    unread = np.flatnonzero(~model.up.any(axis=(0, 1)))
+    assert unread.tolist() == list(range(servers))
+    solve = hs.branching.exit_down_tail
+
+    def permuted(tail, tol=hs.branching.DEFAULT_TOL):
+        root, info = solve(tail, tol=tol)
+        root = root.copy()
+        root[unread] = root[np.roll(unread, 1)]
+        return root, info
+
+    def answers():
+        data = hs.branching_data(model)
+        result = hs.stationary_dist(data)
+        return data.exit_down[-1], (hs.classify(data).verdict, result.nu.tobytes(),
+                                    result.normalizer, result.decay_rate,
+                                    hs.decay_rate(data).rate)
+
+    root, want = answers()
+    monkeypatch.setattr(hs.branching, "exit_down_tail", permuted)
+    moved, got = answers()
+    assert not np.array_equal(moved, root)
+    assert np.array_equal(moved[servers], root[servers])
+    assert got == want
+
+
 def test_stationary_matches_censored_chain(retrial_c2):
     """The boundary rows of the stationary vector, renormalized, equal the
     stationary vector of the censored boundary chain."""
