@@ -503,7 +503,13 @@ def _cmd_verify(args):
 
     ecfg = ExitConfig(seed=args.seed, samples=args.samples)
     skipped = []
-    if exits:
+    if not model.p0.any():
+        # no walk leaves layer 0, so every answer reads R0 alone there, and
+        # walks from layer 0 could only run to the step cap
+        skipped.append({"name": "boundary-exit-vs-simulation", "reason": (
+            "P0 has no nonzero entry: no walk rises from layer 0, so no answer reads "
+            "an upward exit")})
+    elif exits:
         _exit_check("boundary-exit-vs-simulation", model, 0, exits[0], ecfg, checks, skipped)
     else:
         # a walker in a phase that never rises would run to the step cap

@@ -19,11 +19,14 @@ from .linalg import invert, stationary_left_vector
 from .model import _step_rows
 
 # uniforms one simulator refill draws, split evenly over the replications
-UNIFORM_BUFFER = 2**19
+UNIFORM_BUFFER = 2**16
 # most steps a simulator segment takes before its cycle bookkeeping
 SEGMENT_STEPS = 256
 # steps exit walks take between extensions of their table
 COVER_STEPS = 16
+# most entries a step table holds in its dense layout; a larger one is
+# run-length, which needs memory only in proportion to its kept outcomes
+DENSE_ENTRIES = 2**20
 
 
 class MaxStepsExceededError(Exception):
@@ -157,28 +160,45 @@ def _rep_streams(seed, children, prefix=()):
 
 
 class _StepTable(NamedTuple):
-    """Compressed sampling table for levels 0..n_prefix+1.
+    """Ranked sampling table for the levels it covers.
 
-    A walker is one code x = level * d + phase. State x keeps, in order,
+    A walker stands on code x = level * d + phase. State x keeps, in order,
     those of its 3d outcomes [down phases | stay phases | up phases] that
     have positive probability, plus the last one, whose cumulative
-    probability is forced to 1 so a uniform in [0, 1) always lands;
-    repeats of it pad the row. For the j-th kept outcome, ``cum[j, x]`` is
-    its cumulative probability in the full row, stored for all but the
-    last, whose 1 no uniform passes, and ``move`` at j * n_states + x is
-    the change of code it makes: d times its level change plus its phase
-    change. Every deeper level has the blocks of level n_prefix + 1, so
-    ``_cover`` extends the table by repeats of that level's columns.
+    probability is forced to 1 so a uniform in [0, 1) always lands. The
+    first full-row outcome whose cumulative value reaches u > 0 is positive
+    or the last, so it is kept and a draw lands on the same outcome as on
+    the full row; u = 0.0 lands on the first positive outcome, never on an
+    impossible move.
 
-    The first full-row outcome whose cumulative value reaches u > 0 is
-    positive or the last, so it is kept and a draw lands on the same
-    outcome as on the full row; u = 0.0 lands on the first positive
-    outcome, never on an impossible move.
+    ``cuts`` holds the distinct cumulative values of the kept outcomes but
+    the last, sorted, and a uniform's rank is b = #(cuts < u). A cut c
+    passes u (c < u) exactly when its index in ``cuts`` is below b, so the
+    outcome a draw lands on depends on u only through b, and ranking loses
+    nothing. Kept outcome j of state x takes the ranks up to ``last[x, j]``
+    above those of the outcomes before it, and ``move[x, j]`` is its change
+    of code: d times its level change plus its phase change.
+
+    A walker is held as y = x * stride (stride = len(cuts) + 1), and
+    ``_advance`` looks its next y up at y + b. The dense layout (``keys`` is
+    None) stores that next y for every rank, states * stride entries in
+    ``nxt``; above DENSE_ENTRIES entries the table is run-length instead,
+    one entry per kept outcome: the next y of y + b is ``nxt[i]`` for the
+    first i with ``keys[i] >= y + b``, keys[i] = y + last[x, j]. Every
+    deeper level has the blocks of the top stored level, so ``_cover``
+    extends the table by repeats of its rows.
     """
 
-    cum: np.ndarray
+    cuts: np.ndarray
+    last: np.ndarray
     move: np.ndarray
+    nxt: np.ndarray
+    keys: np.ndarray | None
     d: int
+
+    @property
+    def stride(self):
+        return len(self.cuts) + 1
 
 
 def _jump_rows(rows):
@@ -194,46 +214,63 @@ def _jump_rows(rows):
 
 
 def _step_table(model, jump=False):
-    """The compressed table of ``model``, or with ``jump`` of its jump
-    chain (``_jump_rows``)."""
+    """The ranked table of ``model``, or with ``jump`` of its jump chain
+    (``_jump_rows``)."""
     rows = _step_rows(model)
     if jump:
         rows = _jump_rows(rows)
     _, d, outcomes = rows.shape
     rows = rows.reshape(-1, outcomes)
-    cum = np.cumsum(rows, axis=1)
+    # no uniform reaches 1, so clipping there moves no draw and keeps each
+    # row's values nondecreasing up to its forced last 1
+    cum = np.minimum(np.cumsum(rows, axis=1), 1.0)
     cum[:, -1] = 1.0
     keep = rows > 0
     keep[:, -1] = True
     width = int(keep.sum(axis=1).max())
     # kept columns in order, padded by repeats of the last one
     cols = np.sort(np.where(keep, np.arange(outcomes), outcomes - 1), axis=1)[:, :width]
-    packed = np.take_along_axis(cum, cols, axis=1)
+    bounds = np.take_along_axis(cum, cols[:, :-1], axis=1)
+    cuts = np.unique(bounds)
+    last = np.hstack([cuts.searchsorted(bounds), np.full((len(cols), 1), len(cuts))])
     # outcome column c of phase p's row moves to level + c // d - 1, phase c % d
-    move = cols - d - np.arange(cols.shape[0])[:, None] % d
-    return _StepTable(cum=np.ascontiguousarray(packed[:, :-1].T), move=move.T.ravel(), d=d)
+    move = cols - d - np.arange(len(cols))[:, None] % d
+    return _lookup(cuts, last, move, d)
+
+
+def _lookup(cuts, last, move, d):
+    """The table with these cuts, rank ends and moves, in the dense layout
+    when it has at most DENSE_ENTRIES entries and run-length otherwise."""
+    states, stride = len(last), len(cuts) + 1
+    y = np.arange(states)[:, None] * stride
+    nxt = (y + move * stride).ravel()
+    if states * stride <= DENSE_ENTRIES:
+        # outcome j serves the last[x, j] - last[x, j - 1] ranks after j - 1's
+        return _StepTable(cuts, last, move, np.repeat(nxt, np.diff(last, prepend=-1).ravel()),
+                          None, d)
+    return _StepTable(cuts, last, move, nxt, (y + last).ravel(), d)
 
 
 def _cover(table, level):
     """``table`` if it stores ``level``, else a copy that repeats its top
-    level's columns through at least ``level``, at least doubling its levels
-    so that a run copies it O(log) times."""
-    states, d = table.cum.shape[1], table.d
-    stored = states // d
+    level's rows through at least ``level``, at least doubling its levels
+    so that a run builds it O(log) times."""
+    d = table.d
+    stored = len(table.last) // d
     if level < stored:
         return table
     more = max(level + 1, 2 * stored) - stored
-    move = table.move.reshape(-1, states)
-    return _StepTable(cum=np.hstack([table.cum, np.tile(table.cum[:, -d:], more)]),
-                      move=np.hstack([move, np.tile(move[:, -d:], more)]).ravel(), d=d)
+    last, move = (np.vstack([a, np.tile(a[-d:], (more, 1))]) for a in (table.last, table.move))
+    return _lookup(table.cuts, last, move, d)
 
 
-def _step(table, code, u):
-    """One step of each walker at code x = level * d + phase driven by its
-    uniform u; returns the new codes. Every walker must stand on a level
-    the table stores (``_cover``)."""
-    k = (table.cum.take(code, axis=1) < u).sum(axis=0)
-    return code + table.move.take(k * table.cum.shape[1] + code)
+def _advance(table, y, b):
+    """The next y = code * stride of each walker at y whose uniform has
+    rank b. Every walker must stand on a level the table stores
+    (``_cover``)."""
+    if table.keys is None:
+        return table.nxt.take(y + b)
+    return table.nxt.take(table.keys.searchsorted(y + b))
 
 
 def simulate(model, config=None):
@@ -255,9 +292,10 @@ def simulate(model, config=None):
     and then derives its arrivals, cycle lengths, visits and restarts in
     one pass; steps past a replication's last needed arrival are dropped.
     Before a segment the step table is extended (``_cover``) to every
-    level it can reach. Each replication's k-th step reads the k-th uniform
-    of its stream however steps are grouped, so the statistics equal
-    per-step bookkeeping's bit for bit.
+    level it can reach, and the segment's uniforms are ranked at once, so
+    each step is one table lookup (``_StepTable``). Each replication's k-th
+    step reads the k-th uniform of its stream however steps are grouped,
+    so the statistics equal per-step bookkeeping's bit for bit.
     """
     if config is None:
         raise ValueError("a SimConfig with an explicit seed is required")
@@ -299,18 +337,19 @@ def simulate(model, config=None):
         # grows overlong before the segment's last step
         seg = min(buf.shape[1] - ptr, SEGMENT_STEPS, budget - steps,
                   config.max_steps + 1 - int(cyc_len[act].max()))
-        u = np.ascontiguousarray(buf[act, ptr:ptr + seg].T)
+        rank = table.cuts.searchsorted(buf[act, ptr:ptr + seg].T)
         ptr += seg
         steps += seg
 
         # stepping: codes[j] is each replication's code after j steps of
         # the segment
-        codes = np.empty((seg + 1, act.size), dtype=np.int64)
-        codes[0] = x = code[act]
+        x = code[act]
         table = _cover(table, int(x.max()) // d + seg)  # one level a step at most
+        ys = np.empty((seg + 1, act.size), dtype=np.int64)
+        ys[0] = y = x * table.stride
         for j in range(seg):
-            x = _step(table, x, u[j])
-            codes[j + 1] = x
+            ys[j + 1] = y = _advance(table, y, rank[j])
+        codes = ys // table.stride
 
         # bookkeeping; step j of the segment leaves the state in row j - 1;
         # on layer 0 a code is the phase
@@ -509,24 +548,27 @@ def estimate_exit_probability(model, level, direction, config, phases=None):
     # stream gives one uniform to each of its active[k] walkers still out,
     # in the order they stand, so a walker's start row follows from its place
     active = [config.samples] * rows
-    code = np.repeat(level * d + np.array(phases, dtype=np.int64), config.samples)
-    entry = target * d  # code of phase 0 on the target level
-    arrivals = [code[:0]]
+    # a walker at code x is held as y = x * stride (``_StepTable``)
+    level_span = d * table.stride
+    y = np.repeat(level * level_span + np.array(phases, dtype=np.int64) * table.stride,
+                  config.samples)
+    entry = target * level_span  # y of phase 0 on the target level
+    arrivals = [y[:0]]
     steps = 0
-    while code.size and steps < config.max_steps:
+    while y.size and steps < config.max_steps:
         if steps % COVER_STEPS == 0:
             # a walker climbs at most one level a step
-            table = _cover(table, int(code.max()) // d + COVER_STEPS)
+            table = _cover(table, int(y.max()) // level_span + COVER_STEPS)
         u = np.concatenate([gens[k].random(n) for k, n in enumerate(active) if n])
-        code = _step(table, code, u)
-        done = code >= entry if direction == "up" else code < entry + d
+        y = _advance(table, y, table.cuts.searchsorted(u))
+        done = y >= entry if direction == "up" else y < entry + level_span
         if np.any(done):
             at = np.flatnonzero(done)
             start = np.searchsorted(np.cumsum(active), at, side="right")
-            arrivals.append(start * d + code[at] - entry)
+            arrivals.append(start * d + (y[at] - entry) // table.stride)
             active = [n - f for n, f in
                       zip(active, np.bincount(start, minlength=rows).tolist())]
-            code = code[~done]
+            y = y[~done]
         steps += 1
     counts = np.bincount(np.concatenate(arrivals), minlength=rows * d).reshape(rows, d)
     censored = np.array(active, dtype=np.int64)

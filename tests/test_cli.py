@@ -821,7 +821,8 @@ def test_verify_refused_boundary_exit_fails_without_walking(tmp_path, monkeypatc
 def test_verify_skips_a_descent_no_walk_enters(tmp_path, monkeypatch):
     """With P0 = 0 no walk leaves layer 0, so no answer reads the exit of
     level 1 and its descent check is skipped with that reason; walkers from
-    layer 0 never rise either, so the boundary check fails without a walk."""
+    layer 0 never rise either, so no answer reads an upward exit and the
+    boundary check is skipped too, without a walk."""
     level = hs.BlockTriple(up=np.full((2, 2), 0.1), down=np.full((2, 2), 0.2),
                            stay=np.full((2, 2), 0.2))
     path = tmp_path / "closed.json"
@@ -830,12 +831,13 @@ def test_verify_skips_a_descent_no_walk_enters(tmp_path, monkeypatch):
     walks = _CountingExits()
     monkeypatch.setattr(hs.cli, "estimate_exit_probability", walks)
     code, out, err = run_cli(["verify", str(path), "--seed", "1", "--cycles", "500"])
-    assert (code, err, walks.calls) == (5, "", [])
+    assert (code, err, walks.calls) == (0, "", [])
     report = json.loads(out)
-    skipped, = report["results"]["skipped_checks"]
-    assert skipped["name"] == EXIT_CHECKS[1]
-    assert "no walk enters it from below" in skipped["reason"]
-    assert [c["name"] for c in report["checks"] if c["status"] == "fail"] == EXIT_CHECKS[:1]
+    boundary, descent = report["results"]["skipped_checks"]
+    assert [boundary["name"], descent["name"]] == EXIT_CHECKS
+    assert "no walk rises from layer 0" in boundary["reason"]
+    assert "no walk enters it from below" in descent["reason"]
+    assert all(c["status"] == "pass" for c in report["checks"])
 
 
 def test_nilpotent_tail_offspring_model(tmp_path):

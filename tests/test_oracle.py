@@ -291,6 +291,12 @@ def test_simulate_matches_per_step_reference(d1_pos, d1_null, monkeypatch):
         seen["retired"] += got.cycles < cfg.cycles
         seen["climbed"] += got.max_level > model.n_prefix + 1
     assert all(seen.values()), seen
+    # the run-length layout, on walkers that climb past the first tail level
+    monkeypatch.setattr(oracle, "DENSE_ENTRIES", 0)
+    model, cfg, _ = cases[-1]
+    got = hs.simulate(model, config=cfg)
+    assert json.dumps(got.to_dict()) == json.dumps(_per_step_simulate(model, cfg).to_dict())
+    assert got.max_level > model.n_prefix + 1
 
 
 def test_segment_never_exceeds_the_uniform_buffer():
@@ -347,7 +353,20 @@ def _full_row_step(rows, level, phase, u):
 def _step_models():
     rng = np.random.default_rng(5)
     return [retrial_model(0.2, 0.5, 1, gamma=1.0), retrial_model(1.5, 0.3, 8),
-            random_pos_recurrent_model(rng, 2)[0], random_pos_recurrent_model(rng, 3)[0]]
+            random_pos_recurrent_model(rng, 2)[0], random_pos_recurrent_model(rng, 3)[0],
+            _past_one_model()]
+
+
+def _past_one_model():
+    """d = 2 model whose layer-0 row of phase 0, the values of one of
+    prefix512's jump rows, sums past 1 in floating point (to 1 + 2^-52) at
+    its second positive outcome and keeps fewer outcomes than the other
+    rows."""
+    tail = hs.BlockTriple(up=np.full((2, 2), 0.1), down=np.array([[0.3, 0.2], [0.2, 0.3]]),
+                          stay=np.full((2, 2), 0.15))
+    return hs.QbdModel(d=2, r0=np.array([[0.601128880526811, 0.0], [0.3, 0.3]]),
+                       p0=np.array([[0.39887111947318915, 0.0], [0.2, 0.2]]),
+                       prefix=(), tail=tail)
 
 
 def _self_loop_model():
@@ -379,67 +398,103 @@ def test_jump_rows_drop_self_loops():
     assert jump[0, 0].tolist() == [0, 0, 1, 0, 0, 0]
 
 
-def test_cover_repeats_the_top_stored_level():
-    """A covered table's new columns repeat the top stored level's, on the
-    walk's rows and on its jump chain's, and the stored ones stay as they
-    were; a level the table already stores returns the table itself."""
-    for model, jump in [(m, j) for m in _step_models() for j in (False, True)]:
-        table = oracle._step_table(model, jump=jump)
-        d, stored = model.d, table.cum.shape[1] // model.d
-        assert stored == model.n_prefix + 2
-        for level in range(stored):
-            assert oracle._cover(table, level) is table
-        covered = oracle._cover(table, stored + 4)
-        levels = covered.cum.shape[1] // d
-        assert levels == max(stored + 5, 2 * stored)
-        for got, want in ((covered.cum, table.cum), (covered.move, table.move)):
-            got, want = got.reshape(-1, levels, d), want.reshape(-1, stored, d)
-            assert np.array_equal(got[:, :stored], want)
-            assert np.array_equal(got[:, stored:], np.repeat(want[:, -1:], levels - stored, axis=1))
-        assert oracle._cover(covered, levels - 1) is covered
-        assert oracle._cover(covered, levels).cum.shape[1] == 2 * levels * d
+def _layouts(monkeypatch):
+    """Yield "dense" with the tables as built, then "run-length" with every
+    table forced into that layout."""
+    yield "dense"
+    monkeypatch.setattr(oracle, "DENSE_ENTRIES", 0)
+    yield "run-length"
+    monkeypatch.undo()
 
 
-def test_advance_matches_full_rows():
-    """The compressed table steps a walker code exactly as the full row
-    does for every u > 0: random draws, ties with each cumulative value,
-    and the largest double below 1, from every stored level and from
-    levels past them on a covered table, on the walk's rows and on its
-    jump chain's."""
-    rng = np.random.default_rng(12)
-    for model, jump in [(m, j) for m in _step_models() for j in (False, True)]:
-        table = oracle._step_table(model, jump=jump)
-        rows = oracle._step_rows(model)
-        if jump:
-            rows = oracle._jump_rows(rows)
-        levels, cases = [], []
-        for level in range(model.n_prefix + 5):
-            for phase in range(model.d):
-                cum = _full_row_step(rows, level, phase, 0.5)[2]
-                draws = np.concatenate([rng.random(20), cum[cum > 0], [np.nextafter(1.0, 0.0)]])
-                levels += [level] * draws.size
-                cases += [(phase, u) for u in draws]
-        level = np.array(levels, dtype=np.int64)
-        phase = np.array([p for p, _ in cases], dtype=np.int64)
-        u = np.array([u for _, u in cases])
-        want = _full_row_step(rows, level, phase, u)[:2]
-        got = oracle._step(oracle._cover(table, int(level.max())), level * model.d + phase, u)
-        assert np.array_equal(got, want[0] * model.d + want[1])
+def _table_step(table, code, u):
+    """Codes after one table step of walkers at ``code`` driven by ``u``."""
+    stride = table.stride
+    return oracle._advance(table, code * stride, table.cuts.searchsorted(u)) // stride
 
 
-def test_advance_zero_uniform_takes_a_possible_move(retrial_c1):
-    """A uniform of exactly 0.0 lands on the first outcome of positive
-    probability, never on a zero-probability move such as level -1."""
+def test_cover_repeats_the_top_stored_level(monkeypatch):
+    """In both layouts, on the walk's rows and on its jump chain's, a table
+    stores levels 0..n_prefix + 1 and a covered one adds levels that step
+    as the full row of the first tail level does, while the stored ones
+    keep their rows; a level the table already stores returns the table
+    itself."""
+    for layout in _layouts(monkeypatch):
+        for model, jump in [(m, j) for m in _step_models() for j in (False, True)]:
+            rows = oracle._step_rows(model)
+            if jump:
+                rows = oracle._jump_rows(rows)
+            table = oracle._step_table(model, jump=jump)
+            assert (table.keys is None) == (layout == "dense")
+            d, stored = model.d, len(table.last) // model.d
+            assert stored == model.n_prefix + 2
+            for level in range(stored):
+                assert oracle._cover(table, level) is table
+            covered = oracle._cover(table, stored + 4)
+            levels = len(covered.last) // d
+            assert levels == max(stored + 5, 2 * stored)
+            assert np.array_equal(covered.cuts, table.cuts)
+            for got, want in ((covered.last, table.last), (covered.move, table.move)):
+                assert np.array_equal(got[:stored * d], want)
+                assert np.array_equal(got[stored * d:], np.tile(want[-d:], (levels - stored, 1)))
+            level, phase = np.divmod(np.arange(levels * d), d)
+            for u in (0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)):
+                want = _full_row_step(rows, level, phase, np.full(level.size, u))[:2]
+                assert np.array_equal(_table_step(covered, level * d + phase, u),
+                                      want[0] * d + want[1])
+            assert oracle._cover(covered, levels - 1) is covered
+            assert len(oracle._cover(covered, levels).last) == 2 * levels * d
+
+
+def test_advance_matches_full_rows(monkeypatch):
+    """In both layouts the ranked table steps a walker code exactly as the
+    full row does for every u > 0: random draws, ties with each cumulative
+    value, and the largest double below 1, from every stored level and
+    from levels past them on a covered table, on the walk's rows and on
+    its jump chain's."""
+    for layout in _layouts(monkeypatch):
+        rng = np.random.default_rng(12)
+        for model, jump in [(m, j) for m in _step_models() for j in (False, True)]:
+            table = oracle._step_table(model, jump=jump)
+            rows = oracle._step_rows(model)
+            if jump:
+                rows = oracle._jump_rows(rows)
+            levels, cases = [], []
+            for level in range(model.n_prefix + 5):
+                for phase in range(model.d):
+                    cum = _full_row_step(rows, level, phase, 0.5)[2]
+                    draws = np.concatenate([rng.random(20), cum[cum > 0],
+                                            [np.nextafter(1.0, 0.0)]])
+                    levels += [level] * draws.size
+                    cases += [(phase, u) for u in draws]
+            level = np.array(levels, dtype=np.int64)
+            phase = np.array([p for p, _ in cases], dtype=np.int64)
+            u = np.array([u for _, u in cases])
+            want = _full_row_step(rows, level, phase, u)[:2]
+            covered = oracle._cover(table, int(level.max()))
+            assert (covered.keys is None) == (layout == "dense")
+            got = _table_step(covered, level * model.d + phase, u)
+            assert np.array_equal(got, want[0] * model.d + want[1])
+
+
+def test_advance_zero_uniform_takes_a_possible_move(retrial_c1, monkeypatch):
+    """In both layouts a uniform of exactly 0.0 lands on the first outcome
+    of positive probability, where the full row takes the smallest
+    positive double, never on a zero-probability move such as level -1."""
     rows = oracle._step_rows(retrial_c1)
     d, top = retrial_c1.d, len(rows) - 1
     level = np.repeat(np.arange(top + 2), d)
     phase = np.tile(np.arange(d), top + 2)
-    table = oracle._cover(oracle._step_table(retrial_c1), top + 1)
-    code = oracle._step(table, level * d + phase, np.zeros(level.size))
-    new_level, new_phase = np.divmod(code, d)
-    assert new_level.min() >= 0
-    outcome = (new_level - level + 1) * d + new_phase
-    assert np.all(rows[np.minimum(level, top), phase, outcome] > 0)
+    want = _full_row_step(rows, level, phase, np.full(level.size, np.nextafter(0.0, 1.0)))[:2]
+    for layout in _layouts(monkeypatch):
+        table = oracle._cover(oracle._step_table(retrial_c1), top + 1)
+        assert (table.keys is None) == (layout == "dense")
+        code = _table_step(table, level * d + phase, np.zeros(level.size))
+        assert np.array_equal(code, want[0] * d + want[1])
+        new_level, new_phase = np.divmod(code, d)
+        assert new_level.min() >= 0
+        outcome = (new_level - level + 1) * d + new_phase
+        assert np.all(rows[np.minimum(level, top), phase, outcome] > 0)
 
 
 def _per_phase_exit_counts(model, level, direction, config):
@@ -466,7 +521,7 @@ def _per_phase_exit_counts(model, level, direction, config):
     return counts, censored
 
 
-def test_exit_estimate_matches_per_phase_reference():
+def test_exit_estimate_matches_per_phase_reference(monkeypatch):
     """The one-population estimator reproduces the per-phase walks count
     for count, censored walks included: ascents from level 0 read stored
     levels only, while descents and ascents from n_prefix + 3 read levels
@@ -488,6 +543,15 @@ def test_exit_estimate_matches_per_phase_reference():
             assert est.censored.tolist() == censored.tolist()
             censored_seen += int(censored.sum())
     assert censored_seen > 0
+    # the run-length layout, on a descent that reads covered levels
+    monkeypatch.setattr(oracle, "DENSE_ENTRIES", 0)
+    model = _step_models()[3]
+    cfg = hs.ExitConfig(seed=23, samples=300)
+    est = hs.estimate_exit_probability(model, model.n_prefix + 1, "down", cfg)
+    counts, censored = _per_phase_exit_counts(model, model.n_prefix + 1, "down", cfg)
+    assert np.array_equal(est.matrix, counts / cfg.samples)
+    assert est.censored.tolist() == censored.tolist()
+    monkeypatch.undo()
     stuck = hs.estimate_exit_probability(_self_loop_model(), 0, "up",
                                          hs.ExitConfig(seed=23, samples=300, max_steps=40))
     assert stuck.censored[0] == 300 and stuck.matrix[0].sum() == 0.0
@@ -523,29 +587,36 @@ def test_descent_on_a_drift_up_tail_covers_only_what_it_reaches(monkeypatch):
     """A descent on a tail drifting up, where most walkers climb until the
     step cap censors them, matches the per-phase reference count for
     count, and its table never covers much more than twice the highest
-    level a walker stands on."""
+    level a walker stands on. With a small dense bound the table starts
+    dense and turns run-length as it grows; with none it is run-length
+    throughout."""
     tail = hs.BlockTriple(up=np.array([[0.3, 0.2], [0.2, 0.3]]),
                           down=np.array([[0.1, 0.1], [0.1, 0.1]]),
                           stay=np.array([[0.1, 0.2], [0.2, 0.1]]))
     model = hs.QbdModel(d=2, r0=np.array([[0.5, 0.2], [0.2, 0.5]]),
                         p0=np.array([[0.2, 0.1], [0.1, 0.2]]), prefix=(tail,), tail=tail)
-    seen = []
-    step = oracle._step
-
-    def spy(table, code, u):
-        seen.append((table.cum.shape[1] // table.d, int(code.max()) // table.d))
-        return step(table, code, u)
-
-    monkeypatch.setattr(oracle, "_step", spy)
     cfg = hs.ExitConfig(seed=31, samples=300, max_steps=3000)
-    est = hs.estimate_exit_probability(model, 2, "down", cfg)
     counts, censored = _per_phase_exit_counts(model, 2, "down", cfg)
-    assert np.array_equal(est.matrix, counts / cfg.samples)
-    assert est.censored.tolist() == censored.tolist()
     assert censored.sum() > cfg.samples
-    covered, reached = max(c for c, _ in seen), max(r for _, r in seen)
-    assert reached > 500
-    assert covered <= 2 * (reached + oracle.COVER_STEPS)
+    advance = oracle._advance
+    for bound, layouts in ((1000, {"dense", "run-length"}), (0, {"run-length"})):
+        seen = []
+
+        def spy(table, y, b):
+            seen.append((len(table.last) // table.d, int(y.max()) // (table.d * table.stride),
+                         "dense" if table.keys is None else "run-length"))
+            return advance(table, y, b)
+
+        monkeypatch.setattr(oracle, "_advance", spy)
+        monkeypatch.setattr(oracle, "DENSE_ENTRIES", bound)
+        est = hs.estimate_exit_probability(model, 2, "down", cfg)
+        monkeypatch.undo()
+        assert np.array_equal(est.matrix, counts / cfg.samples)
+        assert est.censored.tolist() == censored.tolist()
+        covered, reached = max(c for c, _, _ in seen), max(r for _, r, _ in seen)
+        assert reached > 500
+        assert covered <= 2 * (reached + oracle.COVER_STEPS)
+        assert {layout for _, _, layout in seen} == layouts
 
 
 def test_estimate_exit_probability_up_matches_analytic(retrial_c1):
