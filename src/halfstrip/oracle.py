@@ -22,11 +22,14 @@ from .model import _step_rows
 UNIFORM_BUFFER = 2**16
 # most steps a simulator segment takes before its cycle bookkeeping
 SEGMENT_STEPS = 256
-# steps exit walks take between extensions of their table
+# steps walkers take between extensions of their table
 COVER_STEPS = 16
 # most entries a step table holds in its dense layout; a larger one is
 # run-length, which needs memory only in proportion to its kept outcomes
 DENSE_ENTRIES = 2**20
+# fewest uniforms ranked through the guide rather than by one searchsorted,
+# whose binary search mispredicts its branches but makes one numpy call
+GUIDE_BATCH = 1024
 
 
 class MaxStepsExceededError(Exception):
@@ -175,7 +178,9 @@ class _StepTable(NamedTuple):
     the last, sorted, and a uniform's rank is b = #(cuts < u). A cut c
     passes u (c < u) exactly when its index in ``cuts`` is below b, so the
     outcome a draw lands on depends on u only through b, and ranking loses
-    nothing. Kept outcome j of state x takes the ranks up to ``last[x, j]``
+    nothing. ``_rank`` finds b, for a large batch through ``guide[k]`` =
+    #(cuts < k / G) over G equal buckets and ``ceiling``, the cuts padded
+    by 1.0. Kept outcome j of state x takes the ranks up to ``last[x, j]``
     above those of the outcomes before it, and ``move[x, j]`` is its change
     of code: d times its level change plus its phase change.
 
@@ -190,6 +195,8 @@ class _StepTable(NamedTuple):
     """
 
     cuts: np.ndarray
+    guide: np.ndarray
+    ceiling: np.ndarray
     last: np.ndarray
     move: np.ndarray
     nxt: np.ndarray
@@ -235,20 +242,28 @@ def _step_table(model, jump=False):
     last = np.hstack([cuts.searchsorted(bounds), np.full((len(cols), 1), len(cuts))])
     # outcome column c of phase p's row moves to level + c // d - 1, phase c % d
     move = cols - d - np.arange(len(cols))[:, None] % d
-    return _lookup(cuts, last, move, d)
+    # G = 2^m equal buckets of [0, 1), at least four per cut, and one more
+    # entry, so that u = 1.0 ranks too
+    buckets = 4 << len(cuts).bit_length()
+    guide = cuts.searchsorted(np.arange(buckets + 1) / buckets)
+    # the window a search reads holds the most cuts one bucket does, and is
+    # padded past the last cut by 1.0, which no uniform passes
+    crowd = int(np.diff(guide, append=len(cuts)).max())
+    ceiling = np.append(cuts, np.ones(1 << crowd.bit_length()))
+    return _lookup(_StepTable(cuts, guide, ceiling, last, move, None, None, d))
 
 
-def _lookup(cuts, last, move, d):
-    """The table with these cuts, rank ends and moves, in the dense layout
-    when it has at most DENSE_ENTRIES entries and run-length otherwise."""
-    states, stride = len(last), len(cuts) + 1
+def _lookup(table):
+    """``table`` with ``nxt`` and ``keys`` built from its rank ends and
+    moves: dense when it has at most DENSE_ENTRIES entries, run-length
+    otherwise."""
+    states, stride = len(table.last), table.stride
     y = np.arange(states)[:, None] * stride
-    nxt = (y + move * stride).ravel()
+    nxt = (y + table.move * stride).ravel()
     if states * stride <= DENSE_ENTRIES:
         # outcome j serves the last[x, j] - last[x, j - 1] ranks after j - 1's
-        return _StepTable(cuts, last, move, np.repeat(nxt, np.diff(last, prepend=-1).ravel()),
-                          None, d)
-    return _StepTable(cuts, last, move, nxt, (y + last).ravel(), d)
+        return table._replace(nxt=np.repeat(nxt, np.diff(table.last, prepend=-1).ravel()))
+    return table._replace(nxt=nxt, keys=(y + table.last).ravel())
 
 
 def _cover(table, level):
@@ -261,7 +276,27 @@ def _cover(table, level):
         return table
     more = max(level + 1, 2 * stored) - stored
     last, move = (np.vstack([a, np.tile(a[-d:], (more, 1))]) for a in (table.last, table.move))
-    return _lookup(table.cuts, last, move, d)
+    return _lookup(table._replace(last=last, move=move, keys=None))
+
+
+def _rank(table, u):
+    """The rank b = #(cuts < u) of each uniform u (``_StepTable``).
+
+    A batch of GUIDE_BATCH or more goes through the guide table (Chen &
+    Asau 1974): u lies in bucket k = floor(u * G), which starts at
+    guide[k] = #(cuts < k / G), and a binary search without branches adds
+    the cuts below u in the window of cuts that follows, which holds every
+    cut of the bucket. G is a power of 2, so u * G and k / G are exact, and
+    so is b. A smaller batch takes one searchsorted.
+    """
+    if u.size < GUIDE_BATCH:
+        return table.cuts.searchsorted(u)
+    b = table.guide.take((u * (len(table.guide) - 1)).astype(np.int64))
+    half = (len(table.ceiling) - len(table.cuts)) // 2
+    while half:
+        b += (table.ceiling[half - 1:].take(b) < u) * half
+        half //= 2
+    return b
 
 
 def _advance(table, y, b):
@@ -337,17 +372,18 @@ def simulate(model, config=None):
         # grows overlong before the segment's last step
         seg = min(buf.shape[1] - ptr, SEGMENT_STEPS, budget - steps,
                   config.max_steps + 1 - int(cyc_len[act].max()))
-        rank = table.cuts.searchsorted(buf[act, ptr:ptr + seg].T)
+        rank = _rank(table, buf[act, ptr:ptr + seg].T)
         ptr += seg
         steps += seg
 
         # stepping: codes[j] is each replication's code after j steps of
         # the segment
-        x = code[act]
-        table = _cover(table, int(x.max()) // d + seg)  # one level a step at most
         ys = np.empty((seg + 1, act.size), dtype=np.int64)
-        ys[0] = y = x * table.stride
+        ys[0] = y = code[act] * table.stride
         for j in range(seg):
+            if j % COVER_STEPS == 0:
+                # a walker climbs at most one level a step
+                table = _cover(table, int(y.max()) // (d * table.stride) + COVER_STEPS)
             ys[j + 1] = y = _advance(table, y, rank[j])
         codes = ys // table.stride
 
@@ -560,7 +596,7 @@ def estimate_exit_probability(model, level, direction, config, phases=None):
             # a walker climbs at most one level a step
             table = _cover(table, int(y.max()) // level_span + COVER_STEPS)
         u = np.concatenate([gens[k].random(n) for k, n in enumerate(active) if n])
-        y = _advance(table, y, table.cuts.searchsorted(u))
+        y = _advance(table, y, _rank(table, u))
         done = y >= entry if direction == "up" else y < entry + level_span
         if np.any(done):
             at = np.flatnonzero(done)

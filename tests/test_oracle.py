@@ -410,7 +410,34 @@ def _layouts(monkeypatch):
 def _table_step(table, code, u):
     """Codes after one table step of walkers at ``code`` driven by ``u``."""
     stride = table.stride
-    return oracle._advance(table, code * stride, table.cuts.searchsorted(u)) // stride
+    u = np.broadcast_to(u, np.shape(code))
+    return oracle._advance(table, code * stride, oracle._rank(table, u)) // stride
+
+
+def test_rank_counts_the_cuts_below_each_uniform(monkeypatch):
+    """Through the guide and by one searchsorted alike, a uniform's rank is
+    the number of cuts below it: at random draws, at each cut and the
+    doubles beside it, at every bucket edge, 1.0 included, at 0.0 and at
+    the largest double below 1, on the walk's and the jump chain's tables,
+    one of them with a bucket that holds over a hundred cuts."""
+    crowded = retrial_model(0.2, 0.5, 1, theta="0.3+0.3/n")
+    rng = np.random.default_rng(4)
+    most = 0
+    for model, jump in [(m, j) for m in _step_models() + [crowded] for j in (False, True)]:
+        table = oracle._step_table(model, jump=jump)
+        cuts = table.cuts
+        buckets = len(table.guide) - 1
+        u = np.concatenate([rng.random(2000), cuts, np.nextafter(cuts, 0.0),
+                            np.nextafter(cuts, 1.0), np.arange(buckets + 1) / buckets,
+                            [0.0, np.nextafter(1.0, 0.0)]])
+        u = u[u <= 1.0]
+        want = (table.cuts[:, None] < u).sum(axis=0)
+        for batch in (0, u.size + 1):
+            monkeypatch.setattr(oracle, "GUIDE_BATCH", batch)
+            assert np.array_equal(oracle._rank(table, u), want)
+            assert np.array_equal(oracle._rank(table, u.reshape(-1, 1)), want.reshape(-1, 1))
+        most = max(most, int(np.diff(table.guide).max()))
+    assert most > 100
 
 
 def test_cover_repeats_the_top_stored_level(monkeypatch):
