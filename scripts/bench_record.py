@@ -7,12 +7,15 @@ at seed 1 and the run length BENCHMARK.json sets, with ``--trace 0``
 ``halfstrip verify`` on the retrial model c=32 (lambda 6, mu 0.3, theta
 0.3, seed 1) and ``halfstrip stationary`` on the 512-level prefix model
 (retrial c=1, lambda 0.2, mu 0.5, theta 0.3+0.3/n), each RUNS times in a
-fresh interpreter, keeping every run and their median, times
-``branching_data`` on that prefix model in process the same way (each run
-the median of CALLS calls after one warm call), and times the checkout's
-tier-1 suite (``python -m pytest -q --continue-on-collection-errors``),
-keeping the acceptance lines it prints, so that a speed claim shows in the
-same file that no acceptance error grew. It also counts the lines of
+fresh interpreter, keeping every run and their median, times ``verify``
+at seed 1 on perfbench's random full-support model at d = 24 the same
+way, keeping its exit code (5 expected: the known full-support false
+alarm), times ``branching_data`` on that prefix model in process the
+same way (each run the median of CALLS calls after one warm call), and
+times the checkout's tier-1 suite (``python -m pytest -q
+--continue-on-collection-errors``), keeping the acceptance lines it
+prints, so that a speed claim shows in the same file that no acceptance
+error grew. It also counts the lines of
 ``src/halfstrip/*.py`` per file and in total, as ``wc -l`` counts them, so
 that the package's size sits beside its timings.
 Every ``metric`` line the runs print is kept per workload, with its unit,
@@ -41,6 +44,19 @@ VERIFY_MODEL = (6.0, 0.3, 32, "0.3")
 VERIFY_SEED = 1
 # retrial c=1 whose a+b/n retry schedule stores 512 prefix levels
 PREFIX_MODEL = (0.2, 0.5, 1, "0.3+0.3/n")
+# writes perfbench's random full-support model at d = 24 to sys.argv[1]:
+# drawn from default_rng(5) after d = 2, 4, 8 and 16; its exit walks start
+# in every phase, and its step table is run-length
+FULL_SUPPORT_BUILD = """\
+import sys
+sys.path.insert(0, {perfbench!r})
+import numpy as np
+import halfstrip as hs
+import workloads
+rng = np.random.default_rng(5)
+models = [workloads._random(hs, rng, d) for d in (2, 4, 8, 16, 24)]
+hs.save_model(models[-1], sys.argv[1])
+"""
 # fresh-interpreter runs per CLI timing: one run cannot resolve a change
 RUNS = 5
 # timed branching_data calls per run, after one warm call
@@ -99,16 +115,13 @@ def run_perfbench(root, seconds, trace):
     return proc.stdout
 
 
-def time_cli(root, model, argv):
+def time_runs(root, build, argv):
     """Median wall seconds over RUNS runs of one ``halfstrip`` command,
-    ``argv`` with the model path after its first word, on the uniformized
-    retrial ``model`` (arrival, service, servers, retry schedule), each in a
-    fresh interpreter importing ``root``'s src; every run's seconds and exit
-    code, and the largest exit code."""
+    ``argv`` with the model path after its first word, on the model file
+    the Python code ``build`` writes to its first argument, each in a fresh
+    interpreter importing ``root``'s src; every run's seconds and exit code,
+    and the largest exit code."""
     env = dict(os.environ, PYTHONPATH=str(Path(root) / "src"))
-    lam, mu, servers, theta = model
-    build = ("import sys, halfstrip as hs; hs.save_model(hs.uniformize(hs.build_retrial("
-             f"{lam!r}, {mu!r}, {servers!r}, hs.RetrySchedule.parse({theta!r}))), sys.argv[1])")
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "model.json")
         subprocess.run([sys.executable, "-c", build, path], env=env, check=True)
@@ -119,8 +132,17 @@ def time_cli(root, model, argv):
                                   env=env, capture_output=True, text=True)
             runs.append({"wall_s": time.perf_counter() - start, "exit": proc.returncode})
     return {"wall_s": statistics.median(run["wall_s"] for run in runs),
-            "exit": max(run["exit"] for run in runs), "runs": runs,
-            "model": {"arrival": lam, "service": mu, "servers": servers, "retry": theta}}
+            "exit": max(run["exit"] for run in runs), "runs": runs}
+
+
+def time_cli(root, model, argv):
+    """``time_runs`` of ``argv`` on the uniformized retrial ``model``
+    (arrival, service, servers, retry schedule)."""
+    lam, mu, servers, theta = model
+    build = ("import sys, halfstrip as hs; hs.save_model(hs.uniformize(hs.build_retrial("
+             f"{lam!r}, {mu!r}, {servers!r}, hs.RetrySchedule.parse({theta!r}))), sys.argv[1])")
+    return dict(time_runs(root, build, argv),
+                model={"arrival": lam, "service": mu, "servers": servers, "retry": theta})
 
 
 def time_verify(root):
@@ -128,6 +150,15 @@ def time_verify(root):
     timing = time_cli(root, VERIFY_MODEL,
                       ["verify", "--seed", str(VERIFY_SEED), "--format", "json"])
     return dict(timing, seed=VERIFY_SEED)
+
+
+def time_full_support_verify(root):
+    """``time_runs`` of ``verify`` at seed 1 on the random full-support
+    model at d = 24, built by ``root``'s perfbench."""
+    build = FULL_SUPPORT_BUILD.format(perfbench=str(Path(root) / "perfbench"))
+    timing = time_runs(root, build, ["verify", "--seed", str(VERIFY_SEED), "--format", "json"])
+    return dict(timing, seed=VERIFY_SEED,
+                model={"workload": "_random", "rng": 5, "drawn": [2, 4, 8, 16, 24], "d": 24})
 
 
 def time_prefix_stationary(root):
@@ -195,6 +226,7 @@ def main(argv=None):
         entry[f"trace{trace}"] = workloads
         entry["machine"] = machine
     entry["verify_c32"] = time_verify(args.root)
+    entry["verify_full_support_d24"] = time_full_support_verify(args.root)
     entry["stationary_prefix512"] = time_prefix_stationary(args.root)
     entry["branching_data_prefix512_ms"] = time_prefix_branching(args.root)
     entry["tier1"] = time_tests(args.root)

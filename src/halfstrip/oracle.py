@@ -30,6 +30,8 @@ DENSE_ENTRIES = 2**20
 # fewest uniforms ranked through the guide rather than by one searchsorted,
 # whose binary search mispredicts its branches but makes one numpy call
 GUIDE_BATCH = 1024
+# fewest uniforms an exit walk draws from one stream at a time
+EXIT_CHUNK = 4096
 
 
 class MaxStepsExceededError(Exception):
@@ -397,25 +399,34 @@ def simulate(model, config=None):
         over = (start_len + seg > config.max_steps) & ~lands[:-1].any(axis=0)
         lands[-1] &= ~over
         # a replication that completes its share mid-segment finishes there:
-        # later arrivals do not count, and its state is never read again
-        arrive = lands & (np.cumsum(lands, axis=0) - lands < per_rep - completed[act])
-        last = (arrive * step).max(axis=0)
-        closes = last > 0
+        # later arrivals do not count, and its state is never read again; a
+        # segment lands at most seg times, so below that share nothing is cut
+        need = per_rep - completed[act]
+        arrive = lands
+        if seg > need.min():
+            arrive = lands & (np.cumsum(lands, axis=0) - lands < need)
+        # the last arrival is the first in reverse step order
+        back = arrive[::-1].argmax(axis=0)
+        closes = arrive[seg - 1 - back, np.arange(act.size)]
+        last = np.where(closes, seg - back, 0)
 
         top = int(codes.max()) // d
         if top >= pending.shape[1]:
             pad = ((0, 0), (0, top + 8 - pending.shape[1]), (0, 0))
             pending = np.pad(pending, pad)
             committed = np.pad(committed, pad)
+        # a slice, not an index array, when every replication is active, so
+        # that held is a view and the updates below gather nothing
+        sel = slice(None) if act.size == reps else act
+        held = pending[sel]
         # visits up to a replication's last arrival close cycles, later ones
-        # stay pending
-        cells = np.arange(act.size) * pending[0].size + codes[:-1]
-        held = pending[act]
+        # stay pending: one bincount counts both, the pending ones offset by
+        # a whole block
+        cells = np.arange(act.size) * pending[0].size + codes[:-1] + (step > last) * held.size
+        counts = np.bincount(cells.ravel(), minlength=2 * held.size).reshape(2, *held.shape)
         closing = closes[:, None, None]
-        committed[act] += np.where(closing, held, 0.0) + np.bincount(
-            cells[step <= last], minlength=held.size).reshape(held.shape)
-        pending[act] = np.where(closing, 0.0, held) + np.bincount(
-            cells[step > last], minlength=held.size).reshape(held.shape)
+        committed[sel] += np.where(closing, held, 0.0) + counts[0]
+        pending[sel] = np.where(closing, 0.0, held) + counts[1]
         arrival_counts += np.bincount((act * d + codes[1:])[arrive],
                                       minlength=arrival_counts.size).reshape(reps, d)
         cycle_start_phase[act[closes]] = codes[last[closes], np.flatnonzero(closes)]
@@ -559,7 +570,9 @@ def estimate_exit_probability(model, level, direction, config, phases=None):
     walked phase p, and all of them step together, each start phase drawing
     from its own stream. Streams are keyed by (seed, level, direction, start
     phase), so the estimate is deterministic given the config, and each
-    walked row equals the all-phase estimate's row bit for bit.
+    walked row equals the all-phase estimate's row bit for bit. A stream
+    draws at least EXIT_CHUNK uniforms at a time and ranks them at once;
+    its walkers read them in draw order, so the chunk size moves nothing.
 
     The walks step on the jump chain (``_jump_rows``): the first-passage
     phase depends only on the sequence of states visited, so dropping
@@ -582,8 +595,12 @@ def estimate_exit_probability(model, level, direction, config, phases=None):
                         prefix=(int(level), 0 if direction == "up" else 1))
     # walkers sorted by start phase: each step, the k-th walked phase's
     # stream gives one uniform to each of its active[k] walkers still out,
-    # in the order they stand, so a walker's start row follows from its place
+    # in the order they stand; owner[i] is walker i's row
     active = [config.samples] * rows
+    owner = np.repeat(np.arange(rows), config.samples)
+    # ranked[k][spent[k]:] are the ranks of stream k's drawn, unread uniforms
+    ranked = [owner[:0]] * rows
+    spent = [0] * rows
     # a walker at code x is held as y = x * stride (``_StepTable``)
     level_span = d * table.stride
     y = np.repeat(level * level_span + np.array(phases, dtype=np.int64) * table.stride,
@@ -595,16 +612,30 @@ def estimate_exit_probability(model, level, direction, config, phases=None):
         if steps % COVER_STEPS == 0:
             # a walker climbs at most one level a step
             table = _cover(table, int(y.max()) // level_span + COVER_STEPS)
-        u = np.concatenate([gens[k].random(n) for k, n in enumerate(active) if n])
-        y = _advance(table, y, _rank(table, u))
+        parts = []
+        for k, n in enumerate(active):
+            if not n:
+                continue
+            left = len(ranked[k]) - spent[k]
+            if left < n:
+                # a stream's draws come out in one order however they are
+                # split, and a cover keeps the cuts, so a rank stays valid
+                fresh = _rank(table, gens[k].random(max(EXIT_CHUNK, n) - left))
+                ranked[k] = np.concatenate([ranked[k][spent[k]:], fresh]) if left else fresh
+                spent[k] = 0
+            parts.append(ranked[k][spent[k]:spent[k] + n])
+            spent[k] += n
+        y = _advance(table, y, parts[0] if len(parts) == 1 else np.concatenate(parts))
         done = y >= entry if direction == "up" else y < entry + level_span
-        if np.any(done):
-            at = np.flatnonzero(done)
-            start = np.searchsorted(np.cumsum(active), at, side="right")
+        # count_nonzero skips the Python layer of ndarray.any
+        if np.count_nonzero(done):
+            at = done.nonzero()[0]
+            start = owner[at]
             arrivals.append(start * d + (y[at] - entry) // table.stride)
             active = [n - f for n, f in
                       zip(active, np.bincount(start, minlength=rows).tolist())]
-            y = y[~done]
+            keep = ~done
+            y, owner = y[keep], owner[keep]
         steps += 1
     counts = np.bincount(np.concatenate(arrivals), minlength=rows * d).reshape(rows, d)
     censored = np.array(active, dtype=np.int64)

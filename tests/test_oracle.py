@@ -260,10 +260,12 @@ def _per_step_simulate(model, config):
 def test_simulate_matches_per_step_reference(d1_pos, d1_null, monkeypatch):
     """Segment stepping reproduces the per-step simulator exactly: overlong
     discards, retirement on the step budget, a step cap past int64, uneven
-    and oversized replication counts, refills inside a run, and walkers
-    above the first tail level."""
+    and oversized replication counts, replications completing in different
+    segments, refills inside a run, and walkers above the first tail
+    level."""
     climber, _ = random_pos_recurrent_model(np.random.default_rng(8), 2)
     c1, c8 = retrial_model(0.2, 0.5, 1, gamma=1.0), retrial_model(1.5, 0.3, 8)
+    home = scalar_chain(0.3, 0.7, r0=1.0)
     cases = [
         (d1_pos, hs.SimConfig(seed=5, cycles=400, max_steps=6, replications=8), None),
         # a cycle landing on layer 0 on the step that makes it overlong
@@ -276,6 +278,13 @@ def test_simulate_matches_per_step_reference(d1_pos, d1_null, monkeypatch):
         (c1, hs.SimConfig(seed=4, cycles=60, replications=1), None),
         (c1, hs.SimConfig(seed=9, cycles=200, replications=2), 3),
         (c8, hs.SimConfig(seed=6, cycles=600, max_steps=30, replications=3), 1000),
+        # an odd count of replications that complete their shares in three
+        # different segments: the first segment cannot complete any share,
+        # so it skips the cap on arrivals, and the later ones apply it
+        (c1, hs.SimConfig(seed=11, cycles=901, replications=3), None),
+        # every step lands on layer 0, so a segment one step longer than the
+        # share holds one arrival too many
+        (home, hs.SimConfig(seed=2, cycles=oracle.SEGMENT_STEPS - 1, replications=1), None),
         (climber, hs.SimConfig(seed=402, cycles=2000, replications=16), None),
     ]
     seen = {"discarded": 0, "retired": 0, "climbed": 0}
@@ -444,8 +453,8 @@ def test_cover_repeats_the_top_stored_level(monkeypatch):
     """In both layouts, on the walk's rows and on its jump chain's, a table
     stores levels 0..n_prefix + 1 and a covered one adds levels that step
     as the full row of the first tail level does, while the stored ones
-    keep their rows; a level the table already stores returns the table
-    itself."""
+    keep their rows and the arrays ``_rank`` reads; a level the table
+    already stores returns the table itself."""
     for layout in _layouts(monkeypatch):
         for model, jump in [(m, j) for m in _step_models() for j in (False, True)]:
             rows = oracle._step_rows(model)
@@ -460,7 +469,10 @@ def test_cover_repeats_the_top_stored_level(monkeypatch):
             covered = oracle._cover(table, stored + 4)
             levels = len(covered.last) // d
             assert levels == max(stored + 5, 2 * stored)
-            assert np.array_equal(covered.cuts, table.cuts)
+            # an exit walk ranks uniforms before a cover and steps on them
+            # after it, so a cover keeps everything ``_rank`` reads
+            for name in ("cuts", "guide", "ceiling"):
+                assert np.array_equal(getattr(covered, name), getattr(table, name))
             for got, want in ((covered.last, table.last), (covered.move, table.move)):
                 assert np.array_equal(got[:stored * d], want)
                 assert np.array_equal(got[stored * d:], np.tile(want[-d:], (levels - stored, 1)))
@@ -582,6 +594,32 @@ def test_exit_estimate_matches_per_phase_reference(monkeypatch):
     stuck = hs.estimate_exit_probability(_self_loop_model(), 0, "up",
                                          hs.ExitConfig(seed=23, samples=300, max_steps=40))
     assert stuck.censored[0] == 300 and stuck.matrix[0].sum() == 0.0
+
+
+def test_exit_refill_size_keeps_streams(monkeypatch):
+    """Each start phase reads its own stream in order, and a rank stays
+    valid across a cover, so the refill size moves no exit estimate: one
+    draw per step, a small odd chunk and the default give the same rows and
+    censored counts for all-phase and read-row walks, up and down, with and
+    without censoring, in both table layouts."""
+    default = oracle.EXIT_CHUNK
+    censored_seen = 0
+    for layout in _layouts(monkeypatch):
+        for model in _step_models():
+            for level, direction in ((0, "up"), (model.n_prefix + 1, "down")):
+                for max_steps, phases in ((10**6, None), (3, None), (10**6, [model.d - 1]),
+                                          (3, [model.d - 1])):
+                    cfg = hs.ExitConfig(seed=29, samples=300, max_steps=max_steps)
+                    got = []
+                    for chunk in (1, 7, default):
+                        monkeypatch.setattr(oracle, "EXIT_CHUNK", chunk)
+                        est = hs.estimate_exit_probability(model, level, direction, cfg,
+                                                           phases=phases)
+                        got.append((est.matrix.tolist(), est.censored.tolist()))
+                    assert got[1] == got[0] and got[2] == got[0], (layout, level, direction)
+                    censored_seen += sum(got[0][1])
+    assert oracle.EXIT_CHUNK == default
+    assert censored_seen > 0
 
 
 def test_exit_estimate_rows_match_the_all_phase_estimate():

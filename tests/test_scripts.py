@@ -110,6 +110,29 @@ def test_report_digests_against_a_checkout_prints_only_differences(tmp_path):
     assert rows and all(len(row) == 8 and row[0] == "1" and row[3] != row[6] for row in rows)
 
 
+def test_report_digests_full_support_group(tmp_path):
+    """The full-support group verifies perfbench's random d = 8, 16 and 24
+    models at each seed, one line per model, with verify's exit code: at
+    seed 1 the d = 16 and d = 24 walks raise the known full-support false
+    alarm (exit 5). Against this checkout nothing differs."""
+    env = dict(os.environ, PYTHONPATH="src")
+    argv = [sys.executable, "scripts/report_digests.py", "--workload", "full-support",
+            "--seeds", "1", "--workdir", str(tmp_path)]
+    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split("\t") for line in proc.stdout.splitlines()]
+    assert [row[:3] for row in rows] == [["1", "verify full_d8", "0"],
+                                         ["1", "verify full_d16", "5"],
+                                         ["1", "verify full_d24", "5"]]
+    assert all(len(row[3]) == 64 and int(row[4]) > 0 for row in rows)
+    for d in (8, 16, 24):
+        assert hs.load_model(tmp_path / f"full_d{d}.json").d == d
+    proc = subprocess.run(argv + ["--against", str(ROOT)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stdout) == (0, ""), proc.stderr
+
+
 def test_exit_calibration_counts_cells_per_model():
     """Two seeds at 200 walks per phase, checked as verify checks them: one
     row per model, c1's check is skipped by the support rule, and c8_high
@@ -178,6 +201,8 @@ def test_bench_record_keeps_every_metric_under_its_label(tmp_path, monkeypatch):
     monkeypatch.setattr(record, "run_perfbench",
                         lambda root, seconds, trace: CANNED_RUN[trace])
     monkeypatch.setattr(record, "time_verify", lambda root: {"wall_s": 21.5, "exit": 0})
+    monkeypatch.setattr(record, "time_full_support_verify",
+                        lambda root: {"wall_s": 0.9, "exit": 5})
     monkeypatch.setattr(record, "time_prefix_stationary",
                         lambda root: {"wall_s": 0.31, "exit": 0})
     monkeypatch.setattr(record, "time_prefix_branching", lambda root: {"ms": 4.9})
@@ -200,6 +225,7 @@ def test_bench_record_keeps_every_metric_under_its_label(tmp_path, monkeypatch):
                                           "linalg.invert.calls": [59.0, "count"]}}
     assert entry["machine"].startswith("nproc=2 python=3.11.7")
     assert entry["verify_c32"] == {"wall_s": 21.5, "exit": 0}
+    assert entry["verify_full_support_d24"] == {"wall_s": 0.9, "exit": 5}
     assert entry["stationary_prefix512"] == {"wall_s": 0.31, "exit": 0}
     assert entry["branching_data_prefix512_ms"] == {"ms": 4.9}
     assert entry["tier1"] == tier1
@@ -214,8 +240,8 @@ def test_bench_record_counts_src_lines_under_root(tmp_path, monkeypatch):
     record = _load_script("bench_record")
     monkeypatch.setattr(record, "run_perfbench",
                         lambda root, seconds, trace: CANNED_RUN[trace])
-    for name in ("time_verify", "time_prefix_stationary", "time_prefix_branching",
-                 "time_tests"):
+    for name in ("time_verify", "time_full_support_verify", "time_prefix_stationary",
+                 "time_prefix_branching", "time_tests"):
         monkeypatch.setattr(record, name, lambda root: {})
     root = tmp_path / "checkout"
     package = root / "src" / "halfstrip"
@@ -271,6 +297,37 @@ def test_bench_record_times_verify_on_the_checkout(monkeypatch):
     (model, out), = saved
     assert out == sys.argv[1]
     assert model.d == 33 and timing["model"]["servers"] == 32
+
+
+def test_bench_record_times_full_support_verify_on_the_checkout(monkeypatch):
+    """The full-support timing builds perfbench's random d = 24 model from
+    the checkout's perfbench and runs ``verify`` on it at seed 1, five
+    times, on the checkout's src, without starting them here; a run's exit
+    code 5 is kept."""
+    record = _load_script("bench_record")
+    commands = []
+
+    def fake_run(cmd, env, **kwargs):
+        commands.append(cmd)
+        assert env["PYTHONPATH"] == str(ROOT / "src")
+        return subprocess.CompletedProcess(cmd, 0 if cmd[1] == "-c" else 5, stdout="",
+                                           stderr="")
+
+    monkeypatch.setattr(record.subprocess, "run", fake_run)
+    timing = record.time_full_support_verify(ROOT)
+    build, *verify = commands
+    path = build[3]
+    assert verify == [[sys.executable, "-m", "halfstrip", "verify", path, "--seed", "1",
+                       "--format", "json"]] * 5
+    assert timing["exit"] == 5 and len(timing["runs"]) == 5 and timing["seed"] == 1
+    monkeypatch.setattr(sys, "argv", ["-c", path])
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    saved = []
+    monkeypatch.setattr(hs, "save_model", lambda model, out: saved.append(model))
+    exec(build[2], {})
+    (model,) = saved
+    assert model.d == timing["model"]["d"] == 24 and model.n_prefix == 4
+    assert str(ROOT / "perfbench") in build[2]
 
 
 def test_bench_record_times_prefix_stationary_on_the_checkout(monkeypatch):
