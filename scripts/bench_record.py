@@ -10,7 +10,9 @@ at seed 1 and the run length BENCHMARK.json sets, with ``--trace 0``
 fresh interpreter, keeping every run and their median, times ``verify``
 at seed 1 on perfbench's random full-support model at d = 24 the same
 way, keeping its exit code (5 expected: the known full-support false
-alarm), times ``branching_data`` on that prefix model in process the
+alarm), times ``simulate`` at seed 1 on the oracle workload's c8_high
+model (retrial c=8, lambda 1.5, mu 0.3, theta 0.3) the same way, times
+``branching_data`` on that prefix model in process the
 same way (each run the median of CALLS calls after one warm call), and
 times the checkout's tier-1 suite (``python -m pytest -q
 --continue-on-collection-errors``), keeping the acceptance lines it
@@ -44,6 +46,8 @@ VERIFY_MODEL = (6.0, 0.3, 32, "0.3")
 VERIFY_SEED = 1
 # retrial c=1 whose a+b/n retry schedule stores 512 prefix levels
 PREFIX_MODEL = (0.2, 0.5, 1, "0.3+0.3/n")
+# retrial c=8 at high load, the oracle workload's c8_high
+SIMULATE_MODEL = (1.5, 0.3, 8, "0.3")
 # writes perfbench's random full-support model at d = 24 to sys.argv[1]:
 # drawn from default_rng(5) after d = 2, 4, 8 and 16; its exit walks start
 # in every phase, and its step table is run-length
@@ -161,6 +165,13 @@ def time_full_support_verify(root):
                 model={"workload": "_random", "rng": 5, "drawn": [2, 4, 8, 16, 24], "d": 24})
 
 
+def time_simulate(root):
+    """``time_cli`` of ``simulate`` on the c8_high retrial model at seed 1."""
+    timing = time_cli(root, SIMULATE_MODEL,
+                      ["simulate", "--seed", str(VERIFY_SEED), "--format", "json"])
+    return dict(timing, seed=VERIFY_SEED)
+
+
 def time_prefix_stationary(root):
     """``time_cli`` of ``stationary`` on the 512-level prefix model."""
     return time_cli(root, PREFIX_MODEL, ["stationary", "--format", "json"])
@@ -227,6 +238,7 @@ def main(argv=None):
         entry["machine"] = machine
     entry["verify_c32"] = time_verify(args.root)
     entry["verify_full_support_d24"] = time_full_support_verify(args.root)
+    entry["simulate_c8_high"] = time_simulate(args.root)
     entry["stationary_prefix512"] = time_prefix_stationary(args.root)
     entry["branching_data_prefix512_ms"] = time_prefix_branching(args.root)
     entry["tier1"] = time_tests(args.root)

@@ -10,6 +10,7 @@ verify command compare analytic results against both.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -32,6 +33,9 @@ DENSE_ENTRIES = 2**20
 GUIDE_BATCH = 1024
 # fewest uniforms an exit walk draws from one stream at a time
 EXIT_CHUNK = 4096
+# most walkers the oracles step one at a time in plain Python, where a numpy
+# step's fixed cost would exceed all their scalar table reads
+FEW_WALKERS = 8
 
 
 class MaxStepsExceededError(Exception):
@@ -119,6 +123,17 @@ class SimConfig:
     cycles: int = 10_000
     max_steps: int = 10**8
     replications: int = 64
+
+    def __post_init__(self):
+        _require_positive(self, "cycles", "max_steps", "replications")
+
+
+def _require_positive(config, *names):
+    """Refuse a config whose field among ``names`` is below 1, by name."""
+    for name in names:
+        value = getattr(config, name)
+        if value < 1:
+            raise ValueError(f"{type(config).__name__}.{name} must be >= 1, got {value!r}")
 
 
 @dataclass
@@ -310,6 +325,61 @@ def _advance(table, y, b):
     return table.nxt.take(table.keys.searchsorted(y + b))
 
 
+def _views(table):
+    """``table.nxt`` and ``table.keys`` as memoryviews, which copy nothing
+    and whose items are Python ints: one walker at y with rank b steps to
+    nxt[y + b] in the dense layout and to nxt[bisect_left(keys, y + b)] in
+    the run-length one (keys None)."""
+    return table.nxt.data, None if table.keys is None else table.keys.data
+
+
+def _walk(table, y, ranks):
+    """One walker at y stepped through the list ``ranks`` in plain Python.
+    Returns the table, covered as the numpy steps cover it (every
+    COVER_STEPS steps, to COVER_STEPS levels past the walker), and the
+    walker's y before its first step and after each."""
+    span = table.d * table.stride
+    path = [y]
+    for j in range(0, len(ranks), COVER_STEPS):
+        table = _cover(table, y // span + COVER_STEPS)
+        nxt, keys = _views(table)
+        for b in ranks[j:j + COVER_STEPS]:
+            y = nxt[y + b if keys is None else bisect_left(keys, y + b)]
+            path.append(y)
+    return table, path
+
+
+def _walk_few(table, ys, ranks, gen, steps, max_steps, lo, hi):
+    """One stream's last walkers ``ys`` stepped in plain Python, in the
+    numpy steps' order and with their draws: each step gives each walker
+    still out the stream's next rank, in the order they stand, from the
+    list ``ranks``, which is topped up as the numpy steps top up their
+    buffer when it holds fewer ranks than walkers. A walker is out while
+    lo <= y < hi; ``steps`` were taken before and the walk stops at
+    ``max_steps``, with the table covered as the numpy steps cover it.
+    Returns the table, the y of each walker that left, and the number
+    still out."""
+    span = table.d * table.stride
+    nxt, keys = _views(table)
+    exits, i = [], 0
+    while ys and steps < max_steps:
+        if steps % COVER_STEPS == 0:
+            table = _cover(table, max(ys) // span + COVER_STEPS)
+            nxt, keys = _views(table)
+        n, left = len(ys), len(ranks) - i
+        if left < n:
+            ranks = ranks[i:] + _rank(table, gen.random(max(EXIT_CHUNK, n) - left)).tolist()
+            i = 0
+        out = []
+        for y, b in zip(ys, ranks[i:i + n]):
+            y = nxt[y + b if keys is None else bisect_left(keys, y + b)]
+            (out if lo <= y < hi else exits).append(y)
+        i += n
+        ys = out
+        steps += 1
+    return table, exits, len(ys)
+
+
 def simulate(model, config=None):
     """Run the walk and gather regenerative cycle statistics.
 
@@ -326,19 +396,31 @@ def simulate(model, config=None):
     SEGMENT_STEPS steps, which end before a cycle could grow overlong or
     a replication exhaust its budget anywhere but on their last step. A
     segment records every walker's code level * d + phase after each step
-    and then derives its arrivals, cycle lengths, visits and restarts in
-    one pass; steps past a replication's last needed arrival are dropped.
-    Before a segment the step table is extended (``_cover``) to every
-    level it can reach, and the segment's uniforms are ranked at once, so
-    each step is one table lookup (``_StepTable``). Each replication's k-th
-    step reads the k-th uniform of its stream however steps are grouped,
-    so the statistics equal per-step bookkeeping's bit for bit.
+    and then derives its arrivals, visits and restarts in one pass; steps
+    past a replication's last needed arrival are dropped. The segment's
+    uniforms are ranked at once, so each step is one table lookup
+    (``_StepTable``), and every COVER_STEPS steps the table is extended
+    (``_cover``) to every level a walker can reach before the next
+    extension. A segment of at most FEW_WALKERS replications steps each
+    one through all its steps in plain Python before the next, since a
+    replication reads only its own stream. Each replication's k-th step
+    reads the k-th uniform of its stream however steps are grouped, so the
+    statistics equal per-step bookkeeping's bit for bit.
+
+    Only visits are booked: the visits of completed cycles, and those of
+    each replication's open cycle. The rest follows from the regenerative
+    structure. A completed cycle visits layer 0 once, at its start, so the
+    completed cycles are the layer-0 visits. Each counted arrival, and the
+    first start, starts one cycle, completed or still open, so the arrivals
+    in each phase are the layer-0 visits plus the open cycle's start
+    phase. Each step of a completed cycle is one visit, so the cycle
+    lengths sum to the visits.
     """
     if config is None:
         raise ValueError("a SimConfig with an explicit seed is required")
     d = model.d
     table = _step_table(model)
-    reps = max(1, min(config.replications, config.cycles))
+    reps = min(config.replications, config.cycles)
     per_rep = -(-config.cycles // reps)
     gens = _rep_streams(config.seed, reps)
 
@@ -350,13 +432,10 @@ def simulate(model, config=None):
 
     pending = np.zeros((reps, 1, d))
     committed = np.zeros((reps, 1, d))
-    arrival_counts = np.zeros((reps, d))
-    arrival_counts[np.arange(reps), code] += 1
     cycle_start_phase = code.copy()
     cyc_len = np.zeros(reps, dtype=np.int64)
-    completed = np.zeros(reps, dtype=np.int64)
+    completed = np.zeros(reps)
     discarded = np.zeros(reps, dtype=np.int64)
-    sum_len = np.zeros(reps, dtype=np.int64)
 
     budget = 2 * config.max_steps
     buf = np.empty((reps, max(1, UNIFORM_BUFFER // reps)))
@@ -372,9 +451,10 @@ def simulate(model, config=None):
             ptr = 0
         # short enough that neither the step budget runs out nor a cycle
         # grows overlong before the segment's last step
+        longest = int(cyc_len[act].max())
         seg = min(buf.shape[1] - ptr, SEGMENT_STEPS, budget - steps,
-                  config.max_steps + 1 - int(cyc_len[act].max()))
-        rank = _rank(table, buf[act, ptr:ptr + seg].T)
+                  config.max_steps + 1 - longest)
+        u = buf[act, ptr:ptr + seg]
         ptr += seg
         steps += seg
 
@@ -382,22 +462,32 @@ def simulate(model, config=None):
         # the segment
         ys = np.empty((seg + 1, act.size), dtype=np.int64)
         ys[0] = y = code[act] * table.stride
-        for j in range(seg):
-            if j % COVER_STEPS == 0:
-                # a walker climbs at most one level a step
-                table = _cover(table, int(y.max()) // (d * table.stride) + COVER_STEPS)
-            ys[j + 1] = y = _advance(table, y, rank[j])
+        if act.size <= FEW_WALKERS:
+            # a replication reads only its own stream, so each can take all
+            # its steps before the next one starts
+            for i, ranks in enumerate(_rank(table, u).tolist()):
+                table, ys[:, i] = _walk(table, int(y[i]), ranks)
+        else:
+            rank = _rank(table, u.T)
+            for j in range(seg):
+                if j % COVER_STEPS == 0:
+                    # a walker climbs at most one level a step
+                    table = _cover(table, int(y.max()) // (d * table.stride) + COVER_STEPS)
+                ys[j + 1] = y = _advance(table, y, rank[j])
         codes = ys // table.stride
 
         # bookkeeping; step j of the segment leaves the state in row j - 1;
         # on layer 0 a code is the phase
-        step = np.arange(1, seg + 1)[:, None]
+        # in the smallest type that holds seg, which halves the row max below
+        step = np.arange(1, seg + 1, dtype=np.min_scalar_type(seg))[:, None]
         lands = codes[1:] < d
         start_len = cyc_len[act]
         # only a cycle open all segment long can cross the cap, on the last
         # step; one that crosses it on its closing step is still overlong
-        over = (start_len + seg > config.max_steps) & ~lands[:-1].any(axis=0)
-        lands[-1] &= ~over
+        over = None
+        if longest + seg > config.max_steps:
+            over = (start_len + seg > config.max_steps) & ~lands[:-1].any(axis=0)
+            lands[-1] &= ~over
         # a replication that completes its share mid-segment finishes there:
         # later arrivals do not count, and its state is never read again; a
         # segment lands at most seg times, so below that share nothing is cut
@@ -405,45 +495,49 @@ def simulate(model, config=None):
         arrive = lands
         if seg > need.min():
             arrive = lands & (np.cumsum(lands, axis=0) - lands < need)
-        # the last arrival is the first in reverse step order
-        back = arrive[::-1].argmax(axis=0)
-        closes = arrive[seg - 1 - back, np.arange(act.size)]
-        last = np.where(closes, seg - back, 0)
+        # the step of each replication's last arrival, 0 without one
+        last = (arrive * step).max(axis=0)
+        closes = last > 0
 
         top = int(codes.max()) // d
         if top >= pending.shape[1]:
             pad = ((0, 0), (0, top + 8 - pending.shape[1]), (0, 0))
             pending = np.pad(pending, pad)
             committed = np.pad(committed, pad)
-        # a slice, not an index array, when every replication is active, so
-        # that held is a view and the updates below gather nothing
+        # slices, not index arrays, where they select every replication, so
+        # that the updates below gather nothing
         sel = slice(None) if act.size == reps else act
-        held = pending[sel]
         # visits up to a replication's last arrival close cycles, later ones
         # stay pending: one bincount counts both, the pending ones offset by
         # a whole block
-        cells = np.arange(act.size) * pending[0].size + codes[:-1] + (step > last) * held.size
-        counts = np.bincount(cells.ravel(), minlength=2 * held.size).reshape(2, *held.shape)
-        closing = closes[:, None, None]
-        committed[sel] += np.where(closing, held, 0.0) + counts[0]
-        pending[sel] = np.where(closing, 0.0, held) + counts[1]
-        arrival_counts += np.bincount((act * d + codes[1:])[arrive],
-                                      minlength=arrival_counts.size).reshape(reps, d)
+        block = act.size * pending[0].size
+        cells = np.arange(act.size) * pending[0].size + codes[:-1] + (step > last) * block
+        counts = np.bincount(cells.ravel(), minlength=2 * block)
+        counts = counts.reshape(2, act.size, *pending.shape[1:])
+        closing = sel if closes.all() else act[closes]
+        committed[sel] += counts[0]
+        committed[closing] += pending[closing]
+        pending[closing] = 0.0
+        pending[sel] += counts[1]
         cycle_start_phase[act[closes]] = codes[last[closes], np.flatnonzero(closes)]
-
-        closed = np.where(closes, start_len + last, 0)
-        sum_len[act] += closed
-        cyc_len[act] = np.where(over, 0, start_len + seg - closed)
-        completed[act] += arrive.sum(axis=0)
+        cyc_len[act] = np.where(closes, 0, start_len) + seg - last
         code[act] = codes[-1]
-        # restart, but do not record a teleport as an arrival
-        overlong = act[over]
-        discarded[overlong] += 1
-        pending[overlong] = 0.0
-        code[overlong] = cycle_start_phase[overlong]
+        if over is not None:
+            # restart, but do not record a teleport as an arrival
+            overlong = act[over]
+            discarded[overlong] += 1
+            pending[overlong] = 0.0
+            cyc_len[overlong] = 0
+            code[overlong] = cycle_start_phase[overlong]
+        # a completed cycle visits layer 0 once, at its start
+        completed = committed[:, 0].sum(axis=1)
         active = completed < per_rep
-    return _cycle_stats(config, per_rep, committed, arrival_counts, completed,
-                        discarded, sum_len)
+    # each counted arrival, and the first start, starts one cycle: a
+    # completed one or the one still open
+    arrival_counts = committed[:, 0].copy()
+    arrival_counts[np.arange(reps), cycle_start_phase] += 1
+    return _cycle_stats(config, per_rep, committed, arrival_counts, completed.astype(np.int64),
+                        discarded, committed.sum(axis=(1, 2)).astype(np.int64))
 
 
 def _cycle_stats(config, per_rep, committed, arrival_counts, completed, discarded,
@@ -540,6 +634,9 @@ class ExitConfig:
     samples: int = 10_000
     max_steps: int = 10**6
 
+    def __post_init__(self):
+        _require_positive(self, "samples", "max_steps")
+
 
 @dataclass
 class ExitEstimate:
@@ -573,6 +670,10 @@ def estimate_exit_probability(model, level, direction, config, phases=None):
     walked row equals the all-phase estimate's row bit for bit. A stream
     draws at least EXIT_CHUNK uniforms at a time and ranks them at once;
     its walkers read them in draw order, so the chunk size moves nothing.
+    Once at most FEW_WALKERS walkers are out, they step in plain Python,
+    stream by stream, in the same step-major order: each step, a stream
+    gives one uniform to each of its walkers still out, in the order they
+    stand, so the estimate does not depend on FEW_WALKERS either.
 
     The walks step on the jump chain (``_jump_rows``): the first-passage
     phase depends only on the sequence of states visited, so dropping
@@ -608,7 +709,7 @@ def estimate_exit_probability(model, level, direction, config, phases=None):
     entry = target * level_span  # y of phase 0 on the target level
     arrivals = [y[:0]]
     steps = 0
-    while y.size and steps < config.max_steps:
+    while y.size > FEW_WALKERS and steps < config.max_steps:
         if steps % COVER_STEPS == 0:
             # a walker climbs at most one level a step
             table = _cover(table, int(y.max()) // level_span + COVER_STEPS)
@@ -637,6 +738,17 @@ def estimate_exit_probability(model, level, direction, config, phases=None):
             keep = ~done
             y, owner = y[keep], owner[keep]
         steps += 1
+    # the last few walkers step in plain Python; streams are independent,
+    # so each one's walkers finish on their own
+    lo, hi = (0, entry) if direction == "up" else (entry + level_span, math.inf)
+    rest, first = y.tolist(), 0
+    for k, n in enumerate(active):
+        if n:
+            table, exits, active[k] = _walk_few(
+                table, rest[first:first + n], ranked[k][spent[k]:].tolist(), gens[k], steps,
+                config.max_steps, lo, hi)
+            arrivals.append(k * d + (np.array(exits, dtype=np.int64) - entry) // table.stride)
+            first += n
     counts = np.bincount(np.concatenate(arrivals), minlength=rows * d).reshape(rows, d)
     censored = np.array(active, dtype=np.int64)
     p_hat = counts / config.samples

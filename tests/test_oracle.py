@@ -262,7 +262,8 @@ def test_simulate_matches_per_step_reference(d1_pos, d1_null, monkeypatch):
     discards, retirement on the step budget, a step cap past int64, uneven
     and oversized replication counts, replications completing in different
     segments, refills inside a run, and walkers above the first tail
-    level."""
+    level; in both table layouts, with numpy steps only, at the default
+    FEW_WALKERS, and with plain Python steps only."""
     climber, _ = random_pos_recurrent_model(np.random.default_rng(8), 2)
     c1, c8 = retrial_model(0.2, 0.5, 1, gamma=1.0), retrial_model(1.5, 0.3, 8)
     home = scalar_chain(0.3, 0.7, r0=1.0)
@@ -287,25 +288,54 @@ def test_simulate_matches_per_step_reference(d1_pos, d1_null, monkeypatch):
         (home, hs.SimConfig(seed=2, cycles=oracle.SEGMENT_STEPS - 1, replications=1), None),
         (climber, hs.SimConfig(seed=402, cycles=2000, replications=16), None),
     ]
-    seen = {"discarded": 0, "retired": 0, "climbed": 0}
+    wants = []
     for model, cfg, buffer in cases:
-        if buffer is not None:
-            monkeypatch.setattr(oracle, "UNIFORM_BUFFER", buffer)
-        got = hs.simulate(model, config=cfg)
-        want = _per_step_simulate(model, cfg)
-        monkeypatch.undo()
-        # json spells NaN alike on both sides, where == on floats would not
-        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
-        seen["discarded"] += got.discarded
-        seen["retired"] += got.cycles < cfg.cycles
-        seen["climbed"] += got.max_level > model.n_prefix + 1
-    assert all(seen.values()), seen
-    # the run-length layout, on walkers that climb past the first tail level
-    monkeypatch.setattr(oracle, "DENSE_ENTRIES", 0)
-    model, cfg, _ = cases[-1]
-    got = hs.simulate(model, config=cfg)
-    assert json.dumps(got.to_dict()) == json.dumps(_per_step_simulate(model, cfg).to_dict())
-    assert got.max_level > model.n_prefix + 1
+        with monkeypatch.context() as patch:
+            if buffer is not None:
+                patch.setattr(oracle, "UNIFORM_BUFFER", buffer)
+            wants.append(_per_step_simulate(model, cfg))
+    walked = []
+    walk = oracle._walk
+    monkeypatch.setattr(oracle, "_walk", lambda *args: walked.append(1) or walk(*args))
+    for layout, few in _stepping_paths(monkeypatch):
+        seen = {"discarded": 0, "retired": 0, "climbed": 0}
+        walked.clear()
+        for (model, cfg, buffer), want in zip(cases, wants):
+            with monkeypatch.context() as patch:
+                if buffer is not None:
+                    patch.setattr(oracle, "UNIFORM_BUFFER", buffer)
+                got = hs.simulate(model, config=cfg)
+            # json spells NaN alike on both sides, where == on floats would not
+            assert json.dumps(got.to_dict()) == json.dumps(want.to_dict()), (layout, few, cfg)
+            seen["discarded"] += got.discarded
+            seen["retired"] += got.cycles < cfg.cycles
+            seen["climbed"] += got.max_level > model.n_prefix + 1
+        assert all(seen.values()), seen
+        assert bool(walked) == (few > 0), (layout, few)
+
+
+def _stepping_paths(monkeypatch):
+    """Yield (layout, few) in each table layout (``_layouts``) for each
+    FEW_WALKERS: 0 (numpy steps only), the default, and one above every
+    walker count (plain Python steps only)."""
+    default = oracle.FEW_WALKERS
+    for layout in _layouts(monkeypatch):
+        for few in (0, default, 10**9):
+            monkeypatch.setattr(oracle, "FEW_WALKERS", few)
+            yield layout, few
+
+
+@pytest.mark.parametrize("config, field", [
+    (hs.SimConfig, "cycles"), (hs.SimConfig, "replications"), (hs.SimConfig, "max_steps"),
+    (hs.ExitConfig, "samples"), (hs.ExitConfig, "max_steps")])
+def test_config_refuses_a_count_below_one(config, field):
+    """A count below 1 is refused when the config is made, naming the field,
+    where it used to fail later with another message or run regardless."""
+    for value in (0, -3):
+        with pytest.raises(ValueError, match=rf"^{config.__name__}\.{field} must be >= 1, "
+                                             rf"got {value}$"):
+            config(seed=1, **{field: value})
+    assert getattr(config(seed=1, **{field: 1}), field) == 1
 
 
 def test_segment_never_exceeds_the_uniform_buffer():
@@ -564,11 +594,12 @@ def test_exit_estimate_matches_per_phase_reference(monkeypatch):
     """The one-population estimator reproduces the per-phase walks count
     for count, censored walks included: ascents from level 0 read stored
     levels only, while descents and ascents from n_prefix + 3 read levels
-    the table covers past them."""
-    censored_seen = 0
+    the table covers past them; in both table layouts, with numpy steps
+    only, at the default FEW_WALKERS, and with plain Python steps only."""
     cases = [(m, steps) for m in _step_models() for steps in (10**6, 3)]
     # walkers from (0, 0) of the self-loop model run until the cap
     cases += [(_self_loop_model(), steps) for steps in (40, 3)]
+    runs = []
     for model, max_steps in cases:
         # an ascent against the drift can take millions of steps, so the
         # one from n_prefix + 3 stops at 500
@@ -576,21 +607,24 @@ def test_exit_estimate_matches_per_phase_reference(monkeypatch):
                                       (model.n_prefix + 1, "down", max_steps),
                                       (model.n_prefix + 3, "up", min(max_steps, 500))):
             cfg = hs.ExitConfig(seed=23, samples=300, max_steps=cap)
+            runs.append((model, level, direction, cfg,
+                         _per_phase_exit_counts(model, level, direction, cfg)))
+    assert sum(int(censored.sum()) for *_, (_, censored) in runs) > 0
+    walked = []
+    walk_few = oracle._walk_few
+
+    def spy(table, ys, ranks, gen, steps, max_steps, *bounds):
+        walked.append(steps < max_steps)  # whether the walkers step at all
+        return walk_few(table, ys, ranks, gen, steps, max_steps, *bounds)
+
+    monkeypatch.setattr(oracle, "_walk_few", spy)
+    for layout, few in _stepping_paths(monkeypatch):
+        walked.clear()
+        for model, level, direction, cfg, (counts, censored) in runs:
             est = hs.estimate_exit_probability(model, level, direction, cfg)
-            counts, censored = _per_phase_exit_counts(model, level, direction, cfg)
-            assert np.array_equal(est.matrix, counts / cfg.samples)
-            assert est.censored.tolist() == censored.tolist()
-            censored_seen += int(censored.sum())
-    assert censored_seen > 0
-    # the run-length layout, on a descent that reads covered levels
-    monkeypatch.setattr(oracle, "DENSE_ENTRIES", 0)
-    model = _step_models()[3]
-    cfg = hs.ExitConfig(seed=23, samples=300)
-    est = hs.estimate_exit_probability(model, model.n_prefix + 1, "down", cfg)
-    counts, censored = _per_phase_exit_counts(model, model.n_prefix + 1, "down", cfg)
-    assert np.array_equal(est.matrix, counts / cfg.samples)
-    assert est.censored.tolist() == censored.tolist()
-    monkeypatch.undo()
+            assert np.array_equal(est.matrix, counts / cfg.samples), (layout, few, level)
+            assert est.censored.tolist() == censored.tolist(), (layout, few, level)
+        assert any(walked) == (few > 0), (layout, few)
     stuck = hs.estimate_exit_probability(_self_loop_model(), 0, "up",
                                          hs.ExitConfig(seed=23, samples=300, max_steps=40))
     assert stuck.censored[0] == 300 and stuck.matrix[0].sum() == 0.0

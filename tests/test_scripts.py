@@ -203,6 +203,7 @@ def test_bench_record_keeps_every_metric_under_its_label(tmp_path, monkeypatch):
     monkeypatch.setattr(record, "time_verify", lambda root: {"wall_s": 21.5, "exit": 0})
     monkeypatch.setattr(record, "time_full_support_verify",
                         lambda root: {"wall_s": 0.9, "exit": 5})
+    monkeypatch.setattr(record, "time_simulate", lambda root: {"wall_s": 0.4, "exit": 0})
     monkeypatch.setattr(record, "time_prefix_stationary",
                         lambda root: {"wall_s": 0.31, "exit": 0})
     monkeypatch.setattr(record, "time_prefix_branching", lambda root: {"ms": 4.9})
@@ -226,6 +227,7 @@ def test_bench_record_keeps_every_metric_under_its_label(tmp_path, monkeypatch):
     assert entry["machine"].startswith("nproc=2 python=3.11.7")
     assert entry["verify_c32"] == {"wall_s": 21.5, "exit": 0}
     assert entry["verify_full_support_d24"] == {"wall_s": 0.9, "exit": 5}
+    assert entry["simulate_c8_high"] == {"wall_s": 0.4, "exit": 0}
     assert entry["stationary_prefix512"] == {"wall_s": 0.31, "exit": 0}
     assert entry["branching_data_prefix512_ms"] == {"ms": 4.9}
     assert entry["tier1"] == tier1
@@ -240,8 +242,8 @@ def test_bench_record_counts_src_lines_under_root(tmp_path, monkeypatch):
     record = _load_script("bench_record")
     monkeypatch.setattr(record, "run_perfbench",
                         lambda root, seconds, trace: CANNED_RUN[trace])
-    for name in ("time_verify", "time_full_support_verify", "time_prefix_stationary",
-                 "time_prefix_branching", "time_tests"):
+    for name in ("time_verify", "time_full_support_verify", "time_simulate",
+                 "time_prefix_stationary", "time_prefix_branching", "time_tests"):
         monkeypatch.setattr(record, name, lambda root: {})
     root = tmp_path / "checkout"
     package = root / "src" / "halfstrip"
@@ -328,6 +330,42 @@ def test_bench_record_times_full_support_verify_on_the_checkout(monkeypatch):
     (model,) = saved
     assert model.d == timing["model"]["d"] == 24 and model.n_prefix == 4
     assert str(ROOT / "perfbench") in build[2]
+
+
+def test_bench_record_times_simulate_on_the_checkout(monkeypatch):
+    """The simulate timing builds the oracle workload's c8_high model and
+    runs ``simulate`` on it at seed 1, five times through ``time_runs``, on
+    the checkout's src, without starting them here; the median run is the
+    timing and every run is kept."""
+    record = _load_script("bench_record")
+    commands, clock = [], [0.0]
+    walls = iter([0.5, 0.3, 0.4, 0.7, 0.6])
+
+    def fake_run(cmd, env, **kwargs):
+        commands.append(cmd)
+        assert env["PYTHONPATH"] == str(ROOT / "src")
+        if cmd[1] != "-c":
+            clock[0] += next(walls)
+        return subprocess.CompletedProcess(cmd, 0, stdout="", stderr="")
+
+    monkeypatch.setattr(record.subprocess, "run", fake_run)
+    monkeypatch.setattr(record, "time", type("FakeTime", (), {
+        "perf_counter": staticmethod(lambda: clock[0])}))
+    timing = record.time_simulate(ROOT)
+    build, *simulate = commands
+    path = build[3]
+    assert simulate == [[sys.executable, "-m", "halfstrip", "simulate", path, "--seed", "1",
+                         "--format", "json"]] * 5
+    assert timing["wall_s"] == 0.5 and timing["exit"] == 0 and len(timing["runs"]) == 5
+    assert timing["seed"] == 1
+    monkeypatch.setattr(sys, "argv", ["-c", path])
+    saved = []
+    monkeypatch.setattr(hs, "save_model", lambda model, out: saved.append(model))
+    exec(build[2], {})
+    (model,) = saved
+    want = hs.uniformize(hs.build_retrial(1.5, 0.3, 8, hs.RetrySchedule.parse("0.3")))
+    assert model.d == 9 and model.tail.up.tolist() == want.tail.up.tolist()
+    assert timing["model"] == {"arrival": 1.5, "service": 0.3, "servers": 8, "retry": "0.3"}
 
 
 def test_bench_record_times_prefix_stationary_on_the_checkout(monkeypatch):
