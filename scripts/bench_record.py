@@ -3,30 +3,36 @@
 
 Runs ``perfbench/run.py --workload all`` of the checkout at --root twice,
 at seed 1 and the run length BENCHMARK.json sets, with ``--trace 0``
-(end-to-end metrics) and ``--trace 1`` (per-layer metrics), times
+(end-to-end metrics) and ``--trace 1`` (per-layer metrics). It times, each
+RUNS times in a fresh interpreter, keeping every run and their median:
 ``halfstrip verify`` on the retrial model c=32 (lambda 6, mu 0.3, theta
-0.3, seed 1) and ``halfstrip stationary`` on the 512-level prefix model
-(retrial c=1, lambda 0.2, mu 0.5, theta 0.3+0.3/n), each RUNS times in a
-fresh interpreter, keeping every run and their median, times ``verify``
-at seed 1 on perfbench's random full-support model at d = 24 the same
-way, keeping its exit code (5 expected: the known full-support false
-alarm), times ``simulate`` at seed 1 on the oracle workload's c8_high
-model (retrial c=8, lambda 1.5, mu 0.3, theta 0.3) the same way, times
-``branching_data`` on that prefix model in process the
-same way (each run the median of CALLS calls after one warm call), and
-times the checkout's tier-1 suite (``python -m pytest -q
---continue-on-collection-errors``), keeping the acceptance lines it
-prints, so that a speed claim shows in the same file that no acceptance
-error grew. It also counts the lines of
+0.3, seed 1); ``verify`` and ``simulate`` at seed 1 on the oracle
+workload's c8_high model (retrial c=8, lambda 1.5, mu 0.3, theta 0.3),
+whose read-row descent is that workload's largest exit walk; ``verify``
+at seed 1 on perfbench's random full-support model at d = 24, keeping its
+exit code (5 expected: the known full-support false alarm), whose step
+table is run-length; and ``halfstrip stationary`` on the 512-level prefix
+model (retrial c=1, lambda 0.2, mu 0.5, theta 0.3+0.3/n). It times
+``branching_data`` on that prefix model in process the same way (each run
+the median of CALLS calls after one warm call), and times the checkout's
+tier-1 suite (``python -m pytest -q --continue-on-collection-errors``),
+keeping the acceptance lines it prints, so that a speed claim shows in the
+same file that no acceptance error grew. It also counts the lines of
 ``src/halfstrip/*.py`` per file and in total, as ``wc -l`` counts them, so
 that the package's size sits beside its timings.
 Every ``metric`` line the runs print is kept per workload, with its unit,
 beside the machine note, and the whole entry is written under the --label
-key of the JSON file --out; other labels in that file are kept. To compare
-two commits, run it once on a checkout of each with the same --out:
+key of the JSON file --out; other labels in that file are kept.
 
-    python3 scripts/bench_record.py --root ../parent --label parent --out BENCH_20.json
-    python3 scripts/bench_record.py --label change --out BENCH_20.json
+To compare two commits, measure both in one invocation: ``--against ROOT``
+also measures the checkout ROOT and writes its entry under
+--against-label. The two checkouts take turns, so that drift of the host
+over the minutes of a sitting falls on both: each fresh-interpreter run
+and each ``branching_data`` run of one is followed by the same run of the
+other, and the first of each pair alternates from run to run; the
+perfbench runs and the suite alternate which checkout goes first.
+
+    python3 scripts/bench_record.py --against ../parent --label change --out BENCH_34.json
 """
 import argparse
 import json
@@ -47,7 +53,7 @@ VERIFY_SEED = 1
 # retrial c=1 whose a+b/n retry schedule stores 512 prefix levels
 PREFIX_MODEL = (0.2, 0.5, 1, "0.3+0.3/n")
 # retrial c=8 at high load, the oracle workload's c8_high
-SIMULATE_MODEL = (1.5, 0.3, 8, "0.3")
+C8_HIGH_MODEL = (1.5, 0.3, 8, "0.3")
 # writes perfbench's random full-support model at d = 24 to sys.argv[1]:
 # drawn from default_rng(5) after d = 2, 4, 8 and 16; its exit walks start
 # in every phase, and its step table is run-length
@@ -119,88 +125,120 @@ def run_perfbench(root, seconds, trace):
     return proc.stdout
 
 
-def time_runs(root, build, argv):
-    """Median wall seconds over RUNS runs of one ``halfstrip`` command,
-    ``argv`` with the model path after its first word, on the model file
-    the Python code ``build`` writes to its first argument, each in a fresh
-    interpreter importing ``root``'s src; every run's seconds and exit code,
-    and the largest exit code."""
-    env = dict(os.environ, PYTHONPATH=str(Path(root) / "src"))
+def turns(count, job):
+    """The indices of ``count`` checkouts in the order they take turn
+    ``job``: in order on even turns, reversed on odd ones, so that no
+    checkout always runs first."""
+    order = list(range(count))
+    return order[::-1] if job % 2 else order
+
+
+def src_env(root):
+    """This environment with ``root``'s src as the only PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=str(Path(root) / "src"))
+
+
+def time_runs(roots, builds, argv):
+    """Per checkout in ``roots``: median wall seconds over RUNS runs of one
+    ``halfstrip`` command, ``argv`` with the model path after its first
+    word, on the model file that the checkout's Python code in ``builds``
+    writes to its first argument, each in a fresh interpreter importing
+    that checkout's src; every run's seconds and exit code, and the
+    largest exit code. The checkouts take turns run by run (``turns``)."""
+    envs = [src_env(root) for root in roots]
+    runs = [[] for _ in roots]
     with tempfile.TemporaryDirectory() as tmp:
-        path = str(Path(tmp) / "model.json")
-        subprocess.run([sys.executable, "-c", build, path], env=env, check=True)
-        runs = []
-        for _ in range(RUNS):
-            start = time.perf_counter()
-            proc = subprocess.run([sys.executable, "-m", "halfstrip", argv[0], path, *argv[1:]],
-                                  env=env, capture_output=True, text=True)
-            runs.append({"wall_s": time.perf_counter() - start, "exit": proc.returncode})
-    return {"wall_s": statistics.median(run["wall_s"] for run in runs),
-            "exit": max(run["exit"] for run in runs), "runs": runs}
+        paths = [str(Path(tmp) / f"model{i}.json") for i in range(len(roots))]
+        for build, path, env in zip(builds, paths, envs):
+            subprocess.run([sys.executable, "-c", build, path], env=env, check=True)
+        for run in range(RUNS):
+            for i in turns(len(roots), run):
+                start = time.perf_counter()
+                proc = subprocess.run(
+                    [sys.executable, "-m", "halfstrip", argv[0], paths[i], *argv[1:]],
+                    env=envs[i], capture_output=True, text=True)
+                runs[i].append({"wall_s": time.perf_counter() - start, "exit": proc.returncode})
+    return [{"wall_s": statistics.median(run["wall_s"] for run in side),
+             "exit": max(run["exit"] for run in side), "runs": side} for side in runs]
 
 
-def time_cli(root, model, argv):
+def time_cli(roots, model, argv):
     """``time_runs`` of ``argv`` on the uniformized retrial ``model``
     (arrival, service, servers, retry schedule)."""
     lam, mu, servers, theta = model
     build = ("import sys, halfstrip as hs; hs.save_model(hs.uniformize(hs.build_retrial("
              f"{lam!r}, {mu!r}, {servers!r}, hs.RetrySchedule.parse({theta!r}))), sys.argv[1])")
-    return dict(time_runs(root, build, argv),
-                model={"arrival": lam, "service": mu, "servers": servers, "retry": theta})
+    return [dict(timing, model={"arrival": lam, "service": mu, "servers": servers,
+                                "retry": theta})
+            for timing in time_runs(roots, [build] * len(roots), argv)]
 
 
-def time_verify(root):
+def time_verify(roots):
     """``time_cli`` of ``verify`` on the c=32 retrial model at seed 1."""
-    timing = time_cli(root, VERIFY_MODEL,
-                      ["verify", "--seed", str(VERIFY_SEED), "--format", "json"])
-    return dict(timing, seed=VERIFY_SEED)
+    return [dict(timing, seed=VERIFY_SEED) for timing in time_cli(
+        roots, VERIFY_MODEL, ["verify", "--seed", str(VERIFY_SEED), "--format", "json"])]
 
 
-def time_full_support_verify(root):
+def time_full_support_verify(roots):
     """``time_runs`` of ``verify`` at seed 1 on the random full-support
-    model at d = 24, built by ``root``'s perfbench."""
-    build = FULL_SUPPORT_BUILD.format(perfbench=str(Path(root) / "perfbench"))
-    timing = time_runs(root, build, ["verify", "--seed", str(VERIFY_SEED), "--format", "json"])
-    return dict(timing, seed=VERIFY_SEED,
-                model={"workload": "_random", "rng": 5, "drawn": [2, 4, 8, 16, 24], "d": 24})
+    model at d = 24, each checkout's built by its own perfbench."""
+    builds = [FULL_SUPPORT_BUILD.format(perfbench=str(Path(root) / "perfbench"))
+              for root in roots]
+    return [dict(timing, seed=VERIFY_SEED,
+                 model={"workload": "_random", "rng": 5, "drawn": [2, 4, 8, 16, 24], "d": 24})
+            for timing in time_runs(roots, builds,
+                                    ["verify", "--seed", str(VERIFY_SEED), "--format", "json"])]
 
 
-def time_simulate(root):
-    """``time_cli`` of ``simulate`` on the c8_high retrial model at seed 1."""
-    timing = time_cli(root, SIMULATE_MODEL,
-                      ["simulate", "--seed", str(VERIFY_SEED), "--format", "json"])
-    return dict(timing, seed=VERIFY_SEED)
+def time_c8_high(roots, command):
+    """``time_cli`` of ``command`` on the c8_high retrial model at seed 1."""
+    return [dict(timing, seed=VERIFY_SEED) for timing in time_cli(
+        roots, C8_HIGH_MODEL, [command, "--seed", str(VERIFY_SEED), "--format", "json"])]
 
 
-def time_prefix_stationary(root):
+def time_simulate(roots):
+    """``simulate`` on the c8_high model (``time_c8_high``)."""
+    return time_c8_high(roots, "simulate")
+
+
+def time_verify_c8_high(roots):
+    """``verify`` on the c8_high model (``time_c8_high``), whose read-row
+    descent is the largest exit walk of the oracle workload."""
+    return time_c8_high(roots, "verify")
+
+
+def time_prefix_stationary(roots):
     """``time_cli`` of ``stationary`` on the 512-level prefix model."""
-    return time_cli(root, PREFIX_MODEL, ["stationary", "--format", "json"])
+    return time_cli(roots, PREFIX_MODEL, ["stationary", "--format", "json"])
 
 
-def time_prefix_branching(root):
-    """Median milliseconds of ``branching_data`` on the 512-level prefix
-    model over RUNS fresh interpreters importing ``root``'s src, each run
-    the median of CALLS in-process calls after one warm call; every run's
-    figure is kept."""
-    env = dict(os.environ, PYTHONPATH=str(Path(root) / "src"))
+def time_prefix_branching(roots):
+    """Per checkout in ``roots``: median milliseconds of ``branching_data``
+    on the 512-level prefix model over RUNS fresh interpreters importing
+    that checkout's src, each run the median of CALLS in-process calls
+    after one warm call; every run's figure is kept. The checkouts take
+    turns run by run (``turns``)."""
     code = BRANCHING_TIMER.format(model=PREFIX_MODEL, calls=CALLS)
-    runs = [float(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                                 text=True, check=True).stdout)
-            for _ in range(RUNS)]
+    runs = [[] for _ in roots]
+    for run in range(RUNS):
+        for i in turns(len(roots), run):
+            runs[i].append(float(subprocess.run(
+                [sys.executable, "-c", code], env=src_env(roots[i]), capture_output=True,
+                text=True, check=True).stdout))
     lam, mu, servers, theta = PREFIX_MODEL
-    return {"ms": statistics.median(runs), "runs": runs, "calls": CALLS,
-            "model": {"arrival": lam, "service": mu, "servers": servers, "retry": theta}}
+    return [{"ms": statistics.median(side), "runs": side, "calls": CALLS,
+             "model": {"arrival": lam, "service": mu, "servers": servers, "retry": theta}}
+            for side in runs]
 
 
 def time_tests(root):
     """Wall seconds, exit code, summary line and ``[PASS]`` acceptance lines
     (with their measured errors) of one run of the tier-1 suite of the
     checkout ``root``, on its own src."""
-    env = dict(os.environ, PYTHONPATH=str(Path(root) / "src"))
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
-        cwd=root, env=env, capture_output=True, text=True)
+        cwd=root, env=src_env(root), capture_output=True, text=True)
     wall = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
     return {"wall_s": wall, "exit": proc.returncode, "summary": lines[-1] if lines else "",
@@ -229,21 +267,38 @@ def main(argv=None):
     ap.add_argument("--label", required=True, help="key of this entry, e.g. parent or change")
     ap.add_argument("--out", type=Path, required=True, help="ledger file, e.g. BENCH_18.json")
     ap.add_argument("--root", type=Path, default=ROOT, help="checkout to measure")
+    ap.add_argument("--against", type=Path, default=None,
+                    help="a second checkout, e.g. the parent commit, measured in turns with "
+                         "--root and written under --against-label")
+    ap.add_argument("--against-label", default="parent",
+                    help="key of the --against entry (default parent)")
     args = ap.parse_args(argv)
+    sides = [(args.label, args.root)]
+    if args.against is not None:
+        sides.insert(0, (args.against_label, args.against))
+    roots = [root for _, root in sides]
     seconds = json.loads((args.root / "BENCHMARK.json").read_text())["run_seconds"]
-    entry = {"seed": SEED, "seconds": seconds, "cpu": cpu_model()}
-    for trace in (0, 1):
-        workloads, machine = parse_run_output(run_perfbench(args.root, seconds, trace))
-        entry[f"trace{trace}"] = workloads
-        entry["machine"] = machine
-    entry["verify_c32"] = time_verify(args.root)
-    entry["verify_full_support_d24"] = time_full_support_verify(args.root)
-    entry["simulate_c8_high"] = time_simulate(args.root)
-    entry["stationary_prefix512"] = time_prefix_stationary(args.root)
-    entry["branching_data_prefix512_ms"] = time_prefix_branching(args.root)
-    entry["tier1"] = time_tests(args.root)
-    entry["src_lines"] = src_lines(args.root)
-    write_entry(args.out, args.label, entry)
+    entries = [{"seed": SEED, "seconds": seconds, "cpu": cpu_model()} for _ in sides]
+    # the perfbench runs, then the suite: one turn each, the first checkout
+    # alternating from turn to turn
+    for job, trace in enumerate((0, 1)):
+        for i in turns(len(roots), job):
+            workloads, machine = parse_run_output(run_perfbench(roots[i], seconds, trace))
+            entries[i][f"trace{trace}"] = workloads
+            entries[i]["machine"] = machine
+    # each timer takes the checkouts and returns one timing per checkout
+    timers = {"verify_c32": time_verify, "verify_c8_high": time_verify_c8_high,
+              "verify_full_support_d24": time_full_support_verify,
+              "simulate_c8_high": time_simulate, "stationary_prefix512": time_prefix_stationary,
+              "branching_data_prefix512_ms": time_prefix_branching}
+    for key, timer in timers.items():
+        for entry, timing in zip(entries, timer(roots)):
+            entry[key] = timing
+    for i in turns(len(roots), 2):
+        entries[i]["tier1"] = time_tests(roots[i])
+    for (label, root), entry in zip(sides, entries):
+        entry["src_lines"] = src_lines(root)
+        write_entry(args.out, label, entry)
     return 0
 
 

@@ -631,7 +631,7 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo cycle statistics")
     _add_common(p)
-    p.add_argument("--seed", type=int, required=True, help="stream seed (required)")
+    p.add_argument("--seed", type=_bounded(int, 0), required=True, help="stream seed (required)")
     p.add_argument("--cycles", type=_bounded(int, 1), default=100_000,
                    help="total regeneration cycles (default 100000)")
     p.add_argument("--max-steps", type=_bounded(int, 1), default=10**8, dest="max_steps",
@@ -644,7 +644,7 @@ def build_parser():
     p = sub.add_parser("verify", help="cross-check analytics against both oracles",
                        parents=[tol])
     _add_common(p)
-    p.add_argument("--seed", type=int, required=True, help="stream seed (required)")
+    p.add_argument("--seed", type=_bounded(int, 0), required=True, help="stream seed (required)")
     p.add_argument("--cycles", type=_bounded(int, 1), default=100_000,
                    help="simulation cycles (default 100000)")
     p.add_argument("--levels", type=_bounded(int, 0), default=None,

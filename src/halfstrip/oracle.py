@@ -16,7 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import invert, stationary_left_vector
+from .linalg import (SingularMatrixError, check_condition, lapack_errstate, lapack_inverse,
+                     stationary_left_vector)
 from .model import _step_rows
 
 # uniforms one simulator refill draws, split evenly over the replications
@@ -84,6 +85,16 @@ def truncated_solve(model, cutoff):
     pi_n = pi_{n-1} R_n; pi_0 is the stationary vector of the boundary
     chain censored to level 0, r0 + R_1 D_1. The work is O(cutoff d^3)
     and the memory O(cutoff d^2), so any cutoff is solved.
+
+    The backward recursion runs as ``branching._pass`` runs its levels:
+    every A_n = I - S_n - R_{n+1} D_{n+1} and its inverse go into stacks
+    allocated before the loop, all in one ``lapack_errstate``, and one
+    ``check_condition`` over the stacks, in pass order, guards them all
+    when the loop ends. When LAPACK finds some A_n singular, the levels
+    before it in the pass are checked first. So the level a solve refuses
+    is the first, from the cutoff down, that a one-matrix check would
+    refuse, with that check's message, and the SingularMatrixError's
+    ``index`` is its level n.
     """
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
@@ -94,10 +105,28 @@ def truncated_solve(model, cutoff):
 
     eye = np.eye(d)
     rates = np.empty((cutoff + 1, d, d))
+    # level n's A_n and its inverse at index cutoff - n, in pass order
+    mats, invs = np.empty((cutoff, d, d)), np.empty((cutoff, d, d))
     back = np.zeros((d, d))  # R_{n+1} D_{n+1}
-    for n in range(cutoff, 0, -1):
-        rates[n] = up[n - 1] @ invert(eye - stay[n] - back)
-        back = rates[n] @ down[n]
+    try:
+        with lapack_errstate():
+            for i, n in enumerate(range(cutoff, 0, -1)):
+                np.subtract(eye, stay[n], out=mats[i])
+                mats[i] -= back
+                rates[n] = up[n - 1] @ lapack_inverse(mats[i], invs[i])
+                back = rates[n] @ down[n]
+        refused, i = None, cutoff
+    except SingularMatrixError as exc:
+        refused = exc  # LAPACK's, on level cutoff - i
+    # every level formed before it, in pass order, is checked first
+    try:
+        check_condition(mats[:i], invs[:i])
+    except SingularMatrixError as exc:
+        exc.index = cutoff - exc.index
+        raise
+    if refused is not None:
+        refused.index = cutoff - i
+        raise refused
     pi = np.empty((cutoff + 1, d))
     pi[0] = stationary_left_vector(stay[0] + back, row_tol=1e-8)
     for n in range(1, cutoff + 1):
@@ -125,15 +154,19 @@ class SimConfig:
     replications: int = 64
 
     def __post_init__(self):
-        _require_positive(self, "cycles", "max_steps", "replications")
+        _require_integers(self, 0, "seed")
+        _require_integers(self, 1, "cycles", "max_steps", "replications")
 
 
-def _require_positive(config, *names):
-    """Refuse a config whose field among ``names`` is below 1, by name."""
+def _require_integers(config, low, *names):
+    """Refuse a config whose field among ``names`` is not an integer, a
+    Python or numpy one but not a bool, or is below ``low``, by name."""
     for name in names:
         value = getattr(config, name)
-        if value < 1:
-            raise ValueError(f"{type(config).__name__}.{name} must be >= 1, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{type(config).__name__}.{name} must be an integer, got {value!r}")
+        if value < low:
+            raise ValueError(f"{type(config).__name__}.{name} must be >= {low}, got {value!r}")
 
 
 @dataclass
@@ -319,10 +352,15 @@ def _rank(table, u):
 def _advance(table, y, b):
     """The next y = code * stride of each walker at y whose uniform has
     rank b. Every walker must stand on a level the table stores
-    (``_cover``)."""
+    (``_cover``).
+
+    The read indexes ``nxt`` rather than calling ``take``: on numpy 2.4, at
+    64 walkers, ``nxt[idx]`` costs about 0.2-0.4 us and ``nxt.take(idx)``
+    0.4-0.7 us, which is most of a narrow step's fixed cost, while on
+    10,000 walkers indexing costs about 0.3 ns more an element."""
     if table.keys is None:
-        return table.nxt.take(y + b)
-    return table.nxt.take(table.keys.searchsorted(y + b))
+        return table.nxt[y + b]
+    return table.nxt[table.keys.searchsorted(y + b)]
 
 
 def _views(table):
@@ -468,7 +506,9 @@ def simulate(model, config=None):
             for i, ranks in enumerate(_rank(table, u).tolist()):
                 table, ys[:, i] = _walk(table, int(y[i]), ranks)
         else:
-            rank = _rank(table, u.T)
+            # ranking the contiguous rows and transposing the ranks reads u
+            # in order, where ranking u.T would stride through it
+            rank = _rank(table, u).T
             for j in range(seg):
                 if j % COVER_STEPS == 0:
                     # a walker climbs at most one level a step
@@ -635,7 +675,8 @@ class ExitConfig:
     max_steps: int = 10**6
 
     def __post_init__(self):
-        _require_positive(self, "samples", "max_steps")
+        _require_integers(self, 0, "seed")
+        _require_integers(self, 1, "samples", "max_steps")
 
 
 @dataclass
@@ -675,6 +716,12 @@ def estimate_exit_probability(model, level, direction, config, phases=None):
     gives one uniform to each of its walkers still out, in the order they
     stand, so the estimate does not depend on FEW_WALKERS either.
 
+    A walker that leaves is booked as its y alone, and in a walk of
+    several rows also as its start row; the cells (row, phase) of all
+    leavers are decoded in one pass after the walks. Walking one row, as
+    ``verify`` does, every walker is that row's stream's, so the stream's
+    count drops by the number that left, with no per-step count by row.
+
     The walks step on the jump chain (``_jump_rows``): the first-passage
     phase depends only on the sequence of states visited, so dropping
     self-loops leaves its law unchanged. config.max_steps counts moves
@@ -707,7 +754,9 @@ def estimate_exit_probability(model, level, direction, config, phases=None):
     y = np.repeat(level * level_span + np.array(phases, dtype=np.int64) * table.stride,
                   config.samples)
     entry = target * level_span  # y of phase 0 on the target level
-    arrivals = [y[:0]]
+    # each leaver's y, and in a walk of several rows its start row, booked
+    # as it leaves and decoded into its (row, phase) cell once, at the end
+    gone, gone_rows = [y[:0]], [owner[:0]]
     steps = 0
     while y.size > FEW_WALKERS and steps < config.max_steps:
         if steps % COVER_STEPS == 0:
@@ -731,12 +780,19 @@ def estimate_exit_probability(model, level, direction, config, phases=None):
         # count_nonzero skips the Python layer of ndarray.any
         if np.count_nonzero(done):
             at = done.nonzero()[0]
-            start = owner[at]
-            arrivals.append(start * d + (y[at] - entry) // table.stride)
-            active = [n - f for n, f in
-                      zip(active, np.bincount(start, minlength=rows).tolist())]
+            gone.append(y[at])
             keep = ~done
-            y, owner = y[keep], owner[keep]
+            y = y[keep]
+            if rows == 1:
+                # every walker is the one stream's, so its count drops by the
+                # number that left
+                active[0] -= len(at)
+            else:
+                start = owner[at]
+                gone_rows.append(start)
+                active = [n - f for n, f in
+                          zip(active, np.bincount(start, minlength=rows).tolist())]
+                owner = owner[keep]
         steps += 1
     # the last few walkers step in plain Python; streams are independent,
     # so each one's walkers finish on their own
@@ -747,9 +803,14 @@ def estimate_exit_probability(model, level, direction, config, phases=None):
             table, exits, active[k] = _walk_few(
                 table, rest[first:first + n], ranked[k][spent[k]:].tolist(), gens[k], steps,
                 config.max_steps, lo, hi)
-            arrivals.append(k * d + (np.array(exits, dtype=np.int64) - entry) // table.stride)
+            gone.append(np.array(exits, dtype=np.int64))
+            if rows > 1:
+                gone_rows.append(np.full(len(exits), k))
             first += n
-    counts = np.bincount(np.concatenate(arrivals), minlength=rows * d).reshape(rows, d)
+    cells = (np.concatenate(gone) - entry) // table.stride
+    if rows > 1:
+        cells += np.concatenate(gone_rows) * d
+    counts = np.bincount(cells, minlength=rows * d).reshape(rows, d)
     censored = np.array(active, dtype=np.int64)
     p_hat = counts / config.samples
     se = np.sqrt(p_hat * (1.0 - p_hat) / config.samples)

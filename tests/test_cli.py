@@ -214,6 +214,8 @@ EXAMPLE_ARGS = ["retrial", "--lambda", "0.2", "--mu", "0.5", "--c", "1", "--thet
     ["simulate", "--seed", "1", "--replications", "0"],
     ["simulate", "--seed", "1", "--cycles", "0"],
     ["simulate", "--seed", "1", "--max-steps", "0"],
+    ["simulate", "--seed", "-1"],
+    ["verify", "--seed", "-1"],
     ["example", "--gamma", "nan"],
     ["example", "--gamma", "-1"],
     ["example", "--prefix-levels", "-1"],

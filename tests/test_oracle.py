@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 import halfstrip as hs
 from halfstrip import MaxStepsExceededError, oracle
 
-from conftest import layout_models, random_pos_recurrent_model, retrial_model, scalar_chain
+from conftest import (layout_models, random_pos_recurrent_model, refused_level_models,
+                      retrial_model, scalar_chain)
 
 
 def test_truncated_solve_residual(retrial_c1, retrial_c2):
@@ -336,6 +338,34 @@ def test_config_refuses_a_count_below_one(config, field):
                                              rf"got {value}$"):
             config(seed=1, **{field: value})
     assert getattr(config(seed=1, **{field: 1}), field) == 1
+
+
+@pytest.mark.parametrize("config, field", [
+    (hs.SimConfig, "seed"), (hs.SimConfig, "cycles"), (hs.SimConfig, "replications"),
+    (hs.SimConfig, "max_steps"), (hs.ExitConfig, "seed"), (hs.ExitConfig, "samples"),
+    (hs.ExitConfig, "max_steps")])
+def test_config_refuses_a_value_that_is_no_integer(config, field):
+    """A seed or count that is no integer, a whole float and a bool among
+    them, is refused when the config is made, naming the field; Python and
+    numpy integers are accepted."""
+    for value in (2.5, 100.0, "3", True, None):
+        with pytest.raises(ValueError, match=rf"^{config.__name__}\.{field} must be an "
+                                             rf"integer, got {re.escape(repr(value))}$"):
+            config(**{"seed": 1, field: value})
+    for value in (3, np.int64(3), np.uint8(3)):
+        assert getattr(config(**{"seed": 1, field: value}), field) == 3
+
+
+@pytest.mark.parametrize("config", [hs.SimConfig, hs.ExitConfig])
+def test_config_refuses_a_negative_seed(config):
+    """A negative seed is refused by name when the config is made, where it
+    used to fail at the first stream with numpy's message; seed 0 is
+    valid."""
+    for value in (-1, np.int64(-5)):
+        with pytest.raises(ValueError, match=rf"^{config.__name__}\.seed must be >= 0, "
+                                             rf"got {re.escape(repr(value))}$"):
+            config(seed=value)
+    assert config(seed=0).seed == 0
 
 
 def test_segment_never_exceeds_the_uniform_buffer():
@@ -898,3 +928,31 @@ def test_truncated_solve_matches_the_assembled_reference():
             assert _solution_or_refusal(solve, model, cutoff) == want
             kinds.add(want[0] if isinstance(want[0], str) else "solved")
     assert kinds == {"solved", "SingularMatrixError", "ReducibleChainError"}
+
+
+@pytest.mark.parametrize("cutoff, want", [
+    (2, {("refused", 1): (2, "1-norm"), ("refused", -1): (2, "1-norm"),
+         ("refused-before-singular", 1): (1, "LAPACK"),
+         ("refused-before-singular", -1): (1, "1-norm"),
+         ("singular-before-refused", 1): (1, "1-norm"),
+         ("singular-before-refused", -1): (1, "LAPACK")}),
+    (9, {("refused", 1): (2, "1-norm"), ("refused", -1): (2, "1-norm"),
+         ("refused-before-singular", 1): (3, "1-norm"),
+         ("refused-before-singular", -1): (3, "LAPACK"),
+         ("singular-before-refused", 1): (3, "LAPACK"),
+         ("singular-before-refused", -1): (3, "1-norm")})])
+def test_truncated_solve_refusal_names_its_level(cutoff, want):
+    """A refused solve's SingularMatrixError.index is the refused level n of
+    the strip: the first level from the cutoff down that a one-matrix check
+    refuses, by its condition number or because LAPACK finds it singular,
+    with the prefix in either order. At cutoff 2 only levels 2 and 1 are
+    solved."""
+    got = {}
+    for name, model, _ in refused_level_models():
+        for order in (1, -1):
+            flipped = hs.QbdModel(d=model.d, r0=model.r0, p0=model.p0,
+                                  prefix=model.prefix[::order], tail=model.tail)
+            with pytest.raises(hs.SingularMatrixError) as info:
+                hs.truncated_solve(flipped, cutoff)
+            got[name, order] = (info.value.index, str(info.value).split()[0].rstrip(":"))
+    assert got == want

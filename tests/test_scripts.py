@@ -200,13 +200,15 @@ def test_bench_record_keeps_every_metric_under_its_label(tmp_path, monkeypatch):
     record = _load_script("bench_record")
     monkeypatch.setattr(record, "run_perfbench",
                         lambda root, seconds, trace: CANNED_RUN[trace])
-    monkeypatch.setattr(record, "time_verify", lambda root: {"wall_s": 21.5, "exit": 0})
+    monkeypatch.setattr(record, "time_verify", lambda roots: [{"wall_s": 21.5, "exit": 0}])
+    monkeypatch.setattr(record, "time_verify_c8_high",
+                        lambda roots: [{"wall_s": 0.7, "exit": 0}])
     monkeypatch.setattr(record, "time_full_support_verify",
-                        lambda root: {"wall_s": 0.9, "exit": 5})
-    monkeypatch.setattr(record, "time_simulate", lambda root: {"wall_s": 0.4, "exit": 0})
+                        lambda roots: [{"wall_s": 0.9, "exit": 5}])
+    monkeypatch.setattr(record, "time_simulate", lambda roots: [{"wall_s": 0.4, "exit": 0}])
     monkeypatch.setattr(record, "time_prefix_stationary",
-                        lambda root: {"wall_s": 0.31, "exit": 0})
-    monkeypatch.setattr(record, "time_prefix_branching", lambda root: {"ms": 4.9})
+                        lambda roots: [{"wall_s": 0.31, "exit": 0}])
+    monkeypatch.setattr(record, "time_prefix_branching", lambda roots: [{"ms": 4.9}])
     tier1 = {"wall_s": 20.1, "exit": 0, "summary": "260 passed in 19.48s"}
     monkeypatch.setattr(record, "time_tests", lambda root: tier1)
     out = tmp_path / "BENCH_0.json"
@@ -226,6 +228,7 @@ def test_bench_record_keeps_every_metric_under_its_label(tmp_path, monkeypatch):
                                           "linalg.invert.calls": [59.0, "count"]}}
     assert entry["machine"].startswith("nproc=2 python=3.11.7")
     assert entry["verify_c32"] == {"wall_s": 21.5, "exit": 0}
+    assert entry["verify_c8_high"] == {"wall_s": 0.7, "exit": 0}
     assert entry["verify_full_support_d24"] == {"wall_s": 0.9, "exit": 5}
     assert entry["simulate_c8_high"] == {"wall_s": 0.4, "exit": 0}
     assert entry["stationary_prefix512"] == {"wall_s": 0.31, "exit": 0}
@@ -242,9 +245,10 @@ def test_bench_record_counts_src_lines_under_root(tmp_path, monkeypatch):
     record = _load_script("bench_record")
     monkeypatch.setattr(record, "run_perfbench",
                         lambda root, seconds, trace: CANNED_RUN[trace])
-    for name in ("time_verify", "time_full_support_verify", "time_simulate",
-                 "time_prefix_stationary", "time_prefix_branching", "time_tests"):
-        monkeypatch.setattr(record, name, lambda root: {})
+    for name in ("time_verify", "time_verify_c8_high", "time_full_support_verify",
+                 "time_simulate", "time_prefix_stationary", "time_prefix_branching"):
+        monkeypatch.setattr(record, name, lambda roots: [{}])
+    monkeypatch.setattr(record, "time_tests", lambda root: {})
     root = tmp_path / "checkout"
     package = root / "src" / "halfstrip"
     package.mkdir(parents=True)
@@ -283,7 +287,7 @@ def test_bench_record_times_verify_on_the_checkout(monkeypatch):
     monkeypatch.setattr(record.subprocess, "run", fake_run)
     monkeypatch.setattr(record, "time", type("FakeTime", (), {
         "perf_counter": staticmethod(lambda: clock[0])}))
-    timing = record.time_verify(ROOT)
+    timing, = record.time_verify([ROOT])
     build, *verify = commands
     assert build[:2] == [sys.executable, "-c"]
     path = build[3]
@@ -316,7 +320,7 @@ def test_bench_record_times_full_support_verify_on_the_checkout(monkeypatch):
                                            stderr="")
 
     monkeypatch.setattr(record.subprocess, "run", fake_run)
-    timing = record.time_full_support_verify(ROOT)
+    timing, = record.time_full_support_verify([ROOT])
     build, *verify = commands
     path = build[3]
     assert verify == [[sys.executable, "-m", "halfstrip", "verify", path, "--seed", "1",
@@ -351,7 +355,7 @@ def test_bench_record_times_simulate_on_the_checkout(monkeypatch):
     monkeypatch.setattr(record.subprocess, "run", fake_run)
     monkeypatch.setattr(record, "time", type("FakeTime", (), {
         "perf_counter": staticmethod(lambda: clock[0])}))
-    timing = record.time_simulate(ROOT)
+    timing, = record.time_simulate([ROOT])
     build, *simulate = commands
     path = build[3]
     assert simulate == [[sys.executable, "-m", "halfstrip", "simulate", path, "--seed", "1",
@@ -368,6 +372,117 @@ def test_bench_record_times_simulate_on_the_checkout(monkeypatch):
     assert timing["model"] == {"arrival": 1.5, "service": 0.3, "servers": 8, "retry": "0.3"}
 
 
+def test_bench_record_times_verify_on_c8_high(monkeypatch):
+    """The c8_high verify timing builds the oracle workload's c8_high model
+    and runs ``verify`` on it at seed 1, five times, on the checkout's src,
+    without starting them here."""
+    record = _load_script("bench_record")
+    commands = []
+
+    def fake_run(cmd, env, **kwargs):
+        commands.append(cmd)
+        assert env["PYTHONPATH"] == str(ROOT / "src")
+        return subprocess.CompletedProcess(cmd, 0, stdout="", stderr="")
+
+    monkeypatch.setattr(record.subprocess, "run", fake_run)
+    timing, = record.time_verify_c8_high([ROOT])
+    build, *verify = commands
+    assert verify == [[sys.executable, "-m", "halfstrip", "verify", build[3], "--seed", "1",
+                       "--format", "json"]] * 5
+    assert timing["seed"] == 1 and len(timing["runs"]) == 5
+    assert timing["model"] == {"arrival": 1.5, "service": 0.3, "servers": 8, "retry": "0.3"}
+
+
+def test_bench_record_runs_two_checkouts_in_turns(monkeypatch):
+    """Given two checkouts, each builds its own model once on its own src,
+    and then the fresh-interpreter runs alternate between them run by run,
+    the first of each pair alternating too: A B, B A, A B, B A, A B. Each
+    checkout's timing holds its own five runs. The branching_data runs take
+    the same turns."""
+    record = _load_script("bench_record")
+    parent, change = ROOT / "parent", ROOT
+    order, clock = [], [0.0]
+    walls = {str(parent / "src"): 2.0, str(change / "src"): 1.0}
+
+    def fake_run(cmd, env, **kwargs):
+        side = env["PYTHONPATH"]
+        order.append((cmd[1], side))
+        if cmd[1] == "-m":
+            clock[0] += walls[side]
+            # each checkout reads the model its own build wrote
+            assert cmd[4] == built[side]
+        elif "branching_data" in cmd[2]:
+            return subprocess.CompletedProcess(cmd, 0, stdout=f"{walls[side]}\n", stderr="")
+        else:
+            built[side] = cmd[3]
+        return subprocess.CompletedProcess(cmd, 0, stdout="", stderr="")
+
+    built = {}
+    monkeypatch.setattr(record.subprocess, "run", fake_run)
+    monkeypatch.setattr(record, "time", type("FakeTime", (), {
+        "perf_counter": staticmethod(lambda: clock[0])}))
+    a, b = str(parent / "src"), str(change / "src")
+    turns = [a, b, b, a, a, b, b, a, a, b]
+    for timer in (record.time_verify, record.time_simulate, record.time_full_support_verify):
+        order.clear()
+        first, second = timer([parent, change])
+        assert order == [("-c", a), ("-c", b)] + [("-m", side) for side in turns]
+        assert built[a] != built[b]
+        assert [run["wall_s"] for run in first["runs"]] == [2.0] * 5 and first["wall_s"] == 2.0
+        assert [run["wall_s"] for run in second["runs"]] == [1.0] * 5
+    order.clear()
+    first, second = record.time_prefix_branching([parent, change])
+    assert order == [("-c", side) for side in turns]
+    assert (first["runs"], second["runs"]) == ([2.0] * 5, [1.0] * 5)
+
+
+def test_bench_record_against_writes_both_entries_in_turns(tmp_path, monkeypatch):
+    """``--against`` measures that checkout and --root in one invocation and
+    writes both entries, the --against one under --against-label. The
+    perfbench runs and the suite alternate which checkout goes first, and
+    every timer gets both checkouts at once, --against first."""
+    record = _load_script("bench_record")
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root, lines in ((parent, "x = 1\n"), (change, "x = 1\ny = 2\n")):
+        (root / "src" / "halfstrip").mkdir(parents=True)
+        (root / "src" / "halfstrip" / "a.py").write_text(lines)
+        (root / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 3}))
+    jobs = []
+
+    def perfbench(root, seconds, trace):
+        jobs.append((f"trace{trace}", root))
+        return CANNED_RUN[trace]
+
+    def tests(root):
+        jobs.append(("tier1", root))
+        return {"summary": root.name}
+
+    monkeypatch.setattr(record, "run_perfbench", perfbench)
+    monkeypatch.setattr(record, "time_tests", tests)
+    timers = ("time_verify", "time_verify_c8_high", "time_full_support_verify",
+              "time_simulate", "time_prefix_stationary", "time_prefix_branching")
+    for name in timers:
+        monkeypatch.setattr(record, name, lambda roots, name=name: (
+            jobs.append((name, tuple(roots))) or [{"root": root.name} for root in roots]))
+    out = tmp_path / "BENCH_0.json"
+    assert record.main(["--root", str(change), "--against", str(parent), "--label", "change",
+                        "--out", str(out)]) == 0
+    assert [job for job in jobs if job[0] in ("trace0", "trace1", "tier1")] == [
+        ("trace0", parent), ("trace0", change), ("trace1", change), ("trace1", parent),
+        ("tier1", parent), ("tier1", change)]
+    assert sorted(job for job in jobs if job[0] in timers) == sorted(
+        (name, (parent, change)) for name in timers)
+    ledger = json.loads(out.read_text())
+    assert sorted(ledger) == ["change", "parent"]
+    for label in ledger:
+        entry = ledger[label]
+        assert entry["tier1"] == {"summary": label} and entry["seconds"] == 3
+        assert entry["verify_c8_high"] == entry["simulate_c8_high"] == {"root": label}
+        assert entry["trace0"]["oracle"]["ops_per_s"] == [4.24, "1/s"]
+    assert (ledger["parent"]["src_lines"]["total"], ledger["change"]["src_lines"]["total"]) == (
+        1, 2)
+
+
 def test_bench_record_times_prefix_stationary_on_the_checkout(monkeypatch):
     """The prefix timing builds the 512-level prefix model and runs
     ``stationary`` on it, both on the checkout's src, without starting them
@@ -381,7 +496,7 @@ def test_bench_record_times_prefix_stationary_on_the_checkout(monkeypatch):
         return subprocess.CompletedProcess(cmd, 0, stdout="", stderr="")
 
     monkeypatch.setattr(record.subprocess, "run", fake_run)
-    timing = record.time_prefix_stationary(ROOT)
+    timing, = record.time_prefix_stationary([ROOT])
     build, *stationary = commands
     path = build[3]
     assert stationary == [[sys.executable, "-m", "halfstrip", "stationary", path,
@@ -411,7 +526,7 @@ def test_bench_record_times_prefix_branching_data_on_the_checkout(monkeypatch, c
         return subprocess.CompletedProcess(cmd, 0, stdout=next(printed), stderr="")
 
     monkeypatch.setattr(record.subprocess, "run", fake_run)
-    timing = record.time_prefix_branching(ROOT)
+    timing, = record.time_prefix_branching([ROOT])
     assert [cmd[:2] for cmd in commands] == [[sys.executable, "-c"]] * 5
     assert timing["ms"] == 4.0 and timing["runs"] == [5.0, 3.0, 4.0, 9.0, 3.5]
     assert timing["calls"] == record.CALLS == 50 and timing["model"]["retry"] == "0.3+0.3/n"
