@@ -25,12 +25,13 @@ beside the machine note, and the whole entry is written under the --label
 key of the JSON file --out; other labels in that file are kept.
 
 To compare two commits, measure both in one invocation: ``--against ROOT``
-also measures the checkout ROOT and writes its entry under
---against-label. The two checkouts take turns, so that drift of the host
-over the minutes of a sitting falls on both: each fresh-interpreter run
-and each ``branching_data`` run of one is followed by the same run of the
-other, and the first of each pair alternates from run to run; the
-perfbench runs and the suite alternate which checkout goes first.
+also measures the checkout ROOT and writes its entry under the label
+``parent``, which --label may then not be. The two checkouts take turns,
+so that drift of the host over the minutes of a sitting falls on both:
+each fresh-interpreter run and each ``branching_data`` run of one is
+followed by the same run of the other, and the first of each pair
+alternates from run to run; the perfbench runs and the suite alternate
+which checkout goes first.
 
     python3 scripts/bench_record.py --against ../parent --label change --out BENCH_34.json
 """
@@ -268,14 +269,14 @@ def main(argv=None):
     ap.add_argument("--out", type=Path, required=True, help="ledger file, e.g. BENCH_18.json")
     ap.add_argument("--root", type=Path, default=ROOT, help="checkout to measure")
     ap.add_argument("--against", type=Path, default=None,
-                    help="a second checkout, e.g. the parent commit, measured in turns with "
-                         "--root and written under --against-label")
-    ap.add_argument("--against-label", default="parent",
-                    help="key of the --against entry (default parent)")
+                    help="the parent commit's checkout, measured in turns with --root and "
+                         "written under the label parent")
     args = ap.parse_args(argv)
     sides = [(args.label, args.root)]
     if args.against is not None:
-        sides.insert(0, (args.against_label, args.against))
+        if args.label == "parent":
+            ap.error("--label parent would overwrite the --against entry; choose another label")
+        sides.insert(0, ("parent", args.against))
     roots = [root for _, root in sides]
     seconds = json.loads((args.root / "BENCHMARK.json").read_text())["run_seconds"]
     entries = [{"seed": SEED, "seconds": seconds, "cpu": cpu_model()} for _ in sides]

@@ -76,12 +76,15 @@ def _pass(back, toward, stay, z, up=False):
     one inverse. Each level's A and F are written into stacks allocated
     before the loop, F by one LAPACK call, all in one error state
     (``lapack_errstate``). All factors are checked at once when the pass
-    ends, or, when LAPACK finds a level singular, those before it: the
-    first level in pass order that a one-step check refuses raises, its
-    place in the pass the error's ``index``.
+    ends, or, when the error state raises on a level (LAPACK finds it
+    singular, or a product with its finished factor sets the invalid
+    flag), every factor formed so far, that level's own included once
+    LAPACK has returned it: the first level in pass order that a one-step
+    check refuses raises, its place in the pass the error's ``index``.
     """
     k, d = len(back), len(z)
     mats, factors, exits = np.empty((k, d, d)), np.empty((k, d, d)), []
+    inverted = 0  # levels, in pass order, whose factor LAPACK returned
     if up:
         mass, diag = toward.sum(axis=-1), np.diag_indices(d)
     else:
@@ -98,10 +101,12 @@ def _pass(back, toward, stay, z, up=False):
                 else:
                     np.subtract(eye, b.dot(z), out=mat)
                     mat -= s
-                z = lapack_inverse(mat, factors[level]).dot(t)
+                factor = lapack_inverse(mat, factors[level])
+                inverted = level + 1
+                z = factor.dot(t)
                 exits.append(z)
     except SingularMatrixError as exc:
-        check_condition(mats[:level], factors[:level])
+        check_condition(mats[:inverted], factors[:inverted])
         exc.index = level
         raise
     if k:

@@ -163,6 +163,23 @@ def refused_level_models():
                 ("singular-before-refused", (near, drift_down, stuck), "LAPACK: Singular matrix")]]
 
 
+def overflow_inverse(monkeypatch, call):
+    """From now on, LAPACK inverse number ``call`` (counting from 0) comes
+    back all inf, as an inverse that overflowed would: a product of it with
+    a zero entry sets the invalid flag. Every inverse goes through the
+    package's one binding to LAPACK, ``linalg._INV``."""
+    inv, calls = hs.linalg._INV, []
+
+    def overflowing(a, **kw):
+        out = inv(a, **kw)
+        if len(calls) == call:
+            out[...] = np.inf
+        calls.append(a)
+        return out
+
+    monkeypatch.setattr(hs.linalg, "_INV", overflowing)
+
+
 def layout_models():
     """The refused-level models with their prefixes in both orders, the
     walled-prefix models, the absorbing-boundary model and the stacked-pass

@@ -8,9 +8,10 @@ import pytest
 
 import halfstrip as hs
 
-from conftest import (absorbing_boundary_model, layout_models, random_pos_recurrent_model,
-                      refused_level_models, retrial_model, scalar_chain, stacked_pass_models,
-                      underflow_prefix_models, walled_prefix_models)
+from conftest import (absorbing_boundary_model, layout_models, overflow_inverse,
+                      random_pos_recurrent_model, refused_level_models, retrial_model,
+                      scalar_chain, stacked_pass_models, underflow_prefix_models,
+                      walled_prefix_models)
 
 
 # dense absorbing-chain oracle for expected visit counts
@@ -467,6 +468,19 @@ def test_exit_up_seq_steps_only_the_levels_it_returns(retrial_c1, monkeypatch):
         calls.clear()
         assert len(hs.exit_up_seq(retrial_c1, n)) == n + 1
         assert len(calls) == n + 1
+
+
+@pytest.mark.parametrize("call", [0, 1, 2, 5])
+def test_pass_checks_a_factor_before_its_products_refusal(retrial_c1, monkeypatch, call):
+    """When a product with a finished passage factor sets the invalid flag
+    (an overflowed factor meets a zero), that factor is checked before the
+    error state's refusal raises, so its level is refused by its condition
+    number, as a one-step check would refuse it."""
+    overflow_inverse(monkeypatch, call)
+    with pytest.raises(hs.SingularMatrixError) as info:
+        hs.exit_up_seq(retrial_c1, 6)
+    assert info.value.index == call - 1
+    assert str(info.value).startswith("1-norm condition number inf")
 
 
 def test_branching_data_forms_the_tail_drift_once(retrial_c1, d1_transient, monkeypatch):

@@ -9,8 +9,8 @@ import pytest
 import halfstrip as hs
 from halfstrip import MaxStepsExceededError, oracle
 
-from conftest import (layout_models, random_pos_recurrent_model, refused_level_models,
-                      retrial_model, scalar_chain)
+from conftest import (layout_models, overflow_inverse, random_pos_recurrent_model,
+                      refused_level_models, retrial_model, scalar_chain)
 
 
 def test_truncated_solve_residual(retrial_c1, retrial_c2):
@@ -956,3 +956,17 @@ def test_truncated_solve_refusal_names_its_level(cutoff, want):
                 hs.truncated_solve(flipped, cutoff)
             got[name, order] = (info.value.index, str(info.value).split()[0].rstrip(":"))
     assert got == want
+
+
+@pytest.mark.parametrize("call", [0, 2, 8])
+def test_truncated_solve_checks_an_inverse_before_its_products_refusal(
+        retrial_c1, monkeypatch, call):
+    """When a product with a finished inverse sets the invalid flag (an
+    overflowed inverse meets a zero), that inverse is checked before the
+    error state's refusal raises, so its level is refused by its condition
+    number, as a one-matrix check would refuse it."""
+    overflow_inverse(monkeypatch, call)
+    with pytest.raises(hs.SingularMatrixError) as info:
+        hs.truncated_solve(retrial_c1, 9)
+    assert info.value.index == 9 - call
+    assert str(info.value).startswith("1-norm condition number inf")

@@ -438,7 +438,7 @@ def test_bench_record_runs_two_checkouts_in_turns(monkeypatch):
 
 def test_bench_record_against_writes_both_entries_in_turns(tmp_path, monkeypatch):
     """``--against`` measures that checkout and --root in one invocation and
-    writes both entries, the --against one under --against-label. The
+    writes both entries, the --against one under parent. The
     perfbench runs and the suite alternate which checkout goes first, and
     every timer gets both checkouts at once, --against first."""
     record = _load_script("bench_record")
@@ -481,6 +481,18 @@ def test_bench_record_against_writes_both_entries_in_turns(tmp_path, monkeypatch
         assert entry["trace0"]["oracle"]["ops_per_s"] == [4.24, "1/s"]
     assert (ledger["parent"]["src_lines"]["total"], ledger["change"]["src_lines"]["total"]) == (
         1, 2)
+
+
+def test_bench_record_against_refuses_the_parent_label(tmp_path, capsys):
+    """With ``--against``, --label parent would write both entries under one
+    key, so it is refused before anything is measured."""
+    record = _load_script("bench_record")
+    out = tmp_path / "BENCH_0.json"
+    with pytest.raises(SystemExit) as exc:
+        record.main(["--against", str(tmp_path), "--label", "parent", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--label parent" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_record_times_prefix_stationary_on_the_checkout(monkeypatch):
